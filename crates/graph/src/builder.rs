@@ -8,7 +8,7 @@
 
 use crate::csr::{Csr, Graph, Weight};
 use crate::error::GraphError;
-use crate::ids::{AddressMap, AddressingMode, VertexId, VertexIndex};
+use crate::ids::{AddressMap, AddressingMode, VertexId};
 
 /// Which adjacency directions the built graph retains.
 ///
@@ -67,10 +67,12 @@ impl GraphBuilder {
         }
     }
 
-    /// Reserve capacity for `n` edges.
+    /// Reserve capacity for `n` edges, weighted or not (untouched
+    /// capacity is address space, not resident memory).
     pub fn with_capacity(mode: NeighborMode, n: usize) -> Self {
         let mut b = GraphBuilder::new(mode);
         b.edges.reserve(n);
+        b.weights.reserve(n);
         b
     }
 
@@ -110,7 +112,16 @@ impl GraphBuilder {
     }
 
     /// Finalise into an immutable [`Graph`].
-    pub fn build(self) -> Result<Graph, GraphError> {
+    ///
+    /// Nothing is copied on the way: identifiers are validated and
+    /// translated in place in the one edge vector, and each retained
+    /// direction is one stable counting sort over it — keyed on the source
+    /// for out-edges, on the target for in-edges — the two running as
+    /// concurrent tasks on the `ipregel-par` pool. Each task writes only
+    /// its own CSR and both only read the edges, so the result does not
+    /// depend on how they interleave (docs/INTERNALS.md, "Loading: scanner
+    /// and builder").
+    pub fn build(mut self) -> Result<Graph, GraphError> {
         // Re-check weightedness defensively (debug_asserts vanish in release).
         if self.weighted == Some(true) && self.weights.len() != self.edges.len() {
             return Err(GraphError::MixedWeightedness);
@@ -129,52 +140,39 @@ impl GraphBuilder {
             return Err(GraphError::TooManyVertices(map.slots() as u64));
         }
 
-        // Translate endpoints to internal slots, validating the range.
-        let mut internal = Vec::with_capacity(self.edges.len());
-        for &(s, d) in &self.edges {
-            if !map.contains(s) {
-                return Err(GraphError::IdOutOfRange { id: s, base, count: u64::from(count) });
+        // Translate endpoints to internal slots, validating the range. An
+        // inferred range holds every id, and only offset mapping moves one.
+        if self.declared_range.is_some() || map.mode() == AddressingMode::Offset {
+            for edge in &mut self.edges {
+                for id in [edge.0, edge.1] {
+                    if !map.contains(id) {
+                        return Err(GraphError::IdOutOfRange { id, base, count: u64::from(count) });
+                    }
+                }
+                *edge = (map.index_of(edge.0), map.index_of(edge.1));
             }
-            if !map.contains(d) {
-                return Err(GraphError::IdOutOfRange { id: d, base, count: u64::from(count) });
-            }
-            internal.push((map.index_of(s), map.index_of(d)));
         }
 
         let slots = map.slots();
-        let weights = if self.weighted == Some(true) { Some(self.weights.as_slice()) } else { None };
-
-        let out = match self.mode {
-            NeighborMode::OutOnly | NeighborMode::Both => {
-                Some(Csr::from_edges(slots, &internal, weights))
+        let edges = self.edges.as_slice();
+        let weights = (self.weighted == Some(true)).then_some(self.weights.as_slice());
+        let out_csr = || Csr::from_edges(slots, edges, weights);
+        let in_csr = || Csr::from_edges_by(slots, edges, weights, |(s, d)| (d, s));
+        let (out, incoming, out_degrees) = match self.mode {
+            NeighborMode::OutOnly => (Some(out_csr()), None, None),
+            NeighborMode::Both => {
+                let (out, incoming) = ipregel_par::join(out_csr, in_csr);
+                (Some(out), Some(incoming), None)
             }
-            NeighborMode::InOnly => None,
-        };
-        let incoming = match self.mode {
-            NeighborMode::InOnly | NeighborMode::Both => {
-                let mut rev: Vec<(VertexIndex, VertexIndex)> =
-                    internal.iter().map(|&(s, d)| (d, s)).collect();
-                // Weights follow their edge under reversal: from_edges keys on
-                // the (new) source, so pass the same parallel weight slice.
-                let w = weights;
-                let csr = Csr::from_edges(slots, &rev, w);
-                rev.clear();
-                Some(csr)
+            NeighborMode::InOnly => {
+                let mut degrees = vec![0u32; slots];
+                for &(s, _) in edges {
+                    degrees[s as usize] += 1;
+                }
+                (None, Some(in_csr()), Some(degrees))
             }
-            NeighborMode::OutOnly => None,
         };
-        let out_degrees = if out.is_none() {
-            let mut d = vec![0u32; slots];
-            for &(s, _) in &internal {
-                d[s as usize] += 1;
-            }
-            Some(d)
-        } else {
-            None
-        };
-
-        let num_edges = internal.len() as u64;
-        Ok(Graph::from_parts(map, out, incoming, out_degrees, num_edges))
+        Ok(Graph::from_parts(map, out, incoming, out_degrees, edges.len() as u64))
     }
 }
 
@@ -306,6 +304,12 @@ mod tests {
         let mut pairs: Vec<_> = ins.iter().zip(ws).map(|(&v, &w)| (v, w)).collect();
         pairs.sort();
         assert_eq!(pairs, vec![(0, 10), (2, 20)]);
+    }
+
+    #[test]
+    fn with_capacity_reserves_for_weighted_edges_too() {
+        let b = GraphBuilder::with_capacity(NeighborMode::OutOnly, 1000);
+        assert!(b.edges.capacity() >= 1000 && b.weights.capacity() >= 1000);
     }
 
     #[test]

@@ -38,25 +38,44 @@ impl Csr {
         edges: &[(VertexIndex, VertexIndex)],
         weights: Option<&[Weight]>,
     ) -> Csr {
+        Csr::from_edges_by(slots, edges, weights, |edge| edge)
+    }
+
+    /// [`Csr::from_edges`] over `orient(edge)`, so the transposed CSR is
+    /// built by keying on the target (`|(s, d)| (d, s)`) rather than from
+    /// a reversed copy of the edge list. The sort is stable: a slot's
+    /// neighbours keep the order their edges have in `edges`.
+    pub(crate) fn from_edges_by(
+        slots: usize,
+        edges: &[(VertexIndex, VertexIndex)],
+        weights: Option<&[Weight]>,
+        orient: impl Fn((VertexIndex, VertexIndex)) -> (VertexIndex, VertexIndex),
+    ) -> Csr {
         debug_assert!(weights.is_none_or(|w| w.len() == edges.len()));
         let mut offsets = vec![0u64; slots + 1];
-        for &(src, _) in edges {
-            offsets[src as usize + 1] += 1;
+        for &edge in edges {
+            offsets[orient(edge).0 as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
+        // Scatter with `offsets[v]` itself as `v`'s write cursor: it walks
+        // from the start of `v`'s range to its end, which is the start of
+        // `v + 1`'s — so afterwards the array is the offsets shifted down
+        // one slot, and shifting it back up restores them without a copy.
         let mut targets = vec![0 as VertexIndex; edges.len()];
         let mut wout = weights.map(|_| vec![0 as Weight; edges.len()]);
-        let mut cursor = offsets.clone();
-        for (e, &(src, dst)) in edges.iter().enumerate() {
-            let at = cursor[src as usize] as usize;
-            targets[at] = dst;
+        for (e, &edge) in edges.iter().enumerate() {
+            let (key, neighbor) = orient(edge);
+            let at = offsets[key as usize] as usize;
+            targets[at] = neighbor;
             if let (Some(w), Some(ws)) = (&mut wout, weights) {
                 w[at] = ws[e];
             }
-            cursor[src as usize] += 1;
+            offsets[key as usize] += 1;
         }
+        offsets.copy_within(0..slots, 1);
+        offsets[0] = 0;
         Csr { offsets, targets, weights: wout }
     }
 

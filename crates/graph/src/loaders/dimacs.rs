@@ -16,6 +16,7 @@
 
 use std::io::BufRead;
 
+use super::scan::{for_each_line, show};
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
@@ -23,58 +24,40 @@ use crate::error::GraphError;
 /// Parse a DIMACS `.gr` stream into a weighted [`Graph`].
 pub fn load_dimacs_gr<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut builder: Option<GraphBuilder> = None;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('c') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        match it.next() {
-            Some("p") => {
-                let kind = it.next().unwrap_or("");
-                if kind != "sp" {
-                    return Err(GraphError::Parse {
-                        line: lineno + 1,
-                        message: format!("unsupported problem kind {kind:?}, expected \"sp\""),
-                    });
+    for_each_line(reader, |line| {
+        match line.field() {
+            None | Some([b'c', ..]) => {}
+            Some(b"a") => {
+                let Some(b) = &mut builder else {
+                    return Err(line.error("arc line before \"p sp\" header"));
+                };
+                let src = line.u32("arc source")?;
+                let dst = line.u32("arc target")?;
+                b.add_weighted_edge(src, dst, line.u32("arc weight")?);
+            }
+            // A second header would replace the builder and silently drop
+            // every arc read so far.
+            Some(b"p") if builder.is_some() => return Err(line.error("second \"p\" line")),
+            Some(b"p") => {
+                let kind = line.field().unwrap_or(b"");
+                if kind != b"sp" {
+                    let message = format!("unsupported problem kind {}, expected \"sp\"", show(kind));
+                    return Err(line.error(message));
                 }
-                let n = parse_num(it.next(), lineno + 1, "vertex count")?;
-                let m = parse_num(it.next(), lineno + 1, "arc count")?;
+                let n = line.u32("vertex count")?;
+                let m = line.u32("arc count")?;
                 // The declared arc count is untrusted input: cap the
                 // up-front reservation and let growth amortise past it.
-                let mut b = GraphBuilder::with_capacity(mode, (m as usize).min(1 << 20));
-                b = b.declare_id_range(1, n);
-                builder = Some(b);
-            }
-            Some("a") => {
-                let b = builder.as_mut().ok_or_else(|| GraphError::Parse {
-                    line: lineno + 1,
-                    message: "arc line before \"p sp\" header".to_string(),
-                })?;
-                let src = parse_num(it.next(), lineno + 1, "arc source")?;
-                let dst = parse_num(it.next(), lineno + 1, "arc target")?;
-                let w = parse_num(it.next(), lineno + 1, "arc weight")?;
-                b.add_weighted_edge(src, dst, w);
+                let b = GraphBuilder::with_capacity(mode, (m as usize).min(1 << 20));
+                builder = Some(b.declare_id_range(1, n));
             }
             Some(other) => {
-                return Err(GraphError::Parse {
-                    line: lineno + 1,
-                    message: format!("unknown record type {other:?}"),
-                })
+                return Err(line.error(format!("unknown record type {}", show(other))))
             }
-            None => unreachable!("blank lines filtered above"),
         }
-    }
+        Ok(())
+    })?;
     builder.ok_or(GraphError::EmptyGraph)?.build()
-}
-
-fn parse_num(tok: Option<&str>, line: usize, what: &str) -> Result<u32, GraphError> {
-    let tok = tok.ok_or_else(|| GraphError::Parse { line, message: format!("missing {what}") })?;
-    tok.parse::<u32>().map_err(|e| GraphError::Parse {
-        line,
-        message: format!("bad {what} {tok:?}: {e}"),
-    })
 }
 
 #[cfg(test)]
@@ -117,6 +100,16 @@ a 1 3 50
     fn arc_before_header_is_an_error() {
         let r = load_dimacs_gr(Cursor::new("a 1 2 3\n"), NeighborMode::OutOnly);
         assert!(matches!(r, Err(GraphError::Parse { line: 1, .. })));
+    }
+
+    #[test]
+    fn second_header_is_an_error_not_a_fresh_start() {
+        // It used to replace the builder, dropping the arcs read so far.
+        let text = "c x\np sp 3 2\na 1 2 5\np sp 3 2\na 2 3 6\n";
+        match load_dimacs_gr(Cursor::new(text), NeighborMode::OutOnly) {
+            Err(GraphError::Parse { line: 4, .. }) => {}
+            other => panic!("expected a parse error at line 4, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use std::io::BufRead;
 
+use super::scan::for_each_line;
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
@@ -14,45 +15,26 @@ use crate::error::GraphError;
 pub fn load_edge_list<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(mode);
     let mut weighted: Option<bool> = None;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') || t.starts_with("//") {
-            continue;
+    for_each_line(reader, |line| {
+        match line.peek() {
+            None | Some(b'#' | b'%') => return Ok(()),
+            Some(b'/') if line.starts_with(b"//") => return Ok(()),
+            _ => {}
         }
-        let mut it = t.split_whitespace();
-        let src = parse_id(it.next(), lineno + 1, "source id")?;
-        let dst = parse_id(it.next(), lineno + 1, "target id")?;
-        match it.next() {
-            Some(w) => {
-                if weighted == Some(false) {
-                    return Err(GraphError::MixedWeightedness);
-                }
-                weighted = Some(true);
-                let w = w.parse::<u32>().map_err(|e| GraphError::Parse {
-                    line: lineno + 1,
-                    message: format!("bad weight {w:?}: {e}"),
-                })?;
-                b.add_weighted_edge(src, dst, w);
-            }
-            None => {
-                if weighted == Some(true) {
-                    return Err(GraphError::MixedWeightedness);
-                }
-                weighted = Some(false);
-                b.add_edge(src, dst);
-            }
+        let src = line.u32("source id")?;
+        let dst = line.u32("target id")?;
+        let has_weight = line.peek().is_some();
+        if weighted.replace(has_weight).is_some_and(|was| was != has_weight) {
+            return Err(GraphError::MixedWeightedness);
         }
-    }
+        if has_weight {
+            b.add_weighted_edge(src, dst, line.u32("weight")?);
+        } else {
+            b.add_edge(src, dst);
+        }
+        Ok(())
+    })?;
     b.build()
-}
-
-fn parse_id(tok: Option<&str>, line: usize, what: &str) -> Result<u32, GraphError> {
-    let tok = tok.ok_or_else(|| GraphError::Parse { line, message: format!("missing {what}") })?;
-    tok.parse::<u32>().map_err(|e| GraphError::Parse {
-        line,
-        message: format!("bad {what} {tok:?}: {e}"),
-    })
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 
 use std::io::BufRead;
 
+use super::scan::for_each_line;
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
@@ -18,26 +19,14 @@ use crate::error::GraphError;
 /// its SSSP assumes unit weights).
 pub fn load_konect<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(mode);
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
+    for_each_line(reader, |line| {
+        if !matches!(line.peek(), None | Some(b'%')) {
+            let src = line.u32("source id")?;
+            b.add_edge(src, line.u32("target id")?);
         }
-        let mut it = t.split_whitespace();
-        let src = parse_id(it.next(), lineno + 1, "source id")?;
-        let dst = parse_id(it.next(), lineno + 1, "target id")?;
-        b.add_edge(src, dst);
-    }
+        Ok(())
+    })?;
     b.build()
-}
-
-fn parse_id(tok: Option<&str>, line: usize, what: &str) -> Result<u32, GraphError> {
-    let tok = tok.ok_or_else(|| GraphError::Parse { line, message: format!("missing {what}") })?;
-    tok.parse::<u32>().map_err(|e| GraphError::Parse {
-        line,
-        message: format!("bad {what} {tok:?}: {e}"),
-    })
 }
 
 #[cfg(test)]

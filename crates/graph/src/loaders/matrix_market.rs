@@ -11,119 +11,91 @@
 
 use std::io::BufRead;
 
+use super::scan::{for_each_line, show, Line};
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
 
 /// Parse a Matrix Market coordinate stream into a [`Graph`].
 pub fn load_matrix_market<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
-    let mut lines = reader.lines().enumerate();
-
-    // Header line.
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| GraphError::Parse { line: 1, message: "empty file".into() })?;
-    let header = header?;
-    let h: Vec<&str> = header.split_whitespace().collect();
-    if h.len() < 5 || !h[0].eq_ignore_ascii_case("%%MatrixMarket") {
-        return Err(GraphError::Parse { line: 1, message: format!("bad header {header:?}") });
-    }
-    if !h[1].eq_ignore_ascii_case("matrix") || !h[2].eq_ignore_ascii_case("coordinate") {
-        return Err(GraphError::Parse {
-            line: 1,
-            message: "only `matrix coordinate` files are supported".into(),
-        });
-    }
-    let weighted = match h[3].to_ascii_lowercase().as_str() {
-        "pattern" => false,
-        "real" | "integer" => true,
-        other => {
-            return Err(GraphError::Parse {
-                line: 1,
-                message: format!("unsupported field type {other:?}"),
-            })
-        }
-    };
-    let symmetric = match h[4].to_ascii_lowercase().as_str() {
-        "general" => false,
-        "symmetric" => true,
-        other => {
-            return Err(GraphError::Parse {
-                line: 1,
-                message: format!("unsupported symmetry {other:?}"),
-            })
-        }
-    };
-
-    // Size line (after % comments), then entries.
+    // The first line is the header; then the size line (after % comments),
+    // then entries.
+    let mut shape: Option<(bool, bool)> = None;
     let mut builder: Option<GraphBuilder> = None;
-    for (lineno, line) in lines {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
+    for_each_line(reader, |line| {
+        let Some((weighted, symmetric)) = shape else {
+            shape = Some(parse_header(line)?);
+            return Ok(());
+        };
+        if matches!(line.peek(), None | Some(b'%')) {
+            return Ok(());
         }
-        let mut it = t.split_whitespace();
-        match &mut builder {
-            None => {
-                let rows = parse_u32(it.next(), lineno + 1, "rows")?;
-                let cols = parse_u32(it.next(), lineno + 1, "cols")?;
-                let nnz = parse_u32(it.next(), lineno + 1, "nnz")?;
-                if rows != cols {
-                    return Err(GraphError::Parse {
-                        line: lineno + 1,
-                        message: format!("adjacency matrix must be square, got {rows}x{cols}"),
-                    });
-                }
-                // The declared entry count is untrusted input: cap the
-                // up-front reservation and let growth amortise past it.
-                let mut b = GraphBuilder::with_capacity(mode, (nnz as usize).min(1 << 20));
-                b = b.declare_id_range(1, rows);
-                builder = Some(b);
+        let row = line.u32("row")?;
+        let col = line.u32("col")?;
+        let Some(b) = &mut builder else {
+            // The size line: rows, columns, entries.
+            let nnz = line.u32("nnz")?;
+            if row != col {
+                let message = format!("adjacency matrix must be square, got {row}x{col}");
+                return Err(line.error(message));
             }
-            Some(b) => {
-                let row = parse_u32(it.next(), lineno + 1, "row")?;
-                let col = parse_u32(it.next(), lineno + 1, "col")?;
-                if weighted {
-                    let raw = it.next().ok_or_else(|| GraphError::Parse {
-                        line: lineno + 1,
-                        message: "missing value".into(),
-                    })?;
-                    let value: f64 = raw.parse().map_err(|e| GraphError::Parse {
-                        line: lineno + 1,
-                        message: format!("bad value {raw:?}: {e}"),
-                    })?;
-                    if value < 0.0 || value.fract() != 0.0 || value > f64::from(u32::MAX) {
-                        return Err(GraphError::Parse {
-                            line: lineno + 1,
-                            message: format!(
-                                "weight {value} is not a non-negative integer (shortest-path \
-                                 weights must be)"
-                            ),
-                        });
-                    }
-                    b.add_weighted_edge(row, col, value as u32);
-                    if symmetric && row != col {
-                        b.add_weighted_edge(col, row, value as u32);
-                    }
-                } else {
-                    b.add_edge(row, col);
-                    if symmetric && row != col {
-                        b.add_edge(col, row);
-                    }
-                }
+            // The declared entry count is untrusted input: cap the
+            // up-front reservation and let growth amortise past it.
+            let b = GraphBuilder::with_capacity(mode, (nnz as usize).min(1 << 20));
+            builder = Some(b.declare_id_range(1, row));
+            return Ok(());
+        };
+        if weighted {
+            let raw = line.field().ok_or_else(|| line.error("missing value"))?;
+            let value = std::str::from_utf8(raw).ok().and_then(|s| s.parse::<f64>().ok());
+            let value = value.ok_or_else(|| line.error(format!("bad value {}", show(raw))))?;
+            if value < 0.0 || value.fract() != 0.0 || value > f64::from(u32::MAX) {
+                return Err(line.error(format!(
+                    "weight {value} is not a non-negative integer (shortest-path weights must be)"
+                )));
+            }
+            b.add_weighted_edge(row, col, value as u32);
+            if symmetric && row != col {
+                b.add_weighted_edge(col, row, value as u32);
+            }
+        } else {
+            b.add_edge(row, col);
+            if symmetric && row != col {
+                b.add_edge(col, row);
             }
         }
+        Ok(())
+    })?;
+    if shape.is_none() {
+        return Err(GraphError::Parse { line: 1, message: "empty file".into() });
     }
     builder.ok_or(GraphError::EmptyGraph)?.build()
 }
 
-fn parse_u32(tok: Option<&str>, line: usize, what: &str) -> Result<u32, GraphError> {
-    let tok = tok.ok_or_else(|| GraphError::Parse { line, message: format!("missing {what}") })?;
-    tok.parse::<u32>().map_err(|e| GraphError::Parse {
-        line,
-        message: format!("bad {what} {tok:?}: {e}"),
-    })
+/// `(weighted, symmetric)` from the `%%MatrixMarket` line.
+fn parse_header(line: &mut Line<'_>) -> Result<(bool, bool), GraphError> {
+    let lower = |f: &[u8]| String::from_utf8_lossy(f).to_ascii_lowercase();
+    let words: Vec<String> = std::iter::from_fn(|| line.field()).take(5).map(lower).collect();
+    let [magic, object, format, field, symmetry] = words.as_slice() else {
+        return Err(line.error(format!("bad header {words:?}")));
+    };
+    if magic != "%%matrixmarket" {
+        return Err(line.error(format!("bad header {words:?}")));
+    }
+    if object != "matrix" || format != "coordinate" {
+        return Err(line.error("only `matrix coordinate` files are supported"));
+    }
+    let weighted = match field.as_str() {
+        "pattern" => false,
+        "real" | "integer" => true,
+        other => return Err(line.error(format!("unsupported field type {other:?}"))),
+    };
+    let symmetric = match symmetry.as_str() {
+        "general" => false,
+        "symmetric" => true,
+        other => return Err(line.error(format!("unsupported symmetry {other:?}"))),
+    };
+    Ok((weighted, symmetric))
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ pub mod dimacs;
 pub mod edge_list;
 pub mod konect;
 pub mod matrix_market;
+mod scan;
 pub mod wire;
 pub mod writers;
 

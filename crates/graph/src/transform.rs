@@ -230,7 +230,8 @@ pub fn relabel_graph(g: &Graph, r: &Relabeling) -> Result<Graph, GraphError> {
         (false, false) => unreachable!("builder always retains at least one direction"),
     };
     let map = g.address_map();
-    let mut b = GraphBuilder::new(mode).declare_id_range(0, r.len() as u32);
+    let mut b = GraphBuilder::with_capacity(mode, g.num_edges() as usize)
+        .declare_id_range(0, r.len() as u32);
     // Walk whichever direction is retained, in slot order — deterministic.
     if g.has_out_edges() {
         for v in map.live_slots() {

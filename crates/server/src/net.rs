@@ -79,7 +79,8 @@ fn serve_connection(
     served: &AtomicU64,
     stop: &AtomicBool,
 ) {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    // Replies are whole messages; never hold one back to coalesce it.
+    if stream.set_read_timeout(Some(READ_POLL)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let Ok(mut writer) = stream.try_clone() else { return };
@@ -100,7 +101,7 @@ fn serve_connection(
                 // EOF with a dangling unterminated line: answer it
                 // (typed) and close.
                 let line = String::from_utf8_lossy(&buf);
-                let _ = respond(&mut writer, &server.handle_line(line.trim_end()), served);
+                let _ = respond(&mut writer, server.handle_line(line.trim_end()), served);
                 return;
             }
             Ok(_) if buf.last() != Some(&b'\n') => {
@@ -109,7 +110,7 @@ fn serve_connection(
                     let msg = render_protocol_error(&format!(
                         "line exceeds the {MAX_LINE_BYTES}-byte cap"
                     ));
-                    let _ = respond(&mut writer, &msg, served);
+                    let _ = respond(&mut writer, msg, served);
                     return;
                 }
                 // Partial line (short read); keep accumulating.
@@ -117,7 +118,7 @@ fn serve_connection(
             Ok(_) => {
                 let line = String::from_utf8_lossy(&buf);
                 let response = server.handle_line(line.trim_end());
-                if respond(&mut writer, &response, served).is_err() {
+                if respond(&mut writer, response, served).is_err() {
                     return;
                 }
                 buf.clear();
@@ -129,9 +130,11 @@ fn serve_connection(
     }
 }
 
-fn respond(writer: &mut TcpStream, line: &str, served: &AtomicU64) -> io::Result<()> {
+fn respond(writer: &mut TcpStream, mut line: String, served: &AtomicU64) -> io::Result<()> {
+    // One write per reply: a line and its newline sent as two segments
+    // leave the second waiting on the peer's delayed ACK (~40 ms).
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     // ordering(Relaxed): monotone tally read by the accept loop's
     // advisory budget check and, finally, after the scope joins.
     served.fetch_add(1, Ordering::Relaxed);
