@@ -6,7 +6,9 @@
 //! paper's six versions differ only in *how* they select, address and
 //! combine; their observable semantics must be identical.
 
-use ipregel::{run, run_packed, CombinerKind, RunConfig, Schedule, Version};
+use ipregel::{
+    run, run_packed, try_run_sequential, CombinerKind, RunConfig, RunStats, Schedule, Version,
+};
 use ipregel_apps::reference;
 use ipregel_apps::{Bfs, Hashmin, MultiHops, PageRank, Sssp, WeightedSssp};
 use ipregel_graph::{Graph, GraphBuilder, NeighborMode};
@@ -33,6 +35,11 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 
 fn all_versions() -> Vec<Version> {
     Version::paper_versions().to_vec()
+}
+
+/// `(active, messages_sent)` of every superstep, in order.
+fn trajectory(stats: &RunStats) -> Vec<(u64, u64)> {
+    stats.supersteps.iter().map(|s| (s.active, s.messages_sent)).collect()
 }
 
 proptest! {
@@ -155,45 +162,68 @@ proptest! {
         g in arb_graph(),
         grain in prop::option::of(1usize..64),
     ) {
-        // The scheduling policy decides where supersteps are *cut*, never
-        // what they compute: for every engine version, vertex-balanced,
-        // edge-balanced and adaptive chunking must produce bit-identical
-        // values, the same superstep count and the same message totals.
-        // (Min-combining programs are order-insensitive, so even the
-        // per-superstep message counts are deterministic.)
+        // Version, scheduling policy and adjacency representation decide
+        // *how* a superstep selects, cuts and delivers, never what it
+        // computes: every paper version plus the lock-free ablation,
+        // under every schedule, on the plain and the varint CSR, must
+        // walk the same per-superstep (active, messages_sent) trajectory
+        // as the sequential oracle — not merely the same totals — and
+        // reach the same values (bit-identical for the min-combiners,
+        // whose result is order-free; within the harness's 1e-9 ceiling
+        // for PageRank's f64 sum). No combination is exempt: the pull
+        // engine counts executed vertices, not checked ones, and both
+        // bypass selections reduce to "message recipients", which is what
+        // the oracle's fused scan runs for programs that halt every
+        // superstep. PageRank never halts before its last round, so it
+        // runs on the non-bypass versions only (Section 4's note).
         let source = g.address_map().base();
-        for v in all_versions() {
-            let cfg = |schedule| RunConfig {
-                threads: Some(4),
-                schedule,
-                grain,
-                ..RunConfig::default()
-            };
-            let base_sssp = run(&g, &Sssp { source }, v, &cfg(Schedule::VertexBalanced));
-            let base_hm = run(&g, &Hashmin, v, &cfg(Schedule::VertexBalanced));
-            for schedule in [Schedule::EdgeBalanced, Schedule::Adaptive] {
-                let sssp = run(&g, &Sssp { source }, v, &cfg(schedule));
-                prop_assert_eq!(
-                    &base_sssp.values, &sssp.values,
-                    "sssp values: {} under {}", v.label(), schedule
-                );
-                prop_assert_eq!(
-                    base_sssp.stats.num_supersteps(), sssp.stats.num_supersteps(),
-                    "sssp supersteps: {} under {}", v.label(), schedule
-                );
-                prop_assert_eq!(
-                    base_sssp.stats.total_messages(), sssp.stats.total_messages(),
-                    "sssp messages: {} under {}", v.label(), schedule
-                );
-                let hm = run(&g, &Hashmin, v, &cfg(schedule));
-                prop_assert_eq!(
-                    &base_hm.values, &hm.values,
-                    "hashmin values: {} under {}", v.label(), schedule
-                );
-                prop_assert_eq!(
-                    base_hm.stats.total_messages(), hm.stats.total_messages(),
-                    "hashmin messages: {} under {}", v.label(), schedule
-                );
+        let compact = g.clone().compress().expect("compress");
+        let pagerank = PageRank { rounds: 6, damping: 0.85 };
+        let oracle = RunConfig::default();
+        let want_sssp = try_run_sequential(&g, &Sssp { source }, &oracle).unwrap();
+        let want_hm = try_run_sequential(&g, &Hashmin, &oracle).unwrap();
+        let want_pr = try_run_sequential(&g, &pagerank, &oracle).unwrap();
+
+        let mut versions = all_versions();
+        for selection_bypass in [false, true] {
+            versions.push(Version { combiner: CombinerKind::LockFree, selection_bypass });
+        }
+        for v in versions {
+            for (repr, graph) in [("plain", &g), ("compact", &compact)] {
+                for schedule in Schedule::all() {
+                    let cfg = RunConfig { threads: Some(4), schedule, grain, ..RunConfig::default() };
+                    let sssp = run_packed(graph, &Sssp { source }, v, &cfg);
+                    prop_assert_eq!(
+                        &want_sssp.values, &sssp.values,
+                        "sssp values: {} under {} on {}", v.label(), schedule, repr
+                    );
+                    prop_assert_eq!(
+                        trajectory(&want_sssp.stats), trajectory(&sssp.stats),
+                        "sssp trajectory: {} under {} on {}", v.label(), schedule, repr
+                    );
+                    let hm = run_packed(graph, &Hashmin, v, &cfg);
+                    prop_assert_eq!(
+                        &want_hm.values, &hm.values,
+                        "hashmin values: {} under {} on {}", v.label(), schedule, repr
+                    );
+                    prop_assert_eq!(
+                        trajectory(&want_hm.stats), trajectory(&hm.stats),
+                        "hashmin trajectory: {} under {} on {}", v.label(), schedule, repr
+                    );
+                    if v.selection_bypass {
+                        continue;
+                    }
+                    let pr = run_packed(graph, &pagerank, v, &cfg);
+                    let diff = reference::max_rel_diff(&g, &pr.values, &want_pr.values);
+                    prop_assert!(
+                        diff < 1e-9,
+                        "pagerank values: {} under {} on {} diverged by {}", v.label(), schedule, repr, diff
+                    );
+                    prop_assert_eq!(
+                        trajectory(&want_pr.stats), trajectory(&pr.stats),
+                        "pagerank trajectory: {} under {} on {}", v.label(), schedule, repr
+                    );
+                }
             }
         }
     }
