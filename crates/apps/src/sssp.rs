@@ -90,11 +90,7 @@ impl VertexProgram for WeightedSssp {
         if reference < *value {
             *value = reference;
             let base = *value;
-            let mut sends: Vec<(VertexId, u32)> = Vec::new();
-            ctx.for_each_out_edge(&mut |to, w| sends.push((to, base.saturating_add(w))));
-            for (to, dist) in sends {
-                ctx.send(to, dist);
-            }
+            ctx.send_along_out_edges(|w| base.saturating_add(w));
         }
         ctx.vote_to_halt();
     }

@@ -42,11 +42,7 @@ impl VertexProgram for WidestPath {
         if best > *value {
             *value = best;
             let width = *value;
-            let mut sends: Vec<(VertexId, u32)> = Vec::new();
-            ctx.for_each_out_edge(&mut |to, w| sends.push((to, width.min(w))));
-            for (to, offered) in sends {
-                ctx.send(to, offered);
-            }
+            ctx.send_along_out_edges(|w| width.min(w));
         }
         ctx.vote_to_halt();
     }

@@ -136,7 +136,9 @@ fn main() {
         g.num_edges()
     );
     sweep(&g, "push", |threads| run(&g, &program, push, &config(threads)));
-    sweep(&g, "pull", |threads| ipregel::run_pull(&g, &program, &config(threads)));
+    sweep(&g, "pull", |threads| {
+        ipregel::try_run_pull(&g, &program, &config(threads)).expect("pull run")
+    });
     rule(78);
     println!(
         "Expected shape: near-linear speedup while threads <= physical cores, then\n\

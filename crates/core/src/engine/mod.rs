@@ -1,11 +1,16 @@
-//! The superstep engines: shared configuration, results, and the two
-//! engine shapes (push-combining and pull-combining).
+//! The superstep engines: shared configuration, results, the one
+//! parallel BSP driver and its two delivery strategies.
 //!
-//! An engine owns the BSP loop of Figure 1: select active vertices, run
+//! [`bsp`] owns the loop of Figure 1: select active vertices, run
 //! `compute` on them in parallel (the `ipregel_par` pool stands in for the paper's
 //! OpenMP), deliver messages, synchronise, repeat until no vertex is
-//! active and no message is in flight.
+//! active and no message is in flight. [`push`] and [`pull`] are what
+//! the paper's combiner modules differ in — where a message waits
+//! between supersteps — and plug into that loop as monomorphised
+//! strategies. [`seq`] is the differential oracle and keeps a loop of
+//! its own.
 
+pub(crate) mod bsp;
 pub mod chunks;
 pub mod pull;
 pub mod push;
@@ -14,10 +19,12 @@ pub mod seq;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ipregel_graph::{AddressMap, Relabeling, VertexId, VertexIndex};
+use ipregel_graph::csr::Weight;
+use ipregel_graph::{AddressMap, Graph, NeighborList, Relabeling, VertexId, VertexIndex};
 
 pub use crate::engine::chunks::Schedule;
 use crate::metrics::{FootprintReport, RunStats};
+use crate::program::{Context, VertexProgram};
 
 /// Knobs common to every engine version.
 #[derive(Debug, Clone, Default)]
@@ -170,6 +177,127 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// Where a running vertex's sends go — the engine-specific half of a
+/// [`Context`]. `broadcast` and `send_along_out_edges` return how many
+/// messages they put in flight, for the superstep's statistics.
+pub(crate) trait Outbound<M> {
+    /// Deliver `msg` to the vertex with identifier `to`.
+    fn send(&self, to: VertexId, msg: M);
+    /// Deliver `msg` to every out-neighbour of slot `from`.
+    fn broadcast(&self, from: VertexIndex, msg: M) -> u64;
+    /// Deliver `f(weight)` along every out-edge of slot `from`.
+    fn send_along_out_edges(&self, from: VertexIndex, f: impl FnMut(Weight) -> M) -> u64;
+}
+
+/// The [`Context`] every in-tree engine hands to `compute`: the running
+/// vertex's own state lives here, its sends go through the engine's
+/// [`Outbound`] — a type parameter, so `compute` inlines down to the
+/// mailbox or outbox write.
+pub(crate) struct VertexCtx<'a, P: VertexProgram, O> {
+    superstep: usize,
+    graph: &'a Graph,
+    v: VertexIndex,
+    inbox: Option<P::Message>,
+    out: &'a O,
+    /// Messages this execution sent.
+    pub sent: u64,
+    /// Whether this execution voted to halt.
+    pub halt_vote: bool,
+}
+
+impl<'a, P: VertexProgram, O> VertexCtx<'a, P, O> {
+    pub(crate) fn new(
+        superstep: usize,
+        graph: &'a Graph,
+        v: VertexIndex,
+        inbox: Option<P::Message>,
+        out: &'a O,
+    ) -> Self {
+        VertexCtx { superstep, graph, v, inbox, out, sent: 0, halt_vote: false }
+    }
+}
+
+impl<P: VertexProgram, O: Outbound<P::Message>> Context for VertexCtx<'_, P, O> {
+    type Message = P::Message;
+
+    fn superstep(&self) -> usize {
+        self.superstep
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    fn id(&self) -> VertexId {
+        self.graph.id_of(self.v)
+    }
+
+    fn out_degree(&self) -> u32 {
+        self.graph.out_degree(self.v)
+    }
+
+    fn next_message(&mut self) -> Option<P::Message> {
+        self.inbox.take()
+    }
+
+    fn send(&mut self, to: VertexId, msg: P::Message) {
+        self.out.send(to, msg);
+        self.sent += 1;
+    }
+
+    fn broadcast(&mut self, msg: P::Message) {
+        self.sent += self.out.broadcast(self.v, msg);
+    }
+
+    fn vote_to_halt(&mut self) {
+        self.halt_vote = true;
+    }
+
+    fn send_along_out_edges(&mut self, f: impl FnMut(Weight) -> P::Message) {
+        self.sent += self.out.send_along_out_edges(self.v, f);
+    }
+}
+
+/// The slot a point-to-point send addresses.
+///
+/// # Panics
+/// If `to` is not an identifier of `graph` — a bug in the vertex program.
+#[inline]
+pub(crate) fn target_slot(graph: &Graph, to: VertexId) -> VertexIndex {
+    let map = graph.address_map();
+    assert!(
+        map.contains(to),
+        "send to unknown vertex id {to} (graph holds ids {}..{})",
+        map.base(),
+        u64::from(map.base()) + graph.num_vertices() as u64,
+    );
+    graph.index_of(to)
+}
+
+/// Visit every out-edge of `v` as `(target slot, weight)`; the weight is
+/// 1 on unweighted graphs.
+#[inline]
+pub(crate) fn for_each_out_edge<A: NeighborList>(
+    adj: &A,
+    v: VertexIndex,
+    mut visit: impl FnMut(VertexIndex, Weight),
+) {
+    match adj.weights_of(v) {
+        Some(ws) => adj.neighbors_iter(v).zip(ws).for_each(|(n, &w)| visit(n, w)),
+        None => adj.neighbors_iter(v).for_each(|n| visit(n, 1)),
+    }
+}
+
+/// Fold `msg` into a single-message slot (Section 6.3: a mailbox holds at
+/// most one message, filled or combined into).
+#[inline]
+pub(crate) fn combine_into<P: VertexProgram>(slot: &mut Option<P::Message>, msg: P::Message) {
+    match slot.as_mut() {
+        Some(old) => P::combine(old, msg),
+        None => *slot = Some(msg),
     }
 }
 

@@ -1,4 +1,4 @@
-//! The pull-combining ("broadcast") engine (Section 6.2).
+//! Pull-combining ("broadcast") delivery (Section 6.2).
 //!
 //! A mirrored design for applications whose only communication is
 //! neighbour broadcast: a sender buffers its single broadcast value in an
@@ -17,59 +17,40 @@
 //! bypass, a broadcasting vertex enqueues all its out-neighbours, so only
 //! potential receivers gather next superstep.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
-
 use ipregel_graph::csr::Weight;
 use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
 use ipregel_par::prelude::*;
 
-use crate::engine::{
-    chunks, in_pool, panic_message, ChunkPanic, RunConfig, RunError, RunOutput, RunResult,
-};
-use crate::metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};
-use crate::program::{Context, MasterDecision, VertexProgram};
+use crate::engine::bsp::{self, Barrier, Delivery};
+use crate::engine::{combine_into, in_pool, Outbound, RunConfig, RunResult};
+use crate::metrics::FootprintReport;
+use crate::program::VertexProgram;
 use crate::recover::DynHooks;
 use crate::selection::{EpochTags, Worklist};
 use crate::sync_cell::SharedSlice;
-use crate::trace::{self, TraceEvent};
+use crate::trace::EngineKind;
 
-/// What one chunk reports back to the barrier: messages sent, vertices
-/// left unhalted, vertices run, measured duration, and the pool worker
-/// that executed it (timing-dependent under work-stealing).
-type ChunkOutcome = (u64, u64, u64, Duration, u64);
-
-/// Run `program` on `graph` with the pull-based combiner.
+/// Run `program` on `graph` with the pull-based combiner: vertex panics
+/// surface as [`RunError::VertexPanic`], a missed [`RunConfig::deadline`]
+/// as [`RunError::DeadlineExceeded`] — in both cases the thread pool
+/// survives and the error carries the completed supersteps' stats.
 ///
 /// # Panics
+/// Only on misuse:
 /// * if the graph was built without in-adjacency (the gather needs it);
 /// * if the selection bypass is enabled on a graph without out-adjacency
 ///   (the sender must know its out-neighbours to enqueue them — this is
 ///   exactly the extra memory the paper observed for "broadcast with
 ///   selection bypass" in Section 7.4.1);
-/// * if `compute` calls `send` — the pull design supports broadcasts only;
-/// * on any [`RunError`] — the historical infallible surface.
-///   Fault-tolerant callers use [`try_run_pull`].
-pub fn run_pull<P>(graph: &Graph, program: &P, config: &RunConfig) -> RunOutput<P::Value>
-where
-    P: VertexProgram,
-{
-    try_run_pull(graph, program, config).unwrap_or_else(|e| panic!("run_pull: {e}"))
-}
-
-/// Fallible [`run_pull`]: vertex panics surface as
-/// [`RunError::VertexPanic`], a missed [`RunConfig::deadline`] as
-/// [`RunError::DeadlineExceeded`] — in both cases the thread pool
-/// survives and the error carries the completed supersteps' stats.
+/// * if `compute` calls `send` — the pull design supports broadcasts only.
 ///
-/// # Panics
-/// Only on misuse — the graph-shape and broadcast-only contracts listed
-/// on [`run_pull`].
+/// [`RunError::VertexPanic`]: crate::engine::RunError::VertexPanic
+/// [`RunError::DeadlineExceeded`]: crate::engine::RunError::DeadlineExceeded
 pub fn try_run_pull<P>(graph: &Graph, program: &P, config: &RunConfig) -> RunResult<P::Value>
 where
     P: VertexProgram,
 {
-    try_run_pull_recoverable(graph, program, config, None)
+    run_pull_with(graph, program, config, None)
 }
 
 /// [`try_run_pull`] with checkpoint/restore hooks (see
@@ -77,7 +58,7 @@ where
 /// gather's result, engine-neutral — so a pull checkpoint restores into
 /// push engines and vice versa; on resume the first superstep consumes
 /// the restored inbox in place of its gather.
-pub fn try_run_pull_recoverable<P>(
+pub(crate) fn run_pull_with<P>(
     graph: &Graph,
     program: &P,
     config: &RunConfig,
@@ -106,524 +87,207 @@ where
     match graph.in_adj().expect("asserted above") {
         Adjacency::Plain(in_csr) => {
             let out_adj = graph.out_adj().map(|a| a.plain().expect(MIXED));
-            in_pool(config.threads, move || {
-                run_pull_inner(graph, in_csr, out_adj, program, config, hooks)
-            })
+            pull_over(graph, in_csr, out_adj, program, config, hooks)
         }
         Adjacency::Compact(in_c) => {
             let out_adj = graph.out_adj().map(|a| a.compact().expect(MIXED));
-            in_pool(config.threads, move || {
-                run_pull_inner(graph, in_c, out_adj, program, config, hooks)
-            })
+            pull_over(graph, in_c, out_adj, program, config, hooks)
         }
     }
 }
 
-fn run_pull_inner<P, A>(
+/// Build the outboxes and the strategy over them, inside the run's pool.
+fn pull_over<P: VertexProgram, A: NeighborList>(
     graph: &Graph,
     in_adj: &A,
     out_adj: Option<&A>,
     program: &P,
     config: &RunConfig,
-    mut hooks: Option<DynHooks<'_, P::Value, P::Message>>,
-) -> RunResult<P::Value>
-where
-    P: VertexProgram,
-    A: NeighborList,
-{
-    let map = *graph.address_map();
-    let slots = graph.num_slots();
-
-    let mut values: Vec<P::Value> =
-        (0..slots as u32).map(|s| program.initial_value(map.id_of(s))).collect();
-    let mut halted: Vec<bool> = vec![false; slots];
-    // Double-buffered outboxes: read broadcasts of superstep s-1, write
-    // broadcasts of superstep s.
-    let mut outbox_read: Vec<Option<P::Message>> = vec![None; slots];
-    let mut outbox_write: Vec<Option<P::Message>> = vec![None; slots];
-    // Who wrote each buffer, so clearing is O(writers), not O(V).
-    let mut writers_read = Worklist::new(slots);
-    let mut writers_write = Worklist::new(slots);
-
-    let bypass = config.selection_bypass.then(|| (Worklist::new(slots), EpochTags::new(slots)));
-
-    let footprint = FootprintReport {
-        graph_bytes: graph.bytes(),
-        values_bytes: slots * std::mem::size_of::<P::Value>(),
-        mailbox_bytes: 2 * slots * std::mem::size_of::<Option<P::Message>>()
-            + writers_read.bytes()
-            + writers_write.bytes(),
-        lock_bytes: 0, // the race-free design: no data-race protection at all
-        flags_bytes: slots * std::mem::size_of::<bool>(),
-        worklist_bytes: bypass.as_ref().map_or(0, |(wl, t)| wl.bytes() + t.bytes()),
-    };
-
-    let mut stats = RunStats::default();
-    let mut active: Vec<VertexIndex> = map.live_slots().collect();
-    let mut superstep = 0usize;
-    let mut selection_duration = Duration::ZERO;
-    // Pull work is dominated by the gather over in-neighbours; resolve
-    // the scheduling policy against the in-adjacency's offsets once for
-    // the whole run.
-    let schedule = chunks::resolve(config.schedule, in_adj.offsets(), chunks::max_chunks());
-
-    let tracer = config.trace.as_deref();
-    trace::emit_sync(tracer, || TraceEvent::RunBegin {
-        engine: trace::EngineKind::Pull,
-        slots: slots as u64,
-        threads: ipregel_par::current_num_threads() as u64,
-    });
-
-    // Restore a pending checkpoint. The snapshot's combined inbox stands
-    // in for the first resumed superstep's gather (the outboxes that fed
-    // it died with the old process); everything downstream — broadcasts,
-    // writer lists, epoch tags — regenerates naturally from there.
-    let mut restored_inbox: Option<Vec<Option<P::Message>>> = None;
-    if let Some(h) = hooks.as_deref_mut() {
-        if let Some(state) = h.take_resume() {
-            if state.values.len() != slots {
-                return Err(RunError::Resume(format!(
-                    "checkpoint has {} slots, this graph has {slots}",
-                    state.values.len()
-                )));
-            }
-            values = state.values;
-            halted = state.halted;
-            superstep = state.superstep;
-            for (i, &(a, msgs)) in state.history.iter().enumerate() {
-                stats.push(SuperstepStats {
-                    superstep: i,
-                    active: a,
-                    messages_sent: msgs,
-                    duration: Duration::ZERO,
-                    selection_duration: Duration::ZERO,
-                    load: None,
-                });
-            }
-            active = if bypass.is_some() {
-                // The bypass enqueues exactly the out-neighbours of
-                // broadcasters ≡ the slots whose gather is non-empty.
-                (0..slots as u32).filter(|&v| state.inbox[v as usize].is_some()).collect()
-            } else {
-                // Scan semantics: every live vertex is checked; the
-                // halted-and-empty ones skip inside the superstep.
-                map.live_slots().collect()
-            };
-            restored_inbox = Some(state.inbox);
-            if active.is_empty() {
-                trace::emit_sync(tracer, || TraceEvent::RunEnd {
-                    supersteps: stats.num_supersteps() as u64,
-                    messages: stats.total_messages(),
-                    duration_ns: trace::ns(stats.total_time),
-                });
-                return Ok(RunOutput::new(values, map, stats, footprint));
-            }
-        }
-    }
-
-    let started = Instant::now();
-    loop {
-        // Barrier-point bookkeeping (see the push engine). The inbox a
-        // checkpoint stores is the *gather's result* for this superstep,
-        // computed here sequentially in the same in-neighbour CSR order
-        // the vertices would use — bit-identical by construction.
-        if let Some(h) = hooks.as_deref_mut() {
-            if h.due(superstep) {
-                debug_assert!(
-                    restored_inbox.is_none(),
-                    "due() never fires at the resume floor, so the restored inbox is consumed"
-                );
-                let ck_t0 = Instant::now();
-                let inbox: Vec<Option<P::Message>> = (0..slots as u32)
-                    .map(|v| {
-                        let mut acc: Option<P::Message> = None;
-                        for u in in_adj.neighbors_iter(v) {
-                            if let Some(m) = outbox_read[u as usize] {
-                                match acc.as_mut() {
-                                    Some(old) => P::combine(old, m),
-                                    None => acc = Some(m),
-                                }
-                            }
-                        }
-                        acc
-                    })
-                    .collect();
-                let history: Vec<(u64, u64)> =
-                    stats.supersteps.iter().map(|s| (s.active, s.messages_sent)).collect();
-                h.save(superstep, &values, &halted, &inbox, &history)
-                    .map_err(|source| RunError::Checkpoint { superstep, source })?;
-                trace::emit_sync(tracer, || TraceEvent::CheckpointSave {
-                    superstep: superstep as u64,
-                    duration_ns: trace::ns(ck_t0.elapsed()),
-                });
-            }
-        }
-        if let Some(deadline) = config.deadline {
-            if started.elapsed() >= deadline {
-                return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
-            }
-        }
-
-        trace::emit_sync(tracer, || TraceEvent::SuperstepBegin { superstep: superstep as u64 });
-        let t0 = Instant::now();
-        let epoch = superstep as u32 + 1;
-        let plan = chunks::plan(schedule, &active, slots, in_adj.offsets(), config.grain);
-        // Scheduler counters: the delta across this superstep's parallel
-        // region is what the `pool` trace event and LoadStats report.
-        let pool_before = ipregel_par::current_pool_stats();
-        // Chunk-boundary deadline (see the push engine): a chunk that
-        // starts past the deadline declines to run (`Ok(None)`), and the
-        // barrier converts that into DeadlineExceeded.
-        let deadline_opt = config.deadline;
-        let per_chunk: Vec<Result<Option<ChunkOutcome>, ChunkPanic>> = {
-            let values_view = SharedSlice::new(&mut values);
-            let halted_view = SharedSlice::new(&mut halted);
-            let read_view = SharedSlice::new(&mut outbox_read);
-            let write_view = SharedSlice::new(&mut outbox_write);
-            let wl_tags = bypass.as_ref().map(|(wl, tags)| (wl, tags));
-            let writers_ref = &writers_write;
-            let gather = superstep > 0;
-            let restored_ref: Option<&[Option<P::Message>]> = restored_inbox.as_deref();
-            let active_ref: &[VertexIndex] = &active;
-            let chunk_edges: &[u64] = &plan.chunk_edges;
-            plan.chunks
-                .par_iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    // Panic isolation, as in the push engine: caught
-                    // inside the pool task, joined at the barrier.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(deadline) = deadline_opt {
-                            if started.elapsed() >= deadline {
-                                return None;
-                            }
-                        }
-                        let c_t0 = Instant::now();
-                        let cont0 = trace::contention::snapshot();
-                        let (mut sent, mut not_halted, mut ran) = (0u64, 0u64, 0u64);
-                        #[cfg(feature = "chaos")]
-                        crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, superstep as u64);
-                        for &v in &active_ref[c.start..c.end] {
-                            // Gather: combine in-neighbour broadcasts
-                            // locally — the only inter-vertex interaction,
-                            // and it is a read. A resumed superstep takes
-                            // its checkpointed inbox instead.
-                            let mut inbox: Option<P::Message> = match restored_ref {
-                                Some(r) => r[v as usize],
-                                None => {
-                                    let mut acc: Option<P::Message> = None;
-                                    if gather {
-                                        for u in in_adj.neighbors_iter(v) {
-                                            // SAFETY: read buffer was written last
-                                            // superstep; no writers exist this phase.
-                                            if let Some(m) = unsafe { read_view.get(u as usize) } {
-                                                match acc.as_mut() {
-                                                    Some(old) => P::combine(old, *m),
-                                                    None => acc = Some(*m),
-                                                }
-                                            }
-                                        }
-                                    }
-                                    acc
-                                }
-                            };
-                            // SAFETY: distinct slots (scan indices distinct;
-                            // the bypass worklist dedups; chunks partition
-                            // the list); writers to this flag run later in
-                            // this same vertex execution, never concurrently
-                            // on another thread.
-                            let was_halted = unsafe { *halted_view.get(v as usize) };
-                            if was_halted && inbox.is_none() {
-                                // Unfruitful check — the cost §6.2 factor (1)
-                                // describes. The vertex does not run.
-                                continue;
-                            }
-                            let mut ctx = PullCtx::<P, A> {
-                                superstep,
-                                graph,
-                                out_adj,
-                                v,
-                                inbox: inbox.take(),
-                                outbox: &write_view,
-                                writers: writers_ref,
-                                wrote: false,
-                                bypass: wl_tags,
-                                epoch,
-                                sent: 0,
-                                halt_vote: false,
-                            };
-                            // SAFETY: distinct slots, as above.
-                            let mut value = unsafe { values_view.get_mut(v as usize) };
-                            program.compute(&mut value, &mut ctx);
-                            // SAFETY: distinct slots, as above.
-                            unsafe { *halted_view.get_mut(v as usize) = ctx.halt_vote };
-                            sent += ctx.sent;
-                            not_halted += u64::from(!ctx.halt_vote);
-                            ran += 1;
-                        }
-                        let elapsed = c_t0.elapsed();
-                        // Which worker ran the chunk: under stealing this
-                        // is timing-dependent, so it is measured here.
-                        let worker =
-                            ipregel_par::current_thread_index().unwrap_or(0) as u64;
-                        // Worker-side record: lands in this worker's
-                        // shard, drained in chunk order at the barrier.
-                        let delta = trace::contention::snapshot().delta_since(&cont0);
-                        trace::emit(tracer, || TraceEvent::Chunk {
-                            superstep: superstep as u64,
-                            chunk: ci as u64,
-                            planned_edges: chunk_edges[ci],
-                            duration_ns: trace::ns(elapsed),
-                            lock_acquisitions: delta.lock_acquisitions,
-                            cas_retries: delta.cas_retries,
-                            spin_iterations: delta.spin_iterations,
-                            worker,
-                        });
-                        Some((sent, not_halted, ran, elapsed, worker))
-                    }))
-                    .map_err(|payload| ChunkPanic {
-                        chunk: ci,
-                        vertex_range: if c.end > c.start {
-                            (active_ref[c.start], active_ref[c.end - 1])
-                        } else {
-                            (0, 0)
-                        },
-                        message: panic_message(payload),
-                    })
-                })
-                .collect()
+    hooks: Option<DynHooks<'_, P::Value, P::Message>>,
+) -> RunResult<P::Value> {
+    in_pool(config.threads, move || {
+        let slots = graph.num_slots();
+        let (mut read, mut write) = (vec![None; slots], vec![None; slots]);
+        let pull = Pull::<P, A> {
+            graph,
+            in_adj,
+            out_adj,
+            read: SharedSlice::new(&mut read),
+            write: SharedSlice::new(&mut write),
+            writers_read: Worklist::new(slots),
+            writers_write: Worklist::new(slots),
+            bypass: config
+                .selection_bypass
+                .then(|| (Worklist::new(slots), EpochTags::new(slots))),
+            restored: None,
+            epoch: 1,
         };
-        restored_inbox = None;
-        let pool_after = ipregel_par::current_pool_stats();
-        let mut totals = (0u64, 0u64, 0u64);
-        let mut chunk_durations = Vec::with_capacity(per_chunk.len());
-        let mut chunk_workers = Vec::with_capacity(per_chunk.len());
-        let mut first_panic: Option<ChunkPanic> = None;
-        let mut deadline_hit = false;
-        for r in per_chunk {
-            match r {
-                Ok(Some((s, nh, rn, d, w))) => {
-                    totals.0 += s;
-                    totals.1 += nh;
-                    totals.2 += rn;
-                    chunk_durations.push(d);
-                    chunk_workers.push(w);
-                }
-                Ok(None) => deadline_hit = true,
-                Err(p) if first_panic.is_none() => first_panic = Some(p),
-                Err(_) => {}
-            }
-        }
-        if let Some(p) = first_panic {
-            return Err(RunError::VertexPanic {
-                superstep,
-                chunk: p.chunk,
-                vertex_range: p.vertex_range,
-                message: p.message,
-                stats,
-            });
-        }
-        if deadline_hit {
-            // Torn superstep: discarded wholesale, like VertexPanic above.
-            let deadline = deadline_opt.expect("Ok(None) only when a deadline is set");
-            return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
-        }
-        let (sent, not_halted, ran) = totals;
-
-        stats.push(SuperstepStats {
-            superstep,
-            // Executed vertices, not checked ones: the scan's unfruitful
-            // checks are time, not activity.
-            active: ran,
-            messages_sent: sent,
-            duration: t0.elapsed() + selection_duration,
-            selection_duration,
-            load: Some(LoadStats {
-                chunk_edges: plan.chunk_edges,
-                chunk_durations,
-                chunk_workers,
-                steals: pool_after.steals - pool_before.steals,
-                overflow: pool_after.overflow - pool_before.overflow,
-            }),
-        });
-
-        // Barrier: drain the workers' chunk events into the log (in
-        // chunk order) before closing the superstep span.
-        trace::barrier(tracer, superstep);
-        trace::emit_sync(tracer, || {
-            let s = stats.supersteps.last().expect("pushed above");
-            let load = s.load.as_ref().expect("parallel engine records load");
-            TraceEvent::Pool {
-                superstep: s.superstep as u64,
-                steals: load.steals,
-                overflow: load.overflow,
-            }
-        });
-        trace::emit_sync(tracer, || {
-            let s = stats.supersteps.last().expect("pushed above");
-            TraceEvent::SuperstepEnd {
-                superstep: s.superstep as u64,
-                active: s.active,
-                messages: s.messages_sent,
-                duration_ns: trace::ns(s.duration),
-                selection_ns: trace::ns(s.selection_duration),
-                chunks: s.load.as_ref().map_or(0, |l| l.chunk_edges.len() as u64),
-            }
-        });
-
-        // Recycle the read buffer: clear only slots its writers touched,
-        // then swap read/write roles.
-        {
-            let read_view = SharedSlice::new(&mut outbox_read);
-            let writers = writers_read.drain_to_vec();
-            writers.par_iter().for_each(|&v| {
-                // SAFETY: writer lists are duplicate-free per buffer cycle.
-                unsafe { *read_view.get_mut(v as usize) = None };
-            });
-        }
-        writers_read.clear();
-        std::mem::swap(&mut outbox_read, &mut outbox_write);
-        // The writer lists must track their buffers through the swap.
-        std::mem::swap(&mut writers_read, &mut writers_write);
-
-        if program.master_compute(superstep, &values) == MasterDecision::Halt {
-            break;
-        }
-        superstep += 1;
-        if let Some(cap) = config.max_supersteps {
-            if superstep >= cap {
-                break;
-            }
-        }
-
-        let sel_t0 = Instant::now();
-        active = match &bypass {
-            Some((wl, _)) => {
-                // Dense/sparse switch (see the push engine): when the
-                // enqueued set is large, checking everyone in slot order
-                // beats sorting a huge randomly-ordered list. The gather
-                // re-derives each vertex's inbox either way.
-                let n_active = wl.len();
-                if n_active * 8 >= map.num_vertices() as usize {
-                    wl.clear();
-                    map.live_slots().collect()
-                } else {
-                    // Sorted drain (see push engine): locality plus the
-                    // ordered list the chunk planner needs.
-                    let drained = wl.drain_sorted();
-                    // `queued` counts epoch-claimed pushes; `drained` is
-                    // the deduplicated active list for the superstep
-                    // about to run (`superstep` was already advanced).
-                    trace::emit_sync(tracer, || TraceEvent::WorklistDrain {
-                        superstep: superstep as u64,
-                        queued: n_active as u64,
-                        drained: drained.len() as u64,
-                    });
-                    drained
-                }
-            }
-            None => {
-                // No broadcasts pending and every vertex halted → done.
-                if sent == 0 && not_halted == 0 {
-                    Vec::new()
-                } else {
-                    // All vertices are *checked* every superstep — the
-                    // pull engine's structural cost.
-                    map.live_slots().collect()
-                }
-            }
-        };
-        selection_duration = sel_t0.elapsed();
-        if active.is_empty() {
-            break;
-        }
-    }
-
-    trace::emit_sync(tracer, || TraceEvent::RunEnd {
-        supersteps: stats.num_supersteps() as u64,
-        messages: stats.total_messages(),
-        duration_ns: trace::ns(stats.total_time),
-    });
-    Ok(RunOutput::new(values, map, stats, footprint))
+        bsp::drive(graph, program, config, hooks, pull)
+    })
 }
 
-/// Per-vertex-execution context for the pull engine, monomorphised over
+/// Double-buffered outboxes plus their writer lists, monomorphised over
 /// the adjacency representation `A`.
-struct PullCtx<'a, P: VertexProgram, A: NeighborList> {
-    superstep: usize,
-    graph: &'a Graph,
+struct Pull<'g, P: VertexProgram, A> {
+    graph: &'g Graph,
+    in_adj: &'g A,
     /// The out-adjacency in its concrete representation; present exactly
     /// when the graph retains out-edges (the bypass walk needs it).
-    out_adj: Option<&'a A>,
-    v: VertexIndex,
-    inbox: Option<P::Message>,
-    outbox: &'a SharedSlice<'a, Option<P::Message>>,
-    writers: &'a Worklist,
-    wrote: bool,
-    bypass: Option<(&'a Worklist, &'a EpochTags)>,
+    out_adj: Option<&'g A>,
+    /// Broadcasts of the last superstep; only read while one runs.
+    read: SharedSlice<'g, Option<P::Message>>,
+    /// Broadcasts of the running superstep, each slot written by its
+    /// own vertex only.
+    write: SharedSlice<'g, Option<P::Message>>,
+    /// Who wrote each buffer, so clearing is O(writers), not O(V).
+    writers_read: Worklist,
+    writers_write: Worklist,
+    bypass: Option<(Worklist, EpochTags)>,
+    /// A checkpoint's combined inbox, standing in for the first resumed
+    /// superstep's gather (the outboxes that fed it died with the old
+    /// process); everything downstream — broadcasts, writer lists, epoch
+    /// tags — regenerates naturally from there.
+    restored: Option<Vec<Option<P::Message>>>,
+    /// Supersteps opened so far, from 1: the epoch the bypass tags claim.
     epoch: u32,
-    sent: u64,
-    halt_vote: bool,
 }
 
-impl<P: VertexProgram, A: NeighborList> Context for PullCtx<'_, P, A> {
-    type Message = P::Message;
+impl<P: VertexProgram, A: NeighborList> Pull<'_, P, A> {
+    /// Gather: combine the broadcasts `v`'s in-neighbours left, in
+    /// in-neighbour CSR order — the only inter-vertex interaction of the
+    /// pull design, and it is a read.
+    #[inline]
+    fn gather(&self, v: VertexIndex) -> Option<P::Message> {
+        let mut acc = None;
+        for u in self.in_adj.neighbors_iter(v) {
+            // SAFETY: the read buffer was written last superstep; no
+            // writers exist this phase.
+            if let Some(m) = unsafe { self.read.get(u as usize) } {
+                combine_into::<P>(&mut acc, *m);
+            }
+        }
+        acc
+    }
+}
 
-    fn superstep(&self) -> usize {
-        self.superstep
+impl<P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'_, P, A> {
+    const ENGINE: EngineKind = EngineKind::Pull;
+
+    /// Pull work is dominated by the gather over in-neighbours.
+    fn offsets(&self) -> &[u64] {
+        self.in_adj.offsets()
     }
 
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
+    fn footprint(&self) -> FootprintReport {
+        FootprintReport {
+            mailbox_bytes: 2 * self.read.len() * std::mem::size_of::<Option<P::Message>>()
+                + self.writers_read.bytes()
+                + self.writers_write.bytes(),
+            lock_bytes: 0, // the race-free design: no data-race protection at all
+            worklist_bytes: self.bypass.as_ref().map_or(0, |(wl, t)| wl.bytes() + t.bytes()),
+            ..FootprintReport::default()
+        }
     }
 
-    fn id(&self) -> VertexId {
-        self.graph.id_of(self.v)
+    fn restore(&mut self, inbox: Vec<Option<P::Message>>, _halted: &[bool]) -> Vec<VertexIndex> {
+        let active = if self.bypass.is_some() {
+            // The bypass enqueues exactly the out-neighbours of
+            // broadcasters ≡ the slots whose gather is non-empty.
+            (0..inbox.len() as u32).filter(|&v| inbox[v as usize].is_some()).collect()
+        } else {
+            // Scan semantics: every live vertex is checked; the
+            // halted-and-empty ones skip inside the superstep.
+            self.graph.address_map().live_slots().collect()
+        };
+        self.restored = Some(inbox);
+        active
     }
 
-    fn out_degree(&self) -> u32 {
-        self.graph.out_degree(self.v)
+    /// The gather's result for the superstep about to run, computed
+    /// sequentially in the same in-neighbour CSR order the vertices
+    /// would use — bit-identical by construction.
+    fn snapshot_inbox(&self) -> Vec<Option<P::Message>> {
+        debug_assert!(
+            self.restored.is_none(),
+            "due() never fires at the resume floor, so the restored inbox is consumed"
+        );
+        (0..self.read.len() as u32).map(|v| self.gather(v)).collect()
     }
 
-    fn next_message(&mut self) -> Option<P::Message> {
-        self.inbox.take()
+    /// A resumed superstep takes its checkpointed inbox instead of
+    /// gathering; before the first barrier nothing was broadcast, so
+    /// there is nothing to walk.
+    #[inline]
+    fn inbox(&self, v: VertexIndex) -> Option<P::Message> {
+        match &self.restored {
+            Some(restored) => restored[v as usize],
+            None if self.epoch == 1 => None,
+            None => self.gather(v),
+        }
     }
 
-    fn send(&mut self, to: VertexId, _msg: P::Message) {
+    /// Recycle the read buffer — clear only the slots its writers
+    /// touched — then swap read/write roles.
+    fn flip(&mut self) {
+        self.restored = None;
+        self.epoch += 1;
+        let read = &self.read;
+        self.writers_read.drain_to_vec().par_iter().for_each(|&v| {
+            // SAFETY: writer lists are duplicate-free per buffer cycle.
+            unsafe { *read.get_mut(v as usize) = None };
+        });
+        self.writers_read.clear();
+        std::mem::swap(&mut self.read, &mut self.write);
+        // The writer lists must track their buffers through the swap.
+        std::mem::swap(&mut self.writers_read, &mut self.writers_write);
+    }
+
+    fn select(&self, at: &Barrier<'_>) -> Vec<VertexIndex> {
+        let map = self.graph.address_map();
+        match &self.bypass {
+            // Dense case: checking everyone in slot order; the gather
+            // re-derives each vertex's inbox either way.
+            Some((worklist, _)) => {
+                bsp::bypass_select(worklist, map, at, || map.live_slots().collect())
+            }
+            // No broadcasts pending and every vertex halted → done.
+            None if at.sent == 0 && at.awake == 0 => Vec::new(),
+            // All vertices are *checked* every superstep — the pull
+            // engine's structural cost.
+            None => map.live_slots().collect(),
+        }
+    }
+}
+
+impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for Pull<'_, P, A> {
+    fn send(&self, to: VertexId, _msg: P::Message) {
         panic!(
             "pull-based combiner supports neighbour broadcasts only (Section 6.2); \
              point-to-point send to {to} requires a push version"
         );
     }
 
-    fn broadcast(&mut self, msg: P::Message) {
-        // SAFETY: slot `v` belongs to this vertex; vertices run at most
-        // once per superstep, so the write is exclusive.
-        let mut slot = unsafe { self.outbox.get_mut(self.v as usize) };
-        match slot.as_mut() {
-            Some(old) => P::combine(old, msg),
-            None => *slot = Some(msg),
+    fn broadcast(&self, from: VertexIndex, msg: P::Message) -> u64 {
+        // SAFETY: slot `from` belongs to the running vertex; vertices run
+        // at most once per superstep, so the write is exclusive.
+        let mut outbox = unsafe { self.write.get_mut(from as usize) };
+        if outbox.is_none() {
+            // First broadcast of this buffer cycle (recycling cleared it).
+            self.writers_write.push(from);
         }
-        if !self.wrote {
-            self.writers.push(self.v);
-            self.wrote = true;
-        }
-        self.sent += u64::from(self.graph.out_degree(self.v));
-        if let Some((wl, tags)) = self.bypass {
+        combine_into::<P>(&mut outbox, msg);
+        if let Some((worklist, tags)) = &self.bypass {
             let out = self.out_adj.expect("bypass requires out-adjacency, asserted at entry");
-            for n in out.neighbors_iter(self.v) {
+            for n in out.neighbors_iter(from) {
                 if tags.claim(n, self.epoch) {
-                    wl.push(n);
+                    worklist.push(n);
                 }
             }
         }
+        u64::from(self.graph.out_degree(from))
     }
 
-    fn vote_to_halt(&mut self) {
-        self.halt_vote = true;
-    }
-
-    fn for_each_out_edge(&mut self, _f: &mut dyn FnMut(VertexId, Weight)) {
-        panic!("for_each_out_edge is a push-engine feature; the pull combiner is broadcast-only");
+    fn send_along_out_edges(&self, _from: VertexIndex, _f: impl FnMut(Weight) -> P::Message) -> u64 {
+        panic!("per-edge sends are a push-engine feature; the pull combiner is broadcast-only");
     }
 }

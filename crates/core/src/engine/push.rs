@@ -1,4 +1,4 @@
-//! The push-combining engine (Section 6.1).
+//! Push-combining delivery (Section 6.1).
 //!
 //! Senders deliver messages straight into the recipient's single-message
 //! mailbox, combining on collision under the mailbox's synchronisation
@@ -11,65 +11,43 @@
 //! enqueues its recipient into the next worklist at send time and the
 //! scan disappears.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::marker::PhantomData;
 
 use ipregel_graph::csr::Weight;
 use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
 use ipregel_par::prelude::*;
 
-use crate::engine::{
-    chunks, in_pool, panic_message, ChunkPanic, RunConfig, RunError, RunOutput, RunResult,
-};
+use crate::engine::bsp::{self, Barrier, Delivery};
+use crate::engine::{for_each_out_edge, in_pool, target_slot, Outbound, RunConfig, RunResult};
 use crate::mailbox::Mailbox;
-use crate::metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};
-use crate::program::{Context, MasterDecision, VertexProgram};
+use crate::metrics::FootprintReport;
+use crate::program::VertexProgram;
 use crate::recover::DynHooks;
 use crate::selection::Worklist;
-use crate::sync_cell::SharedSlice;
-use crate::trace::{self, TraceEvent};
+use crate::trace::EngineKind;
 
-/// What one chunk reports back to the barrier: messages sent, measured
-/// duration, and the pool worker that executed it. `None` marks a chunk
-/// that declined to run at its deadline re-check.
-type ChunkOutcome = Result<Option<(u64, Duration, u64)>, ChunkPanic>;
-
-/// Run `program` on `graph` with mailbox flavour `MB`.
-///
-/// # Panics
-/// If the graph was built without out-edges (push engines route every
-/// send through the out-CSR), if `compute` sends to an identifier
-/// outside the graph, or on any [`RunError`] — the historical infallible
-/// surface. Fault-tolerant callers use [`try_run_push`].
-pub fn run_push<P, MB>(graph: &Graph, program: &P, config: &RunConfig) -> RunOutput<P::Value>
-where
-    P: VertexProgram,
-    MB: Mailbox<P::Message>,
-{
-    try_run_push::<P, MB>(graph, program, config).unwrap_or_else(|e| panic!("run_push: {e}"))
-}
-
-/// Fallible [`run_push`]: vertex panics surface as
-/// [`RunError::VertexPanic`], a missed [`RunConfig::deadline`] as
-/// [`RunError::DeadlineExceeded`] — in both cases the thread pool
+/// Run `program` on `graph` with mailbox flavour `MB`: vertex panics
+/// surface as [`RunError::VertexPanic`], a missed [`RunConfig::deadline`]
+/// as [`RunError::DeadlineExceeded`] — in both cases the thread pool
 /// survives and the error carries the completed supersteps' stats.
 ///
 /// # Panics
-/// Only on misuse: a graph without out-edges, or a send to an unknown
-/// identifier.
+/// Only on misuse: a graph built without out-edges (push routes every
+/// send through the out-CSR), or a send to an unknown identifier.
+///
+/// [`RunError::VertexPanic`]: crate::engine::RunError::VertexPanic
+/// [`RunError::DeadlineExceeded`]: crate::engine::RunError::DeadlineExceeded
 pub fn try_run_push<P, MB>(graph: &Graph, program: &P, config: &RunConfig) -> RunResult<P::Value>
 where
     P: VertexProgram,
     MB: Mailbox<P::Message>,
 {
-    try_run_push_recoverable::<P, MB>(graph, program, config, None)
+    run_push_with::<P, MB>(graph, program, config, None)
 }
 
 /// [`try_run_push`] with checkpoint/restore hooks (see
-/// [`crate::recover`]): barrier state is saved when `hooks` says it is
-/// due, and a pending resume state is restored before superstep 0 would
-/// have run.
-pub fn try_run_push_recoverable<P, MB>(
+/// [`crate::recover`]).
+pub(crate) fn run_push_with<P, MB>(
     graph: &Graph,
     program: &P,
     config: &RunConfig,
@@ -83,480 +61,155 @@ where
         graph.has_out_edges(),
         "push engines need out-adjacency; build the graph with NeighborMode::OutOnly or Both"
     );
-    // Representation dispatch happens exactly once per run: the inner
-    // engine monomorphises over the NeighborList implementation, so the
+    // Representation dispatch happens exactly once per run: the driver
+    // monomorphises over the NeighborList implementation, so the
     // per-edge loop carries no representation branch.
     match graph.out_adj().expect("asserted above") {
         Adjacency::Plain(csr) => in_pool(config.threads, move || {
-            run_push_inner::<P, MB, _>(graph, csr, program, config, hooks)
+            bsp::drive(graph, program, config, hooks, Push::<P, MB, _>::new(graph, csr, config))
         }),
         Adjacency::Compact(c) => in_pool(config.threads, move || {
-            run_push_inner::<P, MB, _>(graph, c, program, config, hooks)
+            bsp::drive(graph, program, config, hooks, Push::<P, MB, _>::new(graph, c, config))
         }),
     }
 }
 
-fn run_push_inner<P, MB, A>(
-    graph: &Graph,
-    out_adj: &A,
-    program: &P,
-    config: &RunConfig,
-    mut hooks: Option<DynHooks<'_, P::Value, P::Message>>,
-) -> RunResult<P::Value>
-where
-    P: VertexProgram,
-    MB: Mailbox<P::Message>,
-    A: NeighborList,
-{
-    let map = *graph.address_map();
-    let slots = graph.num_slots();
-
-    let mut values: Vec<P::Value> =
-        (0..slots as u32).map(|s| program.initial_value(map.id_of(s))).collect();
-    let mut halted: Vec<bool> = vec![false; slots];
-    let mut cur: Vec<MB> = (0..slots).map(|_| MB::empty()).collect();
-    let mut next: Vec<MB> = (0..slots).map(|_| MB::empty()).collect();
-
-    // The bypass needs no per-vertex tags here: the mailbox's own
-    // empty→occupied transition (observed under its lock) is the
-    // exactly-once enqueue signal — Section 4's sender "knows that the
-    // recipient vertex will have to be run".
-    let bypass = config.selection_bypass.then(|| Worklist::new(slots));
-
-    let footprint = FootprintReport {
-        graph_bytes: graph.bytes(),
-        values_bytes: slots * std::mem::size_of::<P::Value>(),
-        mailbox_bytes: 2 * slots * (std::mem::size_of::<MB>() - MB::lock_bytes()),
-        lock_bytes: 2 * slots * MB::lock_bytes(),
-        flags_bytes: slots * std::mem::size_of::<bool>(),
-        worklist_bytes: bypass.as_ref().map_or(0, Worklist::bytes),
-    };
-
-    let mut stats = RunStats::default();
-    let mut active: Vec<VertexIndex> = map.live_slots().collect();
-    let mut superstep = 0usize;
-    // Selection for superstep 0 is the trivial all-vertices list.
-    let mut selection_duration = Duration::ZERO;
-    // Push work is proportional to out-degree; resolve the scheduling
-    // policy against the out-adjacency's offsets once for the whole run.
-    let schedule = chunks::resolve(config.schedule, out_adj.offsets(), chunks::max_chunks());
-
-    let tracer = config.trace.as_deref();
-    trace::emit_sync(tracer, || TraceEvent::RunBegin {
-        engine: trace::EngineKind::Push,
-        slots: slots as u64,
-        threads: ipregel_par::current_num_threads() as u64,
-    });
-
-    // Restore a pending checkpoint: values, flags and superstep land
-    // as-is; the combined inbox re-delivers into fresh mailboxes; the
-    // active list is rebuilt by this engine's own selection rule, so a
-    // checkpoint written by any version restores here.
-    if let Some(h) = hooks.as_deref_mut() {
-        if let Some(state) = h.take_resume() {
-            if state.values.len() != slots {
-                return Err(RunError::Resume(format!(
-                    "checkpoint has {} slots, this graph has {slots}",
-                    state.values.len()
-                )));
-            }
-            values = state.values;
-            halted = state.halted;
-            superstep = state.superstep;
-            for (slot, m) in state.inbox.iter().enumerate() {
-                if let Some(m) = *m {
-                    cur[slot].deliver(m, P::combine);
-                }
-            }
-            for (i, &(a, msgs)) in state.history.iter().enumerate() {
-                stats.push(SuperstepStats {
-                    superstep: i,
-                    active: a,
-                    messages_sent: msgs,
-                    duration: Duration::ZERO,
-                    selection_duration: Duration::ZERO,
-                    load: None,
-                });
-            }
-            active = if bypass.is_some() {
-                // Bypass contract (§4): activity ≡ message receipt.
-                (0..slots as u32).filter(|&v| state.inbox[v as usize].is_some()).collect()
-            } else {
-                (0..slots as u32)
-                    .filter(|&v| {
-                        map.is_live_slot(v)
-                            && (!halted[v as usize] || state.inbox[v as usize].is_some())
-                    })
-                    .collect()
-            };
-            if active.is_empty() {
-                trace::emit_sync(tracer, || TraceEvent::RunEnd {
-                    supersteps: stats.num_supersteps() as u64,
-                    messages: stats.total_messages(),
-                    duration_ns: trace::ns(stats.total_time),
-                });
-                return Ok(RunOutput::new(values, map, stats, footprint));
-            }
-        }
-    }
-
-    let started = Instant::now();
-    loop {
-        // Barrier-point bookkeeping: the orchestrating thread owns all
-        // state here, so checkpoints and cancellation are clean.
-        if let Some(h) = hooks.as_deref_mut() {
-            if h.due(superstep) {
-                let ck_t0 = Instant::now();
-                let inbox: Vec<Option<P::Message>> = cur.iter().map(Mailbox::snapshot).collect();
-                let history: Vec<(u64, u64)> =
-                    stats.supersteps.iter().map(|s| (s.active, s.messages_sent)).collect();
-                h.save(superstep, &values, &halted, &inbox, &history)
-                    .map_err(|source| RunError::Checkpoint { superstep, source })?;
-                trace::emit_sync(tracer, || TraceEvent::CheckpointSave {
-                    superstep: superstep as u64,
-                    duration_ns: trace::ns(ck_t0.elapsed()),
-                });
-            }
-        }
-        if let Some(deadline) = config.deadline {
-            if started.elapsed() >= deadline {
-                return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
-            }
-        }
-
-        trace::emit_sync(tracer, || TraceEvent::SuperstepBegin { superstep: superstep as u64 });
-        let t0 = Instant::now();
-        let plan = chunks::plan(schedule, &active, slots, out_adj.offsets(), config.grain);
-        // Scheduler counters: the delta across this superstep's parallel
-        // region is what the `pool` trace event and LoadStats report.
-        let pool_before = ipregel_par::current_pool_stats();
-        // Chunk-boundary deadline: each chunk re-checks the wall clock
-        // before touching its first vertex, so a single huge superstep
-        // overruns the deadline by at most one chunk's work (grain-sized)
-        // instead of the whole superstep. `Ok(None)` marks a chunk that
-        // declined to run; the barrier turns that into DeadlineExceeded.
-        let deadline_opt = config.deadline;
-        let per_chunk: Vec<ChunkOutcome> = {
-            let values_view = SharedSlice::new(&mut values);
-            let halted_view = SharedSlice::new(&mut halted);
-            let next_ref: &[MB] = &next;
-            let cur_ref: &[MB] = &cur;
-            let wl = bypass.as_ref();
-            let active_ref: &[VertexIndex] = &active;
-            let chunk_edges: &[u64] = &plan.chunk_edges;
-            plan.chunks
-                .par_iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    // A panicking `compute` is caught *inside* the pool
-                    // task: sibling chunks drain normally and the pool
-                    // survives; the failure is joined into a
-                    // `RunError::VertexPanic` at the barrier.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(deadline) = deadline_opt {
-                            if started.elapsed() >= deadline {
-                                return None;
-                            }
-                        }
-                        let c_t0 = Instant::now();
-                        let cont0 = trace::contention::snapshot();
-                        let mut sent = 0u64;
-                        #[cfg(feature = "chaos")]
-                        crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, superstep as u64);
-                        for &v in &active_ref[c.start..c.end] {
-                            let inbox = cur_ref[v as usize].take();
-                            let mut ctx = PushCtx::<P, MB, A> {
-                                superstep,
-                                graph,
-                                adj: out_adj,
-                                v,
-                                inbox,
-                                next: next_ref,
-                                bypass: wl,
-                                sent: 0,
-                                halt_vote: false,
-                            };
-                            // SAFETY: the active list holds distinct slots
-                            // (scan filters distinct indices; the bypass
-                            // worklist dedups via epoch tags) and the chunks
-                            // partition it, so access is disjoint.
-                            let mut value = unsafe { values_view.get_mut(v as usize) };
-                            program.compute(&mut value, &mut ctx);
-                            // SAFETY: same disjointness argument, on the
-                            // halted flags array.
-                            unsafe { *halted_view.get_mut(v as usize) = ctx.halt_vote };
-                            sent += ctx.sent;
-                        }
-                        let elapsed = c_t0.elapsed();
-                        // Which worker ran the chunk: under stealing this
-                        // is timing-dependent, so it is measured here.
-                        let worker =
-                            ipregel_par::current_thread_index().unwrap_or(0) as u64;
-                        // Worker-side record: lands in this worker's
-                        // shard, drained in chunk order at the barrier.
-                        let delta = trace::contention::snapshot().delta_since(&cont0);
-                        trace::emit(tracer, || TraceEvent::Chunk {
-                            superstep: superstep as u64,
-                            chunk: ci as u64,
-                            planned_edges: chunk_edges[ci],
-                            duration_ns: trace::ns(elapsed),
-                            lock_acquisitions: delta.lock_acquisitions,
-                            cas_retries: delta.cas_retries,
-                            spin_iterations: delta.spin_iterations,
-                            worker,
-                        });
-                        Some((sent, elapsed, worker))
-                    }))
-                    .map_err(|payload| ChunkPanic {
-                        chunk: ci,
-                        vertex_range: if c.end > c.start {
-                            (active_ref[c.start], active_ref[c.end - 1])
-                        } else {
-                            (0, 0)
-                        },
-                        message: panic_message(payload),
-                    })
-                })
-                .collect()
-        };
-        let pool_after = ipregel_par::current_pool_stats();
-        let mut sent = 0u64;
-        let mut chunk_durations = Vec::with_capacity(per_chunk.len());
-        let mut chunk_workers = Vec::with_capacity(per_chunk.len());
-        let mut first_panic: Option<ChunkPanic> = None;
-        let mut deadline_hit = false;
-        for r in per_chunk {
-            match r {
-                Ok(Some((s, d, w))) => {
-                    sent += s;
-                    chunk_durations.push(d);
-                    chunk_workers.push(w);
-                }
-                Ok(None) => deadline_hit = true,
-                Err(p) if first_panic.is_none() => first_panic = Some(p),
-                Err(_) => {}
-            }
-        }
-        if let Some(p) = first_panic {
-            return Err(RunError::VertexPanic {
-                superstep,
-                chunk: p.chunk,
-                vertex_range: p.vertex_range,
-                message: p.message,
-                stats,
-            });
-        }
-        if deadline_hit {
-            // The torn superstep's partial writes are discarded along with
-            // the run state, exactly like the VertexPanic path above.
-            let deadline = deadline_opt.expect("Ok(None) only when a deadline is set");
-            return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
-        }
-
-        stats.push(SuperstepStats {
-            superstep,
-            active: active.len() as u64,
-            messages_sent: sent,
-            duration: t0.elapsed() + selection_duration,
-            selection_duration,
-            load: Some(LoadStats {
-                chunk_edges: plan.chunk_edges,
-                chunk_durations,
-                chunk_workers,
-                steals: pool_after.steals - pool_before.steals,
-                overflow: pool_after.overflow - pool_before.overflow,
-            }),
-        });
-
-        // Barrier: drain the workers' chunk events into the log (in
-        // chunk order) before closing the superstep span.
-        trace::barrier(tracer, superstep);
-        trace::emit_sync(tracer, || {
-            let s = stats.supersteps.last().expect("pushed above");
-            let load = s.load.as_ref().expect("parallel engine records load");
-            TraceEvent::Pool {
-                superstep: s.superstep as u64,
-                steals: load.steals,
-                overflow: load.overflow,
-            }
-        });
-        trace::emit_sync(tracer, || {
-            let s = stats.supersteps.last().expect("pushed above");
-            TraceEvent::SuperstepEnd {
-                superstep: s.superstep as u64,
-                active: s.active,
-                messages: s.messages_sent,
-                duration_ns: trace::ns(s.duration),
-                selection_ns: trace::ns(s.selection_duration),
-                chunks: s.load.as_ref().map_or(0, |l| l.chunk_edges.len() as u64),
-            }
-        });
-
-        // Deliveries for superstep s+1 are in `next`; make them current.
-        std::mem::swap(&mut cur, &mut next);
-
-        if program.master_compute(superstep, &values) == MasterDecision::Halt {
-            break;
-        }
-        superstep += 1;
-        if let Some(cap) = config.max_supersteps {
-            if superstep >= cap {
-                break;
-            }
-        }
-
-        let sel_t0 = Instant::now();
-        active = match &bypass {
-            Some(wl) => {
-                // The bypass invariant (Section 4): every vertex halts each
-                // superstep, so next active ≡ message recipients ≡ worklist.
-                //
-                // Dense/sparse switch (an extension in the spirit of
-                // Ligra): when most vertices are active anyway, rebuilding
-                // the ordered list from the occupancy flags is cheaper
-                // than sorting the randomly-ordered worklist; when few
-                // are, the drained list avoids the O(|V|) scan entirely.
-                let n_active = wl.len();
-                if n_active * 8 >= map.num_vertices() as usize {
-                    wl.clear();
-                    let cur_ref: &[MB] = &cur;
-                    (0..slots as u32)
-                        .into_par_iter()
-                        .filter(|&v| cur_ref[v as usize].has_message())
-                        .collect()
-                } else {
-                    // Sorted drain: scan-order locality, and the ordered
-                    // list the chunk planner's prefix-weight cut needs.
-                    let drained = wl.drain_sorted();
-                    // `queued` counts raw pushes (duplicates included);
-                    // `drained` is the deduplicated active list for the
-                    // superstep about to run (`superstep` was already
-                    // advanced past the one that filled the worklist).
-                    trace::emit_sync(tracer, || TraceEvent::WorklistDrain {
-                        superstep: superstep as u64,
-                        queued: n_active as u64,
-                        drained: drained.len() as u64,
-                    });
-                    drained
-                }
-            }
-            None => {
-                let halted_ref: &[bool] = &halted;
-                let cur_ref: &[MB] = &cur;
-                (0..slots as u32)
-                    .into_par_iter()
-                    .filter(|&v| {
-                        map.is_live_slot(v)
-                            && (!halted_ref[v as usize] || cur_ref[v as usize].has_message())
-                    })
-                    .collect()
-            }
-        };
-        selection_duration = sel_t0.elapsed();
-        if active.is_empty() {
-            break;
-        }
-    }
-
-    trace::emit_sync(tracer, || TraceEvent::RunEnd {
-        supersteps: stats.num_supersteps() as u64,
-        messages: stats.total_messages(),
-        duration_ns: trace::ns(stats.total_time),
-    });
-    Ok(RunOutput::new(values, map, stats, footprint))
-}
-
-/// Per-vertex-execution context for the push engine, monomorphised over
-/// the adjacency representation `A`.
-struct PushCtx<'a, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> {
-    superstep: usize,
-    graph: &'a Graph,
+/// Double-buffered mailboxes plus the bypass worklist, monomorphised over
+/// the mailbox flavour `MB` and the adjacency representation `A`.
+struct Push<'g, P, MB, A> {
+    graph: &'g Graph,
     /// The out-adjacency in its concrete representation — broadcast and
     /// edge iteration go through this, not through `graph`'s
     /// representation-agnostic (and slice-only) accessors.
-    adj: &'a A,
-    v: VertexIndex,
-    inbox: Option<P::Message>,
-    next: &'a [MB],
-    bypass: Option<&'a Worklist>,
-    sent: u64,
-    halt_vote: bool,
+    adj: &'g A,
+    cur: Vec<MB>,
+    next: Vec<MB>,
+    /// The bypass needs no per-vertex tags here: the mailbox's own
+    /// empty→occupied transition (observed under its lock) is the
+    /// exactly-once enqueue signal — Section 4's sender "knows that the
+    /// recipient vertex will have to be run".
+    bypass: Option<Worklist>,
+    _program: PhantomData<fn() -> P>,
 }
 
-impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> PushCtx<'_, P, MB, A> {
+impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Push<'g, P, MB, A> {
+    fn new(graph: &'g Graph, adj: &'g A, config: &RunConfig) -> Self {
+        let slots = graph.num_slots();
+        Push {
+            graph,
+            adj,
+            cur: (0..slots).map(|_| MB::empty()).collect(),
+            next: (0..slots).map(|_| MB::empty()).collect(),
+            bypass: config.selection_bypass.then(|| Worklist::new(slots)),
+            _program: PhantomData,
+        }
+    }
+
+    /// Slots with work pending in `cur`, ascending: under the bypass the
+    /// message holders (§4's contract: activity ≡ message receipt), else
+    /// every live vertex that is awake or has mail.
+    fn pending(&self, halted: &[bool]) -> Vec<VertexIndex> {
+        let map = *self.graph.address_map();
+        let cur: &[MB] = &self.cur;
+        let slots = (0..cur.len() as u32).into_par_iter();
+        if self.bypass.is_some() {
+            slots.filter(|&v| cur[v as usize].has_message()).collect()
+        } else {
+            slots
+                .filter(|&v| {
+                    map.is_live_slot(v) && (!halted[v as usize] || cur[v as usize].has_message())
+                })
+                .collect()
+        }
+    }
+
     #[inline]
-    fn deliver_to_slot(&mut self, slot: VertexIndex, msg: P::Message) {
+    fn deliver(&self, slot: VertexIndex, msg: P::Message) {
         let first = self.next[slot as usize].deliver(msg, P::combine);
         if first {
-            if let Some(wl) = self.bypass {
-                wl.push(slot);
+            if let Some(worklist) = &self.bypass {
+                worklist.push(slot);
             }
         }
-        self.sent += 1;
     }
 }
 
-impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Context
-    for PushCtx<'_, P, MB, A>
+impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
+    for Push<'_, P, MB, A>
 {
-    type Message = P::Message;
+    const ENGINE: EngineKind = EngineKind::Push;
 
-    fn superstep(&self) -> usize {
-        self.superstep
+    /// Push work is proportional to out-degree.
+    fn offsets(&self) -> &[u64] {
+        self.adj.offsets()
     }
 
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    fn id(&self) -> VertexId {
-        self.graph.id_of(self.v)
-    }
-
-    fn out_degree(&self) -> u32 {
-        self.graph.out_degree(self.v)
-    }
-
-    fn next_message(&mut self) -> Option<P::Message> {
-        self.inbox.take()
-    }
-
-    fn send(&mut self, to: VertexId, msg: P::Message) {
-        assert!(
-            self.graph.address_map().contains(to),
-            "send to unknown vertex id {to} (graph holds ids {}..{})",
-            self.graph.address_map().base(),
-            u64::from(self.graph.address_map().base()) + self.graph.num_vertices() as u64,
-        );
-        self.deliver_to_slot(self.graph.index_of(to), msg);
-    }
-
-    fn broadcast(&mut self, msg: P::Message) {
-        // `adj` outlives `self`, so the neighbour iterator can be copied
-        // out before the mutable sends.
-        let adj = self.adj;
-        for n in adj.neighbors_iter(self.v) {
-            self.deliver_to_slot(n, msg);
+    fn footprint(&self) -> FootprintReport {
+        let slots = self.cur.len();
+        FootprintReport {
+            mailbox_bytes: 2 * slots * (std::mem::size_of::<MB>() - MB::lock_bytes()),
+            lock_bytes: 2 * slots * MB::lock_bytes(),
+            worklist_bytes: self.bypass.as_ref().map_or(0, Worklist::bytes),
+            ..FootprintReport::default()
         }
     }
 
-    fn vote_to_halt(&mut self) {
-        self.halt_vote = true;
-    }
-
-    fn for_each_out_edge(&mut self, f: &mut dyn FnMut(VertexId, Weight)) {
-        let adj = self.adj;
-        match adj.weights_of(self.v) {
-            Some(ws) => {
-                for (n, &w) in adj.neighbors_iter(self.v).zip(ws) {
-                    f(self.graph.id_of(n), w);
-                }
-            }
-            None => {
-                for n in adj.neighbors_iter(self.v) {
-                    f(self.graph.id_of(n), 1);
-                }
+    /// The combined inbox re-delivers into the fresh mailboxes.
+    fn restore(&mut self, inbox: Vec<Option<P::Message>>, halted: &[bool]) -> Vec<VertexIndex> {
+        for (mailbox, m) in self.cur.iter().zip(inbox) {
+            if let Some(m) = m {
+                mailbox.deliver(m, P::combine);
             }
         }
+        self.pending(halted)
+    }
+
+    fn snapshot_inbox(&self) -> Vec<Option<P::Message>> {
+        self.cur.iter().map(Mailbox::snapshot).collect()
+    }
+
+    #[inline]
+    fn inbox(&self, v: VertexIndex) -> Option<P::Message> {
+        self.cur[v as usize].take()
+    }
+
+    /// Deliveries for superstep s+1 are in `next`; make them current.
+    fn flip(&mut self) {
+        std::mem::swap(&mut self.cur, &mut self.next);
+    }
+
+    fn select(&self, at: &Barrier<'_>) -> Vec<VertexIndex> {
+        match &self.bypass {
+            Some(worklist) => bsp::bypass_select(worklist, self.graph.address_map(), at, || {
+                self.pending(at.halted)
+            }),
+            None => self.pending(at.halted),
+        }
+    }
+}
+
+impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Message>
+    for Push<'_, P, MB, A>
+{
+    fn send(&self, to: VertexId, msg: P::Message) {
+        self.deliver(target_slot(self.graph, to), msg);
+    }
+
+    fn broadcast(&self, from: VertexIndex, msg: P::Message) -> u64 {
+        let mut sent = 0;
+        for n in self.adj.neighbors_iter(from) {
+            self.deliver(n, msg);
+            sent += 1;
+        }
+        sent
+    }
+
+    fn send_along_out_edges(&self, from: VertexIndex, mut f: impl FnMut(Weight) -> P::Message) -> u64 {
+        let mut sent = 0;
+        for_each_out_edge(self.adj, from, |n, w| {
+            self.deliver(n, f(w));
+            sent += 1;
+        });
+        sent
     }
 }

@@ -11,15 +11,19 @@
 //! arrival order (ascending sender slot), which makes it useful for
 //! debugging user programs whose combine is accidentally order-sensitive.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ipregel_graph::csr::Weight;
 use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
 
-use crate::engine::{panic_message, RunConfig, RunError, RunOutput, RunResult};
+use crate::engine::{
+    bsp, combine_into, for_each_out_edge, panic_message, target_slot, Outbound, RunConfig,
+    RunError, RunOutput, RunResult, VertexCtx,
+};
 use crate::metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};
-use crate::program::{Context, MasterDecision, VertexProgram};
+use crate::program::{MasterDecision, VertexProgram};
 use crate::recover::DynHooks;
 use crate::trace::{self, TraceEvent};
 
@@ -105,46 +109,18 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
 
     // Restore a pending checkpoint: this engine's inbox buffer has the
     // checkpoint's exact shape, so the state drops straight in.
-    if let Some(h) = hooks.as_deref_mut() {
-        if let Some(state) = h.take_resume() {
-            if state.values.len() != slots {
-                return Err(RunError::Resume(format!(
-                    "checkpoint has {} slots, this graph has {slots}",
-                    state.values.len()
-                )));
-            }
-            values = state.values;
-            halted = state.halted;
-            cur = state.inbox;
-            superstep = state.superstep;
-            for (i, &(a, msgs)) in state.history.iter().enumerate() {
-                stats.push(SuperstepStats {
-                    superstep: i,
-                    active: a,
-                    messages_sent: msgs,
-                    duration: Duration::ZERO,
-                    selection_duration: Duration::ZERO,
-                    load: None,
-                });
-            }
-        }
+    if let Some(state) = bsp::take_resume(&mut hooks, slots, &mut stats)? {
+        values = state.values;
+        halted = state.halted;
+        cur = state.inbox;
+        superstep = state.superstep;
     }
 
     let started = Instant::now();
     loop {
-        if let Some(h) = hooks.as_deref_mut() {
-            if h.due(superstep) {
-                let ck_t0 = Instant::now();
-                let history: Vec<(u64, u64)> =
-                    stats.supersteps.iter().map(|s| (s.active, s.messages_sent)).collect();
-                h.save(superstep, &values, &halted, &cur, &history)
-                    .map_err(|source| RunError::Checkpoint { superstep, source })?;
-                trace::emit_sync(tracer, || TraceEvent::CheckpointSave {
-                    superstep: superstep as u64,
-                    duration_ns: trace::ns(ck_t0.elapsed()),
-                });
-            }
-        }
+        bsp::checkpoint_if_due(&mut hooks, tracer, superstep, &values, &halted, &stats, || {
+            &cur[..]
+        })?;
         if let Some(deadline) = config.deadline {
             if started.elapsed() >= deadline {
                 return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
@@ -157,6 +133,11 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
         // as the same `VertexPanic` the parallel engines produce.
         let deadline_opt = config.deadline;
         let step = catch_unwind(AssertUnwindSafe(|| {
+            let out = SeqOut::<P, A> {
+                graph,
+                adj: out_adj,
+                next: Cell::from_mut(&mut next[..]).as_slice_of_cells(),
+            };
             let mut sent = 0u64;
             let mut active = 0u64;
             let mut edges = 0u64;
@@ -180,16 +161,7 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
                 }
                 active += 1;
                 edges += u64::from(graph.out_degree(v));
-                let mut ctx = SeqCtx::<P, A> {
-                    superstep,
-                    graph,
-                    adj: out_adj,
-                    v,
-                    inbox,
-                    next: &mut next,
-                    sent: 0,
-                    halt_vote: false,
-                };
+                let mut ctx = VertexCtx::<P, _>::new(superstep, graph, v, inbox, &out);
                 // `values[v]` and the context borrow disjoint state.
                 let mut value = values[v as usize].clone();
                 program.compute(&mut value, &mut ctx);
@@ -277,100 +249,56 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
         }
     }
 
-    trace::emit_sync(tracer, || TraceEvent::RunEnd {
-        supersteps: stats.num_supersteps() as u64,
-        messages: stats.total_messages(),
-        duration_ns: trace::ns(stats.total_time),
-    });
-    Ok(RunOutput::new(values, map, stats, footprint))
+    bsp::finish(tracer, values, map, stats, footprint)
 }
 
-struct SeqCtx<'a, P: VertexProgram, A: NeighborList> {
-    superstep: usize,
+/// Where the oracle's sends go: straight into the one `next` buffer, in
+/// program order. Cells because a [`VertexCtx`] holds its [`Outbound`]
+/// shared; single-threaded, so they cost nothing.
+struct SeqOut<'a, P: VertexProgram, A: NeighborList> {
     graph: &'a Graph,
     /// The out-adjacency in its concrete representation.
     adj: &'a A,
-    v: VertexIndex,
-    inbox: Option<P::Message>,
-    next: &'a mut [Option<P::Message>],
-    sent: u64,
-    halt_vote: bool,
+    next: &'a [Cell<Option<P::Message>>],
 }
 
-impl<P: VertexProgram, A: NeighborList> SeqCtx<'_, P, A> {
-    fn deliver(&mut self, slot: VertexIndex, msg: P::Message) {
-        match self.next[slot as usize].as_mut() {
-            Some(old) => P::combine(old, msg),
-            None => self.next[slot as usize] = Some(msg),
-        }
-        self.sent += 1;
+impl<P: VertexProgram, A: NeighborList> SeqOut<'_, P, A> {
+    fn deliver(&self, slot: VertexIndex, msg: P::Message) {
+        let cell = &self.next[slot as usize];
+        let mut held = cell.get();
+        combine_into::<P>(&mut held, msg);
+        cell.set(held);
     }
 }
 
-impl<P: VertexProgram, A: NeighborList> Context for SeqCtx<'_, P, A> {
-    type Message = P::Message;
-
-    fn superstep(&self) -> usize {
-        self.superstep
+impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for SeqOut<'_, P, A> {
+    fn send(&self, to: VertexId, msg: P::Message) {
+        self.deliver(target_slot(self.graph, to), msg);
     }
 
-    fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
+    fn broadcast(&self, from: VertexIndex, msg: P::Message) -> u64 {
+        self.send_along_out_edges(from, |_| msg)
     }
 
-    fn id(&self) -> VertexId {
-        self.graph.id_of(self.v)
-    }
-
-    fn out_degree(&self) -> u32 {
-        self.graph.out_degree(self.v)
-    }
-
-    fn next_message(&mut self) -> Option<P::Message> {
-        self.inbox.take()
-    }
-
-    fn send(&mut self, to: VertexId, msg: P::Message) {
-        assert!(self.graph.address_map().contains(to), "send to unknown vertex id {to}");
-        self.deliver(self.graph.index_of(to), msg);
-    }
-
-    fn broadcast(&mut self, msg: P::Message) {
-        let adj = self.adj;
-        for n in adj.neighbors_iter(self.v) {
-            self.deliver(n, msg);
-        }
-    }
-
-    fn vote_to_halt(&mut self) {
-        self.halt_vote = true;
-    }
-
-    fn for_each_out_edge(&mut self, f: &mut dyn FnMut(VertexId, Weight)) {
-        let adj = self.adj;
-        match adj.weights_of(self.v) {
-            Some(ws) => {
-                for (n, &w) in adj.neighbors_iter(self.v).zip(ws) {
-                    f(self.graph.id_of(n), w);
-                }
-            }
-            None => {
-                for n in adj.neighbors_iter(self.v) {
-                    f(self.graph.id_of(n), 1);
-                }
-            }
-        }
+    fn send_along_out_edges(&self, from: VertexIndex, mut f: impl FnMut(Weight) -> P::Message) -> u64 {
+        let mut sent = 0;
+        for_each_out_edge(self.adj, from, |n, w| {
+            self.deliver(n, f(w));
+            sent += 1;
+        });
+        sent
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::engine::push::run_push;
+    use crate::engine::push::try_run_push;
     use crate::mailbox::SpinMailbox;
+    use crate::program::Context;
     use ipregel_graph::{GraphBuilder, NeighborMode};
 
-    struct Flood;
+    pub(crate) struct Flood;
     impl VertexProgram for Flood {
         type Value = u32;
         type Message = u32;
@@ -404,7 +332,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let seq = run_sequential(&g, &Flood, &RunConfig::default());
-        let par = run_push::<Flood, SpinMailbox<u32>>(&g, &Flood, &RunConfig::default());
+        let par = try_run_push::<Flood, SpinMailbox<u32>>(&g, &Flood, &RunConfig::default()).unwrap();
         assert_eq!(seq.values, par.values);
         assert_eq!(seq.stats.total_messages(), par.stats.total_messages());
     }

@@ -81,8 +81,8 @@ pub mod sync_cell;
 pub mod trace;
 pub mod version;
 
-pub use engine::pull::{run_pull, try_run_pull};
-pub use engine::push::{run_push, try_run_push};
+pub use engine::pull::try_run_pull;
+pub use engine::push::try_run_push;
 pub use engine::seq::{run_sequential, try_run_sequential};
 pub use engine::{RunConfig, RunError, RunOutput, RunResult, Schedule};
 pub use lanes::{full_mask, LaneTracker, Lanes, MAX_LANES};

@@ -101,14 +101,15 @@ pub trait Context {
     /// (`IP_vote_to_halt`).
     fn vote_to_halt(&mut self);
 
-    /// Visit every out-edge as `(neighbour id, weight)`; weight is 1 for
-    /// unweighted graphs. Extension used by weighted SSSP; broadcast-only
+    /// Send `f(weight)` along every out-edge: one message per edge,
+    /// computed from that edge's weight (1 on unweighted graphs).
+    /// Extension used by the weighted applications; broadcast-only
     /// applications never call it.
     ///
     /// # Panics
-    /// On the pull-based engine (point-to-point edge traversal is a
-    /// push-engine feature).
-    fn for_each_out_edge(&mut self, f: &mut dyn FnMut(VertexId, Weight));
+    /// On the pull-based engine (a per-edge message is a point-to-point
+    /// send, a push-engine feature).
+    fn send_along_out_edges(&mut self, f: impl FnMut(Weight) -> Self::Message);
 }
 
 /// Check a combine function for the algebraic laws the engines assume.

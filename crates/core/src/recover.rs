@@ -487,16 +487,9 @@ where
     P::Value: Persist,
     P::Message: Persist,
 {
-    let restore_t0 = std::time::Instant::now();
-    let mut hooks = DiskCheckpointer::<P::Value, P::Message>::open(ckpt)?;
-    if ckpt.resume {
-        // `open` just read, decoded and checksum-verified the snapshot.
-        crate::trace::emit_sync(config.trace.as_deref(), || crate::trace::TraceEvent::CheckpointRestore {
-            superstep: hooks.resume_floor.unwrap_or(0) as u64,
-            duration_ns: crate::trace::ns(restore_t0.elapsed()),
-        });
-    }
-    crate::version::try_run_recoverable(graph, program, version, config, Some(&mut hooks))
+    checkpointed::<P>(config, ckpt, |hooks| {
+        crate::version::run_with(graph, program, version, config, Some(hooks))
+    })
 }
 
 /// Like [`run_with_checkpoints`], additionally supporting
@@ -513,6 +506,22 @@ where
     P::Value: Persist,
     P::Message: Persist + PackMessage,
 {
+    checkpointed::<P>(config, ckpt, |hooks| {
+        crate::version::run_packed_with(graph, program, version, config, Some(hooks))
+    })
+}
+
+/// Open the checkpoint directory per `ckpt` and hand the hooks to `run`.
+fn checkpointed<P>(
+    config: &RunConfig,
+    ckpt: &CheckpointConfig,
+    run: impl FnOnce(DynHooks<'_, P::Value, P::Message>) -> RunResult<P::Value>,
+) -> RunResult<P::Value>
+where
+    P: VertexProgram,
+    P::Value: Persist,
+    P::Message: Persist,
+{
     let restore_t0 = std::time::Instant::now();
     let mut hooks = DiskCheckpointer::<P::Value, P::Message>::open(ckpt)?;
     if ckpt.resume {
@@ -522,7 +531,7 @@ where
             duration_ns: crate::trace::ns(restore_t0.elapsed()),
         });
     }
-    crate::version::try_run_packed_recoverable(graph, program, version, config, Some(&mut hooks))
+    run(&mut hooks)
 }
 
 #[cfg(all(test, not(loom)))]
@@ -693,29 +702,68 @@ mod tests {
         check((7u32, 9u32));
     }
 
+    /// An in-memory hook: hands out the state it was given, never saves.
+    struct Canned(Option<ResumeState<u32, u32>>);
+    impl RecoveryHooks<u32, u32> for Canned {
+        fn take_resume(&mut self) -> Option<ResumeState<u32, u32>> {
+            self.0.take()
+        }
+        fn due(&self, _superstep: usize) -> bool {
+            false
+        }
+        fn save(
+            &mut self,
+            _superstep: usize,
+            _values: &[u32],
+            _halted: &[bool],
+            _inbox: &[Option<u32>],
+            _history: &[(u64, u64)],
+        ) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn hooks_are_object_safe_and_dyn_usable() {
-        struct Never;
-        impl RecoveryHooks<u32, u32> for Never {
-            fn take_resume(&mut self) -> Option<ResumeState<u32, u32>> {
-                None
-            }
-            fn due(&self, _superstep: usize) -> bool {
-                false
-            }
-            fn save(
-                &mut self,
-                _superstep: usize,
-                _values: &[u32],
-                _halted: &[bool],
-                _inbox: &[Option<u32>],
-                _history: &[(u64, u64)],
-            ) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut n = Never;
+        let mut n = Canned(None);
         let dyn_hooks: DynHooks<'_, u32, u32> = &mut n;
         assert!(!dyn_hooks.due(8));
+    }
+
+    #[test]
+    fn resume_state_of_the_wrong_shape_is_a_resume_error_on_every_engine() {
+        use crate::engine::seq::tests::Flood;
+        use crate::engine::{pull::run_pull_with, push::run_push_with, seq::try_run_sequential_recoverable};
+
+        let mut b = ipregel_graph::GraphBuilder::new(ipregel_graph::NeighborMode::Both);
+        for i in 0..4u32 {
+            b.add_edge(i, (i + 1) % 4);
+        }
+        let g = b.build().unwrap();
+        let cfg = RunConfig::default();
+        // (values, halted, inbox) lengths; the graph has 4 slots.
+        for lens in [(4, 4, 4), (3, 4, 4), (4, 3, 4), (4, 4, 3), (4, 5, 4), (4, 4, 9)] {
+            let canned = || {
+                Canned(Some(ResumeState {
+                    superstep: 1,
+                    values: vec![0; lens.0],
+                    halted: vec![true; lens.1],
+                    inbox: vec![Some(0); lens.2],
+                    history: vec![(4, 4)],
+                }))
+            };
+            let outcomes = [
+                run_push_with::<_, crate::SpinMailbox<u32>>(&g, &Flood, &cfg, Some(&mut canned())),
+                run_pull_with(&g, &Flood, &cfg, Some(&mut canned())),
+                try_run_sequential_recoverable(&g, &Flood, &cfg, Some(&mut canned())),
+            ];
+            for (engine, outcome) in ["push", "pull", "seq"].iter().zip(outcomes) {
+                match outcome {
+                    Ok(_) => assert_eq!(lens, (4, 4, 4), "{engine} adopted a state of shape {lens:?}"),
+                    Err(RunError::Resume(why)) => assert_ne!(lens, (4, 4, 4), "{engine}: {why}"),
+                    Err(other) => panic!("{engine} on {lens:?}: expected RunError::Resume, got {other}"),
+                }
+            }
+        }
     }
 }

@@ -8,8 +8,8 @@
 
 use ipregel_graph::Graph;
 
-use crate::engine::pull::try_run_pull_recoverable;
-use crate::engine::push::try_run_push_recoverable;
+use crate::engine::pull::run_pull_with;
+use crate::engine::push::run_push_with;
 use crate::engine::{RunConfig, RunOutput, RunResult};
 use crate::mailbox::{AtomicMailbox, MutexMailbox, PackMessage, SpinMailbox};
 use crate::program::VertexProgram;
@@ -118,11 +118,11 @@ pub fn try_run<P: VertexProgram>(
     version: Version,
     config: &RunConfig,
 ) -> RunResult<P::Value> {
-    try_run_recoverable(graph, program, version, config, None)
+    run_with(graph, program, version, config, None)
 }
 
 /// [`try_run`] with checkpoint/restore hooks (see [`crate::recover`]).
-pub fn try_run_recoverable<P: VertexProgram>(
+pub(crate) fn run_with<P: VertexProgram>(
     graph: &Graph,
     program: &P,
     version: Version,
@@ -132,12 +132,12 @@ pub fn try_run_recoverable<P: VertexProgram>(
     let config = RunConfig { selection_bypass: version.selection_bypass, ..config.clone() };
     match version.combiner {
         CombinerKind::Mutex => {
-            try_run_push_recoverable::<P, MutexMailbox<P::Message>>(graph, program, &config, hooks)
+            run_push_with::<P, MutexMailbox<P::Message>>(graph, program, &config, hooks)
         }
         CombinerKind::Spinlock => {
-            try_run_push_recoverable::<P, SpinMailbox<P::Message>>(graph, program, &config, hooks)
+            run_push_with::<P, SpinMailbox<P::Message>>(graph, program, &config, hooks)
         }
-        CombinerKind::Broadcast => try_run_pull_recoverable(graph, program, &config, hooks),
+        CombinerKind::Broadcast => run_pull_with(graph, program, &config, hooks),
         CombinerKind::LockFree => {
             panic!("the lock-free combiner needs PackMessage; call run_packed instead")
         }
@@ -174,12 +174,12 @@ where
     P: VertexProgram,
     P::Message: PackMessage,
 {
-    try_run_packed_recoverable(graph, program, version, config, None)
+    run_packed_with(graph, program, version, config, None)
 }
 
 /// [`try_run_packed`] with checkpoint/restore hooks (see
 /// [`crate::recover`]).
-pub fn try_run_packed_recoverable<P>(
+pub(crate) fn run_packed_with<P>(
     graph: &Graph,
     program: &P,
     version: Version,
@@ -193,9 +193,9 @@ where
     match version.combiner {
         CombinerKind::LockFree => {
             let config = RunConfig { selection_bypass: version.selection_bypass, ..config.clone() };
-            try_run_push_recoverable::<P, AtomicMailbox<P::Message>>(graph, program, &config, hooks)
+            run_push_with::<P, AtomicMailbox<P::Message>>(graph, program, &config, hooks)
         }
-        _ => try_run_recoverable(graph, program, version, config, hooks),
+        _ => run_with(graph, program, version, config, hooks),
     }
 }
 

@@ -605,10 +605,13 @@ impl<P: VertexProgram> Context for OocCtx<'_, P> {
         self.halt_vote = true;
     }
 
-    fn for_each_out_edge(&mut self, f: &mut dyn FnMut(VertexId, Weight)) {
+    fn send_along_out_edges(&mut self, mut f: impl FnMut(Weight) -> P::Message) {
+        // The spilled adjacency is unweighted: every edge weighs 1.
         for i in 0..self.degree as usize {
-            f(self.map.id_of(self.target(i)), 1);
+            let t = self.target(i);
+            self.next[t as usize].deliver(f(1), P::combine);
         }
+        self.sent += u64::from(self.degree);
     }
 }
 

@@ -117,8 +117,10 @@ pub const ATOMIC_PROTOCOLS: &[(&str, &[&str])] = &[
 /// Tokens are matched against comment-stripped code, so a commented-out
 /// emit does not count.
 pub const TRACE_COVERAGE: &[(&str, &[&str])] = &[
+    // The one parallel driver owns the superstep span for both delivery
+    // strategies (push.rs and pull.rs emit nothing themselves).
     (
-        "crates/core/src/engine/push.rs",
+        "crates/core/src/engine/bsp.rs",
         &[
             "TraceEvent::RunBegin",
             "TraceEvent::SuperstepBegin",
@@ -129,25 +131,16 @@ pub const TRACE_COVERAGE: &[(&str, &[&str])] = &[
             "TraceEvent::CheckpointSave",
         ],
     ),
-    (
-        "crates/core/src/engine/pull.rs",
-        &[
-            "TraceEvent::RunBegin",
-            "TraceEvent::SuperstepBegin",
-            "TraceEvent::Chunk",
-            "TraceEvent::Pool",
-            "TraceEvent::SuperstepEnd",
-            "TraceEvent::RunEnd",
-            "TraceEvent::CheckpointSave",
-        ],
-    ),
+    // The oracle keeps its own loop; its checkpoint and run-end events
+    // come from the driver's barrier helpers.
     (
         "crates/core/src/engine/seq.rs",
         &[
             "TraceEvent::RunBegin",
             "TraceEvent::SuperstepBegin",
             "TraceEvent::SuperstepEnd",
-            "TraceEvent::RunEnd",
+            "bsp::checkpoint_if_due",
+            "bsp::finish",
         ],
     ),
     (
@@ -188,7 +181,9 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/core/src/sync_cell.rs",
     "crates/core/src/mailbox/spin.rs",
     "crates/core/src/selection.rs",
-    "crates/core/src/engine/push.rs",
+    // The driver's per-slot views of values and halted flags, and the
+    // pull strategy's own-outbox writes.
+    "crates/core/src/engine/bsp.rs",
     "crates/core/src/engine/pull.rs",
     // Baseline simulators reusing SharedSlice under the same discipline.
     "crates/femtograph/src/lib.rs",

@@ -450,19 +450,11 @@ impl<P: VertexProgram> Context for SimCtx<'_, P> {
         self.halt_vote = true;
     }
 
-    fn for_each_out_edge(&mut self, f: &mut dyn FnMut(VertexId, Weight)) {
-        let neighbors = self.graph.out_neighbors(self.v);
-        match self.graph.out_weights(self.v) {
-            Some(ws) => {
-                for (&n, &w) in neighbors.iter().zip(ws) {
-                    f(self.graph.id_of(n), w);
-                }
-            }
-            None => {
-                for &n in neighbors {
-                    f(self.graph.id_of(n), 1);
-                }
-            }
+    fn send_along_out_edges(&mut self, mut f: impl FnMut(Weight) -> P::Message) {
+        let graph = self.graph;
+        let weights = graph.out_weights(self.v);
+        for (i, &n) in graph.out_neighbors(self.v).iter().enumerate() {
+            self.buffer_to_slot(n, f(weights.map_or(1, |ws| ws[i])));
         }
     }
 }
