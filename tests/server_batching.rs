@@ -17,11 +17,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ipregel::trace::TraceEvent;
+use ipregel::trace::{ServerOutcome, TraceEvent};
 use ipregel::{CombinerKind, Schedule};
 use ipregel_graph::{Graph, GraphBuilder, NeighborMode};
 use ipregel_server::{
-    run_isolated, Algorithm, Request, RequestOutput, ServerConfig, ServerHandle, Ticket,
+    run_isolated, Algorithm, Rejected, Request, RequestError, RequestOutput, ServerConfig,
+    ServerHandle, ServerStats, Ticket,
 };
 
 /// A symmetric mesh on `0..n`: a ring plus arithmetic chords, so every
@@ -323,4 +324,221 @@ fn batching_disabled_means_every_request_runs_solo() {
     assert_eq!(stats.batches, 0);
     assert_eq!(stats.max_batch, 1);
     server.shutdown().reconcile().expect("reconciles");
+}
+
+// ---------------------------------------------------------------------------
+// A solo request is a batch of one: `submit(r)` and
+// `submit_batch(vec![r])` must be indistinguishable from outside — the
+// same ticket ids, queue-depth samples, counters and terminal events —
+// for every admission outcome reachable without fault injection. (The
+// batch-attempt-failure half of this characterisation needs an injected
+// engine panic, so it lives with the chaos plan's lock in
+// `tests/server_chaos.rs`.)
+// ---------------------------------------------------------------------------
+
+/// How a scripted run hands its requests to the server.
+#[derive(Debug, Clone, Copy)]
+enum Style {
+    /// One `submit(r)` per request.
+    Solo,
+    /// One `submit_batch(vec![r])` per request.
+    BatchOfOne,
+    /// One `submit_batch` call per wave.
+    WholeWave,
+}
+
+/// Everything observable about a scripted run, durations zeroed.
+#[derive(Debug, PartialEq)]
+struct Transcript {
+    /// Per request, in submission order: the ticket id or the refusal.
+    admissions: Vec<Result<u64, Rejected>>,
+    /// Per admitted request, in submission order.
+    results: Vec<Result<RequestOutput, RequestError>>,
+    /// `(seq, depth)` of every `ServerQueueDepth` sample, in trace order.
+    depth_samples: Vec<(u64, u64)>,
+    /// `(id, attempts, lane, lanes, outcome)` of every terminal
+    /// `ServerRequest` event, in trace order.
+    terminal: Vec<(u64, u64, u64, u64, ServerOutcome)>,
+    stats: ServerStats,
+}
+
+/// Run `waves` against a fresh server. With `stalled`, the first wave
+/// is submitted alone and the single worker is given time to pop it and
+/// linger on its batch window before the rest arrive, so the later
+/// waves meet a worker that consumes nothing until shutdown releases
+/// it; tickets are then claimed after shutdown has drained the queue.
+fn transcript(
+    graph: &Arc<Graph>,
+    config: &ServerConfig,
+    waves: &[Vec<Request>],
+    style: Style,
+    stalled: bool,
+) -> Transcript {
+    let server = ServerHandle::start(Arc::clone(graph), config.clone());
+    let mut admissions = Vec::new();
+    let mut results = Vec::new();
+    let mut pending: Vec<Ticket> = Vec::new();
+    for (w, wave) in waves.iter().enumerate() {
+        let decided: Vec<Result<Ticket, Rejected>> = match style {
+            Style::Solo => wave.iter().map(|r| server.submit(r.clone())).collect(),
+            Style::BatchOfOne => wave
+                .iter()
+                .map(|r| {
+                    let mut one = server.submit_batch(vec![r.clone()]);
+                    assert_eq!(one.len(), 1, "one decision per request");
+                    one.pop().expect("checked above")
+                })
+                .collect(),
+            Style::WholeWave => server.submit_batch(wave.clone()),
+        };
+        for decision in decided {
+            admissions.push(decision.as_ref().map(Ticket::id).map_err(Clone::clone));
+            if let Ok(ticket) = decision {
+                pending.push(ticket);
+            }
+        }
+        if stalled {
+            if w == 0 {
+                // The idle worker only has to wake and pop one entry;
+                // the transcript's depth samples convict a late pop.
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        } else {
+            results.extend(pending.drain(..).map(Ticket::wait));
+        }
+    }
+    let report = server.shutdown();
+    results.extend(pending.into_iter().map(Ticket::wait));
+    report.reconcile().expect("reconciles");
+    let mut depth_samples = Vec::new();
+    let mut terminal = Vec::new();
+    for e in &report.events {
+        match *e {
+            TraceEvent::ServerQueueDepth { seq, depth } => depth_samples.push((seq, depth)),
+            TraceEvent::ServerRequest { id, attempts, lane, lanes, outcome, .. } => {
+                terminal.push((id, attempts, lane, lanes, outcome));
+            }
+            _ => {}
+        }
+    }
+    Transcript { admissions, results, depth_samples, terminal, stats: report.stats }
+}
+
+#[test]
+fn a_solo_submission_is_indistinguishable_from_a_batch_of_one() {
+    let graph = Arc::new(mesh(32));
+    let sssp = |source| Request::new(Algorithm::Sssp { source });
+
+    // Admitted and Invalid, interleaved: every family, and refusals
+    // that must consume neither a ticket id nor a depth sample.
+    let admitted_and_invalid = vec![
+        vec![sssp(3)],
+        vec![sssp(9999)],
+        vec![Request::new(Algorithm::Bfs { source: 7 })],
+        vec![Request::new(Algorithm::PageRank { rounds: 4, damping: 1.5 })],
+        vec![Request::new(Algorithm::Components)],
+        vec![Request { combiner: CombinerKind::LockFree, ..sssp(1) }],
+        vec![Request::new(Algorithm::PageRank { rounds: 4, damping: 0.85 })],
+    ];
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let solo = transcript(&graph, &config, &admitted_and_invalid, Style::Solo, false);
+    let one = transcript(&graph, &config, &admitted_and_invalid, Style::BatchOfOne, false);
+    assert_eq!(solo, one, "admitted / invalid");
+    assert_eq!(
+        solo.admissions.iter().map(|a| a.as_ref().ok().copied()).collect::<Vec<_>>(),
+        vec![Some(1), None, Some(2), None, Some(3), None, Some(4)],
+        "invalid requests consume no ticket id"
+    );
+    assert_eq!(solo.depth_samples, vec![(1, 1), (2, 1), (3, 1), (4, 1)]);
+    assert_eq!(solo.stats.rejected_invalid, 3);
+    assert_eq!(solo.stats.completed, 4);
+    assert!(solo.terminal.iter().all(|&(_, attempts, lane, lanes, outcome)| {
+        (attempts, lane, lanes, outcome) == (1, 0, 1, ServerOutcome::Ok)
+    }));
+    for (wave, got) in admitted_and_invalid.iter().step_by(2).zip(&solo.results) {
+        let oracle = run_isolated(&graph, &wave[0]).expect("oracle");
+        assert_eq!(got.as_ref().expect("completes"), &oracle);
+    }
+
+    // QueueFull with a stalled single worker: the worker pops the first
+    // request and lingers on a 30 s window for a partner that never
+    // comes; three incompatible singletons then meet a capacity of two.
+    let stalled_config = ServerConfig {
+        queue_capacity: 2,
+        workers: 1,
+        batch_lanes: 2,
+        batch_window: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let overload = vec![
+        vec![sssp(0)],
+        vec![Request::new(Algorithm::Components)],
+        vec![Request::new(Algorithm::PageRank { rounds: 3, damping: 0.85 })],
+        vec![Request::new(Algorithm::Components)],
+    ];
+    let solo = transcript(&graph, &stalled_config, &overload, Style::Solo, true);
+    let one = transcript(&graph, &stalled_config, &overload, Style::BatchOfOne, true);
+    assert_eq!(solo, one, "queue full");
+    assert_eq!(
+        solo.admissions,
+        vec![Ok(1), Ok(2), Ok(3), Err(Rejected::QueueFull { capacity: 2 })]
+    );
+    assert_eq!(solo.depth_samples, vec![(1, 1), (2, 1), (3, 2), (4, 2)]);
+    assert_eq!(
+        solo.terminal,
+        vec![
+            // A shed consumes an id and settles at admission, unlaned.
+            (4, 0, 0, 0, ServerOutcome::ShedQueueFull),
+            (1, 1, 0, 1, ServerOutcome::Ok),
+            (2, 1, 0, 1, ServerOutcome::Ok),
+            (3, 1, 0, 1, ServerOutcome::Ok),
+        ]
+    );
+    assert_eq!(solo.stats.shed_queue_full, 1);
+    assert_eq!(solo.stats.max_queue_depth, 2);
+}
+
+#[test]
+fn a_group_shed_half_way_runs_the_members_that_fit_together() {
+    // Four compatible traversals against room for three while the
+    // single worker lingers on an incompatible request: the fourth
+    // sheds on its own, the three that fit still share one engine run —
+    // and submitting the same four one at a time tells the same story,
+    // because the drain folds whole compatible entries.
+    let graph = Arc::new(mesh(32));
+    let config = ServerConfig {
+        queue_capacity: 3,
+        workers: 1,
+        batch_lanes: 4,
+        batch_window: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let group: Vec<Request> =
+        (0..4).map(|lane| Request::new(Algorithm::Sssp { source: lane * 7 + 1 })).collect();
+    let waves = vec![vec![Request::new(Algorithm::Components)], group.clone()];
+    let whole = transcript(&graph, &config, &waves, Style::WholeWave, true);
+    let solo = transcript(&graph, &config, &waves, Style::Solo, true);
+    let one = transcript(&graph, &config, &waves, Style::BatchOfOne, true);
+    assert_eq!(whole, solo, "group vs one at a time");
+    assert_eq!(solo, one, "one at a time vs batches of one");
+    assert_eq!(
+        whole.admissions,
+        vec![Ok(1), Ok(2), Ok(3), Ok(4), Err(Rejected::QueueFull { capacity: 3 })]
+    );
+    assert_eq!(whole.depth_samples, vec![(1, 1), (2, 1), (3, 2), (4, 3), (5, 3)]);
+    assert_eq!(
+        whole.terminal,
+        vec![
+            (5, 0, 0, 0, ServerOutcome::ShedQueueFull),
+            (1, 1, 0, 1, ServerOutcome::Ok),
+            (2, 1, 0, 3, ServerOutcome::Ok),
+            (3, 1, 1, 3, ServerOutcome::Ok),
+            (4, 1, 2, 3, ServerOutcome::Ok),
+        ]
+    );
+    for (request, got) in group.iter().zip(&whole.results[1..]) {
+        let oracle = run_isolated(&graph, request).expect("oracle");
+        assert_eq!(got.as_ref().expect("completes"), &oracle);
+    }
+    assert_eq!((whole.stats.batched, whole.stats.batches, whole.stats.max_batch), (3, 1, 3));
 }

@@ -478,6 +478,60 @@ fn the_watchdog_reaps_one_lane_of_a_batch_and_peers_survive() {
     server.shutdown().reconcile().expect("reconciles");
 }
 
+#[test]
+fn a_panic_inside_the_shared_run_settles_every_member_solo_as_lane_0_of_1() {
+    // A fault *inside* the shared engine run (not at a member's own
+    // containment point) aborts the batch attempt, and every unsettled
+    // member starts over alone: fresh attempt count, a solo engine run,
+    // and a terminal event that says lane 0 of 1 — the batch left no
+    // trace in the books.
+    use ipregel::chaos::CHUNK_PANIC;
+    use ipregel::trace::{ServerOutcome, TraceEvent};
+
+    let _held = lock();
+    let graph = Arc::new(mesh(48));
+    let shapes = batch_shapes();
+    let oracles: Vec<RequestOutput> =
+        shapes.iter().map(|r| run_isolated(&graph, r).expect("oracle")).collect();
+
+    let server = ServerHandle::start(Arc::clone(&graph), batch_config());
+    let results = silencing_panics(|| {
+        // One chunk of superstep 1 panics, once: that is the shared
+        // run; the four solo re-runs pass the same point unharmed.
+        let _armed = arm(vec![Trigger::at(CHUNK_PANIC, 1)]);
+        let tickets: Vec<_> = server
+            .submit_batch(shapes.clone())
+            .into_iter()
+            .map(|r| r.expect("batch admits"))
+            .collect();
+        tickets.into_iter().map(|t| t.wait()).collect::<Vec<_>>()
+    });
+    for (lane, result) in results.into_iter().enumerate() {
+        assert_eq!(result.expect("the solo re-run completes"), oracles[lane], "lane {lane}");
+    }
+
+    let stats = server.stats();
+    assert_eq!(stats.completed, 4);
+    assert_eq!((stats.panicked, stats.retries), (0, 0), "the batch attempt is nobody's retry");
+    assert_eq!((stats.batched, stats.batches, stats.max_batch), (0, 0, 1));
+    let report = server.shutdown();
+    let terminal: Vec<_> = report
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::ServerRequest { id, attempts, lane, lanes, outcome, .. } => {
+                Some((id, attempts, lane, lanes, outcome))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        terminal,
+        (1..=4).map(|id| (id, 1, 0, 1, ServerOutcome::Ok)).collect::<Vec<_>>()
+    );
+    report.reconcile().expect("reconciles");
+}
+
 /// The soak's request shapes: a mixed workload across algorithms,
 /// combiners, and selection modes (all servable on the mesh).
 fn soak_shapes() -> Vec<Request> {
