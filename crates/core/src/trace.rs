@@ -14,10 +14,11 @@
 //! # Collection model
 //!
 //! Workers inside a parallel region record into per-thread shards
-//! (cache-padded, one `try_lock` per event — uncontended in the common
+//! (cache-padded, one lock per event — uncontended in the common
 //! one-worker-per-shard case and *safe* in every other case, unlike a
 //! bare `UnsafeCell` shard, because a [`Tracer`] is user-visible through
-//! `RunConfig` and may legally be shared across concurrent runs).
+//! `RunConfig` and may legally be shared across concurrent runs; workers
+//! sharing a shard wait out each other's one `push`).
 //! Orchestrator-side events go straight to the main log. At each
 //! superstep barrier the engine calls [`Tracer::barrier`], which drains
 //! the shards in chunk order into the log and takes a periodic RSS
@@ -38,6 +39,7 @@
 
 use std::time::Duration;
 
+use crate::json::{parse_flat_object, Value};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::lockorder::{classes, OrderedMutex};
 
@@ -51,15 +53,11 @@ use ipregel_par::CachePadded;
 /// - **2** — `chunk` gains a trailing `worker` field (which pool worker
 ///   executed the chunk — under work-stealing this is no longer implied
 ///   by the chunk index), and the `pool` event reports per-superstep
-///   steal/overflow counters. The decoder still reads version-1 files:
-///   `worker` defaults to 0 and `pool` events simply never appear. The
-///   default is gated on the file's declared version — a chunk line
-///   missing `worker` in a schema-2 file is malformed, not worker 0.
+///   steal/overflow counters.
 /// - **3** — the resident server (PR 8) adds `server_request` (one
 ///   terminal record per submitted request: queue wait, run time,
 ///   attempts, outcome) and `server_queue_depth` (admission-time depth
-///   samples). Purely additive: version-1/2 files decode unchanged —
-///   the new type names simply never appear in them.
+///   samples). Purely additive.
 /// - **4** — K-lane batching (PR 9): `server_request` gains `lane`
 ///   (position inside the batch the request ran in) and `lanes` (batch
 ///   width; 1 = ran solo, 0 = shed before any lane was assigned). The
@@ -69,8 +67,10 @@ use ipregel_par::CachePadded;
 ///   malformed, not lane 0.
 pub const SCHEMA_VERSION: u32 = 4;
 
-/// Oldest schema version [`decode_line`] accepts.
-pub const MIN_SCHEMA_VERSION: u32 = 1;
+/// Oldest schema version [`decode_line`] accepts: the current one and
+/// its predecessor. Versions 1 and 2 get the typed "unsupported trace
+/// schema" error.
+pub const MIN_SCHEMA_VERSION: u32 = 3;
 
 /// Cap on events buffered per worker shard between barriers. A chunk
 /// event is ~64 bytes and supersteps rarely plan more than a few
@@ -187,8 +187,8 @@ pub enum TraceEvent {
         /// Index of the chunk within the superstep's plan.
         chunk: u64,
         /// Weight the scheduler assigned to the chunk (degree + 1 per
-        /// vertex from schema 2 on; raw edge counts in schema-1 files —
-        /// the wire key keeps its original name for compatibility).
+        /// vertex; the wire key keeps its schema-1 name, from when it
+        /// carried raw edge counts).
         planned_edges: u64,
         /// Measured wall-clock of the chunk body.
         duration_ns: u64,
@@ -200,14 +200,13 @@ pub enum TraceEvent {
         spin_iterations: u64,
         /// Pool worker index the chunk body ran on. With work-stealing
         /// this is timing-dependent (any worker may run any chunk), so
-        /// it is recorded rather than inferred. 0 in schema-1 files and
-        /// for the sequential engine.
+        /// it is recorded rather than inferred. 0 for the sequential
+        /// engine.
         worker: u64,
     },
     /// Work-stealing scheduler counters for one superstep's parallel
     /// region: the delta of the pool's cumulative counters across the
-    /// region (see `ipregel_par::current_pool_stats`). Zero under the
-    /// rayon backend, which does not expose its scheduler.
+    /// region (see `ipregel_par::current_pool_stats`).
     Pool {
         /// Superstep the region belonged to.
         superstep: u64,
@@ -361,8 +360,8 @@ pub fn ns(d: Duration) -> u64 {
 /// through [`crate::RunConfig::trace`] as an `Arc`, and drained with
 /// [`Tracer::take_events`] after the run. All methods are safe under
 /// arbitrary sharing: worker shards are per-thread by worker index but
-/// guarded by `try_lock`, so a surprising topology degrades to
-/// contention, never to undefined behaviour.
+/// guarded by a lock, so a surprising topology degrades to contention,
+/// never to undefined behaviour.
 pub struct Tracer {
     shards: Box<[CachePadded<OrderedMutex<Vec<TraceEvent>>>]>,
     log: OrderedMutex<Vec<TraceEvent>>,
@@ -418,28 +417,19 @@ impl Tracer {
     }
 
     /// Record one event. Callable from anywhere: pool workers land in
-    /// their own shard (one uncontended `try_lock`), everything else —
-    /// including a worker whose shard is momentarily contended — goes to
-    /// the main log.
+    /// their own shard, everything else goes to the main log. A worker
+    /// whose shard is contended — more workers than shards map several
+    /// onto one — blocks for the holder's one `push` rather than filing
+    /// into the log, where a `chunk` event would sit ahead of the
+    /// barrier's chunk-order sort.
     pub fn record(&self, event: TraceEvent) {
-        if let Some(i) = ipregel_par::current_thread_index() {
-            let shard = &self.shards[i % self.shards.len()];
-            // lock-order(tracer.shard)
-            if let Ok(mut v) = shard.try_lock() {
-                if v.len() < SHARD_CAPACITY {
-                    v.push(event);
-                } else {
-                    // ordering(Relaxed): monotone drop counter, read only
-                    // after the run quiesces
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-        }
-        // lock-order(tracer.log)
-        match self.log.lock() {
-            Ok(mut log) => log.push(event),
-            Err(_) => {
+        let Some(i) = ipregel_par::current_thread_index() else {
+            return self.record_sync(event);
+        };
+        // lock-order(tracer.shard)
+        match self.shards[i % self.shards.len()].lock() {
+            Ok(mut v) if v.len() < SHARD_CAPACITY => v.push(event),
+            _ => {
                 // ordering(Relaxed): monotone drop counter, read only
                 // after the run quiesces
                 self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -649,7 +639,7 @@ pub mod contention {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL codec (schema version 3; reads 1..=3)
+// JSONL codec
 // ---------------------------------------------------------------------------
 
 /// The meta header line opening every trace file.
@@ -773,131 +763,33 @@ pub fn encode_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// A value in a flat trace-line object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JsonVal {
-    Str(String),
-    Num(u64),
-}
-
-/// Parse one flat JSON object (`{"k":v,...}`, values strings or u64).
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    let bytes = line.trim().as_bytes();
-    let err = |what: &str, at: usize| format!("{what} at byte {at} in {line:?}");
-    let mut i = 0usize;
-    let mut fields = Vec::new();
-    if bytes.first() != Some(&b'{') {
-        return Err(err("expected '{'", 0));
-    }
-    i += 1;
-    if bytes.get(i) == Some(&b'}') {
-        return Ok(fields);
-    }
-    loop {
-        // Key.
-        if bytes.get(i) != Some(&b'"') {
-            return Err(err("expected '\"' opening a key", i));
-        }
-        i += 1;
-        let key_start = i;
-        while i < bytes.len() && bytes[i] != b'"' {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err(err("unterminated key", key_start));
-        }
-        let key = std::str::from_utf8(&bytes[key_start..i])
-            .map_err(|_| err("non-utf8 key", key_start))?
-            .to_string();
-        i += 1;
-        if bytes.get(i) != Some(&b':') {
-            return Err(err("expected ':'", i));
-        }
-        i += 1;
-        // Value: string or unsigned integer.
-        let val = match bytes.get(i) {
-            Some(&b'"') => {
-                i += 1;
-                let mut v = String::new();
-                loop {
-                    match bytes.get(i) {
-                        Some(&b'"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b'\\') => {
-                            // Minimal escapes: \" and \\ (the encoder
-                            // emits neither, but be tolerant).
-                            match bytes.get(i + 1) {
-                                Some(&c @ (b'"' | b'\\')) => {
-                                    v.push(c as char);
-                                    i += 2;
-                                }
-                                _ => return Err(err("unsupported escape", i)),
-                            }
-                        }
-                        Some(&c) => {
-                            v.push(c as char);
-                            i += 1;
-                        }
-                        None => return Err(err("unterminated string", i)),
-                    }
-                }
-                JsonVal::Str(v)
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let num_start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text = std::str::from_utf8(&bytes[num_start..i]).expect("ascii digits");
-                JsonVal::Num(text.parse::<u64>().map_err(|_| err("integer out of range", num_start))?)
-            }
-            _ => return Err(err("expected a string or unsigned integer value", i)),
-        };
-        fields.push((key, val));
-        match bytes.get(i) {
-            Some(&b',') => i += 1,
-            Some(&b'}') => {
-                i += 1;
-                break;
-            }
-            _ => return Err(err("expected ',' or '}'", i)),
-        }
-    }
-    if i != bytes.len() {
-        return Err(err("trailing bytes after object", i));
-    }
-    Ok(fields)
-}
-
+/// Typed access to one decoded trace line (every value is a string or
+/// an unsigned integer).
 struct Fields<'a> {
     line: &'a str,
-    fields: Vec<(String, JsonVal)>,
+    fields: Vec<(String, Value)>,
 }
 
 impl Fields<'_> {
     fn num(&self, key: &str) -> Result<u64, String> {
-        match self.fields.iter().find(|(k, _)| k == key) {
-            Some((_, JsonVal::Num(n))) => Ok(*n),
-            Some((_, JsonVal::Str(_))) => Err(format!("field {key:?} is a string in {:?}", self.line)),
-            None => Err(format!("missing field {key:?} in {:?}", self.line)),
-        }
+        self.num_or(key, None)
     }
 
-    /// A numeric field that older schema versions did not carry.
-    fn num_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.fields.iter().find(|(k, _)| k == key) {
-            Some((_, JsonVal::Num(n))) => Ok(*n),
-            Some((_, JsonVal::Str(_))) => Err(format!("field {key:?} is a string in {:?}", self.line)),
-            None => Ok(default),
+    /// A numeric field, with a default for one an older schema version
+    /// did not carry.
+    fn num_or(&self, key: &str, default: Option<u64>) -> Result<u64, String> {
+        match (self.fields.iter().find(|(k, _)| k == key), default) {
+            (Some((_, Value::Int(n))), _) => Ok(*n),
+            (Some(_), _) => Err(format!("field {key:?} is not an unsigned integer in {:?}", self.line)),
+            (None, Some(default)) => Ok(default),
+            (None, None) => Err(format!("missing field {key:?} in {:?}", self.line)),
         }
     }
 
     fn str(&self, key: &str) -> Result<&str, String> {
         match self.fields.iter().find(|(k, _)| k == key) {
-            Some((_, JsonVal::Str(s))) => Ok(s),
-            Some((_, JsonVal::Num(_))) => Err(format!("field {key:?} is a number in {:?}", self.line)),
+            Some((_, Value::Str(s))) => Ok(s),
+            Some(_) => Err(format!("field {key:?} is not a string in {:?}", self.line)),
             None => Err(format!("missing field {key:?} in {:?}", self.line)),
         }
     }
@@ -909,7 +801,7 @@ impl Fields<'_> {
 /// A standalone line carries no meta context, so it is held to the
 /// *current* schema: fields that older versions lacked are required.
 /// [`decode_trace`] instead threads each file's declared schema version
-/// into every line, which is what lets version-1 files omit them.
+/// into every line, which is what lets version-3 files omit them.
 pub fn decode_line(line: &str) -> Result<Option<TraceEvent>, String> {
     match decode_line_at(line, SCHEMA_VERSION)? {
         Decoded::Meta(_) => Ok(None),
@@ -926,12 +818,13 @@ enum Decoded {
 }
 
 /// Decode one line under the schema version `schema` declared by the
-/// file's meta header. Version-gated defaults live here: a `chunk`
-/// line may omit `worker` only in schema-1 files — in schema ≥ 2 the
-/// field is part of the wire format and its absence is malformed, not
-/// "worker 0".
+/// file's meta header. Version-gated defaults live here: a
+/// `server_request` line may omit `lane`/`lanes` only in schema-3
+/// files — in schema 4 the fields are part of the wire format and
+/// their absence is malformed, not "lane 0".
 fn decode_line_at(line: &str, schema: u32) -> Result<Decoded, String> {
-    let f = Fields { line, fields: parse_flat_object(line)? };
+    let fields = parse_flat_object(line).map_err(|e| format!("{e} in {line:?}"))?;
+    let f = Fields { line, fields };
     let ty = f.str("type")?;
     let e = match ty {
         "meta" => {
@@ -959,10 +852,7 @@ fn decode_line_at(line: &str, schema: u32) -> Result<Decoded, String> {
             lock_acquisitions: f.num("lock_acquisitions")?,
             cas_retries: f.num("cas_retries")?,
             spin_iterations: f.num("spin_iterations")?,
-            // Absent in schema-1 files, where worker == chunk-owner was
-            // the (implicit) pre-stealing behaviour, recorded as 0; a
-            // schema-2 chunk without it is malformed.
-            worker: if schema >= 2 { f.num("worker")? } else { f.num_or("worker", 0)? },
+            worker: f.num("worker")?,
         },
         "pool" => TraceEvent::Pool {
             superstep: f.num("superstep")?,
@@ -997,18 +887,16 @@ fn decode_line_at(line: &str, schema: u32) -> Result<Decoded, String> {
             seeks: f.num("seeks")?,
             retries: f.num("retries")?,
         },
-        // Schema-3 additions: need no version gating — the type names
-        // simply never occur in older files.
         "server_request" => TraceEvent::ServerRequest {
             id: f.num("id")?,
             queue_ns: f.num("queue_ns")?,
             run_ns: f.num("run_ns")?,
             attempts: f.num("attempts")?,
-            // Absent before batching existed (schema ≤ 3), where every
+            // Absent before batching existed (schema 3), where every
             // request ran solo; recorded as 0 ("unknown, pre-batching").
             // A schema-4 record without them is malformed.
-            lane: if schema >= 4 { f.num("lane")? } else { f.num_or("lane", 0)? },
-            lanes: if schema >= 4 { f.num("lanes")? } else { f.num_or("lanes", 0)? },
+            lane: f.num_or("lane", (schema < 4).then_some(0))?,
+            lanes: f.num_or("lanes", (schema < 4).then_some(0))?,
             outcome: ServerOutcome::parse(f.str("outcome")?)
                 .ok_or_else(|| format!("unknown server outcome in {line:?}"))?,
         },
@@ -1027,9 +915,9 @@ fn decode_line_at(line: &str, schema: u32) -> Result<Decoded, String> {
 
 /// Decode a whole trace file. The first non-empty line must be a meta
 /// header with a supported schema version; that declared version then
-/// governs every event line, so version-gated defaults (the schema-1
-/// `worker` field) apply only to files that actually declare the old
-/// version.
+/// governs every event line, so version-gated defaults (the schema-3
+/// `lane`/`lanes` fields) apply only to files that actually declare the
+/// old version.
 pub fn decode_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     let mut schema: Option<u32> = None;
@@ -1317,40 +1205,45 @@ mod tests {
     }
 
     #[test]
-    fn decoder_reads_schema_1_chunks_without_worker() {
-        let v1 = "{\"type\":\"meta\",\"schema\":1}\n\
-                  {\"type\":\"chunk\",\"superstep\":0,\"chunk\":3,\"planned_edges\":9,\
-                  \"duration_ns\":77,\"lock_acquisitions\":0,\"cas_retries\":0,\
-                  \"spin_iterations\":0}\n";
-        let events = decode_trace(v1).expect("schema 1 must stay readable");
+    fn lane_defaults_are_gated_on_the_declared_schema() {
+        // The identical lane-less server_request line: legal in a file
+        // that declares schema 3 (both default to 0), malformed in one
+        // that declares schema 4 — the default must not paper over a
+        // truncated line.
+        let request = "{\"type\":\"server_request\",\"id\":7,\"queue_ns\":1,\"run_ns\":2,\
+                       \"attempts\":1,\"outcome\":\"ok\"}";
+        let v3 = format!("{{\"type\":\"meta\",\"schema\":3}}\n{request}\n");
         assert_eq!(
-            events,
-            vec![TraceEvent::Chunk {
-                superstep: 0,
-                chunk: 3,
-                planned_edges: 9,
-                duration_ns: 77,
-                lock_acquisitions: 0,
-                cas_retries: 0,
-                spin_iterations: 0,
-                worker: 0,
+            decode_trace(&v3).expect("schema 3 must stay readable"),
+            vec![TraceEvent::ServerRequest {
+                id: 7,
+                queue_ns: 1,
+                run_ns: 2,
+                attempts: 1,
+                lane: 0,
+                lanes: 0,
+                outcome: ServerOutcome::Ok,
             }]
         );
+        let v4 = format!("{}\n{request}\n", encode_meta());
+        let err = decode_trace(&v4).expect_err("schema 4 requires the lane fields");
+        assert!(err.contains("lane"), "error should name the missing field: {err}");
+        // Standalone lines are held to the current schema too.
+        assert!(decode_line(request).is_err(), "decode_line is current-schema strict");
     }
 
-    #[test]
-    fn worker_default_is_gated_on_the_declared_schema() {
-        // The identical worker-less chunk line: legal in a file that
-        // declares schema 1 (see above), malformed in one that declares
-        // schema 2 — the default must not paper over a truncated line.
-        let chunk = "{\"type\":\"chunk\",\"superstep\":0,\"chunk\":3,\"planned_edges\":9,\
-                     \"duration_ns\":77,\"lock_acquisitions\":0,\"cas_retries\":0,\
-                     \"spin_iterations\":0}";
-        let v2 = format!("{{\"type\":\"meta\",\"schema\":2}}\n{chunk}\n");
-        let err = decode_trace(&v2).expect_err("schema 2 requires the worker field");
-        assert!(err.contains("worker"), "error should name the missing field: {err}");
-        // Standalone lines are held to the current schema too.
-        assert!(decode_line(chunk).is_err(), "decode_line is current-schema strict");
+    /// A chunk event that carries nothing but its position.
+    fn bare_chunk(superstep: u64, chunk: u64) -> TraceEvent {
+        TraceEvent::Chunk {
+            superstep,
+            chunk,
+            planned_edges: 0,
+            duration_ns: 0,
+            lock_acquisitions: 0,
+            cas_retries: 0,
+            spin_iterations: 0,
+            worker: 0,
+        }
     }
 
     #[test]
@@ -1361,32 +1254,7 @@ mod tests {
         let pool = ipregel_par::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         t.record_sync(TraceEvent::SuperstepBegin { superstep: 0 });
         pool.install(|| {
-            ipregel_par::join(
-                || {
-                    t.record(TraceEvent::Chunk {
-                        superstep: 0,
-                        chunk: 1,
-                        planned_edges: 0,
-                        duration_ns: 0,
-                        lock_acquisitions: 0,
-                        cas_retries: 0,
-                        spin_iterations: 0,
-                        worker: 0,
-                    })
-                },
-                || {
-                    t.record(TraceEvent::Chunk {
-                        superstep: 0,
-                        chunk: 0,
-                        planned_edges: 0,
-                        duration_ns: 0,
-                        lock_acquisitions: 0,
-                        cas_retries: 0,
-                        spin_iterations: 0,
-                        worker: 0,
-                    })
-                },
-            );
+            ipregel_par::join(|| t.record(bare_chunk(0, 1)), || t.record(bare_chunk(0, 0)));
         });
         t.barrier(0);
         t.record_sync(TraceEvent::SuperstepEnd {
@@ -1405,6 +1273,34 @@ mod tests {
         assert!(matches!(events[3], TraceEvent::SuperstepEnd { .. }));
         assert_eq!(t.dropped_events(), 0);
         assert!(t.take_events().is_empty(), "take_events drains");
+    }
+
+    #[test]
+    fn workers_sharing_a_shard_still_yield_ascending_chunks_at_every_barrier() {
+        // One shard, four workers: every record() contends. A contended
+        // worker used to file its chunk straight into the log, ahead of
+        // (and unsorted against) the shard's drain.
+        use ipregel_par::prelude::*;
+        let t = Tracer::with_shards(1);
+        let pool = ipregel_par::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        const CHUNKS: u64 = 256;
+        for superstep in 0..8u64 {
+            t.record_sync(TraceEvent::SuperstepBegin { superstep });
+            pool.install(|| {
+                (0..CHUNKS).into_par_iter().for_each(|chunk| t.record(bare_chunk(superstep, chunk)));
+            });
+            t.barrier(superstep as usize);
+        }
+        let events = t.take_events();
+        assert_eq!(t.dropped_events(), 0);
+        let mut it = events.iter();
+        for superstep in 0..8u64 {
+            assert_eq!(it.next(), Some(&TraceEvent::SuperstepBegin { superstep }));
+            for chunk in 0..CHUNKS {
+                assert_eq!(it.next(), Some(&bare_chunk(superstep, chunk)), "chunk order at the barrier");
+            }
+        }
+        assert_eq!(it.next(), None);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //!
 //! ```text
 //! magic    4 bytes  "IPGB"
-//! version  u32      2 plain, 3 compressed (v1, without checksum, still loads)
+//! version  u32      2 plain, 3 compressed
 //! flags    u32      bit 0: weighted
 //! base     u32      smallest external identifier
 //! n        u32      number of vertices
 //! m        u64      number of edges
-//! --- v1/v2 payload ---
+//! --- v2 payload ---
 //! edges    m × (u32 src, u32 dst)           external identifiers
 //! --- v3 payload ---
 //! comp_len u64      exact byte length of the varint section below
@@ -21,7 +21,7 @@
 //!          edge) — the same delta coding as `csr_compact`
 //! --- both ---
 //! weights  m × u32  only when weighted (v3: per-vertex sorted order)
-//! checksum u64      FNV-1a 64 of everything above (v2/v3)
+//! checksum u64      FNV-1a 64 of everything above
 //! ```
 //!
 //! The trailing checksum (shared with the checkpoint format, see
@@ -41,14 +41,14 @@ use crate::csr::Graph;
 use crate::csr_compact::{write_varint, MAX_VARINT32_LEN};
 use crate::error::GraphError;
 
-// format-region(ipgb, v3): begin — the graph cache wire format. A
+// format-region(ipgb, v4): begin — the graph cache wire format. A
 // layout change here must bump the version constants *and* the marker
 // version, then re-bless with `cargo run -p ipregel-lint -- --bless-formats`.
+// (Marker v4 only retired the constant for reading checksum-free
+// version-1 files; no emitted byte changed.)
 const MAGIC: &[u8; 4] = b"IPGB";
 /// Current plain (checksummed, fixed-width edge list) format version.
 const VERSION: u32 = 2;
-/// The original checksum-free version, still accepted on read.
-const VERSION_UNCHECKSUMMED: u32 = 1;
 /// The compressed variant: delta-varint adjacency with a declared
 /// section length, always checksummed.
 const VERSION_COMPRESSED: u32 = 3;
@@ -189,9 +189,9 @@ pub fn write_binary_compressed<W: Write>(
 
 /// Deserialise an `IPGB` stream into a [`Graph`].
 ///
-/// Accepts both format versions; for v2 the payload is validated
-/// against its trailing checksum and any mismatch — including a single
-/// flipped bit anywhere in the file — is reported as
+/// Accepts exactly the versions the writers emit (2 and 3); the payload
+/// is validated against its trailing checksum and any mismatch —
+/// including a single flipped bit anywhere in the file — is reported as
 /// [`GraphError::Corrupt`] (FNV-1a's state transition per input byte is
 /// a bijection, so a lone byte change always alters the digest).
 pub fn read_binary<R: Read>(mut r: R, mode: NeighborMode) -> Result<Graph, GraphError> {
@@ -204,10 +204,9 @@ pub fn read_binary<R: Read>(mut r: R, mode: NeighborMode) -> Result<Graph, Graph
         return Err(GraphError::BadBinary(format!("bad magic {magic:?}")));
     }
     let version = h.get_u32_le();
-    if version != VERSION && version != VERSION_UNCHECKSUMMED && version != VERSION_COMPRESSED {
+    if version != VERSION && version != VERSION_COMPRESSED {
         return Err(GraphError::BadBinary(format!("unsupported version {version}")));
     }
-    let checksummed = version != VERSION_UNCHECKSUMMED;
     let flags = h.get_u32_le();
     let weighted = flags & FLAG_WEIGHTED != 0;
     let base = h.get_u32_le();
@@ -383,25 +382,23 @@ pub fn read_binary<R: Read>(mut r: R, mode: NeighborMode) -> Result<Graph, Graph
         }
     }
 
-    if checksummed {
-        let mut tail = [0u8; 8];
-        r.read_exact(&mut tail).map_err(|_| GraphError::BadBinary("truncated checksum".into()))?;
-        let stored = u64::from_le_bytes(tail);
-        let computed = hash.finish();
-        if stored != computed {
-            return Err(GraphError::Corrupt(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-            )));
-        }
-        // Nothing may follow the checksum; bytes here mean the header's
-        // edge count disagrees with the file (e.g. a corrupted `m` that
-        // happened to shrink the payload).
-        let mut probe = [0u8; 1];
-        match r.read(&mut probe) {
-            Ok(0) => {}
-            Ok(_) => return Err(GraphError::Corrupt("trailing bytes after checksum".into())),
-            Err(e) => return Err(GraphError::Io(e)),
-        }
+    let mut tail = [0u8; 8];
+    r.read_exact(&mut tail).map_err(|_| GraphError::BadBinary("truncated checksum".into()))?;
+    let stored = u64::from_le_bytes(tail);
+    let computed = hash.finish();
+    if stored != computed {
+        return Err(GraphError::Corrupt(format!(
+            "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
+        )));
+    }
+    // Nothing may follow the checksum; bytes here mean the header's
+    // edge count disagrees with the file (e.g. a corrupted `m` that
+    // happened to shrink the payload).
+    let mut probe = [0u8; 1];
+    match r.read(&mut probe) {
+        Ok(0) => {}
+        Ok(_) => return Err(GraphError::Corrupt("trailing bytes after checksum".into())),
+        Err(e) => return Err(GraphError::Io(e)),
     }
     b.build()
 }
@@ -493,8 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_without_checksum_still_load() {
-        // Hand-rolled v1 image: header (version 1) + two edges, no tail.
+    fn a_version_1_header_is_an_unsupported_version() {
+        // The retired checksum-free layout: header (version 1) + two
+        // edges, no tail. No ingest path skips the checksum any more.
         let mut file = Vec::new();
         file.extend_from_slice(b"IPGB");
         file.extend_from_slice(&1u32.to_le_bytes());
@@ -506,9 +504,10 @@ mod tests {
             file.extend_from_slice(&s.to_le_bytes());
             file.extend_from_slice(&d.to_le_bytes());
         }
-        let g = read_binary(&file[..], NeighborMode::OutOnly).unwrap();
-        assert_eq!(g.num_vertices(), 2);
-        assert_eq!(g.num_edges(), 2);
+        match read_binary(&file[..], NeighborMode::OutOnly) {
+            Err(GraphError::BadBinary(why)) => assert_eq!(why, "unsupported version 1"),
+            other => panic!("expected BadBinary, got {other:?}"),
+        }
     }
 
     /// Recompute the trailing FNV so a test asserts on the *structural*

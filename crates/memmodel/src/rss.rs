@@ -245,8 +245,10 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn current_hwm_is_at_least_current_rss() {
-        let hwm = current_hwm_bytes().expect("VmHWM should exist on Linux");
+        // RSS first: sibling tests allocate concurrently, and a peak
+        // read before the current value can be overtaken by it.
         let rss = current_rss_bytes().unwrap();
+        let hwm = current_hwm_bytes().expect("VmHWM should exist on Linux");
         assert!(hwm >= rss, "peak {hwm} below current {rss}");
     }
 

@@ -1,29 +1,19 @@
 //! `ipregel-par` — the workspace's parallel runtime facade.
 //!
 //! Every crate in the workspace gets its parallelism from here instead
-//! of depending on rayon directly. Two interchangeable backends sit
-//! behind the same API (see docs/INTERNALS.md, "Parallel runtime"):
-//!
-//! - **`std-pool`** (default): the in-tree, zero-dependency scoped
-//!   thread pool in [`pool`] plus the indexed mini parallel iterators in
-//!   [`iter`]. Builds with `--offline` against an empty registry — this
-//!   is what makes the workspace hermetic — and its chunk-ordered
-//!   reductions are deterministic for a fixed thread count.
-//! - **`rayon`**: maps the identical surface onto the real rayon crate.
-//!   The feature is a plain cfg switch with *no* cargo dependency (any
-//!   registry reference breaks `--offline` resolution); networked
-//!   builds inject the crate with
-//!   `RUSTFLAGS="--extern rayon=… -L dependency=…"`. Used by the CI
-//!   `rayon-equivalence` job to check both backends produce
-//!   bit-identical engine results on the golden fixtures.
+//! of depending on rayon: the in-tree, zero-dependency scoped thread
+//! pool in [`pool`] plus the indexed mini parallel iterators in
+//! [`iter`], behind rayon's names (see docs/INTERNALS.md, "Parallel
+//! runtime"). It builds with `--offline` against an empty registry —
+//! this is what makes the workspace hermetic — and its chunk-ordered
+//! reductions are deterministic for a fixed thread count.
 //!
 //! The facade surface is exactly what the workspace uses — nothing
 //! speculative: `current_num_threads`, `current_thread_index`, `join`,
 //! `scope`, `ThreadPool{Builder}` with `install`, the `prelude` with
 //! `par_iter`/`into_par_iter`/`par_sort_unstable` and the
 //! map/filter/enumerate/zip/for_each/collect/sum/count/reduce family.
-//! [`CachePadded`] (the crossbeam replacement) is always in-tree,
-//! independent of the backend.
+//! [`CachePadded`] is the crossbeam replacement.
 //!
 //! # Worker-index contract
 //!
@@ -33,34 +23,19 @@
 //! returns `Some(i)` with `i < current_num_threads()`, stable for the
 //! closure's whole execution and unique per concurrent worker. Off-pool
 //! threads get `None` and must take the callers' documented fallback
-//! paths. Both backends honor this; `tests/pool.rs` pins it.
-
-#[cfg(not(any(feature = "std-pool", feature = "rayon")))]
-compile_error!(
-    "ipregel-par needs a backend: enable the default `std-pool` feature \
-     (hermetic, in-tree) or `rayon` (requires an externally supplied rayon \
-     rlib via RUSTFLAGS --extern; see docs/INTERNALS.md)"
-);
+//! paths. `tests/pool_contract.rs` pins it.
 
 mod padded;
 pub use padded::CachePadded;
 
-// Backend-independent: the lock-hierarchy classes and the runtime
-// lock-order detector (armed by the `lock-order` feature) apply to the
-// client crates' locks whichever pool executes them.
+// The lock-hierarchy classes and the runtime lock-order detector
+// (armed by the `lock-order` feature) for the client crates' locks.
 pub mod lockorder;
 
-// When both features are on (e.g. `--all-features`), rayon wins: the
-// point of the switch is comparing the real thing against the in-tree
-// pool, so "rayon requested" must mean rayon delivered.
-#[cfg(not(feature = "rayon"))]
 pub mod deque;
-#[cfg(not(feature = "rayon"))]
 mod pool;
-#[cfg(not(feature = "rayon"))]
 pub mod iter;
 
-#[cfg(not(feature = "rayon"))]
 pub use pool::{
     current_num_threads, current_pool_stats, current_thread_index, join, scope, PoolStats, Scope,
     ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
@@ -69,42 +44,9 @@ pub use pool::{
 /// The traits that make `par_iter()` / `into_par_iter()` /
 /// `par_sort_unstable()` available — import as `use
 /// ipregel_par::prelude::*;` exactly like rayon's.
-#[cfg(not(feature = "rayon"))]
 pub mod prelude {
     pub use crate::iter::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
         ParallelSliceMut,
     };
-}
-
-#[cfg(feature = "rayon")]
-pub use rayon::{
-    current_num_threads, current_thread_index, join, scope, Scope, ThreadPool,
-    ThreadPoolBuildError, ThreadPoolBuilder,
-};
-
-/// Work-stealing counters (std-pool backend). Rayon does not expose its
-/// scheduler's internals, so the rayon arm reports zeros — callers
-/// (engine `LoadStats`, the `pool` trace event) treat the counters as
-/// best-effort observability, never as correctness inputs.
-#[cfg(feature = "rayon")]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Always 0 on the rayon backend.
-    pub steals: u64,
-    /// Always 0 on the rayon backend.
-    pub overflow: u64,
-}
-
-/// Rayon-backend stub: counters are invisible inside rayon, so the
-/// snapshot is always zero (deltas across a region are then zero too).
-#[cfg(feature = "rayon")]
-pub fn current_pool_stats() -> PoolStats {
-    PoolStats::default()
-}
-
-/// Rayon-backed prelude: the real thing, same import path.
-#[cfg(feature = "rayon")]
-pub mod prelude {
-    pub use rayon::prelude::*;
 }

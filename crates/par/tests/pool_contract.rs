@@ -10,16 +10,16 @@
 //! 3. **Panic isolation**: a panicking task propagates to the caller
 //!    *after* its siblings drain, and the pool stays usable — the
 //!    engines' `catch_unwind`-per-chunk design depends on both halves.
-//! 4. **Deterministic reduction** (std-pool only): chunk results are
-//!    combined in chunk order, so float sums are bit-identical from run
-//!    to run at any fixed thread count.
+//! 4. **Deterministic reduction**: chunk results are combined in chunk
+//!    order, so float sums are bit-identical from run to run at any
+//!    fixed thread count.
 //!
-//! The second half of the file is the steal-hardened battery (std-pool
-//! only): the same contracts with work-stealing *forced* — adversarial
-//! sleeps push chunks onto thieves, panics land in stolen chunks, and
-//! fan-out past the deque bound spills through the overflow injector —
-//! because every guarantee above must be independent of which worker a
-//! chunk lands on.
+//! The second half of the file is the steal-hardened battery: the same
+//! contracts with work-stealing *forced* — adversarial sleeps push
+//! chunks onto thieves, panics land in stolen chunks, and fan-out past
+//! the deque bound spills through the overflow injector — because every
+//! guarantee above must be independent of which worker a chunk lands
+//! on.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,14 +91,12 @@ fn panic_in_one_task_propagates_and_pool_survives() {
     assert_eq!(sum, 499_500);
 }
 
-// Chunk-order combination is a std-pool guarantee the facade makes
-// *stronger* than rayon's (rayon re-associates reductions at runtime):
-// for a fixed thread count the chunk plan is fixed, so float sums are
-// bit-identical run to run regardless of which worker takes which
-// chunk. (Across *different* thread counts the plan itself changes, so
-// only approximate equality holds — same as rayon.) Under the `rayon`
-// feature this test is compiled out.
-#[cfg(not(feature = "rayon"))]
+// Chunk-order combination is a guarantee the facade makes *stronger*
+// than rayon's (rayon re-associates reductions at runtime): for a fixed
+// thread count the chunk plan is fixed, so float sums are bit-identical
+// run to run regardless of which worker takes which chunk. (Across
+// *different* thread counts the plan itself changes, so only
+// approximate equality holds — same as rayon.)
 #[test]
 fn float_reductions_are_bit_identical_for_a_fixed_thread_count() {
     let values: Vec<f64> = (0..10_000).map(|i| 1.0 / f64::from(i + 1)).collect();
@@ -126,7 +124,6 @@ fn float_reductions_are_bit_identical_for_a_fixed_thread_count() {
 /// chunk slots in chunk order on the caller, so the adversarial run's
 /// sum must match the undisturbed run bit for bit — and the steal
 /// counters prove the schedules actually differed.
-#[cfg(not(feature = "rayon"))]
 #[test]
 fn float_reduction_bits_survive_forced_stealing() {
     let values: Vec<f64> = (0..10_000).map(|i| 1.0 / f64::from(i + 1)).collect();
@@ -170,7 +167,6 @@ fn float_reduction_bits_survive_forced_stealing() {
 /// whole pool must join in (a worker that never shows up would mean
 /// wakeups got lost), and no task may ever observe an out-of-range or
 /// unstable index mid-execution.
-#[cfg(not(feature = "rayon"))]
 #[test]
 fn worker_indices_stay_dense_under_active_steals() {
     const THREADS: usize = 4;
@@ -213,7 +209,6 @@ fn worker_indices_stay_dense_under_active_steals() {
 /// siblings must drain, and the pool must stay usable. The panicking
 /// task sits at the front of the spawner's deque — exactly where a
 /// thief takes from — while the spawner itself works the back.
-#[cfg(not(feature = "rayon"))]
 #[test]
 fn panic_in_a_stolen_chunk_blames_that_chunk_and_pool_survives() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -267,7 +262,6 @@ fn panic_in_a_stolen_chunk_blames_that_chunk_and_pool_survives() {
 /// *and* the injector while blocked in the outer scope, or the fan-out
 /// deadlocks. Fan-out is sized well past the per-worker deque bound
 /// (256) to force the spill.
-#[cfg(not(feature = "rayon"))]
 #[test]
 fn nested_scopes_on_one_thread_drain_the_overflow_injector() {
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,17 +1,11 @@
 //! Mini-proptest: an in-tree, dependency-free property-testing fallback.
 //!
 //! This crate is deliberately *named* `proptest` so the workspace's
-//! property suites compile unchanged (`use proptest::prelude::*;`)
-//! against either backend:
-//!
-//! - **default**: the mini implementation below — deterministic
-//!   sampling from a SplitMix64 stream seeded by the test's module
-//!   path, no network, no dependencies. It runs every property the
-//!   suites define, but it does **not shrink** failures and it treats
-//!   `prop_assume!` discards as passes rather than resampling.
-//! - **`real` feature**: re-exports the actual proptest crate, injected
-//!   by a networked build as `--extern proptest_real=…` (see
-//!   Cargo.toml). Use it to minimise a failure the mini backend found.
+//! property suites read like any other (`use proptest::prelude::*;`):
+//! deterministic sampling from a SplitMix64 stream seeded by the test's
+//! module path, no network, no dependencies. It runs every property the
+//! suites define, but it does **not shrink** failures and it treats
+//! `prop_assume!` discards as passes rather than resampling.
 //!
 //! Only the strategy surface the workspace uses is implemented: integer
 //! and float ranges (half-open and inclusive), `any` for the primitive
@@ -22,10 +16,5 @@
 
 #![forbid(unsafe_code)]
 
-#[cfg(feature = "real")]
-pub use proptest_real::*;
-
-#[cfg(not(feature = "real"))]
 mod mini;
-#[cfg(not(feature = "real"))]
 pub use mini::*;

@@ -347,20 +347,12 @@ impl ServerReport {
         let mut by_outcome = [0u64; 6];
         let mut depth_samples = 0u64;
         let mut max_depth = 0u64;
-        let mut batched = 0u64;
-        let mut batches = 0u64;
-        let mut max_batch = 0u64;
+        let mut traced = ServerStats::default();
         for e in &self.events {
             match *e {
                 TraceEvent::ServerRequest { outcome, lane, lanes, .. } => {
                     by_outcome[outcome as usize] += 1;
-                    max_batch = max_batch.max(lanes);
-                    if lanes >= 2 {
-                        batched += 1;
-                        if lane == 0 {
-                            batches += 1;
-                        }
-                    }
+                    note_lane_stats(&mut traced, lane, lanes);
                 }
                 TraceEvent::ServerQueueDepth { depth, .. } => {
                     depth_samples += 1;
@@ -389,9 +381,9 @@ impl ServerReport {
         check("max depth", max_depth, s.max_queue_depth)?;
         let settled = s.completed + s.deadline_exceeded + s.reaped + s.panicked;
         check("settled == admitted", settled, s.admitted)?;
-        check("batched", batched, s.batched)?;
-        check("batches", batches, s.batches)?;
-        check("max batch", max_batch, s.max_batch)?;
+        check("batched", traced.batched, s.batched)?;
+        check("batches", traced.batches, s.batches)?;
+        check("max batch", traced.max_batch, s.max_batch)?;
         if self.dropped_events != 0 {
             return Err(format!("{} trace events dropped", self.dropped_events));
         }
@@ -569,9 +561,11 @@ impl ServerHandle {
     }
 
     /// Validate and admit a request. Returns a [`Ticket`] for its
-    /// result, or the typed admission refusal.
+    /// result, or the typed admission refusal. A solo request is a
+    /// batch of one: this is [`ServerHandle::submit_batch`] with a
+    /// single member.
     pub fn submit(&self, request: Request) -> Result<Ticket, Rejected> {
-        self.inner.submit(request)
+        self.inner.submit_batch(vec![request]).pop().expect("one decision per request")
     }
 
     /// [`ServerHandle::submit`] + [`Ticket::wait`] in one call.
@@ -592,8 +586,7 @@ impl ServerHandle {
     /// trace event. Results are returned in submission order.
     ///
     /// With [`ServerConfig::batch_lanes`] = 1 every group is a
-    /// singleton and this is exactly a loop over
-    /// [`ServerHandle::submit`].
+    /// singleton.
     pub fn submit_batch(&self, requests: Vec<Request>) -> Vec<Result<Ticket, Rejected>> {
         self.inner.submit_batch(requests)
     }
@@ -666,85 +659,8 @@ impl Drop for ServerHandle {
 }
 
 impl Inner {
-    /// Admission: validate, then atomically check shutdown + capacity
-    /// under the queue lock. Every submission decision — admitted or
-    /// shed — emits one queue-depth sample; sheds additionally emit
-    /// their terminal request event right here.
-    fn submit(self: &Arc<Self>, request: Request) -> Result<Ticket, Rejected> {
-        if let Err(why) = self.validate(&request) {
-            // lock-order(server.stats)
-            relock(self.stats.lock()).rejected_invalid += 1;
-            return Err(Rejected::Invalid(why));
-        }
-        // ordering(Relaxed): unique-id tick; uniqueness is all that is
-        // needed, no ordering with other memory.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = Arc::new(Slot {
-            id,
-            request,
-            admitted: Instant::now(),
-            state: OrderedMutex::new(&classes::SERVER_REQUEST, SlotState::Queued),
-            settled: OrderedCondvar::new(),
-        });
-        let (admitted, depth) = {
-            // lock-order(server.queue)
-            let mut q = relock(self.queue.lock());
-            if q.shutting_down {
-                (Err(Rejected::ShuttingDown), q.depth() as u64)
-            } else if q.depth() >= self.config.queue_capacity {
-                (
-                    Err(Rejected::QueueFull { capacity: self.config.queue_capacity }),
-                    q.depth() as u64,
-                )
-            } else {
-                q.queue.push_back(vec![Arc::clone(&slot)]);
-                (Ok(()), q.depth() as u64)
-            }
-        };
-        self.sample_depth(depth);
-        match admitted {
-            Ok(()) => {
-                self.admitted_cv.notify_one();
-                // lock-order(server.registry)
-                relock(self.registry.lock()).push(Arc::clone(&slot));
-                {
-                    // lock-order(server.stats)
-                    let mut s = relock(self.stats.lock());
-                    s.admitted += 1;
-                    s.max_queue_depth = s.max_queue_depth.max(depth);
-                }
-                Ok(Ticket { slot })
-            }
-            Err(rejected) => {
-                let outcome = match rejected {
-                    Rejected::QueueFull { .. } => ServerOutcome::ShedQueueFull,
-                    _ => ServerOutcome::ShedShutdown,
-                };
-                {
-                    // lock-order(server.stats)
-                    let mut s = relock(self.stats.lock());
-                    match outcome {
-                        ServerOutcome::ShedQueueFull => s.shed_queue_full += 1,
-                        _ => s.shed_shutdown += 1,
-                    }
-                    s.max_queue_depth = s.max_queue_depth.max(depth);
-                }
-                self.tracer.record_sync(TraceEvent::ServerRequest {
-                    id,
-                    queue_ns: 0,
-                    run_ns: 0,
-                    attempts: 0,
-                    lane: 0,
-                    lanes: 0,
-                    outcome,
-                });
-                Err(rejected)
-            }
-        }
-    }
-
-    /// Batched admission: validate each member, partition the valid
-    /// ones into compatible groups of at most
+    /// Admission, the only way in: validate each member, partition the
+    /// valid ones into compatible groups of at most
     /// [`ServerConfig::batch_lanes`] members, and admit each group as
     /// one queue entry. Accounting stays per-request (see
     /// [`ServerHandle::submit_batch`]).
@@ -779,11 +695,13 @@ impl Inner {
         results.into_iter().map(|r| r.expect("every request decided")).collect()
     }
 
-    /// Admit one compatible group as a single queue entry. Mirrors
-    /// [`Inner::submit`]'s accounting per member: its own id, depth
-    /// sample, admitted/shed counters, and (for sheds) terminal event.
-    /// Members that no longer fit the queue shed individually; the ones
-    /// that fit still run together.
+    /// Admit one compatible group as a single queue entry, atomically
+    /// checking shutdown + capacity under the queue lock. Accounting is
+    /// per member: its own id, admitted/shed counters, one queue-depth
+    /// sample per decision — admitted or shed — and, for sheds, the
+    /// terminal request event right here. Members that no longer fit
+    /// the queue shed individually; the ones that fit still run
+    /// together.
     fn submit_group(self: &Arc<Self>, requests: Vec<Request>) -> Vec<Result<Ticket, Rejected>> {
         let slots: Vec<Arc<Slot>> = requests
             .into_iter()
@@ -944,11 +862,7 @@ impl Inner {
                 }
             };
             let Some(batch) = batch else { return };
-            if batch.len() == 1 {
-                self.run_slot(&batch[0]);
-            } else {
-                self.run_batch(&batch);
-            }
+            self.run_group(&batch);
         }
     }
 
@@ -994,36 +908,171 @@ impl Inner {
         }
     }
 
-    /// Run one request to settlement: mark Running, attempt with retry
-    /// and backoff inside the remaining budget, write Done exactly once
-    /// (unless the watchdog got there first).
-    fn run_slot(&self, slot: &Slot) {
+    /// Run one popped group to settlement — the one request lifecycle,
+    /// whatever the width: fix each member's budget, mark it Running
+    /// (lane-tagged), run, and hand each member's verdict to
+    /// [`Inner::settle`], the only writer of `Done`.
+    ///
+    /// The group's width is the one fork, and the only place the engine
+    /// entry is chosen: a lone request runs its solo program
+    /// ([`run_once`]) inside [`Inner::attempt`]'s retry loop, K ≥ 2
+    /// members share one [`run_lanes`] traversal. A batch of one would
+    /// be correct but not free — `Lanes<T>` is a fixed 8-wide stripe,
+    /// and the benchmark's baseline has K = 2 at 0.61–0.72× of solo — so
+    /// width 1 keeps the scalar programs. Everything PR 8 guarantees per
+    /// request stays per *lane*:
+    ///
+    /// * **Deadlines** — each member keeps its own budget. A member
+    ///   whose budget is spent before launch settles typed immediately;
+    ///   one that expires mid-run is masked out of the stripe (it stops
+    ///   generating messages) and fails [`RequestError::DeadlineExceeded`]
+    ///   while its peers complete. The engine-level cooperative
+    ///   deadline is the *loosest* member budget — set only when every
+    ///   live member has one — so it can only fire once per-lane
+    ///   masking has already failed every lane.
+    /// * **Panic containment / retry** — the per-request chaos
+    ///   containment point runs per member before launch, in the same
+    ///   retry/backoff loop a solo request's engine attempts use, so an
+    ///   injected panic targeting one member settles only that member.
+    ///   A panic *inside* the shared engine run (a real vertex panic)
+    ///   aborts the batch attempt and every unsettled member starts over
+    ///   as a group of one with full retry semantics — correctness over
+    ///   batching.
+    /// * **Accounting** — each member settles individually (own trace
+    ///   event, lane-tagged; own stats), and the watchdog reaps stuck
+    ///   members individually via the lane-tagged `Running` state.
+    fn run_group(&self, group: &[Arc<Slot>]) {
         let picked_up = Instant::now();
-        let queue_wait = picked_up.duration_since(slot.admitted);
-        #[allow(unused_mut)] // mutated only under the chaos feature
-        let mut budget = slot.request.deadline.or(self.config.default_deadline);
-        #[cfg(feature = "chaos")]
-        if ipregel::chaos::fires(ipregel::chaos::SERVER_DEADLINE_SKEW, slot.id) {
-            // Collapse the budget: a deterministic DeadlineExceeded at
-            // the engine's first check.
-            budget = Some(Duration::ZERO);
-        }
-        {
+        let lanes = group.len() as u64;
+        let budgets: Vec<Option<Duration>> = group
+            .iter()
+            .map(|slot| {
+                #[allow(unused_mut)] // mutated only under the chaos feature
+                let mut budget = slot.request.deadline.or(self.config.default_deadline);
+                #[cfg(feature = "chaos")]
+                if ipregel::chaos::fires(ipregel::chaos::SERVER_DEADLINE_SKEW, slot.id) {
+                    // Collapse this member's budget only: a
+                    // deterministic (per-lane) DeadlineExceeded at the
+                    // first check.
+                    budget = Some(Duration::ZERO);
+                }
+                budget
+            })
+            .collect();
+        for (i, slot) in group.iter().enumerate() {
             // lock-order(server.request)
             let mut st = relock(slot.state.lock());
-            *st = SlotState::Running { since: picked_up, budget, lane: 0, lanes: 1 };
+            if matches!(*st, SlotState::Done(_) | SlotState::Delivered) {
+                // Only a group of one gets here: the shared-run
+                // fallback below re-enters with members that were
+                // Running, and the watchdog may have reaped one
+                // meanwhile. `Done` is write-once — it stays settled,
+                // and nothing is left to run for it.
+                return;
+            }
+            *st = SlotState::Running {
+                since: picked_up,
+                budget: budgets[i],
+                lane: i as u64,
+                lanes,
+            };
         }
         #[cfg(feature = "chaos")]
-        if ipregel::chaos::fires(ipregel::chaos::SERVER_ADMISSION_DELAY, slot.id) {
-            // Stall the worker while the slot is Running: consumption
-            // backs up so the bounded queue sheds, and a zero-budget
-            // slot sits in the watchdog's reapable window.
-            std::thread::sleep(Duration::from_millis(50));
+        for slot in group {
+            if ipregel::chaos::fires(ipregel::chaos::SERVER_ADMISSION_DELAY, slot.id) {
+                // Stall the worker with every member Running:
+                // consumption backs up so the bounded queue sheds, and
+                // zero-budget members sit in the watchdog's reapable
+                // window.
+                std::thread::sleep(Duration::from_millis(50));
+            }
         }
 
+        if let [slot] = group {
+            let (attempts, result) = self.attempt(slot.id, budgets[0], picked_up, |remaining| {
+                run_once(&self.graph, &slot.request, remaining)
+            });
+            self.settle(slot, |_, _| Some((attempts, result)));
+            return;
+        }
+
+        // Per-member pre-flight: spent-budget check and the contained
+        // per-request panic point (an attempt with nothing to run), so
+        // a failure here settles one member and never its peers.
+        let mut live: Vec<(usize, u32)> = Vec::new();
+        for (i, slot) in group.iter().enumerate() {
+            match self.attempt(slot.id, budgets[i], picked_up, |_| Ok(())) {
+                (attempts, Ok(())) => live.push((i, attempts)),
+                (attempts, Err(err)) => self.settle(slot, |_, _| Some((attempts, Err(err)))),
+            }
+        }
+        if live.is_empty() {
+            return;
+        }
+
+        // Remaining per-lane budgets become the stripe's masking
+        // deadlines; the engine-level deadline is the loosest live
+        // budget (and only exists when every live member has one).
+        let mut deadlines = [None; ipregel::MAX_LANES];
+        let mut engine_deadline: Option<Duration> = Some(Duration::ZERO);
+        for (pos, &(i, _)) in live.iter().enumerate() {
+            match budgets[i] {
+                Some(b) => {
+                    let remaining = b.saturating_sub(picked_up.elapsed());
+                    deadlines[pos] = Some(remaining);
+                    engine_deadline = engine_deadline.map(|m| m.max(remaining));
+                }
+                None => engine_deadline = None,
+            }
+        }
+        let live_requests: Vec<&Request> =
+            live.iter().map(|&(i, _)| &group[i].request).collect();
+        // Containment boundary for the shared run (same rationale as
+        // the one in `attempt`).
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_lanes(&self.graph, &live_requests, deadlines, engine_deadline)
+        }));
+        let per_lane = match outcome {
+            Ok(Ok(per_lane)) => per_lane,
+            // The engine-level deadline is only armed when every live
+            // member carries a budget; fail each on its own.
+            Ok(Err(RunError::DeadlineExceeded { .. })) => vec![None; live.len()],
+            _ => {
+                // A panic or transient failure inside the *shared* run:
+                // retrying the whole stripe would couple members'
+                // fates, so every unsettled member starts the lifecycle
+                // over as a group of one, keeping PR-8 retry/deadline
+                // semantics intact.
+                for &(i, _) in &live {
+                    self.run_group(std::slice::from_ref(&group[i]));
+                }
+                return;
+            }
+        };
+        for (&(i, attempts), output) in live.iter().zip(per_lane) {
+            // `None`: masked out mid-run by its own budget.
+            let result = output.ok_or_else(|| RequestError::DeadlineExceeded {
+                deadline: budgets[i].expect("only budgeted lanes expire"),
+            });
+            self.settle(&group[i], |_, _| Some((attempts, result)));
+        }
+    }
+
+    /// The one retry loop: run `body` — handed the budget still unspent,
+    /// which becomes the engine's cooperative deadline — until it
+    /// succeeds, fails terminally, or the retry policy or `budget` is
+    /// spent, sleeping a doubling backoff between transient failures.
+    /// Returns the attempts made with the verdict.
+    fn attempt<T>(
+        &self,
+        id: u64,
+        budget: Option<Duration>,
+        picked_up: Instant,
+        body: impl Fn(Option<Duration>) -> Result<T, RunError>,
+    ) -> (u32, Result<T, RequestError>) {
         let mut attempts = 0u32;
         let result = loop {
-            let engine_deadline = match budget {
+            let remaining = match budget {
                 None => None,
                 Some(b) => {
                     let spent = picked_up.elapsed();
@@ -1034,9 +1083,6 @@ impl Inner {
                 }
             };
             attempts += 1;
-            let id = slot.id;
-            let graph = &self.graph;
-            let request = &slot.request;
             // Containment boundary: a panic anywhere in the attempt —
             // the chaos hook, the dispatcher, or a vertex program that
             // slipped past the engine's own chunk-level catch — becomes
@@ -1045,7 +1091,7 @@ impl Inner {
                 #[cfg(feature = "chaos")]
                 ipregel::chaos::maybe_panic(ipregel::chaos::SERVER_REQUEST_PANIC, id);
                 let _ = id;
-                run_once(graph, request, engine_deadline)
+                body(remaining)
             }));
             let failure = match attempt {
                 Ok(Ok(output)) => break Ok(output),
@@ -1074,210 +1120,34 @@ impl Inner {
             let backoff = self.config.retry.base_backoff.saturating_mul(1 << (attempts - 1).min(16));
             std::thread::sleep(backoff);
         };
-        self.settle(slot, attempts, queue_wait, picked_up.elapsed(), result, 0, 1);
+        (attempts, result)
     }
 
-    /// Run a K ≥ 2 group as one K-lane engine run, fanning per-lane
-    /// results back to each member's [`Ticket`]. Everything PR 8
-    /// guarantees per request stays per *lane*:
-    ///
-    /// * **Deadlines** — each member keeps its own budget. A member
-    ///   whose budget is spent before launch settles typed immediately;
-    ///   one that expires mid-run is masked out of the stripe (it stops
-    ///   generating messages) and fails [`RequestError::DeadlineExceeded`]
-    ///   while its peers complete. The engine-level cooperative
-    ///   deadline is the *loosest* member budget — set only when every
-    ///   live member has one — so it can only fire once per-lane
-    ///   masking has already failed every lane.
-    /// * **Panic containment / retry** — the per-request chaos
-    ///   containment point runs per member before launch, with the solo
-    ///   path's retry/backoff loop, so an injected panic targeting one
-    ///   member settles only that member. A panic *inside* the shared
-    ///   engine run (a real vertex panic) aborts the batch attempt and
-    ///   every unsettled member falls back to a solo [`Inner::run_slot`]
-    ///   with full retry semantics — correctness over batching.
-    /// * **Accounting** — each member settles individually (own trace
-    ///   event, lane-tagged; own stats), and the watchdog reaps stuck
-    ///   members individually via the lane-tagged `Running` state.
-    fn run_batch(&self, batch: &[Arc<Slot>]) {
-        let picked_up = Instant::now();
-        let lanes = batch.len() as u64;
-        let budgets: Vec<Option<Duration>> = batch
-            .iter()
-            .map(|slot| {
-                #[allow(unused_mut)] // mutated only under the chaos feature
-                let mut budget = slot.request.deadline.or(self.config.default_deadline);
-                #[cfg(feature = "chaos")]
-                if ipregel::chaos::fires(ipregel::chaos::SERVER_DEADLINE_SKEW, slot.id) {
-                    // Collapse this member's budget only: a
-                    // deterministic per-lane DeadlineExceeded.
-                    budget = Some(Duration::ZERO);
-                }
-                budget
-            })
-            .collect();
-        for (i, slot) in batch.iter().enumerate() {
-            // lock-order(server.request)
-            let mut st = relock(slot.state.lock());
-            *st = SlotState::Running {
-                since: picked_up,
-                budget: budgets[i],
-                lane: i as u64,
-                lanes,
-            };
-        }
-        #[cfg(feature = "chaos")]
-        for slot in batch {
-            if ipregel::chaos::fires(ipregel::chaos::SERVER_ADMISSION_DELAY, slot.id) {
-                // Stall with every member Running, exactly like the
-                // solo path: the queue backs up and zero-budget members
-                // sit in the watchdog's reapable window.
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-
-        // Per-member pre-flight: spent-budget check and the contained
-        // per-request panic point (with the solo retry/backoff loop),
-        // so a failure here settles one member and never its peers.
-        let mut live: Vec<(usize, u32)> = Vec::new();
-        for (i, slot) in batch.iter().enumerate() {
-            let queue_wait = picked_up.duration_since(slot.admitted);
-            let mut attempts = 0u32;
-            let failed = loop {
-                if let Some(b) = budgets[i] {
-                    if picked_up.elapsed() >= b {
-                        break Some(RequestError::DeadlineExceeded { deadline: b });
-                    }
-                }
-                attempts += 1;
-                let id = slot.id;
-                let preflight = catch_unwind(AssertUnwindSafe(|| {
-                    #[cfg(feature = "chaos")]
-                    ipregel::chaos::maybe_panic(ipregel::chaos::SERVER_REQUEST_PANIC, id);
-                    let _ = id;
-                }));
-                match preflight {
-                    Ok(()) => break None,
-                    Err(payload) => {
-                        let message = panic_message(payload);
-                        if attempts >= self.config.retry.max_attempts.max(1) {
-                            break Some(RequestError::Panicked { attempts, message });
-                        }
-                        {
-                            // lock-order(server.stats)
-                            relock(self.stats.lock()).retries += 1;
-                        }
-                        let backoff = self
-                            .config
-                            .retry
-                            .base_backoff
-                            .saturating_mul(1 << (attempts - 1).min(16));
-                        std::thread::sleep(backoff);
-                    }
-                }
-            };
-            match failed {
-                Some(err) => {
-                    self.settle(slot, attempts, queue_wait, picked_up.elapsed(), Err(err), i as u64, lanes);
-                }
-                None => live.push((i, attempts)),
-            }
-        }
-        if live.is_empty() {
-            return;
-        }
-
-        // Remaining per-lane budgets become the stripe's masking
-        // deadlines; the engine-level deadline is the loosest live
-        // budget (and only exists when every live member has one).
-        let mut deadlines = [None; ipregel::MAX_LANES];
-        let mut engine_deadline: Option<Duration> = Some(Duration::ZERO);
-        for (pos, &(i, _)) in live.iter().enumerate() {
-            match budgets[i] {
-                Some(b) => {
-                    let remaining = b.saturating_sub(picked_up.elapsed());
-                    deadlines[pos] = Some(remaining);
-                    engine_deadline = engine_deadline.map(|m| m.max(remaining));
-                }
-                None => engine_deadline = None,
-            }
-        }
-        let live_requests: Vec<&Request> =
-            live.iter().map(|&(i, _)| &batch[i].request).collect();
-        // Containment boundary for the shared run (same rationale as
-        // the solo path's).
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_lanes(&self.graph, &live_requests, deadlines, engine_deadline)
-        }));
-        match outcome {
-            Ok(Ok(per_lane)) => {
-                for (pos, &(i, attempts)) in live.iter().enumerate() {
-                    let slot = &batch[i];
-                    let queue_wait = picked_up.duration_since(slot.admitted);
-                    let result = match per_lane[pos].clone() {
-                        Some(output) => Ok(output),
-                        // Masked out mid-run by its own budget.
-                        None => Err(RequestError::DeadlineExceeded {
-                            deadline: budgets[i].expect("only budgeted lanes expire"),
-                        }),
-                    };
-                    self.settle(slot, attempts, queue_wait, picked_up.elapsed(), result, i as u64, lanes);
-                }
-            }
-            Ok(Err(RunError::DeadlineExceeded { .. })) => {
-                // The engine-level deadline is only armed when every
-                // live member carries a budget; fail each on its own.
-                for &(i, attempts) in &live {
-                    let slot = &batch[i];
-                    let queue_wait = picked_up.duration_since(slot.admitted);
-                    let err = RequestError::DeadlineExceeded {
-                        deadline: budgets[i].expect("engine deadline only set from budgets"),
-                    };
-                    self.settle(slot, attempts, queue_wait, picked_up.elapsed(), Err(err), i as u64, lanes);
-                }
-            }
-            _ => {
-                // A panic or transient failure inside the *shared* run:
-                // retrying the whole stripe would couple members'
-                // fates, so every unsettled member falls back to the
-                // solo path, keeping PR-8 retry/deadline semantics
-                // intact (a reaped/settled member is skipped by
-                // `settle`'s write-once check… and `run_slot` settles
-                // the rest individually).
-                for &(i, _) in &live {
-                    self.run_slot(&batch[i]);
-                }
-            }
-        }
-    }
-
-    /// Write the terminal state and emit the terminal trace event —
-    /// unless the watchdog already reaped the slot, in which case the
-    /// late result is discarded and nothing is emitted (the reaper
-    /// already accounted for the request).
-    #[allow(clippy::too_many_arguments)] // one settlement record, spelled out
+    /// The one settlement writer, used by the worker and by the
+    /// watchdog's reap. Under the slot lock, `verdict` — given how long
+    /// the slot has run and its budget — says what to record (attempts
+    /// made, result) or `None` to leave the slot running. `Done` is
+    /// write-once: only a `Running` slot settles, so whichever of worker
+    /// and watchdog comes second finds a terminal state, and its late
+    /// result is discarded with nothing emitted (the first already
+    /// accounted for the request).
     fn settle(
         &self,
         slot: &Slot,
-        attempts: u32,
-        queue_wait: Duration,
-        ran_for: Duration,
-        result: Result<RequestOutput, RequestError>,
-        lane: u64,
-        lanes: u64,
+        verdict: impl FnOnce(Duration, Option<Duration>) -> Option<(u32, Result<RequestOutput, RequestError>)>,
     ) {
-        let outcome = match &result {
-            Ok(_) => ServerOutcome::Ok,
-            Err(RequestError::DeadlineExceeded { .. }) => ServerOutcome::Deadline,
-            Err(RequestError::Reaped { .. }) => ServerOutcome::Reaped,
-            Err(RequestError::Panicked { .. }) => ServerOutcome::Panicked,
-        };
         {
             // lock-order(server.request)
             let mut st = relock(slot.state.lock());
-            if matches!(*st, SlotState::Done(_) | SlotState::Delivered) {
-                return;
-            }
+            let SlotState::Running { since, budget, lane, lanes } = *st else { return };
+            let ran_for = since.elapsed();
+            let Some((attempts, result)) = verdict(ran_for, budget) else { return };
+            let outcome = match &result {
+                Ok(_) => ServerOutcome::Ok,
+                Err(RequestError::DeadlineExceeded { .. }) => ServerOutcome::Deadline,
+                Err(RequestError::Reaped { .. }) => ServerOutcome::Reaped,
+                Err(RequestError::Panicked { .. }) => ServerOutcome::Panicked,
+            };
             *st = SlotState::Done(result);
             // Account while still holding the slot lock (request 6 →
             // stats 8 nests ascending): a waiter that has observed the
@@ -1300,7 +1170,7 @@ impl Inner {
             }
             self.tracer.record_sync(TraceEvent::ServerRequest {
                 id: slot.id,
-                queue_ns: ipregel::trace::ns(queue_wait),
+                queue_ns: ipregel::trace::ns(since.duration_since(slot.admitted)),
                 run_ns: ipregel::trace::ns(ran_for),
                 attempts: u64::from(attempts),
                 lane,
@@ -1350,50 +1220,21 @@ impl Inner {
             reg.iter().map(Arc::clone).collect()
         };
         for slot in live {
-            let reaped = {
-                // lock-order(server.request)
-                let mut st = relock(slot.state.lock());
-                match *st {
-                    SlotState::Running { since, budget: Some(budget), lane, lanes } => {
-                        let ran_for = since.elapsed();
-                        if ran_for > budget + self.config.reap_grace {
-                            *st = SlotState::Done(Err(RequestError::Reaped { after: ran_for }));
-                            // Account under the slot lock, like settle:
-                            // a waiter that sees the typed Reaped error
-                            // also sees its accounting.
-                            {
-                                // lock-order(server.stats)
-                                let mut s = relock(self.stats.lock());
-                                s.reaped += 1;
-                                note_lane_stats(&mut s, lane, lanes);
-                            }
-                            self.tracer.record_sync(TraceEvent::ServerRequest {
-                                id: slot.id,
-                                queue_ns: ipregel::trace::ns(since.duration_since(slot.admitted)),
-                                run_ns: ipregel::trace::ns(ran_for),
-                                attempts: 0,
-                                lane,
-                                lanes,
-                                outcome: ServerOutcome::Reaped,
-                            });
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    _ => false,
-                }
-            };
-            if reaped {
-                slot.settled.notify_all();
-            }
+            // Reap: past budget + grace (an unbudgeted slot is never
+            // reaped). Attempts are the worker's to count; the reaper
+            // reports none.
+            self.settle(&slot, |ran_for, budget| {
+                (ran_for > budget? + self.config.reap_grace)
+                    .then_some((0, Err(RequestError::Reaped { after: ran_for })))
+            });
         }
     }
 }
 
-/// Update the batch counters for one settlement (shared by
-/// [`Inner::settle`] and the watchdog's reap path, so the stats stay
-/// reconcilable with the lane-tagged trace events).
+/// Update the batch counters for one lane-tagged terminal record:
+/// [`Inner::settle`] counts with it and [`ServerReport::reconcile`]
+/// re-derives the same counters from the trace with it, so the two
+/// cannot drift apart.
 fn note_lane_stats(s: &mut ServerStats, lane: u64, lanes: u64) {
     s.max_batch = s.max_batch.max(lanes);
     if lanes >= 2 {
@@ -1493,45 +1334,39 @@ fn run_lanes(
         Algorithm::PageRank { rounds, damping } => {
             let program = MultiRank::with_deadlines(&vec![None; k], damping, rounds, deadlines);
             let out = try_run(graph, &program, version, &config)?;
-            let tracker = program.tracker();
-            let expired = tracker.expired_mask();
-            Ok((0..k)
-                .map(|lane| {
-                    if expired & (1 << lane) != 0 {
-                        return None;
-                    }
-                    Some(RequestOutput {
-                        values: ResultValues::F64Bits(
-                            out.iter().map(|(id, v)| (id, v.at(lane).to_bits())).collect(),
-                        ),
-                        supersteps: tracker.lane_supersteps(lane) as usize,
-                        messages: tracker.lane_messages(lane),
-                    })
-                })
-                .collect())
+            Ok(collect_lanes(program.tracker(), |lane| {
+                ResultValues::F64Bits(out.iter().map(|(id, v)| (id, v.at(lane).to_bits())).collect())
+            }))
         }
     }
 }
 
-/// Fan a `u32`-striped run out into per-lane [`RequestOutput`]s
-/// (`None` = the lane expired on its own deadline).
-fn collect_u32_lanes(
-    out: &ipregel::RunOutput<Lanes<u32>>,
+/// Fan a striped run out into per-lane [`RequestOutput`]s (`None` = the
+/// lane expired on its own deadline); `values` extracts one lane.
+fn collect_lanes(
     tracker: &LaneTracker,
+    values: impl Fn(usize) -> ResultValues,
 ) -> Vec<Option<RequestOutput>> {
     let expired = tracker.expired_mask();
     (0..tracker.lanes())
         .map(|lane| {
-            if expired & (1 << lane) != 0 {
-                return None;
-            }
-            Some(RequestOutput {
-                values: ResultValues::U32(out.iter().map(|(id, v)| (id, v.at(lane))).collect()),
+            (expired & (1 << lane) == 0).then(|| RequestOutput {
+                values: values(lane),
                 supersteps: tracker.lane_supersteps(lane) as usize,
                 messages: tracker.lane_messages(lane),
             })
         })
         .collect()
+}
+
+/// [`collect_lanes`] over a `u32` stripe.
+fn collect_u32_lanes(
+    out: &ipregel::RunOutput<Lanes<u32>>,
+    tracker: &LaneTracker,
+) -> Vec<Option<RequestOutput>> {
+    collect_lanes(tracker, |lane| {
+        ResultValues::U32(out.iter().map(|(id, v)| (id, v.at(lane))).collect())
+    })
 }
 
 /// One engine attempt. `threads: None` shares the global pool — the
@@ -1550,40 +1385,23 @@ fn run_once(
         ..RunConfig::default()
     };
     let version = Version { combiner: request.combiner, selection_bypass: request.bypass };
+    let u32s = |out: ipregel::RunOutput<u32>| {
+        solo_output(ResultValues::U32(out.iter().map(|(id, &v)| (id, v)).collect()), &out.stats)
+    };
     match request.algorithm {
-        Algorithm::Sssp { source } => {
-            let out = try_run(graph, &Sssp { source }, version, &config)?;
-            Ok(RequestOutput {
-                values: ResultValues::U32(out.iter().map(|(id, &v)| (id, v)).collect()),
-                supersteps: out.stats.num_supersteps(),
-                messages: out.stats.total_messages(),
-            })
-        }
-        Algorithm::Bfs { source } => {
-            let out = try_run(graph, &Bfs { source }, version, &config)?;
-            Ok(RequestOutput {
-                values: ResultValues::U32(out.iter().map(|(id, &v)| (id, v)).collect()),
-                supersteps: out.stats.num_supersteps(),
-                messages: out.stats.total_messages(),
-            })
-        }
-        Algorithm::Components => {
-            let out = try_run(graph, &Hashmin, version, &config)?;
-            Ok(RequestOutput {
-                values: ResultValues::U32(out.iter().map(|(id, &v)| (id, v)).collect()),
-                supersteps: out.stats.num_supersteps(),
-                messages: out.stats.total_messages(),
-            })
-        }
+        Algorithm::Sssp { source } => try_run(graph, &Sssp { source }, version, &config).map(u32s),
+        Algorithm::Bfs { source } => try_run(graph, &Bfs { source }, version, &config).map(u32s),
+        Algorithm::Components => try_run(graph, &Hashmin, version, &config).map(u32s),
         Algorithm::PageRank { rounds, damping } => {
-            let out = try_run(graph, &PageRank { rounds, damping }, version, &config)?;
-            Ok(RequestOutput {
-                values: ResultValues::F64Bits(
-                    out.iter().map(|(id, &v)| (id, v.to_bits())).collect(),
-                ),
-                supersteps: out.stats.num_supersteps(),
-                messages: out.stats.total_messages(),
+            try_run(graph, &PageRank { rounds, damping }, version, &config).map(|out| {
+                let bits = out.iter().map(|(id, &v)| (id, v.to_bits())).collect();
+                solo_output(ResultValues::F64Bits(bits), &out.stats)
             })
         }
     }
+}
+
+/// A solo run's result: its values plus the run's own totals.
+fn solo_output(values: ResultValues, stats: &ipregel::RunStats) -> RequestOutput {
+    RequestOutput { values, supersteps: stats.num_supersteps(), messages: stats.total_messages() }
 }

@@ -35,7 +35,7 @@
 
 use std::time::Duration;
 
-use ipregel::json::ToJson;
+use ipregel::json::{parse_flat_object, ToJson, Value};
 use ipregel::{CombinerKind, Schedule, MAX_LANES};
 
 use crate::{
@@ -64,21 +64,10 @@ pub fn handle_line(server: &ServerHandle, line: &str) -> String {
     match parsed {
         ParsedLine::Ping => "{\"ok\":true,\"pong\":true}".to_string(),
         ParsedLine::Run { request, want_values, lanes } => {
-            if lanes <= 1 {
-                return match server.submit(request) {
-                    Err(rejected) => render_rejected(&rejected),
-                    Ok(ticket) => {
-                        let id = ticket.id();
-                        match ticket.wait() {
-                            Ok(output) => render_ok(id, &output, want_values),
-                            Err(failed) => render_failed(id, &failed),
-                        }
-                    }
-                };
-            }
-            // `lanes: K` submits K copies of the request as one batch
-            // and answers with lane 0 — but every lane must be drained
-            // (waited on) so none of the peers leaks a registry slot.
+            // `lanes: K` (1 unless asked for) submits K copies of the
+            // request as one batch and answers with lane 0 — but every
+            // lane must be drained (waited on) so none of the peers
+            // leaks a registry slot.
             let requests = vec![request; lanes];
             let mut tickets = Vec::with_capacity(lanes);
             for outcome in server.submit_batch(requests) {
@@ -141,7 +130,7 @@ pub fn parse_line(line: &str) -> Result<ParsedLine, String> {
         }
     }
     let op = match field("op") {
-        Some(Val::Str(s)) => s.as_str(),
+        Some(Value::Str(s)) => s.as_str(),
         Some(_) => return Err("field \"op\" must be a string".to_string()),
         None => return Err("missing field \"op\"".to_string()),
     };
@@ -167,8 +156,7 @@ pub fn parse_line(line: &str) -> Result<ParsedLine, String> {
                 None => 20,
             };
             let damping = match field("damping") {
-                Some(Val::Num(d)) => *d,
-                Some(_) => return Err("field \"damping\" must be a number".to_string()),
+                Some(v) => as_f64(v, "damping")?,
                 None => 0.85,
             };
             Algorithm::PageRank { rounds, damping }
@@ -177,7 +165,7 @@ pub fn parse_line(line: &str) -> Result<ParsedLine, String> {
     };
     let mut request = Request::new(algorithm);
     if let Some(v) = field("combiner") {
-        let Val::Str(name) = v else {
+        let Value::Str(name) = v else {
             return Err("field \"combiner\" must be a string".to_string());
         };
         request.combiner = match name.as_str() {
@@ -188,23 +176,21 @@ pub fn parse_line(line: &str) -> Result<ParsedLine, String> {
         };
     }
     if let Some(v) = field("bypass") {
-        let Val::Bool(b) = v else {
+        let Value::Bool(b) = v else {
             return Err("field \"bypass\" must be a boolean".to_string());
         };
         request.bypass = *b;
     }
     if let Some(v) = field("schedule") {
-        let Val::Str(name) = v else {
+        let Value::Str(name) = v else {
             return Err("field \"schedule\" must be a string".to_string());
         };
         request.schedule =
             name.parse::<Schedule>().map_err(|_| format!("unknown schedule {name:?}"))?;
     }
     if let Some(v) = field("deadline_ms") {
-        let Val::Num(ms) = v else {
-            return Err("field \"deadline_ms\" must be a number".to_string());
-        };
-        if !(ms.is_finite() && *ms >= 0.0) {
+        let ms = as_f64(v, "deadline_ms")?;
+        if !(ms.is_finite() && ms >= 0.0) {
             return Err(format!("\"deadline_ms\" must be a finite non-negative number, got {ms}"));
         }
         // try_from: finite-and-non-negative is not enough — a value
@@ -216,7 +202,7 @@ pub fn parse_line(line: &str) -> Result<ParsedLine, String> {
         );
     }
     let want_values = match field("values") {
-        Some(Val::Bool(b)) => *b,
+        Some(Value::Bool(b)) => *b,
         Some(_) => return Err("field \"values\" must be a boolean".to_string()),
         None => false,
     };
@@ -314,192 +300,29 @@ fn render_failed(id: u64, failed: &RequestError) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Flat-object JSON parsing
+// Typed field access over `ipregel::json`'s flat-object reader
 // ---------------------------------------------------------------------------
 
-/// A protocol value: the three scalar shapes the wire format uses.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
-fn as_u64(v: &Val, name: &str) -> Result<u64, String> {
-    let Val::Num(n) = v else {
-        return Err(format!("field {name:?} must be a number"));
+fn as_u64(v: &Value, name: &str) -> Result<u64, String> {
+    let n = match v {
+        Value::Int(n) => return Ok(*n),
+        Value::Num(n) => *n,
+        _ => return Err(format!("field {name:?} must be a number")),
     };
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 {
-        Ok(*n as u64)
+    if n.fract() == 0.0 && n >= 0.0 && n <= u64::MAX as f64 {
+        Ok(n as u64)
     } else {
         Err(format!("field {name:?} must be a non-negative integer, got {n}"))
     }
 }
 
-/// Parse one flat JSON object (string/number/bool values, no nesting).
-/// Rejects duplicate keys, trailing garbage, and any structural error
-/// with a positioned message.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Val)>, String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let mut fields: Vec<(String, Val)> = Vec::new();
-
-    let err = |pos: usize, what: &str| Err(format!("{what} at byte {pos}"));
-
-    skip_ws(bytes, &mut pos);
-    if pos >= bytes.len() || bytes[pos] != b'{' {
-        return err(pos, "expected '{'");
-    }
-    pos += 1;
-    skip_ws(bytes, &mut pos);
-    if pos < bytes.len() && bytes[pos] == b'}' {
-        pos += 1;
-    } else {
-        loop {
-            skip_ws(bytes, &mut pos);
-            let key = parse_string(line, bytes, &mut pos)?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            skip_ws(bytes, &mut pos);
-            if pos >= bytes.len() || bytes[pos] != b':' {
-                return err(pos, "expected ':'");
-            }
-            pos += 1;
-            skip_ws(bytes, &mut pos);
-            let value = parse_value(line, bytes, &mut pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, &mut pos);
-            match bytes.get(pos) {
-                Some(b',') => pos += 1,
-                Some(b'}') => {
-                    pos += 1;
-                    break;
-                }
-                _ => return err(pos, "expected ',' or '}'"),
-            }
-        }
-    }
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return err(pos, "trailing garbage");
-    }
-    Ok(fields)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(line: &str, bytes: &[u8], pos: &mut usize) -> Result<Val, String> {
-    match bytes.get(*pos) {
-        Some(b'"') => parse_string(line, bytes, pos).map(Val::Str),
-        Some(b't') if line[*pos..].starts_with("true") => {
-            *pos += 4;
-            Ok(Val::Bool(true))
-        }
-        Some(b'f') if line[*pos..].starts_with("false") => {
-            *pos += 5;
-            Ok(Val::Bool(false))
-        }
-        Some(b'-' | b'0'..=b'9') => parse_number(line, bytes, pos).map(Val::Num),
-        _ => Err(format!("expected a string, number, or boolean at byte {pos}", pos = *pos)),
-    }
-}
-
-fn parse_number(line: &str, bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len() && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    line[start..*pos]
-        .parse::<f64>()
-        .map_err(|_| format!("malformed number at byte {start}"))
-}
-
-/// Decode the four hex digits of a `\u` escape whose `u` is at `pos`.
-fn hex4(line: &str, pos: usize) -> Result<u32, String> {
-    let hex = line.get(pos + 1..pos + 5).ok_or_else(|| "truncated \\u escape".to_string())?;
-    u32::from_str_radix(hex, 16).map_err(|_| format!("malformed \\u escape {hex:?}"))
-}
-
-fn parse_string(line: &str, bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".to_string());
-        };
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".to_string());
-                };
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let unit = hex4(line, *pos)?;
-                        *pos += 4;
-                        // JSON encodes non-BMP characters as a UTF-16
-                        // surrogate pair of \u escapes; a high half
-                        // must combine with an immediately-following
-                        // low half before it is a scalar value.
-                        let code = if (0xD800..=0xDBFF).contains(&unit) {
-                            if bytes.get(*pos + 1) != Some(&b'\\')
-                                || bytes.get(*pos + 2) != Some(&b'u')
-                            {
-                                return Err(format!(
-                                    "high surrogate \\u{unit:04x} not followed by a \\u low surrogate"
-                                ));
-                            }
-                            let low = hex4(line, *pos + 2)?;
-                            if !(0xDC00..=0xDFFF).contains(&low) {
-                                return Err(format!(
-                                    "\\u{unit:04x}\\u{low:04x} is not a valid surrogate pair"
-                                ));
-                            }
-                            *pos += 6;
-                            0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
-                        } else {
-                            unit
-                        };
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("\\u{code:04x} is not a scalar value"))?,
-                        );
-                    }
-                    other => return Err(format!("unknown escape '\\{}'", other as char)),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // boundaries are always sound to find).
-                let ch_len = line[*pos..].chars().next().map_or(1, char::len_utf8);
-                out.push_str(&line[*pos..*pos + ch_len]);
-                *pos += ch_len;
-            }
-        }
+fn as_f64(v: &Value, name: &str) -> Result<f64, String> {
+    match v {
+        #[allow(clippy::cast_precision_loss)] // a float field given as an integer literal
+        Value::Int(n) => Ok(*n as f64),
+        Value::Num(n) => Ok(*n),
+        _ => Err(format!("field {name:?} must be a number")),
     }
 }
 
@@ -558,38 +381,6 @@ mod tests {
             "{\"op\":\"ss",                           // truncated in string
         ] {
             assert!(parse_line(bad).is_err(), "accepted: {bad:?}");
-        }
-    }
-
-    #[test]
-    fn escapes_round_trip() {
-        let obj = parse_flat_object(r#"{"op":"a\"b\\c\ndA"}"#).unwrap();
-        assert_eq!(obj[0].1, Val::Str("a\"b\\c\ndA".to_string()));
-    }
-
-    #[test]
-    fn surrogate_pairs_decode() {
-        // A standard JSON encoder writes non-BMP characters as \u
-        // surrogate pairs; U+1F600 is the 😀 emoji.
-        let obj = parse_flat_object(r#"{"op":"\ud83d\ude00"}"#).unwrap();
-        assert_eq!(obj[0].1, Val::Str("\u{1F600}".to_string()));
-        // Pair in the middle of other text, plus a plain BMP escape.
-        let obj = parse_flat_object(r#"{"op":"a\ud83d\ude00b\u0041"}"#).unwrap();
-        assert_eq!(obj[0].1, Val::Str("a\u{1F600}bA".to_string()));
-    }
-
-    #[test]
-    fn lone_or_mismatched_surrogates_are_typed_errors() {
-        for bad in [
-            r#"{"op":"\ud83d"}"#,        // lone high, end of string
-            r#"{"op":"\ud83dxx"}"#,      // high not followed by \u
-            r#"{"op":"\ud83dA"}"#,      // high followed by non-escape
-            r#"{"op":"\ud83d\u0041"}"#,  // high followed by a BMP escape
-            r#"{"op":"\ud83d\ud83d"}"#,  // high followed by high
-            r#"{"op":"\ude00"}"#,        // lone low
-            r#"{"op":"\ud83d\u"#,        // truncated low escape
-        ] {
-            assert!(parse_flat_object(bad).is_err(), "accepted: {bad:?}");
         }
     }
 

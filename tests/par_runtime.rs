@@ -1,17 +1,14 @@
-//! The engines on the in-tree parallel runtime (`ipregel-par`,
-//! `std-pool` feature): panic containment through a real run, pool
-//! survival across a failed run, and parallel-vs-sequential equivalence
-//! on the golden fixtures.
+//! The engines on the in-tree parallel runtime (`ipregel-par`): panic
+//! containment through a real run, pool survival across a failed run,
+//! and parallel-vs-sequential equivalence on the golden fixtures.
 //!
 //! These complement `crates/par/tests/pool_contract.rs` (which tests
 //! the facade in isolation) by exercising the one consumer whose
 //! guarantees the ISSUE names: `try_run*`'s chunk-granular
 //! `catch_unwind` must see a vertex panic as a chunk failure and return
 //! [`RunError::VertexPanic`] — not a poisoned or wedged thread pool.
-//! Cross-runtime equivalence against *real* rayon is the CI
-//! `rayon-equivalence` job (network-gated); in-tree, every engine is
-//! held bit-identical to the sequential oracle instead, which the
-//! golden suite ties to `tools/golden_gen.rs`'s independent
+//! Every engine is held bit-identical to the sequential oracle, which
+//! the golden suite ties to `tools/golden_gen.rs`'s independent
 //! expectations.
 
 use std::fs::File;

@@ -532,6 +532,54 @@ fn a_panic_inside_the_shared_run_settles_every_member_solo_as_lane_0_of_1() {
     report.reconcile().expect("reconciles");
 }
 
+#[test]
+fn a_lane_reaped_mid_run_stays_settled_when_the_shared_run_then_panics() {
+    // `Done` is write-once across the fallback too: a lane the watchdog
+    // reaped while the shared run was still going must not be started
+    // over — and settled a second time — when that run then panics.
+    // The engine panic is armed only after the reap has been observed,
+    // so the order is forced, not timed.
+    use ipregel::chaos::CHUNK_PANIC;
+
+    let _held = lock();
+    let graph = Arc::new(mesh(32));
+    // Long enough that the run outlives the reap by a wide margin.
+    let rank = Request::new(Algorithm::PageRank { rounds: 4_000, damping: 0.85 });
+    let hurried = Request { deadline: Some(Duration::from_millis(1)), ..rank.clone() };
+    let oracle = run_isolated(&graph, &rank).expect("oracle");
+
+    let server = ServerHandle::start(
+        Arc::clone(&graph),
+        ServerConfig {
+            reap_grace: Duration::ZERO,
+            watchdog_interval: Duration::from_millis(1),
+            ..batch_config()
+        },
+    );
+    let mut tickets: Vec<_> = server
+        .submit_batch(vec![rank.clone(), hurried, rank.clone()])
+        .into_iter()
+        .map(|r| r.expect("batch admits"))
+        .collect();
+    let hurried = tickets.remove(1);
+    match hurried.wait() {
+        Err(RequestError::Reaped { .. }) => {}
+        other => panic!("the 1 ms lane should be reaped mid-run, got {other:?}"),
+    }
+    let results = silencing_panics(|| {
+        let _armed = arm(vec![Trigger::times(CHUNK_PANIC, 1)]);
+        tickets.into_iter().map(|t| t.wait()).collect::<Vec<_>>()
+    });
+    for result in results {
+        assert_eq!(result.expect("the solo re-run completes"), oracle);
+    }
+
+    let stats = server.stats();
+    assert_eq!((stats.reaped, stats.completed, stats.deadline_exceeded), (1, 2, 0));
+    assert_eq!(stats.admitted, 3);
+    server.shutdown().reconcile().expect("one terminal event per request");
+}
+
 /// The soak's request shapes: a mixed workload across algorithms,
 /// combiners, and selection modes (all servable on the mesh).
 fn soak_shapes() -> Vec<Request> {

@@ -15,13 +15,12 @@
 //!   regenerate the fixture deliberately (there is an `#[ignore]`d
 //!   `regenerate_the_pinned_fixture` test for exactly that) instead of
 //!   silently breaking stored traces.
-//! * **Back-compat**: schema-3 files (no `lane`/`lanes` on
-//!   `server_request`), schema-2 files (no server events) and schema-1
-//!   files (no `worker` field on `chunk`, no `pool` events) still
-//!   decode — `tests/fixtures/trace_schema.v3.jsonl`,
-//!   `tests/fixtures/trace_schema.v2.jsonl` and
-//!   `tests/fixtures/trace_schema.v1.jsonl` stay committed, the older
-//!   ones read with the missing fields defaulting to 0.
+//! * **Back-compat**: the decoder reads the current schema and its
+//!   predecessor. Schema-3 files (no `lane`/`lanes` on
+//!   `server_request`) still decode —
+//!   `tests/fixtures/trace_schema.v3.jsonl` stays committed and reads
+//!   with the missing fields defaulting to 0; schema-1 and schema-2
+//!   headers get the typed "unsupported trace schema" error.
 
 use std::path::Path;
 
@@ -103,48 +102,6 @@ fn v3_fixture_events() -> Vec<TraceEvent> {
         .collect()
 }
 
-/// What the schema-2 fixture must decode to today: the same run, minus
-/// the server events (didn't exist).
-fn v2_fixture_events() -> Vec<TraceEvent> {
-    fixture_events()
-        .into_iter()
-        .filter(|e| {
-            !matches!(e, TraceEvent::ServerRequest { .. } | TraceEvent::ServerQueueDepth { .. })
-        })
-        .collect()
-}
-
-/// What the schema-1 fixture must decode to today: schema 2 minus the
-/// `pool` event (didn't exist) and with `worker` defaulted to 0.
-fn v1_fixture_events() -> Vec<TraceEvent> {
-    v2_fixture_events()
-        .into_iter()
-        .filter(|e| !matches!(e, TraceEvent::Pool { .. }))
-        .map(|e| match e {
-            TraceEvent::Chunk {
-                superstep,
-                chunk,
-                planned_edges,
-                duration_ns,
-                lock_acquisitions,
-                cas_retries,
-                spin_iterations,
-                worker: _,
-            } => TraceEvent::Chunk {
-                superstep,
-                chunk,
-                planned_edges,
-                duration_ns,
-                lock_acquisitions,
-                cas_retries,
-                spin_iterations,
-                worker: 0,
-            },
-            other => other,
-        })
-        .collect()
-}
-
 #[test]
 fn schema_version_4_encoding_is_pinned_byte_for_byte() {
     assert_eq!(SCHEMA_VERSION, 4, "fixture pins version 4; regenerate it for a new schema");
@@ -175,36 +132,30 @@ fn the_committed_fixture_decodes_to_the_pinned_events() {
 
 #[test]
 fn schema_3_fixture_still_decodes_with_defaulted_lane_fields() {
+    assert_eq!(MIN_SCHEMA_VERSION, 3, "the decoder reads the current schema and one predecessor");
     assert_eq!(decode_trace(&fixture_text("trace_schema.v3.jsonl")).unwrap(), v3_fixture_events());
-}
-
-#[test]
-fn schema_2_fixture_still_decodes() {
-    assert_eq!(decode_trace(&fixture_text("trace_schema.v2.jsonl")).unwrap(), v2_fixture_events());
-}
-
-#[test]
-fn schema_1_fixture_still_decodes_with_defaulted_worker() {
-    assert_eq!(MIN_SCHEMA_VERSION, 1, "dropping schema-1 support needs a deliberate decision");
-    assert_eq!(decode_trace(&fixture_text("trace_schema.v1.jsonl")).unwrap(), v1_fixture_events());
 }
 
 #[test]
 fn meta_header_is_pinned() {
     assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":4}");
     assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":4}").unwrap(), None);
-    // Previous schemas' headers are still accepted on read.
+    // The previous schema's header is still accepted on read.
     assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":3}").unwrap(), None);
-    assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":2}").unwrap(), None);
-    assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":1}").unwrap(), None);
 }
 
 #[test]
 fn unsupported_schema_versions_are_rejected() {
     let newer = "{\"type\":\"meta\",\"schema\":999}\n";
     assert!(decode_trace(newer).unwrap_err().contains("999"));
-    let ancient = "{\"type\":\"meta\",\"schema\":0}\n";
-    assert!(decode_trace(ancient).is_err(), "schema 0 predates MIN_SCHEMA_VERSION");
+    // Everything before the current schema's predecessor, the two
+    // once-readable versions included.
+    for ancient in [0, 1, 2] {
+        let header = format!("{{\"type\":\"meta\",\"schema\":{ancient}}}\n");
+        let err = decode_trace(&header).expect_err("predates MIN_SCHEMA_VERSION");
+        assert!(err.contains("unsupported trace schema"), "schema {ancient}: {err}");
+        assert!(decode_line(header.trim_end()).is_err(), "schema {ancient} as a standalone line");
+    }
 }
 
 #[test]
