@@ -322,6 +322,29 @@ mod tests {
     }
 
     #[test]
+    fn default_grain_cuts_a_wide_frontier_as_fine_as_grain_one() {
+        // A frontier the size the PageRank workloads run every superstep
+        // (all-active, hundreds of thousands of vertices, one hub): the
+        // default grain must cut it exactly as `Some(1)` does, chunk for
+        // chunk, under every cut — full range and sparse list alike.
+        let mut degrees = vec![9u32; 300_000];
+        degrees[17] = 50_000;
+        let csr = csr_of(&degrees);
+        let all: Vec<u32> = (0..300_000).collect();
+        let sparse: Vec<u32> = (0..300_000).step_by(3).collect();
+        let fine = Resolved { cut: Cut::EdgeBalanced, overpartition: OVERPARTITION_FACTOR };
+        for resolved in [Resolved::VERTEX_BALANCED, Resolved::EDGE_BALANCED, fine] {
+            for active in [&all, &sparse] {
+                let default = plan(resolved, active, 300_000, csr.offsets(), None);
+                let finest = plan(resolved, active, 300_000, csr.offsets(), Some(1));
+                assert_eq!(default.chunks, finest.chunks, "{resolved:?}, {} active", active.len());
+                assert_eq!(default.chunk_edges, finest.chunk_edges, "{resolved:?}");
+                assert!(default.chunks.len() > 1, "{resolved:?}: a wide frontier forks");
+            }
+        }
+    }
+
+    #[test]
     fn grain_bounds_chunk_count_in_plans() {
         let csr = csr_of(&[1; 100]);
         let active: Vec<u32> = (0..100).collect();

@@ -160,22 +160,28 @@ proptest! {
     #[test]
     fn schedules_are_observationally_equivalent(
         g in arb_graph(),
-        grain in prop::option::of(1usize..64),
+        grain in (2usize..64).prop_map(Some),
     ) {
-        // Version, scheduling policy and adjacency representation decide
-        // *how* a superstep selects, cuts and delivers, never what it
-        // computes: every paper version plus the lock-free ablation,
-        // under every schedule, on the plain and the varint CSR, must
-        // walk the same per-superstep (active, messages_sent) trajectory
-        // as the sequential oracle — not merely the same totals — and
-        // reach the same values (bit-identical for the min-combiners,
-        // whose result is order-free; within the harness's 1e-9 ceiling
-        // for PageRank's f64 sum). No combination is exempt: the pull
-        // engine counts executed vertices, not checked ones, and both
-        // bypass selections reduce to "message recipients", which is what
-        // the oracle's fused scan runs for programs that halt every
+        // Version, scheduling policy, adjacency representation and chunk
+        // grain decide *how* a superstep selects, cuts and delivers,
+        // never what it computes: every paper version plus the lock-free
+        // ablation, under every schedule, on the plain and the varint
+        // CSR, must walk the same per-superstep (active, messages_sent)
+        // trajectory as the sequential oracle — not merely the same
+        // totals — and reach the same values (bit-identical for the
+        // min-combiners, whose result is order-free; within the harness's
+        // 1e-9 ceiling for PageRank's f64 sum). No combination is exempt:
+        // the pull engine counts executed vertices, not checked ones, and
+        // both bypass selections reduce to "message recipients", which is
+        // what the oracle's fused scan runs for programs that halt every
         // superstep. PageRank never halts before its last round, so it
         // runs on the non-bypass versions only (Section 4's note).
+        //
+        // The grain sweep pits the superstep shapes against each other:
+        // `Some(1)` cuts as fine as the planner can (every superstep
+        // forks), `Some(usize::MAX)` never cuts (every superstep is one
+        // chunk), `None` lets the planner decide from the frontier's
+        // weight, and the sampled grain lands in between.
         let source = g.address_map().base();
         let compact = g.clone().compress().expect("compress");
         let pagerank = PageRank { rounds: 6, damping: 0.85 };
@@ -188,40 +194,36 @@ proptest! {
         for selection_bypass in [false, true] {
             versions.push(Version { combiner: CombinerKind::LockFree, selection_bypass });
         }
+        let shapes: Vec<(Schedule, Option<usize>)> = Schedule::all()
+            .into_iter()
+            .flat_map(|s| [Some(1), None, Some(usize::MAX), grain].map(|g| (s, g)))
+            .collect();
         for v in versions {
             for (repr, graph) in [("plain", &g), ("compact", &compact)] {
-                for schedule in Schedule::all() {
+                for &(schedule, grain) in &shapes {
                     let cfg = RunConfig { threads: Some(4), schedule, grain, ..RunConfig::default() };
+                    let at = format!("{} under {schedule}, grain {grain:?}, on {repr}", v.label());
                     let sssp = run_packed(graph, &Sssp { source }, v, &cfg);
-                    prop_assert_eq!(
-                        &want_sssp.values, &sssp.values,
-                        "sssp values: {} under {} on {}", v.label(), schedule, repr
-                    );
+                    prop_assert_eq!(&want_sssp.values, &sssp.values, "sssp values: {}", at);
                     prop_assert_eq!(
                         trajectory(&want_sssp.stats), trajectory(&sssp.stats),
-                        "sssp trajectory: {} under {} on {}", v.label(), schedule, repr
+                        "sssp trajectory: {}", at
                     );
                     let hm = run_packed(graph, &Hashmin, v, &cfg);
-                    prop_assert_eq!(
-                        &want_hm.values, &hm.values,
-                        "hashmin values: {} under {} on {}", v.label(), schedule, repr
-                    );
+                    prop_assert_eq!(&want_hm.values, &hm.values, "hashmin values: {}", at);
                     prop_assert_eq!(
                         trajectory(&want_hm.stats), trajectory(&hm.stats),
-                        "hashmin trajectory: {} under {} on {}", v.label(), schedule, repr
+                        "hashmin trajectory: {}", at
                     );
                     if v.selection_bypass {
                         continue;
                     }
                     let pr = run_packed(graph, &pagerank, v, &cfg);
                     let diff = reference::max_rel_diff(&g, &pr.values, &want_pr.values);
-                    prop_assert!(
-                        diff < 1e-9,
-                        "pagerank values: {} under {} on {} diverged by {}", v.label(), schedule, repr, diff
-                    );
+                    prop_assert!(diff < 1e-9, "pagerank values: {} diverged by {}", at, diff);
                     prop_assert_eq!(
                         trajectory(&want_pr.stats), trajectory(&pr.stats),
-                        "pagerank trajectory: {} under {} on {}", v.label(), schedule, repr
+                        "pagerank trajectory: {}", at
                     );
                 }
             }

@@ -47,10 +47,10 @@ fn thread_count_is_invisible_in_results() {
 fn grain_setting_is_invisible_in_results() {
     let g = test_graph();
     let v = Version { combiner: CombinerKind::Broadcast, selection_bypass: false };
-    let base = run(&g, &MaxValue, v, &RunConfig::default());
-    for grain in [1usize, 128, 100_000] {
-        let out = run(&g, &MaxValue, v, &RunConfig { grain: Some(grain), ..RunConfig::default() });
-        assert_eq!(out.values, base.values, "grain {grain}");
+    let base = run(&g, &MaxValue, v, &RunConfig { grain: Some(1), ..RunConfig::default() });
+    for grain in [None, Some(128), Some(100_000)] {
+        let out = run(&g, &MaxValue, v, &RunConfig { grain, ..RunConfig::default() });
+        assert_eq!(out.values, base.values, "grain {grain:?}");
     }
 }
 

@@ -204,10 +204,12 @@ fn tracing_does_not_perturb_golden_results() {
 fn golden_runs_record_load_stats() {
     // The golden fixtures double as a smoke test for the scheduling
     // metrics: every parallel superstep must report a load plan whose
-    // chunk edge counts and durations have matching lengths.
+    // chunk edge counts and durations have matching lengths. Grain 1
+    // keeps the fixture's small supersteps cut into several chunks.
     let g = fixture("fixture_a.txt");
     for schedule in Schedule::all() {
-        let cfg = RunConfig { threads: Some(4), schedule, ..RunConfig::default() };
+        let cfg =
+            RunConfig { threads: Some(4), schedule, grain: Some(1), ..RunConfig::default() };
         let out = run(
             &g,
             &Hashmin,

@@ -136,9 +136,12 @@ fn hub_skew_edge_balanced_bounds_chunk_imbalance() {
     // Cap the run: the ring needs ~N/4 supersteps to converge, but all
     // the load-imbalance signal is in the early full-frontier supersteps.
     let run_with = |schedule| {
+        // Grain 1: this test is about the cut and the thieves, so every
+        // superstep is cut as fine as the planner can, whatever its size.
         let cfg = RunConfig {
             threads: Some(THREADS),
             schedule,
+            grain: Some(1),
             max_supersteps: Some(40),
             ..RunConfig::default()
         };

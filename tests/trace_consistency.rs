@@ -41,15 +41,26 @@ fn fixture(name: &str) -> Graph {
     load_edge_list(BufReader::new(file), NeighborMode::Both).expect("fixture parses")
 }
 
-fn traced_cfg(schedule: Schedule) -> (RunConfig, Arc<Tracer>) {
+/// The two superstep shapes a fixture-sized run can take: cut as fine as
+/// the planner can (chunk events arrive through the worker shards) and
+/// the planner's own choice (small supersteps run as one chunk).
+const GRAINS: [Option<usize>; 2] = [Some(1), None];
+
+fn traced_cfg(schedule: Schedule, grain: Option<usize>) -> (RunConfig, Arc<Tracer>) {
     let tracer = Arc::new(Tracer::new());
     let cfg = RunConfig {
         threads: Some(4),
         schedule,
+        grain,
         trace: Some(tracer.clone()),
         ..RunConfig::default()
     };
     (cfg, tracer)
+}
+
+/// Every schedule under every grain of [`GRAINS`].
+fn shapes() -> impl Iterator<Item = (Schedule, Option<usize>)> {
+    Schedule::all().into_iter().flat_map(|s| GRAINS.map(|g| (s, g)))
 }
 
 /// Structural invariants every trace must satisfy, plus the exact
@@ -120,13 +131,14 @@ fn check(stats: &RunStats, events: &[TraceEvent], label: &str) {
 }
 
 fn reconcile_parallel<P: VertexProgram>(g: &Graph, p: &P, versions: &[Version], app: &str) {
-    for schedule in Schedule::all() {
+    for (schedule, grain) in shapes() {
         for &v in versions {
-            let (cfg, tracer) = traced_cfg(schedule);
+            let (cfg, tracer) = traced_cfg(schedule, grain);
             let out = run(g, p, v, &cfg);
             let events = tracer.take_events();
             assert_eq!(tracer.dropped_events(), 0, "fixture runs fit the shard bound");
-            check(&out.stats, &events, &format!("{app} / {} / {schedule}", v.label()));
+            let label = format!("{app} / {} / {schedule} / grain {grain:?}", v.label());
+            check(&out.stats, &events, &label);
         }
     }
 }
@@ -159,11 +171,11 @@ fn pagerank_trace_reconciles_on_scan_versions() {
 fn lockfree_packed_trace_reconciles() {
     let g = fixture("fixture_b.txt");
     let v = Version { combiner: CombinerKind::LockFree, selection_bypass: true };
-    for schedule in Schedule::all() {
-        let (cfg, tracer) = traced_cfg(schedule);
+    for (schedule, grain) in shapes() {
+        let (cfg, tracer) = traced_cfg(schedule, grain);
         let out = run_packed(&g, &Sssp { source: SSSP_SOURCE }, v, &cfg);
         let events = tracer.take_events();
-        check(&out.stats, &events, &format!("lock-free / {schedule}"));
+        check(&out.stats, &events, &format!("lock-free / {schedule} / grain {grain:?}"));
     }
 }
 
@@ -193,11 +205,11 @@ fn sequential_trace_reconciles() {
 fn worklist_drains_match_superstep_activity() {
     let g = fixture("fixture_b.txt");
     let program = Sssp { source: SSSP_SOURCE };
-    for schedule in Schedule::all() {
+    for (schedule, grain) in shapes() {
         for combiner in [CombinerKind::Mutex, CombinerKind::Spinlock, CombinerKind::Broadcast] {
             let v = Version { combiner, selection_bypass: true };
-            let label = format!("{} / {schedule}", v.label());
-            let (cfg, tracer) = traced_cfg(schedule);
+            let label = format!("{} / {schedule} / grain {grain:?}", v.label());
+            let (cfg, tracer) = traced_cfg(schedule, grain);
             let out = run(&g, &program, v, &cfg);
             let events = tracer.take_events();
             check(&out.stats, &events, &label);
@@ -250,7 +262,7 @@ fn worklist_drains_match_superstep_activity() {
 #[test]
 fn engine_traces_round_trip_through_the_codec() {
     let g = fixture("fixture_a.txt");
-    let (cfg, tracer) = traced_cfg(Schedule::default());
+    let (cfg, tracer) = traced_cfg(Schedule::default(), Some(1));
     let v = Version { combiner: CombinerKind::Spinlock, selection_bypass: false };
     let _ = run(&g, &Hashmin, v, &cfg);
     let events = tracer.take_events();
