@@ -91,6 +91,7 @@
 // "Safety model").
 #![forbid(unsafe_code)]
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::fs::File;
 use std::io::BufReader;
@@ -556,6 +557,29 @@ fn summary<V>(out: &RunOutput<V>, version: Version) -> String {
     )
 }
 
+/// The first `k` of `items` under `cmp`, in order: a selection plus a
+/// sort of the K-prefix, where sorting all |V| pairs to print ten was
+/// a tenth of a road job. Every caller's `cmp` breaks ties by id, so
+/// the order is total and the rows are the ones a full sort would give.
+fn top_k<T>(mut items: Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    if k < items.len() {
+        items.select_nth_unstable_by(k, &cmp);
+        items.truncate(k);
+    }
+    items.sort_unstable_by(cmp);
+    items
+}
+
+/// Largest value first, ties by ascending id.
+fn by_value_desc<V: Ord>(a: &(u32, V), b: &(u32, V)) -> Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// [`by_value_desc`] for ranks, under `f64`'s total order.
+fn by_rank_desc(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
 /// Execute the CLI and return its stdout text.
 pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     let opts = parse_args(args)?;
@@ -635,10 +659,9 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             let p = PageRank { rounds: opts.rounds, damping: opts.damping };
             let out = run_app_ckpt(&g, &p, version, &opts, &tracer, &relabeling)?;
             text.push_str(&summary(&out, version));
-            let mut ranked: Vec<(u32, f64)> = out.iter().map(|(id, &r)| (id, r)).collect();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let ranked: Vec<(u32, f64)> = out.iter().map(|(id, &r)| (id, r)).collect();
             text.push_str(&format!("top {} by rank:\n", opts.top.min(ranked.len())));
-            for (id, r) in ranked.into_iter().take(opts.top) {
+            for (id, r) in top_k(ranked, opts.top, by_rank_desc) {
                 text.push_str(&format!("  {id}\t{r:.6}\n"));
             }
         }
@@ -658,11 +681,10 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             text.push_str(&summary(&out, version));
             let reached = out.iter().filter(|(_, &d)| d != u32::MAX).count();
             text.push_str(&format!("reached: {} of {}\n", reached, g.num_vertices()));
-            let mut far: Vec<(u32, u32)> =
+            let far: Vec<(u32, u32)> =
                 out.iter().filter(|(_, &d)| d != u32::MAX).map(|(id, &d)| (id, d)).collect();
-            far.sort_by_key(|&(id, d)| (std::cmp::Reverse(d), id));
             text.push_str(&format!("{} farthest vertices:\n", opts.top.min(far.len())));
-            for (id, d) in far.into_iter().take(opts.top) {
+            for (id, d) in top_k(far, opts.top, by_value_desc) {
                 text.push_str(&format!("  {id}\t{d}\n"));
             }
         }
@@ -697,10 +719,9 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             };
             let out = run_app_ckpt(&g, &p, version, &opts, &tracer, &relabeling)?;
             text.push_str(&summary(&out, version));
-            let mut ranked: Vec<(u32, f64)> = out.iter().map(|(id, &r)| (id, r)).collect();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let ranked: Vec<(u32, f64)> = out.iter().map(|(id, &r)| (id, r)).collect();
             text.push_str(&format!("top {} by personalised rank:\n", opts.top.min(ranked.len())));
-            for (id, r) in ranked.into_iter().take(opts.top) {
+            for (id, r) in top_k(ranked, opts.top, by_rank_desc) {
                 text.push_str(&format!("  {id}\t{r:.6}\n"));
             }
         }
@@ -882,11 +903,10 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             for (_, &label) in out.iter() {
                 *sizes.entry(label).or_default() += 1;
             }
-            let mut by_size: Vec<(u32, u64)> = sizes.into_iter().collect();
-            by_size.sort_by_key(|&(label, s)| (std::cmp::Reverse(s), label));
+            let by_size: Vec<(u32, u64)> = sizes.into_iter().collect();
             text.push_str(&format!("components: {}\n", by_size.len()));
             text.push_str(&format!("{} largest (label\tsize):\n", opts.top.min(by_size.len())));
-            for (label, s) in by_size.into_iter().take(opts.top) {
+            for (label, s) in top_k(by_size, opts.top, by_value_desc) {
                 text.push_str(&format!("  {label}\t{s}\n"));
             }
         }
@@ -916,6 +936,24 @@ mod tests {
 
     fn temp_graph(contents: &str, ext: &str) -> tempfile_lite::TempPath {
         tempfile_lite::write(contents, ext)
+    }
+
+    #[test]
+    fn top_k_is_the_prefix_of_the_full_sort() {
+        // Few distinct values, so nearly every comparison is a tie the
+        // id has to break — the case a selection could get wrong.
+        let pairs: Vec<(u32, u32)> = (0..500u32).map(|i| (i * 7 % 500, i % 7)).collect();
+        let ranks: Vec<(u32, f64)> = pairs.iter().map(|&(id, v)| (id, f64::from(v) / 7.0)).collect();
+        let mut sorted = pairs.clone();
+        sorted.sort_by_key(|&(id, v)| (std::cmp::Reverse(v), id));
+        let mut sorted_ranks = ranks.clone();
+        sorted_ranks.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        for k in [0, 1, 10, 499, 500, 501, usize::MAX] {
+            let want = k.min(500);
+            assert_eq!(top_k(pairs.clone(), k, by_value_desc), sorted[..want], "k = {k}");
+            assert_eq!(top_k(ranks.clone(), k, by_rank_desc), sorted_ranks[..want], "k = {k}");
+        }
+        assert!(top_k(Vec::<(u32, u32)>::new(), 10, by_value_desc).is_empty());
     }
 
     /// Minimal self-contained temp-file helper (no external crate).

@@ -19,6 +19,7 @@ use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use ipregel_graph::schedule::Chunk;
 use ipregel_graph::{AddressMap, Graph, VertexIndex};
 use ipregel_par::prelude::*;
 
@@ -96,26 +97,28 @@ pub(crate) struct Barrier<'a> {
 /// Dense/sparse switch (an extension in the spirit of Ligra): when most
 /// vertices are active anyway, `dense` rebuilds the ordered list in one
 /// slot-order pass, cheaper than sorting the randomly-ordered worklist;
-/// when few are, the sorted drain avoids the O(|V|) pass entirely and
-/// still yields the scan-order locality and ordered list the chunk
-/// planner's prefix cut needs.
+/// when few are, the sorted drain avoids the O(|V|) pass entirely.
+/// Enqueue order is a race artefact: sorting restores the scan's
+/// sequential memory-access pattern and gives the chunk planner the
+/// ascending list its prefix cut needs. O(active log active) on this
+/// thread — and close to O(active) after a superstep that ran as one
+/// chunk, whose single thread queued its recipients nearly in order.
 pub(crate) fn bypass_select(
     worklist: &Worklist,
     map: &AddressMap,
     at: &Barrier<'_>,
     dense: impl FnOnce() -> Vec<VertexIndex>,
 ) -> Vec<VertexIndex> {
-    let queued = worklist.len();
-    if queued * 8 >= map.num_vertices() as usize {
-        worklist.clear();
+    let mut drained = worklist.take();
+    if drained.len() * 8 >= map.num_vertices() as usize {
         return dense();
     }
-    let drained = worklist.drain_sorted();
-    // `queued` counts raw pushes; `drained` is the deduplicated active
-    // list for the superstep about to run.
+    drained.sort_unstable();
+    // Both engines enqueue a vertex once per superstep, so what was
+    // queued is the active list of the superstep about to run.
     trace::emit_sync(at.tracer, || TraceEvent::WorklistDrain {
         superstep: at.superstep as u64,
-        queued: queued as u64,
+        queued: drained.len() as u64,
         drained: drained.len() as u64,
     });
     drained
@@ -227,76 +230,78 @@ where
             let step: &D = &delivery;
             let active_ref: &[VertexIndex] = &active;
             let chunk_edges: &[u64] = &plan.chunk_edges;
-            plan.chunks
-                .par_iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    // A panicking `compute` is caught *inside* the pool
-                    // task: sibling chunks drain normally and the pool
-                    // survives; the failure is joined into a
-                    // `RunError::VertexPanic` at the barrier.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(deadline) = deadline_opt {
-                            if started.elapsed() >= deadline {
-                                return None;
-                            }
+            let run_chunk = |(ci, c): (usize, &Chunk)| -> ChunkOutcome {
+                // A panicking `compute` is caught *inside* the chunk:
+                // sibling chunks drain normally and the pool
+                // survives; the failure is joined into a
+                // `RunError::VertexPanic` at the barrier.
+                catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(deadline) = deadline_opt {
+                        if started.elapsed() >= deadline {
+                            return None;
                         }
-                        let c_t0 = Instant::now();
-                        let cont0 = trace::contention::snapshot();
-                        let (mut sent, mut ran, mut awake) = (0u64, 0u64, 0u64);
-                        #[cfg(feature = "chaos")]
-                        crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, superstep as u64);
-                        for &v in &active_ref[c.start..c.end] {
-                            let inbox = step.inbox(v);
-                            // SAFETY: the active list holds distinct slots
-                            // (scan filters distinct indices; the bypass
-                            // worklist dedups) and the chunks partition
-                            // it, so this thread is the only one touching
-                            // slot `v` of either array this superstep.
-                            let mut halt_flag = unsafe { halted_view.get_mut(v as usize) };
-                            if *halt_flag && inbox.is_none() {
-                                // Unfruitful check — the cost §6.2 factor (1)
-                                // describes for the pull scan, which lists
-                                // every vertex. The vertex does not run.
-                                continue;
-                            }
-                            let mut ctx = VertexCtx::<P, _>::new(superstep, graph, v, inbox, step);
-                            // SAFETY: distinct slots, as above.
-                            let mut value = unsafe { values_view.get_mut(v as usize) };
-                            program.compute(&mut value, &mut ctx);
-                            *halt_flag = ctx.halt_vote;
-                            sent += ctx.sent;
-                            ran += 1;
-                            awake += u64::from(!ctx.halt_vote);
+                    }
+                    let c_t0 = Instant::now();
+                    let cont0 = trace::contention::snapshot();
+                    let (mut sent, mut ran, mut awake) = (0u64, 0u64, 0u64);
+                    #[cfg(feature = "chaos")]
+                    crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, superstep as u64);
+                    for &v in &active_ref[c.start..c.end] {
+                        let inbox = step.inbox(v);
+                        // SAFETY: the active list holds distinct slots
+                        // (scan filters distinct indices; the bypass
+                        // worklist dedups) and the chunks partition
+                        // it, so this thread is the only one touching
+                        // slot `v` of either array this superstep.
+                        let mut halt_flag = unsafe { halted_view.get_mut(v as usize) };
+                        if *halt_flag && inbox.is_none() {
+                            // Unfruitful check — the cost §6.2 factor (1)
+                            // describes for the pull scan, which lists
+                            // every vertex. The vertex does not run.
+                            continue;
                         }
-                        let duration = c_t0.elapsed();
-                        let worker = ipregel_par::current_thread_index().unwrap_or(0) as u64;
-                        // Worker-side record: lands in this worker's
-                        // shard, drained in chunk order at the barrier.
-                        let delta = trace::contention::snapshot().delta_since(&cont0);
-                        trace::emit(tracer, || TraceEvent::Chunk {
-                            superstep: superstep as u64,
-                            chunk: ci as u64,
-                            planned_edges: chunk_edges[ci],
-                            duration_ns: trace::ns(duration),
-                            lock_acquisitions: delta.lock_acquisitions,
-                            cas_retries: delta.cas_retries,
-                            spin_iterations: delta.spin_iterations,
-                            worker,
-                        });
-                        Some(ChunkTally { sent, ran, awake, duration, worker })
-                    }))
-                    .map_err(|payload| ChunkPanic {
-                        chunk: ci,
-                        vertex_range: if c.end > c.start {
-                            (active_ref[c.start], active_ref[c.end - 1])
-                        } else {
-                            (0, 0)
-                        },
-                        message: panic_message(payload),
-                    })
+                        let mut ctx = VertexCtx::<P, _>::new(superstep, graph, v, inbox, step);
+                        // SAFETY: distinct slots, as above.
+                        let mut value = unsafe { values_view.get_mut(v as usize) };
+                        program.compute(&mut value, &mut ctx);
+                        *halt_flag = ctx.halt_vote;
+                        sent += ctx.sent;
+                        ran += 1;
+                        awake += u64::from(!ctx.halt_vote);
+                    }
+                    let duration = c_t0.elapsed();
+                    let worker = ipregel_par::current_thread_index().unwrap_or(0) as u64;
+                    // Worker-side record: lands in this worker's
+                    // shard, drained in chunk order at the barrier.
+                    let delta = trace::contention::snapshot().delta_since(&cont0);
+                    trace::emit(tracer, || TraceEvent::Chunk {
+                        superstep: superstep as u64,
+                        chunk: ci as u64,
+                        planned_edges: chunk_edges[ci],
+                        duration_ns: trace::ns(duration),
+                        lock_acquisitions: delta.lock_acquisitions,
+                        cas_retries: delta.cas_retries,
+                        spin_iterations: delta.spin_iterations,
+                        worker,
+                    });
+                    Some(ChunkTally { sent, ran, awake, duration, worker })
+                }))
+                .map_err(|payload| ChunkPanic {
+                    chunk: ci,
+                    vertex_range: if c.end > c.start {
+                        (active_ref[c.start], active_ref[c.end - 1])
+                    } else {
+                        (0, 0)
+                    },
+                    message: panic_message(payload),
                 })
-                .collect()
+            };
+            match plan.chunks.as_slice() {
+                // A plan the planner left whole is this thread's own
+                // work: no scope, no boxed job, nobody woken.
+                [whole] => vec![run_chunk((0, whole))],
+                chunks => chunks.par_iter().enumerate().map(run_chunk).collect(),
+            }
         };
         let pool_after = ipregel_par::current_pool_stats();
         let (mut sent, mut ran, mut awake) = (0u64, 0u64, 0u64);

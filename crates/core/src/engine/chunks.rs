@@ -10,9 +10,12 @@
 //! The flow per superstep: the engine calls [`plan`] with the active list
 //! and the direction-relevant CSR (out-edges for push, in-edges for pull —
 //! weight must track where the superstep's work actually is), executes one
-//! pool task per returned chunk, and records per-chunk edge weights and
-//! durations into [`crate::metrics::LoadStats`] so imbalance is observable
-//! in `RunStats` rather than inferred from wall clock.
+//! pool task per returned chunk — or, when the planner judged the frontier
+//! too light to be worth a fork ([`MIN_FORK_WEIGHT`]) and returned it
+//! whole, that one chunk on the calling thread — and records per-chunk
+//! edge weights and durations into [`crate::metrics::LoadStats`] so
+//! imbalance is observable in `RunStats` rather than inferred from wall
+//! clock.
 
 use std::str::FromStr;
 
@@ -99,6 +102,31 @@ pub(crate) const OVERPARTITION_FACTOR: usize = 2;
 // iter.rs plans `threads × 8` scope tasks; a plan finer than that would
 // coalesce chunks and break the 1 task : 1 chunk mapping.
 const _: () = assert!(CHUNKS_PER_THREAD * OVERPARTITION_FACTOR <= 8);
+
+/// Planned weight (`degree + 1` per active vertex) below which a
+/// superstep is one chunk, run by the thread that planned it. A fork
+/// costs a fixed ~25 µs on the reference 2-core VM (box the jobs,
+/// futex-wake the parked worker, join), which a light frontier cannot
+/// earn back by halving its work. Set by an offline sweep — SSSP with
+/// the bypass over K disjoint paths, i.e. a frontier of constant weight
+/// for 100 supersteps, on 2 threads; µs per superstep run as one chunk /
+/// cut into 8, with the frontier scattered over the id range and
+/// contiguous in it:
+///
+/// | weight  | scattered    | contiguous   |
+/// |--------:|-------------:|-------------:|
+/// |   1 020 |     9 /   36 |    11 /   34 |
+/// |   4 092 |    35 /   58 |    45 /   68 |
+/// |   8 190 |    76 /  107 |    91 /   91 |
+/// |  16 380 |   182 /  193 |   186 /  161 |
+/// |  32 766 |   463 /  401 |   395 /  312 |
+/// |  65 532 |  1031 /  910 |   819 /  634 |
+/// | 131 070 |  2012 / 1828 |  1706 / 1293 |
+///
+/// One chunk wins up to 8 k, the cut wins from 32 k, and the crossover
+/// sits either side of 16 k. (The road analog never plans above 4 k
+/// after superstep 0, so it cannot tell 4 096 from 65 536: 80–82 ms.)
+pub(crate) const MIN_FORK_WEIGHT: u64 = 16_384;
 
 /// How a [`Resolved`] schedule cuts the active list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +218,11 @@ pub(crate) struct Plan {
 /// maps, dense supersteps — it is necessarily the identity range
 /// `0..slots`, and the cut needs no per-vertex pass at all: the
 /// offsets array is the weight prefix, binary-searched directly.
+///
+/// `grain: None` leaves the planner to decide whether the superstep
+/// forks at all: a frontier lighter than [`MIN_FORK_WEIGHT`] comes back
+/// as one chunk, anything heavier is cut as finely as `Some(1)` would.
+/// Weight, not vertex count: fifty vertices holding a hub still fork.
 pub(crate) fn plan(
     resolved: Resolved,
     active: &[VertexIndex],
@@ -197,10 +230,21 @@ pub(crate) fn plan(
     offsets: &[u64],
     grain: Option<usize>,
 ) -> Plan {
-    let max_chunks = max_chunks() * resolved.overpartition.max(1);
-    let min_len = grain.unwrap_or(1).max(1);
     let full_range = active.len() == slots;
     let degree = |v: VertexIndex| offsets[v as usize + 1] - offsets[v as usize];
+    if grain.is_none() && !active.is_empty() {
+        let total = if full_range {
+            Some(offsets[slots] + slots as u64).filter(|&w| w < MIN_FORK_WEIGHT)
+        } else {
+            weight_below(MIN_FORK_WEIGHT, active, degree)
+        };
+        if let Some(weight) = total {
+            let whole = Chunk { start: 0, end: active.len() };
+            return Plan { chunks: vec![whole], chunk_edges: vec![weight] };
+        }
+    }
+    let max_chunks = max_chunks() * resolved.overpartition.max(1);
+    let min_len = grain.unwrap_or(1).max(1);
     let chunks = match resolved.cut {
         Cut::VertexBalanced => count_balanced(active.len(), max_chunks, min_len),
         Cut::EdgeBalanced if full_range => edge_balanced_range(offsets, max_chunks, min_len),
@@ -218,6 +262,27 @@ pub(crate) fn plan(
             .collect()
     };
     Plan { chunks, chunk_edges }
+}
+
+/// The planned weight of `active` if it is below `limit`, else `None`
+/// — without a pass over a frontier that is plainly too big: a vertex
+/// weighs at least 1, and the sum stops at the limit.
+fn weight_below(
+    limit: u64,
+    active: &[VertexIndex],
+    degree: impl Fn(VertexIndex) -> u64,
+) -> Option<u64> {
+    if active.len() as u64 >= limit {
+        return None;
+    }
+    let mut weight = 0u64;
+    for &v in active {
+        weight += degree(v) + 1;
+        if weight >= limit {
+            return None;
+        }
+    }
+    Some(weight)
 }
 
 #[cfg(test)]
@@ -276,13 +341,13 @@ mod tests {
         degrees[40] = 4000;
         let csr = csr_of(&degrees);
         let active: Vec<u32> = (0..512).collect();
-        let base = plan(Resolved::EDGE_BALANCED, &active, 512, csr.offsets(), None);
+        let base = plan(Resolved::EDGE_BALANCED, &active, 512, csr.offsets(), Some(1));
         let fine = plan(
             Resolved { cut: Cut::EdgeBalanced, overpartition: OVERPARTITION_FACTOR },
             &active,
             512,
             csr.offsets(),
-            None,
+            Some(1),
         );
         assert!(fine.chunks.len() > base.chunks.len(), "{} vs {}", fine.chunks.len(), base.chunks.len());
         let total: u64 = fine.chunk_edges.iter().sum();
@@ -342,6 +407,48 @@ mod tests {
                 assert!(default.chunks.len() > 1, "{resolved:?}: a wide frontier forks");
             }
         }
+    }
+
+    #[test]
+    fn a_light_frontier_is_one_chunk_unless_the_grain_says_cut() {
+        let csr = csr_of(&[2; 1000]);
+        let all: Vec<u32> = (0..1000).collect();
+        let sparse: Vec<u32> = (0..1000).step_by(7).collect();
+        for resolved in [Resolved::VERTEX_BALANCED, Resolved::EDGE_BALANCED] {
+            for active in [&all, &sparse] {
+                let weight = 3 * active.len() as u64;
+                assert!(weight < MIN_FORK_WEIGHT);
+                let whole = plan(resolved, active, 1000, csr.offsets(), None);
+                assert_eq!(whole.chunks, vec![Chunk { start: 0, end: active.len() }]);
+                assert_eq!(whole.chunk_edges, vec![weight], "the one chunk carries the plan's weight");
+                // An explicit grain keeps its meaning whatever the weight.
+                let cut = plan(resolved, active, 1000, csr.offsets(), Some(1));
+                assert!(cut.chunks.len() > 1, "{resolved:?}: grain 1 cuts as fine as it can");
+                assert_eq!(cut.chunk_edges.iter().sum::<u64>(), weight);
+            }
+        }
+        // Nothing active plans nothing, as before.
+        assert!(plan(Resolved::VERTEX_BALANCED, &[], 1000, csr.offsets(), None).chunks.is_empty());
+    }
+
+    #[test]
+    fn the_fork_threshold_is_on_weight_not_on_vertex_count() {
+        // Fifty active vertices, one of them a hub heavier than the
+        // threshold: the superstep forks (and the edge cut isolates the
+        // hub), where fifty light vertices would not.
+        let mut degrees = vec![1u32; 4000];
+        degrees[2000] = MIN_FORK_WEIGHT as u32;
+        let csr = csr_of(&degrees);
+        let with_hub: Vec<u32> = (1975..2025).collect();
+        let without: Vec<u32> = (0..50).collect();
+        let hub = plan(Resolved::EDGE_BALANCED, &with_hub, 4000, csr.offsets(), None);
+        assert!(hub.chunks.len() > 1, "{:?}", hub.chunks);
+        assert_eq!(plan(Resolved::EDGE_BALANCED, &without, 4000, csr.offsets(), None).chunks.len(), 1);
+        // Exactly at the threshold forks; one unit below does not.
+        let at = csr_of(&[(MIN_FORK_WEIGHT - 2) as u32, 0]);
+        assert!(plan(Resolved::EDGE_BALANCED, &[0, 1], 2, at.offsets(), None).chunks.len() > 1);
+        let below = csr_of(&[(MIN_FORK_WEIGHT - 3) as u32, 0]);
+        assert_eq!(plan(Resolved::EDGE_BALANCED, &[0, 1], 2, below.offsets(), None).chunks.len(), 1);
     }
 
     #[test]

@@ -39,9 +39,13 @@ pub struct RunConfig {
     pub threads: Option<usize>,
     /// Safety cap on supersteps; `None` runs to quiescence.
     pub max_supersteps: Option<usize>,
-    /// Minimum vertices per chunk on average (load-balancing grain);
-    /// `None` means 1. Bounds task-scheduling overhead when supersteps
-    /// run only a handful of cheap vertices.
+    /// Minimum vertices per chunk on average (load-balancing grain).
+    /// `None` — the default — leaves it to the planner: a superstep whose
+    /// frontier weighs less than a fork costs runs as one chunk on the
+    /// orchestrating thread, anything heavier is cut as finely as
+    /// `Some(1)` would cut it. `Some(1)` always cuts as fine as the
+    /// planner can; `Some(usize::MAX)` never cuts. Results never depend
+    /// on it.
     pub grain: Option<usize>,
     /// How each superstep's active list is cut into parallel chunks —
     /// the answer to the load-balancing problem the paper's conclusion

@@ -22,7 +22,7 @@ use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
 use ipregel_par::prelude::*;
 
 use crate::engine::bsp::{self, Barrier, Delivery};
-use crate::engine::{combine_into, in_pool, Outbound, RunConfig, RunResult};
+use crate::engine::{chunks, combine_into, in_pool, Outbound, RunConfig, RunResult};
 use crate::metrics::FootprintReport;
 use crate::program::VertexProgram;
 use crate::recover::DynHooks;
@@ -227,16 +227,18 @@ impl<P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'_, P, A> {
     }
 
     /// Recycle the read buffer — clear only the slots its writers
-    /// touched — then swap read/write roles.
+    /// touched — then swap read/write roles. Clearing a slot costs no
+    /// more than a unit of planned weight, so the clear forks by the
+    /// planner's own threshold: a short writer list is cleared here.
     fn flip(&mut self) {
         self.restored = None;
         self.epoch += 1;
         let read = &self.read;
-        self.writers_read.drain_to_vec().par_iter().for_each(|&v| {
+        let writers = self.writers_read.take();
+        writers.par_iter().with_min_len(chunks::MIN_FORK_WEIGHT as usize).for_each(|&v| {
             // SAFETY: writer lists are duplicate-free per buffer cycle.
             unsafe { *read.get_mut(v as usize) = None };
         });
-        self.writers_read.clear();
         std::mem::swap(&mut self.read, &mut self.write);
         // The writer lists must track their buffers through the swap.
         std::mem::swap(&mut self.writers_read, &mut self.writers_write);

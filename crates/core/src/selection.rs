@@ -39,8 +39,8 @@ use ipregel_graph::VertexIndex;
 ///
 /// # Safety model
 /// A shard is touched only by the worker whose pool
-/// thread index owns it; `len`/`drain_to_vec`/`clear` are called by the
-/// orchestrating thread strictly between parallel regions (after the
+/// thread index owns it; `len`/`drain_to_vec`/`clear`/`take` are called by
+/// the orchestrating thread strictly between parallel regions (after the
 /// superstep barrier), when no pushes are in flight.
 #[derive(Debug)]
 pub struct Worklist {
@@ -140,16 +140,26 @@ impl Worklist {
         out
     }
 
-    /// Drain into an ascending, duplicate-free active list and reset the
-    /// shards (post-barrier). Enqueue order is a race artefact; sorting
-    /// restores the scan's sequential memory-access pattern and gives the
-    /// chunk planner ([`ipregel_graph::schedule`]) the ordered list its
-    /// prefix-weight cut requires. O(active log active).
-    pub fn drain_sorted(&self) -> Vec<VertexIndex> {
-        use ipregel_par::prelude::*;
-        let mut out = self.drain_to_vec();
-        self.clear();
-        out.par_sort_unstable();
+    /// Move the queued vertices out (post-barrier; shard order, then
+    /// fallback entries), leaving the worklist empty with its capacity
+    /// kept: [`Worklist::drain_to_vec`] and [`Worklist::clear`] in one
+    /// pass, under one hold of the fallback lock — what the engines call
+    /// every superstep.
+    pub fn take(&self) -> Vec<VertexIndex> {
+        // lock-order(worklist.fallback)
+        let mut fallback = self.fallback.lock().expect("worklist fallback poisoned");
+        let sharded: usize = self
+            .shards
+            .iter()
+            // SAFETY: called between parallel regions; no concurrent pushes.
+            .map(|s| s.with(|p| unsafe { (*p).len() }))
+            .sum();
+        let mut out = Vec::with_capacity(sharded + fallback.len());
+        for s in self.shards.iter() {
+            // SAFETY: called between parallel regions.
+            s.with_mut(|p| out.append(unsafe { &mut *p }));
+        }
+        out.append(&mut fallback);
         out
     }
 
@@ -293,16 +303,19 @@ mod tests {
     }
 
     #[test]
-    fn drain_sorted_orders_and_resets() {
+    fn take_moves_everything_out_exactly_once() {
         let wl = Worklist::new(64);
         let n: u32 = if cfg!(miri) { 64 } else { 4096 };
         (0..n).into_par_iter().for_each(|i| wl.push(i ^ 0x2a));
-        let drained = wl.drain_sorted();
-        assert_eq!(drained.len(), n as usize);
-        assert!(drained.windows(2).all(|w| w[0] < w[1]), "sorted, duplicate-free");
-        // drain_sorted clears: nothing can be drained twice.
+        wl.push(n); // from this non-pool thread: the fallback entry
+        let before = wl.bytes();
+        let mut taken = wl.take();
+        taken.sort_unstable();
+        assert_eq!(taken, (0..=n).collect::<Vec<u32>>(), "shards and fallback, each entry once");
+        // take empties: nothing can be handed out twice.
         assert!(wl.is_empty());
-        assert_eq!(wl.drain_to_vec(), Vec::<u32>::new());
+        assert_eq!(wl.take(), Vec::<u32>::new());
+        assert_eq!(wl.bytes(), before, "capacity stays for the next superstep");
     }
 
     #[test]

@@ -5,18 +5,24 @@
 //! length and can evaluate position `i` independently
 //! (`eval(i) -> Option<Item>`, where `None` means "filtered out").
 //! Consumers split `0..len` into a fixed, deterministic chunk plan —
-//! `min(len, current_num_threads × 8)` contiguous chunks — spawn one
-//! scope task per chunk, evaluate each chunk sequentially on a pool
-//! worker, and combine the per-chunk partial results **sequentially in
-//! chunk order** on the calling thread.
+//! `min(len / min_len, current_num_threads × 8)` contiguous chunks,
+//! `min_len` being 1 unless [`ParallelIterator::with_min_len`] raised it
+//! — spawn one scope task per chunk, evaluate each chunk sequentially on
+//! a pool worker, and combine the per-chunk partial results
+//! **sequentially in chunk order** on the calling thread. A plan of one
+//! chunk is the caller's own work: it runs right there, opening no
+//! scope, boxing no job and waking nobody.
 //!
 //! Two consequences the rest of the workspace relies on:
 //!
-//! - **Worker-index routing holds.** Chunk bodies always run on pool
-//!   workers (never inline on a non-worker caller), so
-//!   `current_thread_index()` is `Some(_)` inside `for_each`/`map`
-//!   closures and the sharded `Worklist`/`Tracer` paths stay on their
-//!   lock-free lanes, exactly as under rayon.
+//! - **Worker-index routing holds.** The chunks of a forked plan always
+//!   run on pool workers, and a one-chunk plan runs on its caller — a
+//!   worker whenever the caller is one, as the engines' are under a
+//!   pool of their own. `current_thread_index()` is therefore `Some(_)`
+//!   inside `for_each`/`map` closures and the sharded
+//!   `Worklist`/`Tracer` paths stay on their lock-free lanes, except in
+//!   a one-chunk plan started from outside any pool, where those paths
+//!   take their mutex fallback.
 //! - **Determinism is *stronger* than rayon's.** For a fixed thread
 //!   count the chunk plan is fixed and reduction order is chunk order,
 //!   so even non-associative combines (f64 sums) are reproducible
@@ -25,7 +31,7 @@
 //! Only the adapter/consumer surface the workspace actually uses is
 //! implemented: `map`, `filter`, `enumerate`, `zip`, `for_each`,
 //! `collect::<Vec<_>>`, `sum`, `count`, `reduce`, `reduce_with`, plus
-//! `par_sort_unstable` on slices. `enumerate`/`zip` are index-based and
+//! `with_min_len`. `enumerate`/`zip` are index-based and
 //! must sit *before* any `filter` (rayon encodes the same restriction
 //! through its `IndexedParallelIterator` trait; here it is documented
 //! instead of typed).
@@ -43,12 +49,14 @@ use std::ops::Range;
 /// at plan-chunk granularity.
 const CHUNKS_PER_THREAD: usize = 8;
 
-/// The deterministic chunk plan for a consumer over `len` items.
-fn chunk_bounds(len: usize) -> Vec<Range<usize>> {
+/// The deterministic chunk plan for a consumer over `len` items, each
+/// chunk at least `min_len` long.
+fn chunk_bounds(len: usize, min_len: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
     }
-    let chunks = len.min(pool::current_num_threads().max(1) * CHUNKS_PER_THREAD);
+    let chunks =
+        (len / min_len.max(1)).clamp(1, pool::current_num_threads().max(1) * CHUNKS_PER_THREAD);
     let base = len / chunks;
     let extra = len % chunks;
     let mut bounds = Vec::with_capacity(chunks);
@@ -61,17 +69,18 @@ fn chunk_bounds(len: usize) -> Vec<Range<usize>> {
     bounds
 }
 
-/// Evaluate `run` over every chunk on pool workers; return the partial
-/// results **in chunk order**. Panics in a chunk propagate to the
-/// caller after all sibling chunks drained (scope semantics).
-fn drive<R, F>(len: usize, run: F) -> Vec<R>
+/// Evaluate `run` over every chunk — on pool workers when there are
+/// several, on the caller when there is one; return the partial results
+/// **in chunk order**. Panics in a chunk propagate to the caller after
+/// all sibling chunks drained (scope semantics).
+fn drive<R, F>(len: usize, min_len: usize, run: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
-    let bounds = chunk_bounds(len);
-    if bounds.is_empty() {
-        return Vec::new();
+    let bounds = chunk_bounds(len, min_len);
+    if bounds.len() <= 1 {
+        return bounds.into_iter().map(run).collect();
     }
     let slots: Vec<OrderedMutex<Option<R>>> =
         bounds.iter().map(|_| OrderedMutex::new(&classes::POOL_RESULT, None)).collect();
@@ -118,6 +127,19 @@ pub trait ParallelIterator: Sized + Send + Sync {
         self.len() == 0
     }
 
+    /// Fewest positions a chunk of this sequence's plan may hold.
+    fn min_len(&self) -> usize {
+        1
+    }
+
+    /// Give every chunk at least `min` positions (as in rayon): a
+    /// sequence shorter than `2 × min` is one chunk and runs on the
+    /// caller. For loops whose items are too cheap to be worth a task
+    /// each below some count.
+    fn with_min_len(self, min: usize) -> MinLen<Self> {
+        MinLen { base: self, min }
+    }
+
     /// Transform each item.
     fn map<R, F>(self, f: F) -> Map<Self, F>
     where
@@ -155,7 +177,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         F: Fn(Self::Item) + Sync + Send,
     {
-        drive(self.len(), |r| {
+        drive(self.len(), self.min_len(), |r| {
             for i in r {
                 if let Some(item) = self.eval(i) {
                     f(item);
@@ -178,12 +200,12 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         S: Send + std::iter::Sum<Self::Item> + std::iter::Sum<S>,
     {
-        drive(self.len(), |r| r.filter_map(|i| self.eval(i)).sum::<S>()).into_iter().sum()
+        drive(self.len(), self.min_len(), |r| r.filter_map(|i| self.eval(i)).sum::<S>()).into_iter().sum()
     }
 
     /// Count the surviving items.
     fn count(self) -> usize {
-        drive(self.len(), |r| r.filter_map(|i| self.eval(i)).count()).into_iter().sum()
+        drive(self.len(), self.min_len(), |r| r.filter_map(|i| self.eval(i)).count()).into_iter().sum()
     }
 
     /// Fold all items with `op`, seeding every chunk from `identity`.
@@ -192,7 +214,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
         ID: Fn() -> Self::Item + Sync + Send,
         OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync + Send,
     {
-        drive(self.len(), |r| r.filter_map(|i| self.eval(i)).fold(identity(), &op))
+        drive(self.len(), self.min_len(), |r| r.filter_map(|i| self.eval(i)).fold(identity(), &op))
             .into_iter()
             .fold(identity(), &op)
     }
@@ -202,7 +224,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync + Send,
     {
-        drive(self.len(), |r| r.filter_map(|i| self.eval(i)).reduce(&op))
+        drive(self.len(), self.min_len(), |r| r.filter_map(|i| self.eval(i)).reduce(&op))
             .into_iter()
             .flatten()
             .reduce(&op)
@@ -347,6 +369,9 @@ where
     fn eval(&self, i: usize) -> Option<R> {
         self.base.eval(i).map(&self.f)
     }
+    fn min_len(&self) -> usize {
+        self.base.min_len()
+    }
 }
 
 /// See [`ParallelIterator::filter`].
@@ -367,6 +392,9 @@ where
     fn eval(&self, i: usize) -> Option<I::Item> {
         self.base.eval(i).filter(|item| (self.pred)(item))
     }
+    fn min_len(&self) -> usize {
+        self.base.min_len()
+    }
 }
 
 /// See [`ParallelIterator::enumerate`].
@@ -381,6 +409,9 @@ impl<I: ParallelIterator> ParallelIterator for Enumerate<I> {
     }
     fn eval(&self, i: usize) -> Option<(usize, I::Item)> {
         self.base.eval(i).map(|item| (i, item))
+    }
+    fn min_len(&self) -> usize {
+        self.base.min_len()
     }
 }
 
@@ -401,6 +432,28 @@ impl<A: ParallelIterator, B: ParallelIterator> ParallelIterator for Zip<A, B> {
             _ => None,
         }
     }
+    fn min_len(&self) -> usize {
+        self.a.min_len().max(self.b.min_len())
+    }
+}
+
+/// See [`ParallelIterator::with_min_len`].
+pub struct MinLen<I> {
+    base: I,
+    min: usize,
+}
+
+impl<I: ParallelIterator> ParallelIterator for MinLen<I> {
+    type Item = I::Item;
+    fn len(&self) -> usize {
+        self.base.len()
+    }
+    fn eval(&self, i: usize) -> Option<I::Item> {
+        self.base.eval(i)
+    }
+    fn min_len(&self) -> usize {
+        self.min.max(self.base.min_len())
+    }
 }
 
 /// Collection from a parallel iterator (mirrors rayon's trait).
@@ -417,7 +470,7 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
         I: IntoParallelIterator<Item = T>,
     {
         let iter = iter.into_par_iter();
-        let parts = drive(iter.len(), |r| {
+        let parts = drive(iter.len(), iter.min_len(), |r| {
             r.filter_map(|i| iter.eval(i)).collect::<Vec<T>>()
         });
         let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
@@ -425,67 +478,6 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
             out.extend(part);
         }
         out
-    }
-}
-
-/// `par_sort_unstable` on mutable slices (the one `ParallelSliceMut`
-/// method the workspace uses).
-pub trait ParallelSliceMut<T: Send> {
-    /// Sort in parallel: chunk-local `sort_unstable` on pool workers,
-    /// then a sequential k-way merge on the caller. `Copy` is required
-    /// by the merge's scratch copy; the only call sites sort `u32`
-    /// vertex lists.
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord + Copy + Sync;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord + Copy + Sync,
-    {
-        let bounds = chunk_bounds(self.len());
-        if bounds.len() <= 1 {
-            self.sort_unstable();
-            return;
-        }
-        // Sort each chunk in place, in parallel. The chunks borrow
-        // disjoint regions via split_at_mut, so no unsafe is needed.
-        {
-            let mut rest: &mut [T] = self;
-            let mut pieces: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
-            for r in &bounds {
-                let (head, tail) = rest.split_at_mut(r.len());
-                pieces.push(head);
-                rest = tail;
-            }
-            pool::scope(|s| {
-                for piece in pieces {
-                    s.spawn(move |_| piece.sort_unstable());
-                }
-            });
-        }
-        // Sequential k-way merge of the sorted runs through a scratch
-        // buffer; k is at most threads×4, so a linear scan per output
-        // element is fine for the list sizes involved.
-        let mut scratch: Vec<T> = Vec::with_capacity(self.len());
-        let mut cursors: Vec<usize> = bounds.iter().map(|r| r.start).collect();
-        for _ in 0..self.len() {
-            let mut best: Option<(usize, T)> = None;
-            for (k, r) in bounds.iter().enumerate() {
-                if cursors[k] < r.end {
-                    let v = self[cursors[k]];
-                    if best.is_none_or(|(_, b)| v < b) {
-                        best = Some((k, v));
-                    }
-                }
-            }
-            let (k, v) = best.expect("cursor accounting covers every element");
-            cursors[k] += 1;
-            scratch.push(v);
-        }
-        self.copy_from_slice(&scratch);
     }
 }
 
@@ -555,19 +547,55 @@ mod tests {
         assert_eq!(on_worker.load(Ordering::Relaxed), total, "no chunk ran off-pool");
     }
 
+    /// Jobs `f` pushes to a two-thread pool of its own, run on one of
+    /// its workers (the shape the engines run in).
+    fn spawned_by(f: impl FnOnce() + Send) -> u64 {
+        let pool = pool::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        pool.install(|| {
+            let before = pool::current_pool_stats().spawned;
+            f();
+            pool::current_pool_stats().spawned - before
+        })
+    }
+
     #[test]
-    fn par_sort_unstable_sorts() {
-        let mut xs: Vec<u32> = (0..10_000u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
-        let mut expect = xs.clone();
-        expect.sort_unstable();
-        xs.par_sort_unstable();
-        assert_eq!(xs, expect);
-        let mut small = vec![3u32, 1, 2];
-        small.par_sort_unstable();
-        assert_eq!(small, vec![1, 2, 3]);
-        let mut empty: Vec<u32> = Vec::new();
-        empty.par_sort_unstable();
-        assert!(empty.is_empty());
+    fn a_one_chunk_plan_runs_on_its_caller_and_spawns_nothing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let xs: Vec<u32> = (0..1000).collect();
+        let spawned = spawned_by(|| {
+            let caller = pool::current_thread_index();
+            assert!(caller.is_some(), "install runs on a worker");
+            let seen = AtomicUsize::new(0);
+            xs.par_iter().with_min_len(501).for_each(|_| {
+                assert_eq!(pool::current_thread_index(), caller, "ran off the caller");
+                // ordering(Relaxed): test tally, read on the same thread
+                seen.fetch_add(1, Ordering::Relaxed);
+            });
+            // ordering(Relaxed): every increment happened on this thread
+            assert_eq!(seen.load(Ordering::Relaxed), 1000);
+            let one: Vec<u32> = xs[..1].par_iter().map(|&x| x + 1).collect();
+            assert_eq!(one, vec![1]);
+        });
+        assert_eq!(spawned, 0, "one chunk must not reach the pool");
+    }
+
+    #[test]
+    fn min_len_bounds_the_chunk_count() {
+        let xs: Vec<u64> = (0..1000).collect();
+        // 1000 / 300 = 3 chunks of at least 300; the sum does not care.
+        let spawned = spawned_by(|| {
+            let s: u64 = xs.par_iter().with_min_len(300).map(|&x| x).sum();
+            assert_eq!(s, 999 * 1000 / 2);
+        });
+        assert_eq!(spawned, 3);
+        // Unset, the plan is as fine as the pool allows: 2 threads × 8.
+        assert_eq!(spawned_by(|| xs.par_iter().for_each(|_| {})), 16);
+        // The floor survives adapters stacked on top of it.
+        let spawned = spawned_by(|| {
+            let n = xs.par_iter().with_min_len(400).enumerate().filter(|(i, _)| i % 2 == 0).count();
+            assert_eq!(n, 500);
+        });
+        assert_eq!(spawned, 2);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! The facade surface is exactly what the workspace uses — nothing
 //! speculative: `current_num_threads`, `current_thread_index`, `join`,
 //! `scope`, `ThreadPool{Builder}` with `install`, the `prelude` with
-//! `par_iter`/`into_par_iter`/`par_sort_unstable` and the
-//! map/filter/enumerate/zip/for_each/collect/sum/count/reduce family.
+//! `par_iter`/`into_par_iter` and the
+//! map/filter/enumerate/zip/with_min_len/for_each/collect/sum/count/reduce
+//! family.
 //! [`CachePadded`] is the crossbeam replacement.
 //!
 //! # Worker-index contract
@@ -41,12 +42,10 @@ pub use pool::{
     ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
 };
 
-/// The traits that make `par_iter()` / `into_par_iter()` /
-/// `par_sort_unstable()` available — import as `use
-/// ipregel_par::prelude::*;` exactly like rayon's.
+/// The traits that make `par_iter()` / `into_par_iter()` available —
+/// import as `use ipregel_par::prelude::*;` exactly like rayon's.
 pub mod prelude {
     pub use crate::iter::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-        ParallelSliceMut,
     };
 }

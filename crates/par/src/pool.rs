@@ -153,6 +153,11 @@ pub struct PoolStats {
     /// Jobs routed through the overflow injector: non-worker
     /// submissions plus full-deque spill.
     pub overflow: u64,
+    /// Jobs pushed to any queue — every `Scope::spawn` and `install`.
+    /// A parallel region that ran inline on its caller adds nothing
+    /// here, so a delta of zero across a region means it boxed no job
+    /// and woke nobody.
+    pub spawned: u64,
 }
 
 /// Shared state of one pool.
@@ -173,6 +178,8 @@ struct PoolInner {
     steals: Box<[CachePadded<AtomicU64>]>,
     /// Jobs pushed to the overflow injector.
     overflow_pushes: AtomicU64,
+    /// Jobs pushed to any queue.
+    spawned: AtomicU64,
     /// Advisory count of workers registered on the sleep path — see the
     /// module-level "Sleep protocol".
     sleepers: AtomicUsize,
@@ -189,6 +196,9 @@ impl PoolInner {
     /// goes straight to the injector. Sleepers are then woken if any
     /// are registered.
     fn push(&self, job: Job) {
+        // ordering(Relaxed): monotone counter; readers snapshot it via
+        // `stats()` outside parallel regions.
+        self.spawned.fetch_add(1, Ordering::Relaxed);
         let job = match current_worker() {
             Some((pool, index)) if std::ptr::eq(pool, self) => {
                 self.deques[index].push_back(job).err()
@@ -288,6 +298,8 @@ impl PoolInner {
             steals: self.steals.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
             // ordering(Relaxed): same monotone-counter protocol.
             overflow: self.overflow_pushes.load(Ordering::Relaxed),
+            // ordering(Relaxed): same monotone-counter protocol.
+            spawned: self.spawned.load(Ordering::Relaxed),
         }
     }
 }
@@ -543,6 +555,7 @@ impl ThreadPoolBuilder {
             victims: (0..n).map(|i| victim_order(n, i)).collect(),
             steals: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
             overflow_pushes: AtomicU64::new(0),
+            spawned: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
             num_threads: n,
         });
@@ -782,7 +795,7 @@ where
         scope(|s| {
             s.spawn(move |_| {
                 // Run `b` to completion *before* taking the result lock:
-                // recursive joins inside `b` (par_sort's split tree)
+                // recursive joins inside `b` (a divide-and-conquer tree)
                 // would otherwise nest pool.result inside pool.result —
                 // same-class nesting, which the detector rejects.
                 let v = b();
@@ -973,6 +986,22 @@ mod tests {
             after.steals > before.steals,
             "64 slow tasks on one deque must produce at least one steal: {after:?}"
         );
+    }
+
+    #[test]
+    fn spawned_counts_every_pushed_job() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let before = pool.stats().spawned;
+        pool.install(|| {
+            scope(|s| {
+                for _ in 0..5 {
+                    s.spawn(|_| {});
+                }
+            });
+            // A scope that spawns nothing pushes nothing.
+            scope(|_| {});
+        });
+        assert_eq!(pool.stats().spawned - before, 6, "one install job plus five scope tasks");
     }
 
     #[test]

@@ -211,25 +211,35 @@ fn vertex_panic_is_isolated_on_every_version() {
     let _held = lock();
     let g = cycle(8);
     let program = PanicAt { victim: 3, at: 2 };
+    // Both shapes of a superstep: grain 1 cuts the eight vertices into
+    // eight pool tasks, so the panic unwinds in a task on some worker;
+    // the default grain leaves so light a superstep whole, so it unwinds
+    // on the orchestrating worker itself, as chunk 0 of one.
+    let shapes = [(Some(1), 3, (3, 3)), (None, 0, (0, 7))];
     silencing_panics(|| {
         for schedule in Schedule::all() {
-            let cfg = RunConfig { threads: Some(4), schedule, ..RunConfig::default() };
-            for v in all_versions() {
-                let label = format!("{} / {schedule}", v.label());
-                match run_any(&g, &program, v, &cfg) {
-                    Err(RunError::VertexPanic { superstep, message, stats, .. }) => {
-                        assert_eq!(superstep, 2, "{label}");
-                        assert!(message.contains("injected test panic"), "{label}: {message}");
-                        // Supersteps 0 and 1 completed before the crash.
-                        assert_eq!(stats.num_supersteps(), 2, "{label}");
+            for (grain, blamed, blamed_range) in shapes {
+                let cfg = RunConfig { threads: Some(4), schedule, grain, ..RunConfig::default() };
+                for v in all_versions() {
+                    let label = format!("{} / {schedule} / grain {grain:?}", v.label());
+                    match run_any(&g, &program, v, &cfg) {
+                        Err(RunError::VertexPanic {
+                            superstep, chunk, vertex_range, message, stats,
+                        }) => {
+                            assert_eq!(superstep, 2, "{label}");
+                            assert_eq!((chunk, vertex_range), (blamed, blamed_range), "{label}");
+                            assert!(message.contains("injected test panic"), "{label}: {message}");
+                            // Supersteps 0 and 1 completed before the crash.
+                            assert_eq!(stats.num_supersteps(), 2, "{label}");
+                        }
+                        other => panic!("{label}: expected VertexPanic, got {other:?}"),
                     }
-                    other => panic!("{label}: expected VertexPanic, got {other:?}"),
+                    // The pool survived: the same config immediately runs a
+                    // healthy program to completion.
+                    run_any(&g, &Hashmin, v, &cfg).unwrap_or_else(|e| {
+                        panic!("{label}: pool did not survive the panic: {e}")
+                    });
                 }
-                // The pool survived: the same config immediately runs a
-                // healthy program to completion.
-                run_any(&g, &Hashmin, v, &cfg).unwrap_or_else(|e| {
-                    panic!("{label}: pool did not survive the panic: {e}")
-                });
             }
         }
         match try_run_sequential(&g, &program, &RunConfig::default()) {
@@ -341,6 +351,82 @@ fn deadline_cuts_inside_a_superstep() {
             "{}: deadline never cut inside the superstep (all 64 vertices ran)",
             v.label()
         );
+    }
+}
+
+/// [`PanicAt`]'s traffic, except that the chosen vertex stalls instead
+/// of panicking.
+struct StallAt {
+    victim: u32,
+    at: usize,
+    stall: Duration,
+}
+
+impl VertexProgram for StallAt {
+    type Value = u32;
+    type Message = u32;
+
+    fn initial_value(&self, _id: VertexId) -> u32 {
+        0
+    }
+
+    fn compute<C: Context<Message = u32>>(&self, value: &mut u32, ctx: &mut C) {
+        if ctx.superstep() == self.at && ctx.id() == self.victim {
+            std::thread::sleep(self.stall);
+        }
+        while ctx.next_message().is_some() {}
+        *value += 1;
+        if ctx.superstep() < 6 {
+            ctx.broadcast(1);
+        }
+        ctx.vote_to_halt();
+    }
+
+    fn combine(old: &mut u32, new: u32) {
+        *old += new;
+    }
+}
+
+/// A deadline that runs out while supersteps run whole on the
+/// orchestrating worker: nothing can cut inside a one-chunk superstep
+/// that started in time, so the stalled superstep 2 completes and the
+/// barrier before superstep 3 reports the miss, with the stats of all
+/// three completed supersteps, each one chunk. (Cut into pool tasks the
+/// same run may also stop a superstep earlier, when a task starts late.)
+#[test]
+fn deadline_across_one_chunk_supersteps_keeps_the_completed_ones() {
+    let _held = lock();
+    let g = cycle(8);
+    let deadline = Duration::from_millis(200);
+    let program = StallAt { victim: 3, at: 2, stall: deadline };
+    for grain in [None, Some(1)] {
+        let cfg =
+            RunConfig { threads: Some(2), grain, deadline: Some(deadline), ..RunConfig::default() };
+        for v in all_versions() {
+            let label = format!("{} / grain {grain:?}", v.label());
+            match run_any(&g, &program, v, &cfg) {
+                Err(RunError::DeadlineExceeded { superstep, stats, .. }) => {
+                    assert_eq!(stats.num_supersteps(), superstep, "{label}: completed supersteps");
+                    let chunks: Vec<usize> = stats
+                        .supersteps
+                        .iter()
+                        .map(|s| s.load.as_ref().expect("load stats").num_chunks())
+                        .collect();
+                    if grain.is_none() {
+                        assert_eq!(superstep, 3, "{label}");
+                        assert_eq!(chunks, [1, 1, 1], "{label}: light supersteps run whole");
+                    } else {
+                        assert!(superstep == 2 || superstep == 3, "{label}: stopped at {superstep}");
+                        assert!(chunks.iter().all(|&c| c == 8), "{label}: {chunks:?}");
+                    }
+                }
+                other => panic!("{label}: expected DeadlineExceeded, got {other:?}"),
+            }
+            // The pool is fine: the same config, given time, converges.
+            let relaxed = RunConfig { deadline: None, ..cfg.clone() };
+            run_any(&g, &Hashmin, v, &relaxed)
+                .unwrap_or_else(|e| panic!("{label}: pool did not survive the deadline: {e}"));
+        }
     }
 }
 
