@@ -1258,6 +1258,30 @@ mod tests {
     }
 
     #[test]
+    fn relabelled_source_outside_the_id_range_is_a_typed_error() {
+        // `Relabeling::new_id` panics on an id it never renamed; the CLI
+        // must refuse such a source before translating it — below the
+        // base and past the end, with and without --compress.
+        let f = temp_graph("10 11\n11 12\n12 10\n", "txt");
+        for cmd in ["sssp", "bfs"] {
+            for source in [0u32, 9, 13, u32::MAX] {
+                for extra in ["", " --compress"] {
+                    let e = run_cli(&args(&format!(
+                        "{cmd} --graph {} --source {source} --relabel degree{extra}",
+                        f.0.display()
+                    )))
+                    .unwrap_err();
+                    assert_eq!(
+                        e.0,
+                        format!("source vertex {source} is not in the graph"),
+                        "{cmd} --source {source}{extra}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn diameter_maps_endpoints_back_through_relabelling() {
         // A path 10-11-12-13: pseudo-diameter 3 between the endpoints,
         // whatever the internal permutation.

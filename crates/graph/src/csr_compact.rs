@@ -195,6 +195,26 @@ impl CsrCompact {
         &self.offsets
     }
 
+    /// The byte-start index as stored: `starts()[v]..starts()[v + 1]`
+    /// delimits `v`'s stream in [`CsrCompact::data`]. With `data` and
+    /// [`CsrCompact::weights`], what a differential test needs to hold
+    /// one encoder's bytes against another's without going through the
+    /// decoder.
+    pub fn starts(&self) -> &[u32] {
+        &self.starts
+    }
+
+    /// The encoded neighbour stream as stored.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// All weights as stored (sorted-neighbour order within each vertex,
+    /// indexed by `offsets`), or `None` for unweighted graphs.
+    pub fn weights(&self) -> Option<&[Weight]> {
+        self.weights.as_deref()
+    }
+
     /// Bytes of the encoded neighbour stream alone (the part the varint
     /// codec actually shrinks; [`CsrCompact::bytes`] adds the arrays
     /// around it).

@@ -649,6 +649,42 @@ mod tests {
     }
 
     #[test]
+    fn a_decode_error_outranks_the_checksum_mismatch_it_also_causes() {
+        // The inflated degree is left un-refixed, so the file fails twice:
+        // structurally inside the chunk and on the digest at the end. The
+        // chunk's hash half runs either way; what the caller sees must be
+        // the decoder's account of what is wrong, not "checksum mismatch".
+        let mut file = Vec::new();
+        write_binary_compressed(&mut file, 0, 3, &[(0u32, 1u32), (1, 2), (2, 0)], Some(&[4, 5, 6]))
+            .unwrap();
+        file[36] = 3;
+        match read_binary(&file[..], NeighborMode::OutOnly) {
+            Err(GraphError::Corrupt(why)) => {
+                assert!(why.contains("degree sum exceeds"), "{why}")
+            }
+            other => panic!("expected the decoder's Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_edgeless_declared_range_round_trips() {
+        for weights in [None, Some(&[][..])] {
+            let mut plain = Vec::new();
+            write_binary(&mut plain, 5, 4, &[], weights).unwrap();
+            let mut compressed = Vec::new();
+            write_binary_compressed(&mut compressed, 5, 4, &[], weights).unwrap();
+            for file in [&plain, &compressed] {
+                for mode in [NeighborMode::OutOnly, NeighborMode::InOnly, NeighborMode::Both] {
+                    let g = read_binary(&file[..], mode).unwrap();
+                    assert_eq!((g.num_vertices(), g.num_edges()), (4, 0));
+                    assert_eq!(g.address_map().base(), 5);
+                    assert_eq!(g.out_degree(g.index_of(8)), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hostile_section_length_fails_without_matching_allocation() {
         // comp_len far beyond the 5·(m+n) structural maximum must be
         // rejected from the header alone.
