@@ -170,7 +170,7 @@ impl Adjacency {
     /// Convert to the compact representation (no-op if already compact).
     pub fn compress(self) -> Result<Adjacency, GraphError> {
         match self {
-            Adjacency::Plain(c) => Ok(Adjacency::Compact(CsrCompact::from_csr(&c)?)),
+            Adjacency::Plain(c) => Ok(Adjacency::Compact(CsrCompact::from_csr(c)?)),
             compact @ Adjacency::Compact(_) => Ok(compact),
         }
     }
@@ -250,7 +250,7 @@ mod tests {
     fn both_representations_agree_through_the_trait() {
         let edges = [(0u32, 4u32), (0, 1), (1, 3), (3, 0), (3, 4), (3, 2)];
         let csr = Csr::from_edges(5, &edges, None);
-        let compact = CsrCompact::from_csr(&csr).unwrap();
+        let compact = CsrCompact::from_csr(csr.clone()).unwrap();
         assert_eq!(generic_sum(&csr), generic_sum(&compact));
         assert_eq!(NeighborList::offsets(&csr), NeighborList::offsets(&compact));
         assert_eq!(NeighborList::num_edges(&csr), 6);

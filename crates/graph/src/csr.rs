@@ -94,6 +94,24 @@ impl Csr {
         Csr { offsets, targets, weights }
     }
 
+    /// The arrays [`Csr::from_raw_parts`] takes, handed back — so the
+    /// compact encoder can sort `targets` in place and keep `offsets`
+    /// rather than copy either.
+    pub(crate) fn into_raw_parts(self) -> (Vec<u64>, Vec<VertexIndex>, Option<Vec<Weight>>) {
+        (self.offsets, self.targets, self.weights)
+    }
+
+    /// Where to cut the rows `offsets` delimits in two for a pair of
+    /// tasks: the first row that starts at or past the edge midpoint, so
+    /// rows `..cut` and `cut..` hold about half the edges each. A function
+    /// of the offsets alone — never of who will run the halves — and
+    /// either half may be empty (no edges at all, or one row holding most
+    /// of them).
+    pub(crate) fn edge_midpoint(offsets: &[u64]) -> usize {
+        let edges = offsets[offsets.len() - 1];
+        offsets.partition_point(|&o| o < edges / 2)
+    }
+
     /// Number of slots this CSR covers.
     pub fn num_slots(&self) -> usize {
         self.offsets.len() - 1
@@ -186,11 +204,17 @@ impl Graph {
 
     /// Convert every retained adjacency direction to the delta-varint
     /// compact representation ([`crate::csr_compact::CsrCompact`]). Both
-    /// directions compress together so the engines never see mixed
-    /// representations. Idempotent.
+    /// directions compress together — as two concurrent tasks when both
+    /// are retained — so the engines never see mixed representations.
+    /// Idempotent.
     pub fn compress(mut self) -> Result<Graph, GraphError> {
-        self.out = self.out.map(Adjacency::compress).transpose()?;
-        self.incoming = self.incoming.map(Adjacency::compress).transpose()?;
+        let (out, incoming) = (self.out.take(), self.incoming.take());
+        let (out, incoming) = ipregel_par::join(
+            || out.map(Adjacency::compress).transpose(),
+            || incoming.map(Adjacency::compress).transpose(),
+        );
+        self.out = out?;
+        self.incoming = incoming?;
         Ok(self)
     }
 
@@ -386,6 +410,32 @@ mod tests {
             assert_eq!(csr.neighbors(v), &[] as &[u32]);
         }
         assert_eq!(csr.num_edges(), 0);
+    }
+
+    #[test]
+    fn relabelled_arrays_hold_no_spare_capacity() {
+        // `bytes()` adds up lengths; what the process pays for is
+        // capacity. Every array of a relabelled graph, in every mode.
+        use crate::transform::{degree_relabeling, relabel_graph};
+        use crate::{GraphBuilder, NeighborMode};
+        for mode in [NeighborMode::OutOnly, NeighborMode::InOnly, NeighborMode::Both] {
+            let mut b = GraphBuilder::new(mode);
+            for i in 0..300u32 {
+                b.add_weighted_edge(3 + i % 7, 3 + (i * 13) % 41, i);
+            }
+            let g = b.build().unwrap();
+            let g = relabel_graph(&g, &degree_relabeling(&g)).unwrap();
+            for adj in [&g.out, &g.incoming].into_iter().flatten() {
+                let Adjacency::Plain(c) = adj else { panic!("relabelling keeps the plain form") };
+                assert_eq!(c.offsets.capacity(), c.offsets.len());
+                assert_eq!(c.targets.capacity(), c.targets.len());
+                let w = c.weights.as_ref().unwrap();
+                assert_eq!(w.capacity(), w.len());
+            }
+            if let Some(d) = &g.out_degrees {
+                assert_eq!(d.capacity(), d.len());
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! `u64` layout. A stream of ≥ 4 GiB (which at the observed ≈ 1.3
 //! bytes/edge means ≥ ~3 billion edges per direction) is rejected with
 //! [`GraphError::TooLargeToCompress`] rather than silently truncated.
+//!
+//! Every array is allocated once, at its final size: `capacity == len`
+//! throughout, so [`CsrCompact::bytes`] — which adds up lengths — is
+//! what the process pays, and the memory model's projection of it
+//! (`ipregel-mem::compress`) can be exact.
 
 use crate::csr::{Csr, Weight};
 use crate::error::GraphError;
@@ -107,37 +112,43 @@ pub struct CsrCompact {
 
 impl CsrCompact {
     /// Compress `csr`. Each vertex's `(target, weight)` pairs are sorted
-    /// by target (stable, so parallel edges keep their relative weight
-    /// order) and delta-encoded.
-    pub fn from_csr(csr: &Csr) -> Result<CsrCompact, GraphError> {
-        let slots = csr.num_slots();
-        let offsets = csr.offsets().to_vec();
-        let mut starts = Vec::with_capacity(slots + 1);
-        let mut data = Vec::new();
-        let mut weights = csr.is_weighted().then(|| Vec::with_capacity(csr.num_edges() as usize));
-        let mut sorted: Vec<(VertexIndex, Weight)> = Vec::new();
-        starts.push(0u32);
-        for v in 0..slots as u32 {
-            let neighbors = csr.neighbors(v);
-            sorted.clear();
-            match csr.weights_of(v) {
-                Some(ws) => sorted.extend(neighbors.iter().copied().zip(ws.iter().copied())),
-                None => sorted.extend(neighbors.iter().map(|&n| (n, 0))),
-            }
-            sorted.sort_by_key(|&(n, _)| n);
-            let mut prev = 0u32;
-            for (i, &(n, w)) in sorted.iter().enumerate() {
-                let delta = if i == 0 { n } else { n - prev };
-                write_varint(&mut data, u64::from(delta));
-                prev = n;
-                if let Some(ws) = weights.as_mut() {
-                    ws.push(w);
-                }
-            }
-            let end = u32::try_from(data.len())
-                .map_err(|_| GraphError::TooLargeToCompress(data.len() as u64))?;
-            starts.push(end);
+    /// by target (stably when weighted, so parallel edges keep their
+    /// relative weight order) and delta-encoded.
+    ///
+    /// The CSR is consumed: its offsets and weights arrays become this
+    /// structure's, and its targets are sorted where they lie. The rows
+    /// are cut once, at the edge midpoint, and the two halves are sorted
+    /// and encoded by concurrent tasks, each into a buffer of its own;
+    /// the stream is their concatenation, so where the cut falls — and
+    /// who runs which half — cannot show in the bytes (docs/INTERNALS.md,
+    /// "Transforms: relabel and compress").
+    pub fn from_csr(csr: Csr) -> Result<CsrCompact, GraphError> {
+        let (offsets, mut targets, mut weights) = csr.into_raw_parts();
+        let slots = offsets.len() - 1;
+        let mid = Csr::edge_midpoint(&offsets);
+        let cut = offsets[mid] as usize;
+        let (targets_lo, targets_hi) = targets.split_at_mut(cut);
+        let (weights_lo, weights_hi) =
+            weights.as_deref_mut().map(|w| w.split_at_mut(cut)).unzip();
+        let ((data_lo, ends_lo), (data_hi, ends_hi)) = ipregel_par::join(
+            || encode_rows(&offsets[..=mid], targets_lo, weights_lo),
+            || encode_rows(&offsets[mid..], targets_hi, weights_hi),
+        );
+        // The plain targets are spent: free their 4 B·m before the stream
+        // is allocated, not after.
+        drop(targets);
+
+        let total = data_lo.len() as u64 + data_hi.len() as u64;
+        if total > u64::from(u32::MAX) {
+            return Err(GraphError::TooLargeToCompress(total));
         }
+        let mut data = Vec::with_capacity(total as usize);
+        data.extend_from_slice(&data_lo);
+        data.extend_from_slice(&data_hi);
+        let mut starts = Vec::with_capacity(slots + 1);
+        starts.push(0u32);
+        starts.extend(ends_lo.iter().map(|&end| end as u32));
+        starts.extend(ends_hi.iter().map(|&end| (data_lo.len() + end) as u32));
         Ok(CsrCompact { offsets, starts, data, weights })
     }
 
@@ -231,6 +242,63 @@ impl CsrCompact {
     }
 }
 
+/// Sort and encode the rows `offsets` delimits. `targets` and `weights`
+/// begin at `offsets[0]`. Returns the stream and, per row, the byte at
+/// which its stream ends.
+///
+/// Two passes, so the buffer is allocated once at its final size: the
+/// first sorts each row where it lies and adds up its varint lengths,
+/// the second encodes.
+fn encode_rows(
+    offsets: &[u64],
+    targets: &mut [VertexIndex],
+    mut weights: Option<&mut [Weight]>,
+) -> (Vec<u8>, Vec<usize>) {
+    /// A sorted row as the values its stream holds: the first target,
+    /// then each target's gap to its predecessor.
+    fn gaps(row: &[VertexIndex]) -> impl Iterator<Item = u64> + '_ {
+        let mut prev = 0;
+        row.iter().map(move |&t| {
+            let gap = t - prev;
+            prev = t;
+            u64::from(gap)
+        })
+    }
+    let first = offsets[0];
+    let rows = || offsets.windows(2).map(|w| (w[0] - first) as usize..(w[1] - first) as usize);
+
+    let mut ends = Vec::with_capacity(offsets.len() - 1);
+    let mut pairs: Vec<(VertexIndex, Weight)> = Vec::new();
+    let mut bytes = 0usize;
+    for row in rows() {
+        let row_targets = &mut targets[row.clone()];
+        match weights.as_deref_mut() {
+            None => row_targets.sort_unstable(),
+            Some(weights) => {
+                let row_weights = &mut weights[row];
+                pairs.clear();
+                pairs.extend(row_targets.iter().copied().zip(row_weights.iter().copied()));
+                pairs.sort_by_key(|&(t, _)| t);
+                for (i, &(t, w)) in pairs.iter().enumerate() {
+                    row_targets[i] = t;
+                    row_weights[i] = w;
+                }
+            }
+        }
+        bytes += gaps(row_targets).map(varint_len).sum::<usize>();
+        ends.push(bytes);
+    }
+
+    let mut data = Vec::with_capacity(bytes);
+    for row in rows() {
+        for gap in gaps(&targets[row]) {
+            write_varint(&mut data, gap);
+        }
+    }
+    debug_assert_eq!(data.len(), bytes);
+    (data, ends)
+}
+
 /// Iterator yielded by [`CsrCompact::neighbors_iter`]: decodes the
 /// delta-varint stream of one vertex on the fly.
 #[derive(Debug, Clone)]
@@ -292,7 +360,7 @@ mod tests {
     fn compresses_and_decodes_sorted_lists() {
         let edges = [(0u32, 5u32), (0, 2), (0, 9), (2, 1), (2, 0)];
         let csr = Csr::from_edges(3, &edges, None);
-        let compact = CsrCompact::from_csr(&csr).unwrap();
+        let compact = CsrCompact::from_csr(csr.clone()).unwrap();
         assert_eq!(compact.neighbors_iter(0).collect::<Vec<_>>(), vec![2, 5, 9]);
         assert_eq!(compact.neighbors_iter(1).count(), 0);
         assert_eq!(compact.neighbors_iter(2).collect::<Vec<_>>(), vec![0, 1]);
@@ -305,7 +373,7 @@ mod tests {
     fn decompress_is_the_sorted_original() {
         let edges = [(0u32, 7u32), (0, 3), (1, 1), (0, 5), (2, 0), (2, 2)];
         let csr = Csr::from_edges(4, &edges, None);
-        let back = CsrCompact::from_csr(&csr).unwrap().decompress();
+        let back = CsrCompact::from_csr(csr.clone()).unwrap().decompress();
         for v in 0..4 {
             let mut expect = csr.neighbors(v).to_vec();
             expect.sort_unstable();
@@ -318,7 +386,7 @@ mod tests {
     fn weights_follow_their_edge_through_the_sort() {
         let edges = [(0u32, 9u32), (0, 1), (0, 4)];
         let csr = Csr::from_edges(1, &edges, Some(&[90, 10, 40]));
-        let compact = CsrCompact::from_csr(&csr).unwrap();
+        let compact = CsrCompact::from_csr(csr).unwrap();
         assert_eq!(compact.neighbors_iter(0).collect::<Vec<_>>(), vec![1, 4, 9]);
         assert_eq!(compact.weights_of(0).unwrap(), &[10, 40, 90]);
         let back = compact.decompress();
@@ -329,7 +397,7 @@ mod tests {
     fn parallel_edges_survive_as_zero_gaps() {
         let edges = [(0u32, 3u32), (0, 3), (0, 3)];
         let csr = Csr::from_edges(1, &edges, None);
-        let compact = CsrCompact::from_csr(&csr).unwrap();
+        let compact = CsrCompact::from_csr(csr).unwrap();
         assert_eq!(compact.neighbors_iter(0).collect::<Vec<_>>(), vec![3, 3, 3]);
         // First = 1 byte for "3", then two zero gaps: 3 bytes total.
         assert_eq!(compact.data_bytes(), 3);
@@ -341,15 +409,42 @@ mod tests {
         // vs 64 × 4 bytes plain.
         let edges: Vec<(u32, u32)> = (0..64).map(|i| (0u32, 1000 + i)).collect();
         let csr = Csr::from_edges(1, &edges, None);
-        let compact = CsrCompact::from_csr(&csr).unwrap();
+        let compact = CsrCompact::from_csr(csr.clone()).unwrap();
         assert_eq!(compact.data_bytes(), 2 + 63); // varint(1000) = 2 bytes
         assert!(compact.bytes() < csr.bytes());
     }
 
     #[test]
+    fn compressed_arrays_hold_no_spare_capacity() {
+        // `bytes()` adds up lengths; what the process pays for is
+        // capacity. Both directions of a relabelled, weighted multigraph,
+        // through the public path the CLI takes.
+        use crate::transform::{degree_relabeling, relabel_graph};
+        use crate::{GraphBuilder, NeighborMode};
+        let mut b = GraphBuilder::new(NeighborMode::Both);
+        for i in 0..300u32 {
+            b.add_weighted_edge(i % 7, (i * 13) % 41, i);
+        }
+        let g = b.build().unwrap();
+        let g = relabel_graph(&g, &degree_relabeling(&g)).unwrap().compress().unwrap();
+        for adj in [g.out_adj().unwrap(), g.in_adj().unwrap()] {
+            let c = adj.compact().unwrap();
+            assert_eq!(c.offsets.capacity(), c.offsets.len());
+            assert_eq!(c.starts.capacity(), c.starts.len());
+            assert_eq!(c.data.capacity(), c.data.len());
+            let w = c.weights.as_ref().unwrap();
+            assert_eq!(w.capacity(), w.len());
+            assert_eq!(
+                c.bytes(),
+                c.offsets.capacity() * 8 + c.starts.capacity() * 4 + c.data.capacity() + w.capacity() * 4
+            );
+        }
+    }
+
+    #[test]
     fn empty_slots_have_empty_streams() {
         let csr = Csr::from_edges(4, &[], None);
-        let compact = CsrCompact::from_csr(&csr).unwrap();
+        let compact = CsrCompact::from_csr(csr).unwrap();
         for v in 0..4 {
             assert_eq!(compact.neighbors_iter(v).count(), 0);
         }

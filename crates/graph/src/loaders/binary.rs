@@ -270,67 +270,69 @@ pub fn read_binary<R: Read>(mut r: R, mode: NeighborMode) -> Result<Graph, Graph
             let chunk = &mut buf[..take];
             r.read_exact(chunk)
                 .map_err(|_| GraphError::BadBinary("truncated compressed section".into()))?;
-            hash.update(chunk);
-            for &byte in chunk.iter() {
-                acc |= u64::from(byte & 0x7f) << shift;
-                shift += 7;
-                nbytes += 1;
-                if byte & 0x80 != 0 {
-                    if nbytes == MAX_VARINT32_LEN {
-                        return Err(GraphError::Corrupt(
-                            "varint runs past its 5-byte maximum".into(),
-                        ));
+            hash_beside(&mut hash, chunk, || {
+                for &byte in chunk.iter() {
+                    acc |= u64::from(byte & 0x7f) << shift;
+                    shift += 7;
+                    nbytes += 1;
+                    if byte & 0x80 != 0 {
+                        if nbytes == MAX_VARINT32_LEN {
+                            return Err(GraphError::Corrupt(
+                                "varint runs past its 5-byte maximum".into(),
+                            ));
+                        }
+                        continue;
                     }
-                    continue;
+                    let val = acc;
+                    acc = 0;
+                    shift = 0;
+                    nbytes = 0;
+                    if expecting_degree {
+                        if v == n {
+                            return Err(GraphError::Corrupt(
+                                "compressed section continues past the last vertex".into(),
+                            ));
+                        }
+                        edges_seen = edges_seen.saturating_add(val);
+                        if edges_seen > m {
+                            return Err(GraphError::Corrupt(format!(
+                                "degree sum exceeds declared edge count {m}"
+                            )));
+                        }
+                        rem_gaps = val;
+                        first = true;
+                        prev = 0;
+                        if rem_gaps == 0 {
+                            v += 1;
+                        } else {
+                            expecting_degree = false;
+                        }
+                    } else {
+                        let gap = u32::try_from(val)
+                            .map_err(|_| GraphError::Corrupt("gap exceeds u32".into()))?;
+                        let t = if first {
+                            gap
+                        } else {
+                            prev.checked_add(gap).ok_or_else(|| {
+                                GraphError::Corrupt("target id overflows u32".into())
+                            })?
+                        };
+                        first = false;
+                        prev = t;
+                        if weighted {
+                            pending.push((base + v, t));
+                        } else {
+                            b.add_edge(base + v, t);
+                        }
+                        rem_gaps -= 1;
+                        if rem_gaps == 0 {
+                            expecting_degree = true;
+                            v += 1;
+                        }
+                    }
                 }
-                let val = acc;
-                acc = 0;
-                shift = 0;
-                nbytes = 0;
-                if expecting_degree {
-                    if v == n {
-                        return Err(GraphError::Corrupt(
-                            "compressed section continues past the last vertex".into(),
-                        ));
-                    }
-                    edges_seen = edges_seen.saturating_add(val);
-                    if edges_seen > m {
-                        return Err(GraphError::Corrupt(format!(
-                            "degree sum exceeds declared edge count {m}"
-                        )));
-                    }
-                    rem_gaps = val;
-                    first = true;
-                    prev = 0;
-                    if rem_gaps == 0 {
-                        v += 1;
-                    } else {
-                        expecting_degree = false;
-                    }
-                } else {
-                    let gap = u32::try_from(val)
-                        .map_err(|_| GraphError::Corrupt("gap exceeds u32".into()))?;
-                    let t = if first {
-                        gap
-                    } else {
-                        prev.checked_add(gap).ok_or_else(|| {
-                            GraphError::Corrupt("target id overflows u32".into())
-                        })?
-                    };
-                    first = false;
-                    prev = t;
-                    if weighted {
-                        pending.push((base + v, t));
-                    } else {
-                        b.add_edge(base + v, t);
-                    }
-                    rem_gaps -= 1;
-                    if rem_gaps == 0 {
-                        expecting_degree = true;
-                        v += 1;
-                    }
-                }
-            }
+                Ok(())
+            })?;
             remaining -= take as u64;
         }
         if nbytes != 0 || !expecting_degree || v != n {
@@ -350,17 +352,18 @@ pub fn read_binary<R: Read>(mut r: R, mode: NeighborMode) -> Result<Graph, Graph
             let take = remaining.min(CHUNK);
             let chunk = &mut buf[..take];
             r.read_exact(chunk).map_err(|_| GraphError::BadBinary("truncated edges".into()))?;
-            hash.update(chunk);
-            let mut eb = &chunk[..];
-            while eb.len() >= 8 {
-                let s = eb.get_u32_le();
-                let d = eb.get_u32_le();
-                if weighted {
-                    pending.push((s, d));
-                } else {
-                    b.add_edge(s, d);
+            hash_beside(&mut hash, chunk, || {
+                let mut eb = &chunk[..];
+                while eb.len() >= 8 {
+                    let s = eb.get_u32_le();
+                    let d = eb.get_u32_le();
+                    if weighted {
+                        pending.push((s, d));
+                    } else {
+                        b.add_edge(s, d);
+                    }
                 }
-            }
+            });
             remaining -= take;
         }
     }
@@ -371,13 +374,14 @@ pub fn read_binary<R: Read>(mut r: R, mode: NeighborMode) -> Result<Graph, Graph
             let take = remaining.min(CHUNK);
             let chunk = &mut buf[..take];
             r.read_exact(chunk).map_err(|_| GraphError::BadBinary("truncated weights".into()))?;
-            hash.update(chunk);
-            let mut wb = &chunk[..];
-            while wb.len() >= 4 {
-                let (s, d) = pending[i];
-                b.add_weighted_edge(s, d, wb.get_u32_le());
-                i += 1;
-            }
+            hash_beside(&mut hash, chunk, || {
+                let mut wb = &chunk[..];
+                while wb.len() >= 4 {
+                    let (s, d) = pending[i];
+                    b.add_weighted_edge(s, d, wb.get_u32_le());
+                    i += 1;
+                }
+            });
             remaining -= take;
         }
     }
@@ -401,6 +405,17 @@ pub fn read_binary<R: Read>(mut r: R, mode: NeighborMode) -> Result<Graph, Graph
         Err(e) => return Err(GraphError::Io(e)),
     }
     b.build()
+}
+
+/// Run `decode` over `chunk` on this thread while a pool thread folds
+/// the same bytes into `hash`. The two share nothing but the chunk, which
+/// both only read: the digest is the one a sequential pass computes, and
+/// whatever `decode` found is the caller's to act on before it reads on.
+/// At most this one chunk is ever in flight unverified. `decode` is the
+/// side that allocates (the builder's edge vector grows under it), so it
+/// is the side that stays on the calling thread and in its malloc arena.
+fn hash_beside<T: Send>(hash: &mut Fnv64, chunk: &[u8], decode: impl FnOnce() -> T + Send) -> T {
+    ipregel_par::join(decode, || hash.update(chunk)).0
 }
 
 #[cfg(test)]

@@ -7,15 +7,18 @@
 //! symmetrised graph. These helpers operate on raw edge lists (the form
 //! loaders and generators produce) so a cleaned graph is built exactly
 //! once.
+//!
+//! The one transform of a *built* graph is the degree relabelling
+//! ([`degree_relabeling`], [`relabel_graph`]): renaming vertices permutes
+//! the CSR it already has, so that is what it does — rows are copied to
+//! their new slots, no edge list comes back into being.
 
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::ops::Index;
 
-use crate::builder::{GraphBuilder, NeighborMode};
-use crate::csr::{Graph, Weight};
+use crate::csr::{Csr, Graph, Weight};
 use crate::error::GraphError;
-use crate::ids::VertexId;
+use crate::ids::{AddressMap, VertexId, VertexIndex};
 
 /// Add the reverse of every edge (weights copied). Does not deduplicate.
 pub fn symmetrize(edges: &mut Vec<(VertexId, VertexId)>) {
@@ -139,10 +142,15 @@ pub fn compact_ids(edges: &mut [(VertexId, VertexId)]) -> IdRemap {
 /// `0..n`. Produced by [`degree_relabeling`]; applied by
 /// [`relabel_graph`]; carried through a run (`RunOutput`) so results
 /// surface under the ids the user supplied.
+///
+/// Old ids are a consecutive range (Section 3.3), so both directions are
+/// plain vectors: a lookup is one subtraction and one load, never a hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relabeling {
-    /// Old → new. Probed, never iterated (determinism).
-    forward: HashMap<VertexId, VertexId>,
+    /// Smallest old id.
+    base: VertexId,
+    /// `forward[old - base]` is the new id of `old`.
+    forward: Vec<VertexId>,
     /// `inverse[new]` is the old id renamed to `new`.
     inverse: Vec<VertexId>,
 }
@@ -163,7 +171,8 @@ impl Relabeling {
     /// # Panics
     /// If `old` is not part of the relabelled graph.
     pub fn new_id(&self, old: VertexId) -> VertexId {
-        *self.forward.get(&old).expect("id not in relabelled graph")
+        let at = old.checked_sub(self.base).map(|i| i as usize);
+        *at.and_then(|i| self.forward.get(i)).expect("id not in relabelled graph")
     }
 
     /// The old id of new vertex `new`.
@@ -183,7 +192,8 @@ impl Relabeling {
 /// Compute the descending-degree permutation of `g`'s vertices: new id 0
 /// is the highest-degree vertex. Degree is total (out + in when
 /// retained); ties break by ascending old id, so the result is fully
-/// deterministic.
+/// deterministic. (A total degree past `u32::MAX` — more than four
+/// billion edges on one vertex — orders as `u32::MAX`.)
 ///
 /// Why this ordering: after relabelling, a vertex's neighbours skew
 /// toward the small, densely-populated end of the id space, so the
@@ -193,73 +203,172 @@ impl Relabeling {
 /// smoother offsets prefix to cut.
 pub fn degree_relabeling(g: &Graph) -> Relabeling {
     let map = g.address_map();
-    let mut order: Vec<(VertexId, u64)> = map
+    // One `u64` per vertex, `!degree` above the old id: ascending key
+    // order is descending degree, then ascending id, and distinct ids
+    // make the keys distinct — an unstable sort has nothing to reorder.
+    let mut keys: Vec<u64> = map
         .live_slots()
         .map(|v| {
             let deg = u64::from(g.out_degree(v))
                 + if g.has_in_edges() { u64::from(g.in_degree(v)) } else { 0 };
-            (map.id_of(v), deg)
+            let deg = u32::try_from(deg).unwrap_or(u32::MAX);
+            u64::from(!deg) << 32 | u64::from(map.id_of(v))
         })
         .collect();
-    order.sort_by_key(|&(old, deg)| (Reverse(deg), old));
-    let inverse: Vec<VertexId> = order.into_iter().map(|(old, _)| old).collect();
-    let forward: HashMap<VertexId, VertexId> =
-        inverse.iter().enumerate().map(|(new, &old)| (old, new as VertexId)).collect();
-    Relabeling { forward, inverse }
+    keys.sort_unstable();
+    let base = map.base();
+    let inverse: Vec<VertexId> = keys.into_iter().map(|key| key as VertexId).collect();
+    let mut forward = vec![0; inverse.len()];
+    for (new, &old) in inverse.iter().enumerate() {
+        forward[(old - base) as usize] = new as VertexId;
+    }
+    Relabeling { base, forward, inverse }
 }
 
-/// Rebuild `g` under the renaming `r`, preserving neighbour mode,
-/// weights, and parallel edges. The result's external ids are `r`'s new
-/// ids (dense from 0, so the builder picks direct mapping); translate
-/// results back with [`Relabeling::old_id`].
+/// `g` under the renaming `r`, preserving neighbour mode, weights, and
+/// parallel edges. The result's external ids are `r`'s new ids (dense
+/// from 0, hence direct mapping); translate results back with
+/// [`Relabeling::old_id`]. Every vertex keeps a slot — edgeless ones
+/// survive as isolated vertices, so vertex counts (and thus e.g.
+/// PageRank's `1/n` terms) are unchanged.
 ///
-/// Every live slot keeps a slot in the rebuilt graph — the declared id
-/// range spans all of `r`'s new ids, so edgeless vertices survive as
-/// isolated vertices (vertex counts, and thus e.g. PageRank's `1/n`
-/// terms, are unchanged).
+/// A relabelled CSR is a permutation of the old one, and is built as one
+/// (docs/INTERNALS.md, "Transforms: relabel and compress"): the row of
+/// new slot `perm[v]` is old row `v` with every target sent through
+/// `perm`, in its old order. With both directions retained the out-rows
+/// are copied and the in-rows are their transpose taken in old-slot
+/// order — *not* a copy of the old in-rows, whose order is that of the
+/// file the graph was loaded from. Both are what pushing every edge of
+/// the old out-CSR through [`crate::GraphBuilder`] again would give, bit
+/// for bit, without the edge list.
+///
+/// The `Result` is the signature callers already unwrap; no input makes
+/// it an `Err`.
 ///
 /// # Panics
 /// If `g` is compressed (relabel first, then compress — the relabelling
-/// is what makes compression effective).
+/// is what makes compression effective), or if `r` was not computed from
+/// a graph with `g`'s id range.
 pub fn relabel_graph(g: &Graph, r: &Relabeling) -> Result<Graph, GraphError> {
     assert!(!g.is_compressed(), "relabel_graph expects a plain graph; relabel before compressing");
-    let mode = match (g.has_out_edges(), g.has_in_edges()) {
-        (true, true) => NeighborMode::Both,
-        (true, false) => NeighborMode::OutOnly,
-        (false, true) => NeighborMode::InOnly,
-        (false, false) => unreachable!("builder always retains at least one direction"),
-    };
     let map = g.address_map();
-    let mut b = GraphBuilder::with_capacity(mode, g.num_edges() as usize)
-        .declare_id_range(0, r.len() as u32);
-    // Walk whichever direction is retained, in slot order — deterministic.
-    if g.has_out_edges() {
-        for v in map.live_slots() {
-            let src = r.new_id(map.id_of(v));
-            let ws = g.out_weights(v);
-            for (i, &u) in g.out_neighbors(v).iter().enumerate() {
-                let dst = r.new_id(map.id_of(u));
-                match ws {
-                    Some(ws) => b.add_weighted_edge(src, dst, ws[i]),
-                    None => b.add_edge(src, dst),
-                }
-            }
+    assert!(
+        r.base == map.base() && r.len() == g.num_vertices(),
+        "relabelling was computed for a different id range"
+    );
+    // Old slot → new slot. Desolate slots hold no edge and are no edge's
+    // target, so their entries are never read.
+    let mut perm = vec![0 as VertexIndex; g.num_slots()];
+    for v in map.live_slots() {
+        perm[v as usize] = r.new_id(map.id_of(v));
+    }
+    // New slot → old slot, for walking rows in the order they are written.
+    let old_slots: Vec<VertexIndex> = r.inverse.iter().map(|&old| map.index_of(old)).collect();
+
+    let (out, incoming, out_degrees) = match (g.out_csr(), g.in_csr()) {
+        (Some(out), Some(incoming)) => {
+            let new_in = permuted_offsets(incoming.offsets(), &old_slots);
+            let (out, incoming) = ipregel_par::join(
+                || permute_rows(out, &perm, &old_slots),
+                || transpose_permuted(out, &perm, map.live_slots(), new_in),
+            );
+            (Some(out), Some(incoming), None)
         }
-    } else {
-        let in_csr = g.in_csr().expect("in-adjacency retained");
-        for v in map.live_slots() {
-            let dst = r.new_id(map.id_of(v));
-            let ws = in_csr.weights_of(v);
-            for (i, &u) in g.in_neighbors(v).iter().enumerate() {
-                let src = r.new_id(map.id_of(u));
-                match ws {
-                    Some(ws) => b.add_weighted_edge(src, dst, ws[i]),
-                    None => b.add_edge(src, dst),
-                }
+        (Some(out), None) => (Some(permute_rows(out, &perm, &old_slots)), None, None),
+        (None, Some(incoming)) => {
+            let degrees = old_slots.iter().map(|&v| g.out_degree(v)).collect();
+            (None, Some(permute_rows(incoming, &perm, &old_slots)), Some(degrees))
+        }
+        (None, None) => unreachable!("builder always retains at least one direction"),
+    };
+    let map = AddressMap::direct(r.len() as u32);
+    Ok(Graph::from_parts(map, out, incoming, out_degrees, g.num_edges()))
+}
+
+/// Offsets of a CSR whose row `new` is row `old_slots[new]` of the CSR
+/// `old` delimits.
+fn permuted_offsets(old: &[u64], old_slots: &[VertexIndex]) -> Vec<u64> {
+    let mut offsets = vec![0u64; old_slots.len() + 1];
+    for (new, &v) in old_slots.iter().enumerate() {
+        offsets[new + 1] = offsets[new] + (old[v as usize + 1] - old[v as usize]);
+    }
+    offsets
+}
+
+/// `csr` with its rows moved to their new slots and every target renamed:
+/// new row `i` is old row `old_slots[i]` mapped through `perm`, weights
+/// alongside. The two edge-balanced halves of the new rows are written
+/// by concurrent tasks, each into its own side of one split.
+fn permute_rows(csr: &Csr, perm: &[VertexIndex], old_slots: &[VertexIndex]) -> Csr {
+    let offsets = permuted_offsets(csr.offsets(), old_slots);
+    let edges = csr.num_edges() as usize;
+    let mut targets = vec![0 as VertexIndex; edges];
+    let mut weights = csr.is_weighted().then(|| vec![0 as Weight; edges]);
+
+    let mid = Csr::edge_midpoint(&offsets);
+    let cut = offsets[mid] as usize;
+    let (rows_lo, rows_hi) = old_slots.split_at(mid);
+    let (targets_lo, targets_hi) = targets.split_at_mut(cut);
+    let (weights_lo, weights_hi) = weights.as_deref_mut().map(|w| w.split_at_mut(cut)).unzip();
+    ipregel_par::join(
+        || copy_rows(csr, perm, rows_lo, targets_lo, weights_lo),
+        || copy_rows(csr, perm, rows_hi, targets_hi, weights_hi),
+    );
+    Csr::from_raw_parts(offsets, targets, weights)
+}
+
+/// Write `csr`'s rows `rows`, in that order and end to end, into
+/// `targets` (renamed through `perm`) and `weights` (as they are).
+fn copy_rows(
+    csr: &Csr,
+    perm: &[VertexIndex],
+    rows: &[VertexIndex],
+    targets: &mut [VertexIndex],
+    mut weights: Option<&mut [Weight]>,
+) {
+    let mut at = 0;
+    for &v in rows {
+        let row = csr.neighbors(v);
+        for (new, &old) in targets[at..at + row.len()].iter_mut().zip(row) {
+            *new = perm[old as usize];
+        }
+        if let (Some(new), Some(old)) = (weights.as_deref_mut(), csr.weights_of(v)) {
+            new[at..at + row.len()].copy_from_slice(old);
+        }
+        at += row.len();
+    }
+}
+
+/// The transpose of the relabelled `out`: every edge `v → t` of `out`,
+/// walked in old-slot order, lands in row `perm[t]` as `perm[v]` — the
+/// stable scatter of `Csr::from_edges_by`, with `offsets[row]` as the
+/// row's write cursor and the one-slot shift back afterwards. `offsets`
+/// arrives holding the transposed rows' final offsets.
+fn transpose_permuted(
+    out: &Csr,
+    perm: &[VertexIndex],
+    live_slots: impl Iterator<Item = VertexIndex>,
+    mut offsets: Vec<u64>,
+) -> Csr {
+    let slots = offsets.len() - 1;
+    let mut targets = vec![0 as VertexIndex; out.num_edges() as usize];
+    let mut weights = out.is_weighted().then(|| vec![0 as Weight; targets.len()]);
+    for v in live_slots {
+        let source = perm[v as usize];
+        let row_weights = out.weights_of(v);
+        for (i, &t) in out.neighbors(v).iter().enumerate() {
+            let row = perm[t as usize] as usize;
+            let at = offsets[row] as usize;
+            targets[at] = source;
+            if let (Some(w), Some(ws)) = (&mut weights, row_weights) {
+                w[at] = ws[i];
             }
+            offsets[row] += 1;
         }
     }
-    b.build()
+    offsets.copy_within(0..slots, 1);
+    offsets[0] = 0;
+    Csr::from_raw_parts(offsets, targets, weights)
 }
 
 /// Keep only edges inside the largest weakly-connected component of an
@@ -433,6 +542,24 @@ mod tests {
                 assert!(d < pdeg || (d == pdeg && old > pold), "order violated at new id {new}");
             }
             prev = Some((deg(old), old));
+        }
+    }
+
+    #[test]
+    fn new_id_panics_outside_the_relabelled_range() {
+        // The documented contract callers (the CLI's --source check,
+        // `RunOutput::value_of`) rely on: ids below the base and past the
+        // end are refused, not wrapped into the dense vector.
+        let mut b = GraphBuilder::new(NeighborMode::OutOnly);
+        b.add_edge(10, 11);
+        b.add_edge(11, 12);
+        let r = degree_relabeling(&b.build().unwrap());
+        for id in 10..=12 {
+            assert_eq!(r.old_id(r.new_id(id)), id);
+        }
+        for id in [0, 9, 13, u32::MAX] {
+            let outside = std::panic::catch_unwind(|| r.new_id(id));
+            assert!(outside.is_err(), "new_id({id}) must panic");
         }
     }
 
