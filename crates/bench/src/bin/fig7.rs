@@ -8,8 +8,14 @@
 //! Section 7.2's setup). Prints runtimes, per-app speedup spreads (the
 //! paper's 7.5→20 Hashmin and 15→1400 SSSP factors), and appends JSON
 //! records under `results/fig7.jsonl`.
+//!
+//! The spinlock runs double as Section 7.1.4's activity profiles: the
+//! scan run's active vertices per superstep as a sparkline (constantly
+//! all active in PageRank, decreasing in Hashmin, a bell after one
+//! active vertex in SSSP), and for scan and bypass the share of runtime
+//! spent selecting active vertices — the cost Section 4 attacks.
 
-use ipregel::{run, RunConfig, RunOutput, Version, VertexProgram};
+use ipregel::{run, CombinerKind, RunConfig, RunOutput, Version, VertexProgram};
 use ipregel_apps::{Hashmin, PageRank, Sssp};
 use ipregel_bench::svg::{save_svg, BarChart};
 use ipregel_bench::{
@@ -54,9 +60,20 @@ fn sweep<P: VertexProgram>(
     println!("    {:<34} {:>10} {:>11} {:>13}", "Version", "Runtime(s)", "Supersteps", "Messages");
     let mut best: Option<(f64, String)> = None;
     let mut worst: Option<(f64, String)> = None;
+    let mut scan_profile: Option<(String, u64, f64)> = None;
+    let mut bypass_share: Option<f64> = None;
     for &v in versions {
         let out = measure(g, p, v);
         let t = out.stats.total_time.as_secs_f64();
+        if v.combiner == CombinerKind::Spinlock {
+            // Percentage of the run's time spent selecting active vertices.
+            let share = 100.0 * out.stats.total_selection_time().as_secs_f64() / t.max(1e-12);
+            if v.selection_bypass {
+                bypass_share = Some(share);
+            } else {
+                scan_profile = Some((out.stats.activity_sparkline(), out.stats.peak_active(), share));
+            }
+        }
         println!(
             "    {:<34} {:>10} {:>11} {:>13}",
             v.label(),
@@ -108,6 +125,16 @@ fn sweep<P: VertexProgram>(
         if let Some(path) = save_svg(&file, &chart.to_svg()) {
             println!("    figure written to {}", path.display());
         }
+    }
+    if let Some((spark, peak, scan_share)) = scan_profile {
+        // The sparkline is ASCII, so slicing at a byte index is safe.
+        let shown = if spark.len() > 60 { format!("{}...", &spark[..57]) } else { spark };
+        println!("    activity, spinlock scan (one char per superstep): [{shown}]");
+        let bypass = match bypass_share {
+            Some(b) => format!("bypass {b:.1}%"),
+            None => "bypass not run (vertices do not halt every superstep)".into(),
+        };
+        println!("    peak active {peak}; selection share of runtime: scan {scan_share:.1}%, {bypass}");
     }
 }
 

@@ -1,8 +1,10 @@
 //! Shared harness code for the table/figure reproduction binaries.
 //!
 //! Every binary regenerates one table or figure of the paper's
-//! evaluation (Section 7) on scaled-down synthetic analogs of the
-//! paper's datasets. Scaling is controlled by divisors (one per dataset
+//! evaluation (Section 7), or the Section 2 architecture map, on
+//! scaled-down synthetic analogs of the paper's datasets. Each times one
+//! run per cell; repeated, compared measurements are the `benchmark/`
+//! package's job. Scaling is controlled by divisors (one per dataset
 //! family) overridable through environment variables, so the same
 //! binaries can run a quick CI pass or a longer laptop pass:
 //!
@@ -19,7 +21,6 @@
 // "Safety model").
 #![forbid(unsafe_code)]
 
-pub mod microbench;
 pub mod svg;
 
 use std::fs;

@@ -17,8 +17,8 @@
 //!   100%, 14.45 GB for Friendster, and the 10×/25× comparison against
 //!   Pregel+ (109 GB) and Giraph (264 GB).
 //! * [`compress`] — the compact (delta-varint) CSR counterpart: an exact
-//!   per-array projection of what compression will allocate, plus the
-//!   verifier that holds it against measured bytes.
+//!   per-array projection of what compression will allocate, and the
+//!   measured adjacency bytes it equals.
 //!
 //! Alongside the models, [`rss::validate_linear`] checks measured
 //! [`ipregel::FootprintReport`]s from real runs for the linearity that
@@ -35,9 +35,7 @@ pub mod locks;
 pub mod rss;
 
 pub use compare::{fit_affine, FitReport, MeasuredPoint};
-pub use compress::{
-    measured_graph_bytes, project_graph, relative_error, verify_projection, CompactProjection,
-};
+pub use compress::{measured_graph_bytes, project_graph, CompactProjection};
 pub use layout::{LayoutModel, VersionFootprint};
 pub use locks::{lock_protection_bytes, LockKind};
 pub use rss::{breaking_point_percent, current_hwm_bytes, current_rss_bytes, RssModel};
