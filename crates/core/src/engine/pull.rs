@@ -13,20 +13,36 @@
 //! and cost scales with in-degree. Both effects are visible in the
 //! Figure 7 reproduction.
 //!
-//! Outboxes are double-buffered like push mailboxes. With the selection
-//! bypass, a broadcasting vertex enqueues all its out-neighbours, so only
-//! potential receivers gather next superstep.
+//! **Slot layout.** Outboxes are double-buffered like push mailboxes. A
+//! buffer is a dense `[M]` beside a `[u32]` of epoch tags — the C
+//! original's `message` + `has_message` pair: a slot holds a broadcast
+//! for the next superstep exactly when its tag names the superstep that
+//! just ended. Only the owning vertex writes its slot and its tag, and
+//! tags never need clearing, because the epoch only grows.
+//!
+//! **Dense supersteps.** An in-neighbour always has out-edges, so when
+//! every slot with out-edges (the run's `senders`, counted once) wrote
+//! the buffer being read, every slot a gather visits holds a message:
+//! the gather combines `m[first]` with the rest in CSR order and reads no
+//! tag — 8 bytes per in-edge for an `f64` — with exactly the combine
+//! sequence of the tagged gather, so results are bit-identical. Each pool
+//! worker counts the first write of each slot with out-edges on a cache
+//! line of its own; `flip` sums the lines and compares.
+//!
+//! With the selection bypass, a broadcasting vertex enqueues all its
+//! out-neighbours, so only potential receivers gather next superstep.
 
 use ipregel_graph::csr::Weight;
 use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
-use ipregel_par::prelude::*;
+use ipregel_par::CachePadded;
 
 use crate::engine::bsp::{self, Barrier, Delivery};
-use crate::engine::{chunks, combine_into, in_pool, Outbound, RunConfig, RunResult};
+use crate::engine::{combine_into, in_pool, Outbound, RunConfig, RunResult};
 use crate::metrics::FootprintReport;
 use crate::program::VertexProgram;
 use crate::recover::DynHooks;
 use crate::selection::{EpochTags, Worklist};
+use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync_cell::SharedSlice;
 use crate::trace::EngineKind;
 
@@ -107,15 +123,19 @@ fn pull_over<P: VertexProgram, A: NeighborList>(
 ) -> RunResult<P::Value> {
     in_pool(config.threads, move || {
         let slots = graph.num_slots();
-        let (mut read, mut write) = (vec![None; slots], vec![None; slots]);
+        let mut msgs: [Vec<P::Message>; 2] =
+            std::array::from_fn(|_| vec![P::Message::default(); slots]);
+        let mut tags: [Vec<u32>; 2] = std::array::from_fn(|_| vec![0; slots]);
+        let ([read_msgs, write_msgs], [read_tags, write_tags]) = (&mut msgs, &mut tags);
         let pull = Pull::<P, A> {
             graph,
             in_adj,
             out_adj,
-            read: SharedSlice::new(&mut read),
-            write: SharedSlice::new(&mut write),
-            writers_read: Worklist::new(slots),
-            writers_write: Worklist::new(slots),
+            read: Outboxes::new(read_msgs, read_tags),
+            write: Outboxes::new(write_msgs, write_tags),
+            senders: (0..slots as u32).filter(|&v| graph.out_degree(v) > 0).count() as u64,
+            wrote: SenderCount::new(),
+            dense: false,
             bypass: config
                 .selection_bypass
                 .then(|| (Worklist::new(slots), EpochTags::new(slots))),
@@ -126,8 +146,55 @@ fn pull_over<P: VertexProgram, A: NeighborList>(
     })
 }
 
-/// Double-buffered outboxes plus their writer lists, monomorphised over
-/// the adjacency representation `A`.
+/// One outbox buffer: a message per slot and the epoch that wrote it.
+struct Outboxes<'g, M> {
+    msgs: SharedSlice<'g, M>,
+    tags: SharedSlice<'g, u32>,
+}
+
+impl<'g, M> Outboxes<'g, M> {
+    fn new(msgs: &'g mut [M], tags: &'g mut [u32]) -> Self {
+        Outboxes { msgs: SharedSlice::new(msgs), tags: SharedSlice::new(tags) }
+    }
+}
+
+/// How many distinct slots with out-edges wrote the write buffer this
+/// superstep, one cache line per pool worker: a bump is a plain load and
+/// store on the worker's own line, never a shared read-modify-write, and
+/// `take` sums the lines at the barrier. A caller outside the pool uses
+/// line 0; it bumps only in a superstep it runs whole, while the chunks
+/// of a forked one run on workers alone. Were two threads ever to share
+/// a line, a lost bump would under-count — a superstep gathered with
+/// tags, never one gathered without them wrongly.
+struct SenderCount {
+    lines: Box<[CachePadded<AtomicU64>]>,
+}
+
+impl SenderCount {
+    /// Lines for the current pool (built inside it, like the worklists).
+    fn new() -> Self {
+        let lines = ipregel_par::current_num_threads().max(1);
+        SenderCount { lines: (0..lines).map(|_| CachePadded::new(AtomicU64::new(0))).collect() }
+    }
+
+    #[inline]
+    fn bump(&self) {
+        let i = ipregel_par::current_thread_index().unwrap_or(0);
+        let line = &self.lines[i % self.lines.len()];
+        // ordering(Relaxed): one thread writes a line per superstep; the
+        // superstep barrier publishes it to `take`
+        line.store(line.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// The count since the last `take`, reset to zero (post-barrier).
+    fn take(&self) -> u64 {
+        // ordering(Relaxed): no bump is in flight between supersteps
+        self.lines.iter().map(|l| l.swap(0, Ordering::Relaxed)).sum()
+    }
+}
+
+/// Double-buffered outboxes and the count that decides how to read them,
+/// monomorphised over the adjacency representation `A`.
 struct Pull<'g, P: VertexProgram, A> {
     graph: &'g Graph,
     in_adj: &'g A,
@@ -135,20 +202,24 @@ struct Pull<'g, P: VertexProgram, A> {
     /// when the graph retains out-edges (the bypass walk needs it).
     out_adj: Option<&'g A>,
     /// Broadcasts of the last superstep; only read while one runs.
-    read: SharedSlice<'g, Option<P::Message>>,
-    /// Broadcasts of the running superstep, each slot written by its
-    /// own vertex only.
-    write: SharedSlice<'g, Option<P::Message>>,
-    /// Who wrote each buffer, so clearing is O(writers), not O(V).
-    writers_read: Worklist,
-    writers_write: Worklist,
+    read: Outboxes<'g, P::Message>,
+    /// Broadcasts of the running superstep, each slot and its tag written
+    /// by its own vertex only.
+    write: Outboxes<'g, P::Message>,
+    /// Slots with out-edges: every in-neighbour of every vertex is one.
+    senders: u64,
+    /// Distinct `senders` that wrote `write` this superstep.
+    wrote: SenderCount,
+    /// Every one of `senders` wrote `read`: gathers skip the tags.
+    dense: bool,
     bypass: Option<(Worklist, EpochTags)>,
     /// A checkpoint's combined inbox, standing in for the first resumed
     /// superstep's gather (the outboxes that fed it died with the old
-    /// process); everything downstream — broadcasts, writer lists, epoch
-    /// tags — regenerates naturally from there.
+    /// process); everything downstream — broadcasts, tags, the count —
+    /// regenerates naturally from there.
     restored: Option<Vec<Option<P::Message>>>,
-    /// Supersteps opened so far, from 1: the epoch the bypass tags claim.
+    /// Supersteps opened so far, from 1: the epoch this superstep's
+    /// outbox and bypass tags claim.
     epoch: u32,
 }
 
@@ -158,12 +229,24 @@ impl<P: VertexProgram, A: NeighborList> Pull<'_, P, A> {
     /// pull design, and it is a read.
     #[inline]
     fn gather(&self, v: VertexIndex) -> Option<P::Message> {
+        let Outboxes { msgs, tags } = &self.read;
+        // SAFETY: the read buffer was written last superstep; nothing
+        // writes it until the next flip swaps it back.
+        let msg = |u: VertexIndex| unsafe { *msgs.get(u as usize) };
+        let mut nbrs = self.in_adj.neighbors_iter(v);
+        if self.dense {
+            // Every in-neighbour wrote: the tagged loop below would
+            // combine exactly these messages, in this order.
+            let mut acc = msg(nbrs.next()?);
+            nbrs.for_each(|u| P::combine(&mut acc, msg(u)));
+            return Some(acc);
+        }
+        let last = self.epoch - 1;
         let mut acc = None;
-        for u in self.in_adj.neighbors_iter(v) {
-            // SAFETY: the read buffer was written last superstep; no
-            // writers exist this phase.
-            if let Some(m) = unsafe { self.read.get(u as usize) } {
-                combine_into::<P>(&mut acc, *m);
+        for u in nbrs {
+            // SAFETY: as for `msg`.
+            if unsafe { *tags.get(u as usize) } == last {
+                combine_into::<P>(&mut acc, msg(u));
             }
         }
         acc
@@ -180,9 +263,7 @@ impl<P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'_, P, A> {
 
     fn footprint(&self) -> FootprintReport {
         FootprintReport {
-            mailbox_bytes: 2 * self.read.len() * std::mem::size_of::<Option<P::Message>>()
-                + self.writers_read.bytes()
-                + self.writers_write.bytes(),
+            mailbox_bytes: 2 * self.read.msgs.len() * (std::mem::size_of::<P::Message>() + 4),
             lock_bytes: 0, // the race-free design: no data-race protection at all
             worklist_bytes: self.bypass.as_ref().map_or(0, |(wl, t)| wl.bytes() + t.bytes()),
             ..FootprintReport::default()
@@ -211,7 +292,7 @@ impl<P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'_, P, A> {
             self.restored.is_none(),
             "due() never fires at the resume floor, so the restored inbox is consumed"
         );
-        (0..self.read.len() as u32).map(|v| self.gather(v)).collect()
+        (0..self.read.msgs.len() as u32).map(|v| self.gather(v)).collect()
     }
 
     /// A resumed superstep takes its checkpointed inbox instead of
@@ -226,22 +307,14 @@ impl<P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'_, P, A> {
         }
     }
 
-    /// Recycle the read buffer — clear only the slots its writers
-    /// touched — then swap read/write roles. Clearing a slot costs no
-    /// more than a unit of planned weight, so the clear forks by the
-    /// planner's own threshold: a short writer list is cleared here.
+    /// Decide how the next superstep reads, then swap read/write roles
+    /// and open the next epoch. Nothing is cleared: the slots the old
+    /// read buffer holds carry tags of epochs that are over.
     fn flip(&mut self) {
         self.restored = None;
+        self.dense = self.wrote.take() == self.senders;
         self.epoch += 1;
-        let read = &self.read;
-        let writers = self.writers_read.take();
-        writers.par_iter().with_min_len(chunks::MIN_FORK_WEIGHT as usize).for_each(|&v| {
-            // SAFETY: writer lists are duplicate-free per buffer cycle.
-            unsafe { *read.get_mut(v as usize) = None };
-        });
         std::mem::swap(&mut self.read, &mut self.write);
-        // The writer lists must track their buffers through the swap.
-        std::mem::swap(&mut self.writers_read, &mut self.writers_write);
     }
 
     fn select(&self, at: &Barrier<'_>) -> Vec<VertexIndex> {
@@ -270,14 +343,25 @@ impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for Pull<'_, P, A> 
     }
 
     fn broadcast(&self, from: VertexIndex, msg: P::Message) -> u64 {
-        // SAFETY: slot `from` belongs to the running vertex; vertices run
-        // at most once per superstep, so the write is exclusive.
-        let mut outbox = unsafe { self.write.get_mut(from as usize) };
-        if outbox.is_none() {
-            // First broadcast of this buffer cycle (recycling cleared it).
-            self.writers_write.push(from);
+        let degree = self.graph.out_degree(from);
+        if degree == 0 {
+            // Nobody gathers from a sink and it has nobody to wake.
+            return 0;
         }
-        combine_into::<P>(&mut outbox, msg);
+        let (slot, write) = (from as usize, &self.write);
+        // SAFETY: slot `from` belongs to the running vertex; vertices run
+        // at most once per superstep, so both writes are exclusive.
+        let (mut outbox, mut epoch) =
+            unsafe { (write.msgs.get_mut(slot), write.tags.get_mut(slot)) };
+        if *epoch == self.epoch {
+            P::combine(&mut outbox, msg);
+        } else {
+            // First broadcast of this superstep: whatever the slot held
+            // is from an epoch that is over.
+            *outbox = msg;
+            *epoch = self.epoch;
+            self.wrote.bump();
+        }
         if let Some((worklist, tags)) = &self.bypass {
             let out = self.out_adj.expect("bypass requires out-adjacency, asserted at entry");
             for n in out.neighbors_iter(from) {
@@ -286,7 +370,7 @@ impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for Pull<'_, P, A> 
                 }
             }
         }
-        u64::from(self.graph.out_degree(from))
+        u64::from(degree)
     }
 
     fn send_along_out_edges(&self, _from: VertexIndex, _f: impl FnMut(Weight) -> P::Message) -> u64 {

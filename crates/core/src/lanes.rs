@@ -46,7 +46,7 @@ const NEVER: u64 = u64::MAX;
 /// the run was started with). `MAX_LANES` slots are always present —
 /// unused lanes hold the fill value and stay masked out — so the type
 /// is `Copy` and mailbox slots stay fixed-size.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Lanes<T: Copy> {
     mask: u8,
     vals: [T; MAX_LANES],

@@ -188,8 +188,7 @@ impl RunStats {
     /// [`SuperstepStats`] entry exactly in superstep number, active
     /// count, message count and chunk count, and the trace must cover
     /// the same supersteps in order. `Err` names the first divergence.
-    /// This is the invariant `tests/trace_consistency.rs` pins and the
-    /// `bench trace` differ relies on.
+    /// This is the invariant `tests/trace_consistency.rs` pins.
     pub fn reconcile_trace(&self, events: &[crate::trace::TraceEvent]) -> Result<(), String> {
         use crate::trace::TraceEvent;
         let ends: Vec<_> = events

@@ -20,8 +20,10 @@ pub trait VertexProgram: Send + Sync {
     /// Per-vertex state (the `val` member of the user's vertex struct).
     type Value: Send + Sync + Clone;
     /// Message type exchanged between vertices. Combiners keep at most one
-    /// per mailbox (Section 6.3), so it must be `Copy` and cheap.
-    type Message: Copy + Send + Sync;
+    /// per mailbox (Section 6.3), so it must be `Copy` and cheap. `Default`
+    /// fills the pull engine's dense outbox slots before anyone writes
+    /// them (calloc's zero in the C original); no engine ever delivers it.
+    type Message: Copy + Default + Send + Sync;
 
     /// Initial value of the vertex with external identifier `id`, set
     /// before superstep 0 (e.g. `UINT_MAX` in the paper's SSSP).

@@ -15,8 +15,8 @@
 //!   For 1-based graphs (both paper datasets) this wastes a single slot.
 //!
 //! [`HashAddressMap`] implements the conventional hashmap layer the paper
-//! argues against; it exists so the addressing ablation benchmark can
-//! quantify the difference.
+//! argues against; the naive `femtograph-sim` baseline routes every
+//! lookup through it, which is how the difference is quantified.
 
 use std::collections::HashMap;
 
@@ -146,8 +146,8 @@ impl AddressMap {
 
 /// The conventional hashmap addressing layer (Section 5's strawman).
 ///
-/// Only used by the addressing ablation benchmark; the framework proper
-/// never routes through it.
+/// Only used by the naive `femtograph-sim` baseline; the framework
+/// proper never routes through it.
 #[derive(Debug, Clone)]
 pub struct HashAddressMap {
     map: HashMap<VertexId, VertexIndex>,
@@ -180,8 +180,8 @@ impl HashAddressMap {
         self.ids[index as usize]
     }
 
-    /// Approximate heap bytes consumed by the hashmap layer, for the
-    /// memory-footprint comparison of the addressing ablation.
+    /// Approximate heap bytes consumed by the hashmap layer, which the
+    /// naive baseline adds to its footprint.
     pub fn approx_bytes(&self) -> usize {
         // Each occupied entry stores key + value; std's hashbrown tables
         // keep 1 control byte per bucket and hold at most 7/8 load.

@@ -86,6 +86,9 @@ pub const ATOMIC_PROTOCOLS: &[(&str, &[&str])] = &[
     ("crates/core/src/selection.rs", &["Relaxed"]),
     // Dropped-event counters, read only after runs quiesce.
     ("crates/core/src/trace.rs", &["Relaxed"]),
+    // Pull's per-worker sender count: each line written by one worker,
+    // summed after the superstep barrier.
+    ("crates/core/src/engine/pull.rs", &["Relaxed"]),
     // K-lane per-lane counters: monotone values whose
     // correctness-bearing reads happen after the engine run joins.
     ("crates/core/src/lanes.rs", &["Relaxed"]),

@@ -1,6 +1,7 @@
 //! Cache-line padding, replacing `crossbeam::utils::CachePadded` for
-//! the two sharded structures (`Tracer`, `Worklist`) that use it to
-//! keep per-worker shards off each other's cache lines.
+//! the sharded structures (`Tracer`, `Worklist`, the pull engine's
+//! sender count) that use it to keep per-worker shards off each other's
+//! cache lines.
 
 #![forbid(unsafe_code)]
 

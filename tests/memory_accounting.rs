@@ -91,9 +91,8 @@ fn pull_engine_has_zero_lock_bytes_and_outbox_buffers() {
         &RunConfig::default(),
     );
     assert_eq!(out.footprint.lock_bytes, 0, "§6.2: race-free design");
-    // Outboxes: 2 × slots × Option<u32> (8 bytes), plus the writer lists.
-    let per_slot = 2 * 10 * std::mem::size_of::<Option<u32>>();
-    assert!(out.footprint.mailbox_bytes >= per_slot);
+    // Outboxes: 2 buffers × slots × (a u32 message + its u32 epoch tag).
+    assert_eq!(out.footprint.mailbox_bytes, 2 * 10 * (std::mem::size_of::<u32>() + 4));
 }
 
 #[test]
