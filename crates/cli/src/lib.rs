@@ -600,17 +600,18 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     }
     let mut opts = opts;
     let mut g = load_graph(&opts)?;
-    // Apply the in-memory graph transforms: relabel first (it permutes
-    // the plain CSR), then compress. The source must be checked against
-    // the graph as the user named it, then translated into the permuted
-    // id space; the inverse map rides along in `relabeling` so outputs
-    // print original ids.
+    // The source is checked once, against the graph as the user named
+    // it. Then the in-memory transforms: relabel first (it permutes the
+    // plain CSR, and the source is translated into the permuted id
+    // space), then compress. The inverse map rides along in `relabeling`
+    // so outputs print original ids.
     let uses_source =
         matches!(opts.command.as_str(), "sssp" | "bfs" | "ppr" | "diameter" | "bipartite" | "widest");
+    if uses_source && !g.address_map().contains(opts.source) {
+        let role = if opts.command == "bipartite" { "seed" } else { "source" };
+        return err(format!("{role} vertex {} is not in the graph", opts.source));
+    }
     let relabeling: Option<Arc<Relabeling>> = if opts.relabel_degree {
-        if uses_source && !g.address_map().contains(opts.source) {
-            return err(format!("source vertex {} is not in the graph", opts.source));
-        }
         let r = Arc::new(degree_relabeling(&g));
         g = relabel_graph(&g, &r)
             .map_err(|e| CliError(format!("cannot relabel {}: {e}", opts.graph)))?;
@@ -666,9 +667,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
         }
         "sssp" => {
-            if !g.address_map().contains(opts.source) {
-                return err(format!("source vertex {} is not in the graph", opts.source));
-            }
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = if opts.weighted {
                 if version.combiner == CombinerKind::Broadcast {
@@ -689,9 +687,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
         }
         "bfs" => {
-            if !g.address_map().contains(opts.source) {
-                return err(format!("source vertex {} is not in the graph", opts.source));
-            }
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app_ckpt(&g, &Bfs { source: opts.source }, version, &opts, &tracer, &relabeling)?;
             text.push_str(&summary(&out, version));
@@ -705,9 +700,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             ));
         }
         "ppr" => {
-            if !g.address_map().contains(opts.source) {
-                return err(format!("source vertex {} is not in the graph", opts.source));
-            }
             let version = version_for(&opts, CombinerKind::Broadcast);
             if version.selection_bypass {
                 return err("personalised PageRank never halts vertex-side; the bypass is unsound for it");
@@ -726,9 +718,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
         }
         "diameter" => {
-            if !g.address_map().contains(opts.source) {
-                return err(format!("source vertex {} is not in the graph", opts.source));
-            }
             let version = version_for(&opts, CombinerKind::Spinlock);
             let result =
                 ipregel_apps::try_pseudo_diameter(&g, opts.source, version, &run_cfg(&opts, &tracer))
@@ -750,9 +739,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
         }
         "bipartite" => {
-            if !g.address_map().contains(opts.source) {
-                return err(format!("seed vertex {} is not in the graph", opts.source));
-            }
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out =
                 run_app(&g, &ipregel_apps::Bipartiteness { seed: opts.source }, version, &opts, &tracer, &relabeling)?;
@@ -782,9 +768,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             text.push_str(&format!("{}-core size: {} of {}\n", opts.k, alive, g.num_vertices()));
         }
         "widest" => {
-            if !g.address_map().contains(opts.source) {
-                return err(format!("source vertex {} is not in the graph", opts.source));
-            }
             let version = version_for(&opts, CombinerKind::Spinlock);
             if version.combiner == CombinerKind::Broadcast {
                 return err("widest path sends point-to-point; the broadcast combiner cannot run it");

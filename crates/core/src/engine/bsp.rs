@@ -135,8 +135,8 @@ struct ChunkTally {
     ran: u64,
     awake: u64,
     duration: Duration,
-    /// The pool worker that ran the chunk (timing-dependent under
-    /// work-stealing, so measured rather than planned).
+    /// The pool worker that ran the chunk (timing-dependent: any idle
+    /// worker takes the next chunk, so measured rather than planned).
     worker: u64,
 }
 

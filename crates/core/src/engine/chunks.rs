@@ -84,16 +84,17 @@ impl FromStr for Schedule {
     }
 }
 
-/// Chunks to aim for per pool thread. More than 1 lets the pool's work
-/// stealing absorb residual imbalance (a chunk's true cost is its edges
-/// *visited*, which the planner can only approximate by degree); too many
-/// wastes planning and accounting work.
+/// Chunks to aim for per pool thread. More than 1 absorbs residual
+/// imbalance — an idle worker takes the next chunk (a chunk's true cost
+/// is its edges *visited*, which the planner can only approximate by
+/// degree); too many wastes planning and accounting work.
 pub(crate) const CHUNKS_PER_THREAD: usize = 4;
 
-/// Extra over-partitioning multiplier for plans that expect stealing to
-/// do real rebalancing — currently plans the adaptive policy resolved
-/// to edge-balanced on a skew-probed graph. Finer chunks give thieves
-/// more units to move; the product `CHUNKS_PER_THREAD ×
+/// Extra over-partitioning multiplier for plans that expect residual
+/// imbalance — currently plans the adaptive policy resolved to
+/// edge-balanced on a skew-probed graph. Around an unsplittable hub
+/// chunk, finer chunks mean an idle worker takes the next one sooner;
+/// the product `CHUNKS_PER_THREAD ×
 /// OVERPARTITION_FACTOR` must stay ≤ the `ipregel-par` iterator
 /// facade's own chunks-per-thread cap (8) so one scope task keeps
 /// mapping to one plan chunk.
@@ -183,8 +184,8 @@ pub(crate) fn resolve(schedule: Schedule, offsets: &[u64], max_chunks: usize) ->
             if max_weight > 2 * ideal {
                 // The probe found real skew, which also means residual
                 // imbalance after the cut (an unsplittable hub chunk):
-                // over-partition so the pool's work-stealing has finer
-                // chunks to rebalance with.
+                // over-partition so an idle worker takes the next, finer
+                // chunk.
                 Resolved { cut: Cut::EdgeBalanced, overpartition: OVERPARTITION_FACTOR }
             } else {
                 Resolved::VERTEX_BALANCED
@@ -322,7 +323,7 @@ mod tests {
         let flat = csr_of(&[3; 64]);
         assert_eq!(resolve(Schedule::Adaptive, flat.offsets(), 8), Resolved::VERTEX_BALANCED);
         // One hub dominating the ideal chunk: switches to edge-balanced
-        // *and* over-partitions so stealing can rebalance the residue.
+        // *and* over-partitions so idle workers absorb the residue.
         let mut degrees = [1u32; 64];
         degrees[10] = 1000;
         let skewed = csr_of(&degrees);

@@ -49,15 +49,16 @@ pub struct LoadStats {
     /// Measured wall-clock of each chunk's compute loop.
     pub chunk_durations: Vec<Duration>,
     /// Pool worker index that executed each chunk (parallel with the
-    /// other two vectors). Under work-stealing any worker may run any
-    /// chunk, so the mapping is measured, not planned; all zeros for
-    /// the sequential engine.
+    /// other two vectors). Any pool worker may run any chunk, so the
+    /// mapping is measured, not planned; all zeros for the sequential
+    /// engine.
     pub chunk_workers: Vec<u64>,
-    /// Work-stealing steals during this superstep's parallel region
-    /// (delta of `ipregel_par::current_pool_stats().steals` across it).
+    /// Jobs run by a worker other than the one that queued them during
+    /// this superstep's parallel region (delta of
+    /// `ipregel_par::current_pool_stats().steals` across it).
     pub steals: u64,
-    /// Jobs routed through the pool's overflow injector during this
-    /// superstep's parallel region.
+    /// Jobs queued from off the pool during this superstep's parallel
+    /// region.
     pub overflow: u64,
 }
 
@@ -88,8 +89,8 @@ impl LoadStats {
     /// weights grouped by the worker that actually executed each chunk
     /// ([`LoadStats::chunk_workers`]). Where [`LoadStats::edge_imbalance`]
     /// measures the balance the *plan* allowed (its worst single chunk),
-    /// this measures the balance the scheduler *achieved* after
-    /// work-stealing moved chunks between workers. Edge weights rather
+    /// this measures the balance the scheduler *achieved* after idle
+    /// workers took chunks off busy ones. Edge weights rather
     /// than durations keep it robust to timer noise. Returns 1.0 for
     /// degenerate inputs (no workers, no chunks, zero weight, or no
     /// recorded worker mapping).

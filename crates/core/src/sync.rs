@@ -146,9 +146,7 @@ pub mod lockorder {
 
     /// Every lock class the workspace declares, pool classes included.
     pub mod classes {
-        pub use ipregel_par::lockorder::classes::{
-            POOL_DEQUE, POOL_LATCH, POOL_OVERFLOW, POOL_PANIC, POOL_RESULT, POOL_STATE,
-        };
+        pub use ipregel_par::lockorder::classes::{POOL_LATCH, POOL_PANIC, POOL_RESULT, POOL_STATE};
 
         use super::LockClass;
 

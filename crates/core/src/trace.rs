@@ -198,22 +198,21 @@ pub enum TraceEvent {
         cas_retries: u64,
         /// Spinlock busy-wait iterations during the chunk.
         spin_iterations: u64,
-        /// Pool worker index the chunk body ran on. With work-stealing
-        /// this is timing-dependent (any worker may run any chunk), so
-        /// it is recorded rather than inferred. 0 for the sequential
+        /// Pool worker index the chunk body ran on. This is
+        /// timing-dependent (any worker may run any chunk), so it is
+        /// recorded rather than inferred. 0 for the sequential
         /// engine.
         worker: u64,
     },
-    /// Work-stealing scheduler counters for one superstep's parallel
+    /// Pool scheduling counters for one superstep's parallel
     /// region: the delta of the pool's cumulative counters across the
     /// region (see `ipregel_par::current_pool_stats`).
     Pool {
         /// Superstep the region belonged to.
         superstep: u64,
-        /// Chunks executed by a worker other than the one whose deque
-        /// held them.
+        /// Jobs run by a worker other than the one that queued them.
         steals: u64,
-        /// Jobs routed through the overflow injector.
+        /// Jobs queued from off the pool.
         overflow: u64,
     },
     /// A superstep completed (mirror of [`crate::SuperstepStats`]).
@@ -1072,13 +1071,13 @@ pub fn render_prometheus(events: &[TraceEvent], dropped: u64) -> String {
     counter(&mut out, "ipregel_io_bytes_read_total", "Out-of-core bytes read.", io_bytes.to_string());
     counter(&mut out, "ipregel_io_seeks_total", "Out-of-core seeks.", io_seeks.to_string());
     counter(&mut out, "ipregel_io_retries_total", "Out-of-core transient retries.", io_retries.to_string());
-    counter(&mut out, "ipregel_pool_steals_total", "Chunks executed via work-stealing.", pool_steals.to_string());
     counter(
         &mut out,
-        "ipregel_pool_overflow_total",
-        "Jobs routed through the pool's overflow injector.",
-        pool_overflow.to_string(),
+        "ipregel_pool_steals_total",
+        "Jobs run by a worker other than the one that queued them.",
+        pool_steals.to_string(),
     );
+    counter(&mut out, "ipregel_pool_overflow_total", "Jobs queued from off the pool.", pool_overflow.to_string());
     // Server request metrics (schema 3+): one labelled series per
     // terminal outcome, in ServerOutcome declaration order.
     const OUTCOMES: [ServerOutcome; 6] = [

@@ -20,15 +20,10 @@
 //! 6. –7. worklist shard handoff: worker-exclusive pushes during the
 //!    parallel region become orchestrator-exclusive reads after join
 //!    (the superstep barrier), plus the mutex fallback path.
-//! 8. –9. the work-stealing pool's queues (`ipregel_par::deque`): an
-//!    owner pushing/popping LIFO races a thief stealing FIFO and every
-//!    job surfaces exactly once; a full deque spilling into the
-//!    overflow injector hands the job over without losing it.
-//! 10. the pool's sleep protocol (`pool.rs`, "Sleep protocol"): a
-//!     pusher that publishes a job then reads the sleeper count races a
-//!     sleeper that registers then re-scans with the lock-taking pops —
-//!     in every interleaving at least one side observes the other, so
-//!     no wakeup is lost.
+//!
+//! The pool keeps its queue and idle count under one mutex, so it has
+//! no protocol of its own left to model; its no-lost-wakeup battery is
+//! `crates/par/tests/pool_contract.rs`.
 //!
 //! Keep each model at 2–3 threads: loom's state space is exponential in
 //! preemption points, and these protocols show all their behaviours
@@ -193,129 +188,5 @@ fn worklist_fallback_merges_exactly_once() {
         assert_eq!(drained, vec![7, 9], "fallback entries must merge exactly once");
         wl.clear();
         assert_eq!(wl.len(), 0);
-    });
-}
-
-/// Model 8: the deque push/steal race. The owner pushes two jobs at the
-/// back and pops one LIFO while a thief pops FIFO from the front, in
-/// every interleaving loom can produce. Whatever the schedule, each job
-/// must surface exactly once — a double-steal or a lost push would show
-/// up as a wrong multiset.
-#[test]
-fn deque_push_steal_race_delivers_each_job_exactly_once() {
-    use ipregel_par::deque::StealDeque;
-    loom::model(|| {
-        let d = Arc::new(StealDeque::new(4));
-        let thief = {
-            let d = Arc::clone(&d);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                for _ in 0..2 {
-                    if let Some(v) = d.pop_front() {
-                        got.push(v);
-                    }
-                }
-                got
-            })
-        };
-        let mut got = Vec::new();
-        d.push_back(1u32).expect("capacity 4 cannot overflow here");
-        d.push_back(2u32).expect("capacity 4 cannot overflow here");
-        if let Some(v) = d.pop_back() {
-            got.push(v);
-        }
-        got.extend(thief.join().unwrap());
-        // Whatever the race left behind is still in the deque.
-        while let Some(v) = d.pop_front() {
-            got.push(v);
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2], "every job exactly once, none lost, none duplicated");
-    });
-}
-
-/// Model 9: the overflow handoff. A capacity-1 deque rejects the second
-/// push, which the owner routes to the injector (exactly what
-/// `PoolInner::push` does on a full deque); a thief scans deque first,
-/// injector second (the `find_job` order). No interleaving may lose the
-/// spilled job or deliver either job twice.
-#[test]
-fn overflow_handoff_loses_no_jobs() {
-    use ipregel_par::deque::{Injector, StealDeque};
-    loom::model(|| {
-        let d = Arc::new(StealDeque::new(1));
-        let inj = Arc::new(Injector::new());
-        let owner = {
-            let d = Arc::clone(&d);
-            let inj = Arc::clone(&inj);
-            thread::spawn(move || {
-                for j in [1u32, 2] {
-                    if let Err(j) = d.push_back(j) {
-                        inj.push(j);
-                    }
-                }
-            })
-        };
-        let mut got = Vec::new();
-        for _ in 0..2 {
-            if let Some(v) = d.pop_front() {
-                got.push(v);
-            } else if let Some(v) = inj.pop_front() {
-                got.push(v);
-            }
-        }
-        owner.join().unwrap();
-        while let Some(v) = d.pop_front() {
-            got.push(v);
-        }
-        while let Some(v) = inj.pop_front() {
-            got.push(v);
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2], "the spilled job must survive the handoff");
-    });
-}
-
-/// Model 10: the pool's sleep protocol (`pool.rs`, "Sleep protocol"),
-/// reduced to its two racing halves. The pusher publishes a job into a
-/// queue (under that queue's mutex) and then reads the sleeper count
-/// with a relaxed load — if non-zero it would notify. The sleeper
-/// increments the count (relaxed) and then re-scans the queue with the
-/// lock-taking pop — if it finds the job it never parks. The queue
-/// mutex is the only happens-before edge between the two: whichever
-/// critical section runs first carries the other side's write across
-/// (increment → scan-unlock ≺ push-lock → count-read, or push ≺ pop).
-/// Losing *both* — pusher reads 0 AND sleeper pops nothing — is the
-/// lost wakeup that parks the pool with a job queued. This is exactly
-/// why the registered re-scan must use `pop_front_locked` and friends:
-/// the `is_empty_hint` fast path returns "empty" from a relaxed load
-/// with no lock, the mutex edge vanishes, and the store-buffering
-/// interleaving (both sides miss) becomes reachable.
-#[test]
-fn sleep_protocol_never_loses_the_wakeup() {
-    use ipregel_par::deque::Injector;
-    use loom::sync::atomic::{AtomicUsize, Ordering};
-    loom::model(|| {
-        let queue = Arc::new(Injector::new());
-        let sleepers = Arc::new(AtomicUsize::new(0));
-        let pusher = {
-            let queue = Arc::clone(&queue);
-            let sleepers = Arc::clone(&sleepers);
-            thread::spawn(move || {
-                queue.push(1u32);
-                // ordering(Relaxed): the protocol's actual ordering —
-                // visibility must come from the queue mutex, not from
-                // this load.
-                sleepers.load(Ordering::Relaxed) > 0
-            })
-        };
-        // ordering(Relaxed): registration, as in `worker_loop`.
-        sleepers.fetch_add(1, Ordering::Relaxed);
-        let found = queue.pop_front_locked().is_some();
-        let would_notify = pusher.join().unwrap();
-        assert!(
-            found || would_notify,
-            "lost wakeup: job queued, sleeper parked, pusher saw no sleeper"
-        );
     });
 }

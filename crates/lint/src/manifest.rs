@@ -29,8 +29,6 @@ pub const LOCK_HIERARCHY: &[(&str, u16)] = &[
     ("server.request", 6),
     ("server.stats", 8),
     ("pool.state", 10),
-    ("pool.deque", 12),
-    ("pool.overflow", 14),
     ("pool.latch", 20),
     ("pool.panic", 25),
     ("pool.result", 30),
@@ -97,12 +95,9 @@ pub const ATOMIC_PROTOCOLS: &[(&str, &[&str])] = &[
     ("crates/core/src/sync_cell.rs", &["Acquire", "Release"]),
     // The shim's own self-test.
     ("crates/core/src/sync.rs", &["Acquire", "Release"]),
-    // Pool scheduling counters (steals/overflow/sleepers): monotone or
-    // advisory values whose correctness-bearing reads happen under the
-    // queue mutexes; plus test tallies (scope join synchronizes).
+    // Test tallies only (scope join synchronizes): the pool itself
+    // schedules under one mutex and has no atomics.
     ("crates/par/src/pool.rs", &["Relaxed"]),
-    // Advisory length mirrors written under the deque/injector locks.
-    ("crates/par/src/deque.rs", &["Relaxed"]),
     ("crates/par/src/iter.rs", &["Relaxed"]),
     // Temp-file unique-id tick in the CLI's test helper.
     ("crates/cli/src/lib.rs", &["Relaxed"]),
@@ -215,7 +210,6 @@ pub const FORBID_FILES: &[&str] = &[
     "crates/par/src/padded.rs",
     "crates/par/src/lockorder.rs",
     "crates/par/src/iter.rs",
-    "crates/par/src/deque.rs",
 ];
 
 /// Directory roots searched for `.rs` files by the unsafe-confinement

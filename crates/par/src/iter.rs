@@ -45,8 +45,8 @@ use std::ops::Range;
 /// Chunks per worker thread. At least the engine chunk planner's
 /// maximum oversubscription factor (base ×4, over-partitioned adaptive
 /// plans ×8 — see `crates/core/src/engine/chunks.rs`), so one `scope`
-/// task always maps to one plan chunk and work-stealing can rebalance
-/// at plan-chunk granularity.
+/// task always maps to one plan chunk and an idle worker takes the next
+/// chunk at plan-chunk granularity.
 const CHUNKS_PER_THREAD: usize = 8;
 
 /// The deterministic chunk plan for a consumer over `len` items, each

@@ -33,7 +33,6 @@ pub use padded::CachePadded;
 // (armed by the `lock-order` feature) for the client crates' locks.
 pub mod lockorder;
 
-pub mod deque;
 mod pool;
 pub mod iter;
 

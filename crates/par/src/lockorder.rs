@@ -67,29 +67,17 @@ impl LockClass {
 
 /// Classes of the locks owned by this crate (the pool substrate).
 ///
-/// Pool locks rank below every client class. The nestings inside the
-/// runtime are all downward-closed in this table: a worker going to
-/// sleep re-scans the deques and the overflow injector while holding
-/// `pool.state` (`state → deque`, `state → overflow`), and a helping
-/// worker checks its scope latch under the same lock (`state → latch`).
-/// Victim deques are probed strictly one at a time (never two
-/// same-class locks), and client code never runs while any pool lock is
-/// held — jobs are popped, the guard dropped, and only then executed.
+/// Pool locks rank below every client class. The one nesting inside the
+/// runtime is downward-closed in this table: a helping worker checks its
+/// scope latch while holding `pool.state` (`state → latch`). Client code
+/// never runs while any pool lock is held — jobs are popped, the guard
+/// dropped, and only then executed.
 pub mod classes {
     use super::LockClass;
 
-    /// The pool's shutdown flag + sleep coordination (`PoolInner::state`).
+    /// The pool's job queue, counters, idle count and shutdown flag
+    /// (`PoolInner::state`).
     pub const POOL_STATE: LockClass = LockClass::new(10, "pool.state");
-    /// One worker's steal deque (`StealDeque::inner`). Ranks above
-    /// `pool.state` because a worker re-scans the deques while holding
-    /// the state lock on its way to sleep; a thread never holds two
-    /// deque locks at once (victims are probed strictly one at a time).
-    pub const POOL_DEQUE: LockClass = LockClass::new(12, "pool.deque");
-    /// The pool's overflow injector (`Injector::inner`): full-deque
-    /// spill and non-worker submissions. Same nesting as `pool.deque`
-    /// (scanned under `pool.state` on the sleep path), never held
-    /// together with a deque lock.
-    pub const POOL_OVERFLOW: LockClass = LockClass::new(14, "pool.overflow");
     /// A scope latch's pending-task counter (`ScopeLatch::pending`).
     pub const POOL_LATCH: LockClass = LockClass::new(20, "pool.latch");
     /// A scope latch's first-panic slot (`ScopeLatch::panic`).

@@ -1,16 +1,19 @@
-//! The in-tree scoped thread pool: per-worker steal deques plus an
-//! overflow injector.
+//! The in-tree scoped thread pool: one job queue, one lock, one condvar.
 //!
-//! One [`PoolInner`] owns a set of worker OS threads. Each worker owns
-//! a bounded [`StealDeque`]: it pushes and pops its own work LIFO at
-//! the back, and when its deque runs dry it first drains the shared
-//! overflow [`Injector`], then steals FIFO from the fronts of the other
-//! workers' deques, probing victims in a seeded deterministic order
-//! fixed at pool construction (a pure function of `(num_threads,
-//! worker index)`). Jobs submitted from non-worker threads — and jobs
-//! that would overflow a full deque — go to the injector. Workers carry
-//! a stable index `0..num_threads` published through a thread-local,
-//! which is the contract the sharded
+//! One [`PoolInner`] owns a set of worker OS threads and a single
+//! `VecDeque` of queued jobs held inside its `pool.state` mutex. `push`
+//! appends at the back. A worker *helping* inside [`scope`] or [`join`]
+//! takes the newest job (the back: depth-first, cache-warm); an *idle*
+//! worker takes the oldest (the front). When one orchestrator spawns
+//! every chunk of a region on a two-worker pool — the engines' only
+//! pattern — that is exactly the owner-LIFO / thief-FIFO order of a
+//! work-stealing deque, without per-worker queues. The paper's runtime
+//! is a plain OpenMP loop with no stealing at all, and a region here is
+//! at most `threads × 8` chunk jobs, so one short critical section per
+//! push and per pop is nowhere near contention.
+//!
+//! Workers carry a stable index `0..num_threads` published through a
+//! thread-local, which is the contract the sharded
 //! [`Tracer`](../../core/src/trace.rs) and `Worklist::with_shards`
 //! depend on: *while a closure runs on worker `i`,
 //! [`current_thread_index`] returns `Some(i)`, indices are unique within
@@ -18,41 +21,30 @@
 //!
 //! # Determinism: execution is not reduction
 //!
-//! Stealing makes *which worker runs which job* timing-dependent, and
-//! that is the point — an idle worker takes load off a busy one. What
+//! Which worker runs which job is timing-dependent, and that is the
+//! point — an idle worker takes the next chunk off a busy one. What
 //! stays deterministic is everything results flow through: the chunk
 //! plan is a pure function of `(len, thread count)` (see `iter.rs`),
 //! each chunk writes its partial result into a slot indexed by chunk
 //! id, and the caller folds the slots sequentially in chunk order. Any
 //! worker may execute any chunk; the reduction tree never changes, so
 //! f64 sums are bit-identical run to run at a fixed thread count.
-//! `crates/par/tests/pool_contract.rs` pins this with stealing forced.
+//! `crates/par/tests/pool_contract.rs` pins this with chunks forced
+//! onto other workers.
 //!
-//! # Sleep protocol (why no wakeup is lost)
+//! # Parking (why no wakeup is lost)
 //!
-//! Idle workers park on the pool's condvar under the `pool.state`
-//! mutex. The queues themselves are *not* under that mutex — pushes
-//! touch only the target deque/injector lock — so a pusher must know
-//! whether anyone is asleep. The pool keeps an advisory sleeper count:
-//! a worker increments it (while holding `pool.state`) **before**
-//! re-scanning every queue, then waits; a pusher publishes its job and
-//! then reads the count, notifying under `pool.state` if it is
-//! non-zero. The registered re-scan ([`PoolInner::find_job_registered`])
-//! acquires every queue's mutex unconditionally — it must not use the
-//! relaxed `is_empty_hint` fast path, which reports "empty" without a
-//! lock and therefore without any happens-before edge to the pusher
-//! (a hint-based scan plus the relaxed count read would be the
-//! store-buffering litmus: both sides miss, the job sits queued with
-//! every worker parked). With real acquisitions, for any queue the
-//! sleeper scanned before the push landed, the sleeper's increment is
-//! visible to the pusher through that queue's mutex (increment →
-//! scan-unlock ≺ push-lock → count-read), so the pusher notifies; if
-//! the sleeper scanned after, the scan found the job. The
-//! `sleep_protocol_never_loses_the_wakeup` loom model in
-//! `crates/core/tests/loom.rs` pins exactly this edge.
-//! Notifying under `pool.state` closes the remaining window:
-//! the sleeper holds that mutex from registration until the condvar
-//! wait releases it, so the notify cannot fire in between.
+//! Check-then-wait under one lock: a worker with nothing to run finds
+//! the queue empty, increments the idle count and waits on the pool's
+//! condvar without releasing `pool.state` in between; `push` appends
+//! and reads the idle count under that same lock and notifies one
+//! waiter when it is non-zero. "The queue was empty when I looked" and
+//! "nobody was idle when I pushed" therefore cannot both hold. Every
+//! woken worker re-checks the queue — except a helper whose own scope
+//! completed meanwhile, which returns without taking the job; but that
+//! completion is followed by `finish_task`'s `notify_all`, which wakes
+//! every waiter. `pool_contract.rs` runs thousands of tiny rounds on
+//! 1-, 2- and 4-thread pools under a watchdog to hold this.
 //!
 //! # Scopes and panics
 //!
@@ -61,8 +53,8 @@
 //! `catch_unwind`; the first captured payload is resumed on the caller
 //! once the scope is complete, so a panicking task never takes a worker
 //! thread down — the pool survives and sibling tasks drain normally,
-//! whether the panicking chunk ran on its spawner or on a thief. This
-//! is what lets the engines' chunk-level `catch_unwind` isolation
+//! whichever worker ran the panicking chunk. This is what lets the
+//! engines' chunk-level `catch_unwind` isolation
 //! (`RunError::VertexPanic`) keep working unchanged on the in-tree pool:
 //! the engines catch inside the task, so the pool-level capture is a
 //! second line of defence, not the primary mechanism.
@@ -70,12 +62,10 @@
 //! # Nested scopes: supported
 //!
 //! A worker that blocks in [`scope`] (or [`join`]) *helps*: it executes
-//! queued tasks while it waits — its own deque first, then the overflow
-//! injector, then steals. Nested `scope` calls from inside a task
-//! therefore cannot deadlock, even on a one-thread pool whose deque has
-//! spilled into the injector — the blocked worker drains both. Non-
-//! worker threads never execute tasks (their `current_thread_index` is
-//! `None`, so executing engine work there would bypass the worker-shard
+//! queued jobs while it waits. Nested `scope` calls from inside a task
+//! therefore cannot deadlock, even on a one-thread pool. Non-worker
+//! threads never execute tasks (their `current_thread_index` is `None`,
+//! so executing engine work there would bypass the worker-shard
 //! routing); they park on the scope's latch instead.
 //!
 //! # Safety model
@@ -83,224 +73,115 @@
 //! The only `unsafe` in this crate is lifetime erasure of scoped task
 //! closures (and of the closure passed to [`ThreadPool::install`]): a
 //! `Box<dyn FnOnce() + Send + 'scope>` is transmuted to `'static` so it
-//! can sit in a deque. The erasure is sound because the scope (or
+//! can sit in the queue. The erasure is sound because the scope (or
 //! `install`) blocks until the task's completion latch fires —
 //! including on the panic path — so no borrow captured by the closure
 //! can be outlived. `tests/pool_contract.rs` exercises the contract
-//! (including panic-in-stolen-chunk and borrow-heavy workloads) and the
-//! suite runs under Miri via `tools/miri-test.sh`.
+//! (including panics in chunks run by other workers and borrow-heavy
+//! workloads) and the suite runs under Miri via `tools/miri-test.sh`.
 
-use crate::deque::{Injector, StealDeque};
-use crate::lockorder::{classes, OrderedMutex};
-use crate::padded::CachePadded;
+use crate::lockorder::{classes, OrderedGuard, OrderedMutex};
 
 use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
 use std::thread::JoinHandle;
 
 /// A queued task, lifetime-erased (see the module-level safety model).
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Per-worker deque bound. Chunk plans produce at most `threads × 8`
-/// jobs per parallel region (see `iter.rs`), so the bound is hit only
-/// by deeply nested fan-out — which spills to the injector and keeps
-/// working, just without LIFO locality.
-const DEQUE_CAPACITY: usize = 256;
-
-/// Seed of the victim probe orders: fixed, so each worker's steal order
-/// is a pure function of `(num_threads, worker index)` and reruns probe
-/// identically.
-const STEAL_SEED: u64 = 0xA076_1D64_78BD_642F;
-
-/// One SplitMix64 step — the probe-order PRNG. Pure, allocation-free,
-/// and plenty to decorrelate per-worker victim orders.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The deterministic victim order of worker `index`: a seeded
-/// Fisher–Yates shuffle of every other worker. Distinct workers get
-/// decorrelated orders (so thieves fan out instead of convoying on
-/// victim 0), and the same `(num_threads, index)` always yields the
-/// same order (so steal-heavy runs stay reproducible to a debugger).
-fn victim_order(num_threads: usize, index: usize) -> Box<[usize]> {
-    let mut order: Vec<usize> = (0..num_threads).filter(|&v| v != index).collect();
-    let mut rng = STEAL_SEED ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for i in (1..order.len()).rev() {
-        let j = usize::try_from(splitmix64(&mut rng) % (i as u64 + 1))
-            .expect("j <= i < num_threads fits usize");
-        order.swap(i, j);
-    }
-    order.into_boxed_slice()
-}
-
-/// Work-stealing counters of one pool, cumulative since construction.
+/// Scheduling counters of one pool, cumulative since construction.
 ///
 /// Snapshot with [`ThreadPool::stats`] or [`current_pool_stats`];
 /// deltas across a parallel region are what the engines report per
 /// superstep (the `pool` trace event).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Jobs a worker popped from another worker's deque (FIFO steals).
+    /// Jobs run by a worker other than the one that queued them.
     pub steals: u64,
-    /// Jobs routed through the overflow injector: non-worker
-    /// submissions plus full-deque spill.
+    /// Jobs queued from off the pool: `install` from a thread that is
+    /// not one of its workers, or a scope opened outside any pool.
     pub overflow: u64,
-    /// Jobs pushed to any queue — every `Scope::spawn` and `install`.
-    /// A parallel region that ran inline on its caller adds nothing
-    /// here, so a delta of zero across a region means it boxed no job
-    /// and woke nobody.
+    /// Jobs queued — every `Scope::spawn` and `install`. A parallel
+    /// region that ran inline on its caller adds nothing here, so a
+    /// delta of zero across a region means it boxed no job and woke
+    /// nobody.
     pub spawned: u64,
 }
 
 /// Shared state of one pool.
 struct PoolInner {
-    /// Shutdown flag + the mutex sleepers park under.
+    /// The job queue, the counters and the shutdown flag.
     state: OrderedMutex<PoolState>,
-    /// Signalled on job arrival (when sleepers are registered), scope
+    /// Signalled on job arrival (when a worker is parked), scope
     /// completion, and shutdown.
     cv: Condvar,
-    /// One bounded deque per worker, indexed by worker index.
-    deques: Box<[StealDeque<Job>]>,
-    /// Overflow queue: non-worker submissions and full-deque spill.
-    overflow: Injector<Job>,
-    /// `victims[i]`: the deterministic probe order worker `i` steals in.
-    victims: Box<[Box<[usize]>]>,
-    /// `steals[i]`: successful steals *by* worker `i` (padded so the
-    /// hot-path increments don't false-share).
-    steals: Box<[CachePadded<AtomicU64>]>,
-    /// Jobs pushed to the overflow injector.
-    overflow_pushes: AtomicU64,
-    /// Jobs pushed to any queue.
-    spawned: AtomicU64,
-    /// Advisory count of workers registered on the sleep path — see the
-    /// module-level "Sleep protocol".
-    sleepers: AtomicUsize,
     num_threads: usize,
 }
 
 struct PoolState {
+    /// Queued jobs, each with the index of the worker that queued it
+    /// (`None` when it came from off the pool).
+    jobs: VecDeque<(Job, Option<usize>)>,
+    /// Workers parked on `cv`, idle or waiting out a scope.
+    idle: usize,
+    stats: PoolStats,
     shutdown: bool,
 }
 
+impl PoolState {
+    /// Take a job for worker `index`: the newest while it helps inside a
+    /// scope, the oldest while it is idle.
+    fn pop(&mut self, index: usize, helping: bool) -> Option<Job> {
+        let (job, origin) = if helping { self.jobs.pop_back() } else { self.jobs.pop_front() }?;
+        if origin.is_some_and(|o| o != index) {
+            self.stats.steals += 1;
+        }
+        Some(job)
+    }
+}
+
+/// Wait on `cv` until notified, counted as idle meanwhile.
+fn park<'a>(mut st: OrderedGuard<'a, PoolState>, cv: &Condvar) -> OrderedGuard<'a, PoolState> {
+    st.idle += 1;
+    let mut st = st.wait_on(cv).expect("pool state poisoned");
+    st.idle -= 1;
+    st
+}
+
 impl PoolInner {
-    /// Submit a job: a worker of this pool pushes to its own deque
-    /// (LIFO end), spilling to the injector when full; everyone else
-    /// goes straight to the injector. Sleepers are then woken if any
-    /// are registered.
+    /// Queue a job at the back and wake one parked worker, if any.
     fn push(&self, job: Job) {
-        // ordering(Relaxed): monotone counter; readers snapshot it via
-        // `stats()` outside parallel regions.
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-        let job = match current_worker() {
-            Some((pool, index)) if std::ptr::eq(pool, self) => {
-                self.deques[index].push_back(job).err()
-            }
-            _ => Some(job),
+        let origin = match current_worker() {
+            Some((pool, index)) if std::ptr::eq(pool, self) => Some(index),
+            _ => None,
         };
-        if let Some(job) = job {
-            // ordering(Relaxed): monotone counter; readers snapshot it
-            // via `stats()` outside parallel regions.
-            self.overflow_pushes.fetch_add(1, Ordering::Relaxed);
-            self.overflow.push(job);
-        }
-        self.wake_if_sleepers();
-    }
-
-    /// Notify the condvar iff a sleeper might be registered.
-    fn wake_if_sleepers(&self) {
-        // ordering(Relaxed): pairs with the registration in the sleep
-        // path — a sleeper increments the count *before* re-scanning
-        // the queues with `find_job_registered`, whose unconditional
-        // lock acquisitions carry the increment to us: if it scanned
-        // our queue before our push, the increment reached us through
-        // that queue's mutex and this read sees it; if it scanned
-        // after, it found the job. (Module docs, "Sleep protocol".)
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            self.wake_all();
+        // lock-order(pool.state)
+        let mut st = self.state.lock().expect("pool state poisoned");
+        st.stats.spawned += 1;
+        st.stats.overflow += u64::from(origin.is_none());
+        st.jobs.push_back((job, origin));
+        if st.idle > 0 {
+            self.cv.notify_one();
         }
     }
 
-    /// Wake everything (job for a sleeper, scope completed, shutdown).
-    /// Notifying under the state lock is what makes the sleep protocol
-    /// lossless: a registered sleeper holds that lock until it is
-    /// inside `Condvar::wait`.
+    /// Wake every parked worker (scope completed, so helpers waiting on
+    /// it can return). Notifying under the state lock is what makes it
+    /// lossless: a helper holds that lock from its done-check until it
+    /// is inside `Condvar::wait`.
     fn wake_all(&self) {
         // lock-order(pool.state)
         let _guard = self.state.lock().expect("pool state poisoned");
         self.cv.notify_all();
     }
 
-    /// One scheduling round for worker `index`: own deque (LIFO), then
-    /// the overflow injector (FIFO), then steal from victims in the
-    /// worker's fixed probe order (FIFO from each). Never holds two
-    /// queue locks at once.
-    fn find_job(&self, index: usize) -> Option<Job> {
-        if let Some(job) = self.deques[index].pop_back() {
-            return Some(job);
-        }
-        if let Some(job) = self.overflow.pop_front() {
-            return Some(job);
-        }
-        for &victim in &self.victims[index] {
-            if let Some(job) = self.deques[victim].pop_front() {
-                // ordering(Relaxed): monotone counter; readers snapshot
-                // it via `stats()` outside parallel regions.
-                self.steals[index].fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// The sleep-path scheduling round: same scan order as [`find_job`]
-    /// (own deque, overflow, victims), but every pop acquires its queue
-    /// mutex unconditionally instead of trusting the relaxed emptiness
-    /// hint. A worker that has registered on the sleeper count must scan
-    /// with *this* — the lock acquisitions are the happens-before edges
-    /// that make its registration visible to any pusher it raced, which
-    /// is the whole no-lost-wakeup argument (module docs, "Sleep
-    /// protocol"). `find_job` is the fast path for unregistered workers
-    /// only, where a stale-empty hint merely delays work, never strands
-    /// it.
-    ///
-    /// [`find_job`]: Self::find_job
-    fn find_job_registered(&self, index: usize) -> Option<Job> {
-        if let Some(job) = self.deques[index].pop_back_locked() {
-            return Some(job);
-        }
-        if let Some(job) = self.overflow.pop_front_locked() {
-            return Some(job);
-        }
-        for &victim in &self.victims[index] {
-            if let Some(job) = self.deques[victim].pop_front_locked() {
-                // ordering(Relaxed): monotone counter; readers snapshot
-                // it via `stats()` outside parallel regions.
-                self.steals[index].fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
     /// Cumulative counters.
     fn stats(&self) -> PoolStats {
-        PoolStats {
-            // ordering(Relaxed): monotone counters; the engines read
-            // deltas across a region whose scope join is the barrier.
-            steals: self.steals.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-            // ordering(Relaxed): same monotone-counter protocol.
-            overflow: self.overflow_pushes.load(Ordering::Relaxed),
-            // ordering(Relaxed): same monotone-counter protocol.
-            spawned: self.spawned.load(Ordering::Relaxed),
-        }
+        // lock-order(pool.state)
+        self.state.lock().expect("pool state poisoned").stats
     }
 }
 
@@ -375,9 +256,8 @@ impl ScopeLatch {
         }
     }
 
-    /// Worker-side wait: help run jobs (own deque, overflow, steals)
-    /// until the latch fires, sleeping through the pool's sleep
-    /// protocol when nothing is runnable.
+    /// Worker-side wait: run queued jobs, newest first, until the latch
+    /// fires; park when there are none.
     ///
     /// The done-check happens while the pool's state lock is held, and
     /// `finish_task`'s final wakeup (`wake_all`) notifies *under* that
@@ -385,42 +265,20 @@ impl ScopeLatch {
     /// cannot be missed: the finisher blocks on the lock until we are
     /// inside the wait.
     fn wait_helping(&self, index: usize) {
-        loop {
-            loop {
-                if self.is_done() {
-                    return;
+        let pool = &*self.pool;
+        // lock-order(pool.state) — `is_done` below then nests pool.latch
+        // inside pool.state (10 → 20), one of the runtime's declared
+        // nestings.
+        let mut st = pool.state.lock().expect("pool state poisoned");
+        while !self.is_done() {
+            match st.pop(index, true) {
+                Some(job) => {
+                    drop(st);
+                    job();
+                    // lock-order(pool.state)
+                    st = pool.state.lock().expect("pool state poisoned");
                 }
-                match self.pool.find_job(index) {
-                    Some(job) => job(),
-                    None => break,
-                }
-            }
-            // lock-order(pool.state) — `is_done` below then nests
-            // pool.latch inside pool.state (10 → 20), one of the
-            // runtime's declared nestings; `find_job` nests the queue
-            // locks the same way (10 → 12, 10 → 14).
-            let mut st = self.pool.state.lock().expect("pool state poisoned");
-            // ordering(Relaxed): register *before* the re-scan — the
-            // pusher-side pairing is `wake_if_sleepers`, and the
-            // `find_job_registered` lock acquisitions below are what
-            // carry this increment to the pusher (module docs, "Sleep
-            // protocol").
-            self.pool.sleepers.fetch_add(1, Ordering::Relaxed);
-            let job = loop {
-                if let Some(job) = self.pool.find_job_registered(index) {
-                    break Some(job);
-                }
-                if self.is_done() {
-                    break None;
-                }
-                st = st.wait_on(&self.pool.cv).expect("pool state poisoned");
-            };
-            // ordering(Relaxed): deregister, mirroring the registration.
-            self.pool.sleepers.fetch_sub(1, Ordering::Relaxed);
-            drop(st);
-            match job {
-                Some(job) => job(),
-                None => return,
+                None => st = park(st, &pool.cv),
             }
         }
     }
@@ -463,9 +321,9 @@ pub fn current_num_threads() -> usize {
     }
 }
 
-/// Work-stealing counters of the current pool: the worker's own pool on
-/// a worker thread, the global pool elsewhere. The engines snapshot
-/// this around each superstep's parallel region and report the delta
+/// Scheduling counters of the current pool: the worker's own pool on a
+/// worker thread, the global pool elsewhere. The engines snapshot this
+/// around each superstep's parallel region and report the delta
 /// (`LoadStats::steals`/`overflow`, the `pool` trace event).
 pub fn current_pool_stats() -> PoolStats {
     match current_worker() {
@@ -475,14 +333,11 @@ pub fn current_pool_stats() -> PoolStats {
 }
 
 fn default_num_threads() -> usize {
-    for var in ["IPREGEL_PAR_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var).ok().and_then(|v| v.parse::<usize>().ok()) {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    std::env::var("IPREGEL_PAR_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The process-wide pool, built on first use and never torn down.
@@ -548,15 +403,16 @@ impl ThreadPoolBuilder {
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let n = self.num_threads.unwrap_or_else(default_num_threads).max(1);
         let inner = Arc::new(PoolInner {
-            state: OrderedMutex::new(&classes::POOL_STATE, PoolState { shutdown: false }),
+            state: OrderedMutex::new(
+                &classes::POOL_STATE,
+                PoolState {
+                    jobs: VecDeque::new(),
+                    idle: 0,
+                    stats: PoolStats::default(),
+                    shutdown: false,
+                },
+            ),
             cv: Condvar::new(),
-            deques: (0..n).map(|_| StealDeque::new(DEQUE_CAPACITY)).collect(),
-            overflow: Injector::new(),
-            victims: (0..n).map(|i| victim_order(n, i)).collect(),
-            steals: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-            overflow_pushes: AtomicU64::new(0),
-            spawned: AtomicU64::new(0),
-            sleepers: AtomicUsize::new(0),
             num_threads: n,
         });
         let mut workers = Vec::with_capacity(n);
@@ -575,46 +431,29 @@ impl ThreadPoolBuilder {
 fn worker_loop(pool: Arc<PoolInner>, index: usize) {
     CURRENT_WORKER.with(|c| c.set(Some((Arc::as_ptr(&pool), index))));
     WORKER_POOL_ARC.with(|c| *c.borrow_mut() = Some(Arc::clone(&pool)));
+    // lock-order(pool.state)
+    let mut st = pool.state.lock().expect("pool state poisoned");
     loop {
-        // Fast path: schedule lock-hierarchy-bottom-up with no state
-        // lock at all. Jobs are panic-wrapped at spawn time (the
-        // payload lands in the scope latch); a stray panic from the
-        // wrapper itself would still only kill this one worker, not the
-        // pool.
-        while let Some(job) = pool.find_job(index) {
+        if let Some(job) = st.pop(index, false) {
+            // Jobs never run under the lock. They are panic-wrapped at
+            // spawn time (the payload lands in the scope latch); a stray
+            // panic from the wrapper itself would still only kill this
+            // one worker, not the pool.
+            drop(st);
             job();
-        }
-        // Sleep path (module docs, "Sleep protocol"): register, re-scan
-        // under the state lock, and only then wait.
-        // lock-order(pool.state)
-        let mut st = pool.state.lock().expect("pool state poisoned");
-        // ordering(Relaxed): register *before* the re-scan — the
-        // pusher-side pairing is `wake_if_sleepers`, and the
-        // `find_job_registered` lock acquisitions below are what carry
-        // this increment to the pusher.
-        pool.sleepers.fetch_add(1, Ordering::Relaxed);
-        let job = loop {
-            if let Some(job) = pool.find_job_registered(index) {
-                break Some(job);
-            }
-            if st.shutdown {
-                break None;
-            }
-            st = st.wait_on(&pool.cv).expect("pool state poisoned");
-        };
-        // ordering(Relaxed): deregister, mirroring the registration.
-        pool.sleepers.fetch_sub(1, Ordering::Relaxed);
-        drop(st);
-        match job {
-            Some(job) => job(),
-            None => return,
+            // lock-order(pool.state)
+            st = pool.state.lock().expect("pool state poisoned");
+        } else if st.shutdown {
+            return;
+        } else {
+            st = park(st, &pool.cv);
         }
     }
 }
 
 /// An owned pool with a fixed number of worker threads.
 ///
-/// Dropping the pool shuts the workers down after the queues drain;
+/// Dropping the pool shuts the workers down after the queue drains;
 /// every `scope`/`install` blocks to completion first, so drop never
 /// races live tasks.
 pub struct ThreadPool {
@@ -634,7 +473,7 @@ impl ThreadPool {
         self.inner.num_threads
     }
 
-    /// Cumulative work-stealing counters of this pool.
+    /// Cumulative scheduling counters of this pool.
     pub fn stats(&self) -> PoolStats {
         self.inner.stats()
     }
@@ -678,7 +517,7 @@ impl ThreadPool {
             // SAFETY: `install` blocks on the latch below until the job
             // has run to completion (success or panic), so the borrows
             // captured by `f` outlive every use; erasing the lifetime
-            // only lets the box sit in a queue meanwhile.
+            // only lets the box sit in the queue meanwhile.
             let job: Job = unsafe {
                 std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job)
             };
@@ -701,9 +540,9 @@ impl Drop for ThreadPool {
             // lock-order(pool.state)
             let mut st = self.inner.state.lock().expect("pool state poisoned");
             st.shutdown = true;
-            // Notify under the state lock: a worker between its
-            // registration and its `Condvar::wait` still holds the
-            // lock, so this notify cannot slip past it.
+            // Notify under the state lock: a worker between its queue
+            // check and its `Condvar::wait` still holds the lock, so
+            // this notify cannot slip past it.
             self.inner.cv.notify_all();
         }
         for w in self.workers.drain(..) {
@@ -720,9 +559,7 @@ pub struct Scope<'scope> {
 }
 
 impl<'scope> Scope<'scope> {
-    /// Queue `body` on the scope's pool (the spawning worker's own
-    /// deque when called from a worker; the overflow injector
-    /// otherwise).
+    /// Queue `body` on the scope's pool.
     ///
     /// The task receives a scope handle of its own, so tasks can spawn
     /// further tasks (nested fan-out) into the same scope.
@@ -746,8 +583,7 @@ impl<'scope> Scope<'scope> {
         // `body` ('scope) strictly outlive the queued box.
         let job: Job =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-        let pool = Arc::clone(&self.latch.pool);
-        pool.push(job);
+        self.latch.pool.push(job);
     }
 }
 
@@ -755,7 +591,7 @@ impl<'scope> Scope<'scope> {
 /// called from outside any pool) and wait for every spawned task.
 ///
 /// `op` itself runs on the calling thread; tasks run on pool workers. A
-/// worker blocked here helps drain the queues (see the module docs —
+/// worker blocked here helps drain the queue (see the module docs —
 /// this is what makes nested scopes deadlock-free). The first panic
 /// from any task is resumed on the caller after all tasks finished.
 pub fn scope<'scope, OP, R>(op: OP) -> R
@@ -952,22 +788,54 @@ mod tests {
     }
 
     #[test]
-    fn victim_orders_are_deterministic_permutations() {
-        for n in [1usize, 2, 3, 8] {
-            for i in 0..n {
-                let a = victim_order(n, i);
-                let b = victim_order(n, i);
-                assert_eq!(a, b, "probe order must be a pure function of (n, index)");
-                let mut sorted: Vec<usize> = a.to_vec();
-                sorted.sort_unstable();
-                let expect: Vec<usize> = (0..n).filter(|&v| v != i).collect();
-                assert_eq!(sorted, expect, "every other worker appears exactly once");
-            }
-        }
+    fn a_helping_worker_runs_the_newest_job_first() {
+        // The lone worker is inside `install`, so it runs the scope's
+        // jobs itself while it waits on the scope: newest first.
+        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let order = OrderedMutex::new(&classes::POOL_RESULT, Vec::new());
+        pool.install(|| {
+            scope(|s| {
+                for i in 0..4 {
+                    let order = &order;
+                    // lock-order(pool.result)
+                    s.spawn(move |_| order.lock().unwrap().push(i));
+                }
+            });
+        });
+        // lock-order(pool.result)
+        assert_eq!(*order.lock().unwrap(), [3, 2, 1, 0]);
     }
 
     #[test]
-    fn steals_are_counted_when_thieves_drain_a_spawner() {
+    fn an_idle_worker_runs_the_oldest_job_first() {
+        // The lone worker is held busy while three `install`s queue up
+        // behind it in a known order; released, it drains them oldest
+        // first.
+        let pool = &ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let order = OrderedMutex::new(&classes::POOL_RESULT, Vec::new());
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let queued = |n: u64| {
+            while pool.stats().spawned < n {
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| pool.install(move || held.recv().unwrap()));
+            queued(1);
+            for i in 0..3 {
+                let order = &order;
+                // lock-order(pool.result)
+                s.spawn(move || pool.install(|| order.lock().unwrap().push(i)));
+                queued(2 + i);
+            }
+            release.send(()).unwrap();
+        });
+        // lock-order(pool.result)
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2]);
+    }
+
+    #[test]
+    fn steals_are_counted_when_idle_workers_drain_a_spawner() {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let before = pool.stats();
         pool.install(|| {
@@ -980,11 +848,11 @@ mod tests {
             });
         });
         let after = pool.stats();
-        // All 64 tasks land on the installing worker's deque; the other
-        // three workers can only run them by stealing.
+        // All 64 tasks are queued by the installing worker; the other
+        // three workers running any of them count as steals.
         assert!(
             after.steals > before.steals,
-            "64 slow tasks on one deque must produce at least one steal: {after:?}"
+            "64 slow tasks from one worker must produce at least one steal: {after:?}"
         );
     }
 
@@ -1005,36 +873,18 @@ mod tests {
     }
 
     #[test]
-    fn non_worker_submissions_route_through_the_overflow_injector() {
+    fn only_off_pool_submissions_count_as_overflow() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let before = pool.stats().overflow;
-        // `install` from a non-worker thread pushes its one job from
-        // outside the pool — the injector path by construction.
-        assert_eq!(pool.install(|| 41 + 1), 42);
-        assert!(pool.stats().overflow > before, "non-worker submit must count as overflow");
-    }
-
-    #[test]
-    fn deque_overflow_spills_to_injector_and_completes() {
-        // One worker, fan-out far beyond DEQUE_CAPACITY: the spawning
-        // worker's deque fills and the rest must spill to the injector
-        // without losing a single task.
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let counter = AtomicUsize::new(0);
-        let n = DEQUE_CAPACITY * 3;
+        // `install` from a non-worker thread queues its one job from
+        // off the pool; the scope inside it queues from a worker.
         pool.install(|| {
             scope(|s| {
-                for _ in 0..n {
-                    let counter = &counter;
-                    s.spawn(move |_| {
-                        // ordering(Relaxed): test tally; scope exit synchronizes
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
+                for _ in 0..5 {
+                    s.spawn(|_| {});
                 }
             });
         });
-        // ordering(Relaxed): read after scope join, no concurrent writers
-        assert_eq!(counter.load(Ordering::Relaxed), n);
-        assert!(pool.stats().overflow > 0, "fan-out past capacity must hit the injector");
+        assert_eq!(pool.stats().overflow - before, 1, "only the install came from off the pool");
     }
 }

@@ -14,19 +14,20 @@
 //!    order, so float sums are bit-identical from run to run at any
 //!    fixed thread count.
 //!
-//! The second half of the file is the steal-hardened battery: the same
-//! contracts with work-stealing *forced* — adversarial sleeps push
-//! chunks onto thieves, panics land in stolen chunks, and fan-out past
-//! the deque bound spills through the overflow injector — because every
+//! The second half of the file is the forced-steal battery: the same
+//! contracts with chunks *forced* onto workers other than their spawner
+//! — adversarial sleeps hand chunks to idle workers, panics land in
+//! those chunks, and deep nested fan-out fills the queue — because every
 //! guarantee above must be independent of which worker a chunk lands
-//! on.
+//! on. The last test holds the parking protocol: no wakeup is lost and
+//! every job runs exactly once, over thousands of tiny rounds.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use ipregel_par::prelude::*;
-use ipregel_par::{current_thread_index, ThreadPoolBuilder};
+use ipregel_par::{current_thread_index, ThreadPool, ThreadPoolBuilder};
 
 #[test]
 fn install_exposes_dense_stable_worker_indices() {
@@ -114,13 +115,14 @@ fn float_reductions_are_bit_identical_for_a_fixed_thread_count() {
 }
 
 // ---------------------------------------------------------------------
-// The steal-hardened battery: the contracts above with stealing forced.
+// The forced-steal battery: the contracts above with chunks forced onto
+// workers other than their spawner.
 // ---------------------------------------------------------------------
 
 /// Bit-identical float reduction with stealing *provoked*: the early
-/// chunks sleep, so the spawning worker stalls on them (thieves take
-/// the front of its deque; the owner pops the back) and later chunks
-/// migrate to whichever worker is free. The reduction still folds the
+/// chunks sleep, so the spawning worker stalls on them (idle workers
+/// take the oldest queued chunk; the spawner, helping, the newest) and
+/// later chunks migrate to whichever worker is free. The reduction still folds the
 /// chunk slots in chunk order on the caller, so the adversarial run's
 /// sum must match the undisturbed run bit for bit — and the steal
 /// counters prove the schedules actually differed.
@@ -140,7 +142,7 @@ fn float_reduction_bits_survive_forced_stealing() {
                         // One nap near the start of each early chunk
                         // (10 000 items / 4 threads / 8 chunks-per-
                         // thread ≈ 313-item chunks): the executing
-                        // worker blocks, everyone else steals on.
+                        // worker blocks, everyone else takes the next.
                         if i < 2_000 && i % 313 == 0 {
                             std::thread::sleep(std::time::Duration::from_micros(500));
                         }
@@ -162,8 +164,8 @@ fn float_reduction_bits_survive_forced_stealing() {
     );
 }
 
-/// Worker indices stay dense and in-range while thieves are actively
-/// draining a spawner: with every task asleep most of its lifetime, the
+/// Worker indices stay dense and in-range while idle workers are
+/// actively draining a spawner's jobs: with every task asleep most of its lifetime, the
 /// whole pool must join in (a worker that never shows up would mean
 /// wakeups got lost), and no task may ever observe an out-of-range or
 /// unstable index mid-execution.
@@ -182,7 +184,7 @@ fn worker_indices_stay_dense_under_active_steals() {
                     assert!(idx < THREADS, "index past the pool: {idx}");
                     // Sleeping yields the CPU, so even a single-core CI
                     // box overlaps the naps and every worker gets to
-                    // steal its share.
+                    // take its share.
                     std::thread::sleep(std::time::Duration::from_micros(500));
                     assert_eq!(
                         current_thread_index(),
@@ -201,14 +203,14 @@ fn worker_indices_stay_dense_under_active_steals() {
         (0..THREADS).collect::<BTreeSet<_>>(),
         "64 sleepy tasks must pull every worker in"
     );
-    assert!(after.steals > before.steals, "the fan-out must have been stolen from: {after:?}");
+    assert!(after.steals > before.steals, "other workers must have run the fan-out: {after:?}");
 }
 
 /// A panic inside a *stolen* chunk: the payload must reach the scope
 /// caller intact (blaming the poisoned task, not an innocent sibling),
 /// siblings must drain, and the pool must stay usable. The panicking
-/// task sits at the front of the spawner's deque — exactly where a
-/// thief takes from — while the spawner itself works the back.
+/// task sits at the front of the queue — exactly where an idle worker
+/// takes from — while the spawner itself works the back.
 #[test]
 fn panic_in_a_stolen_chunk_blames_that_chunk_and_pool_survives() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -219,7 +221,7 @@ fn panic_in_a_stolen_chunk_blames_that_chunk_and_pool_survives() {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         pool.install(|| {
             ipregel_par::scope(|s| {
-                // First spawn = front of the deque = first steal target.
+                // First spawn = front of the queue = first steal.
                 let ran_on = &ran_on;
                 s.spawn(move |_| {
                     ran_on.store(current_thread_index().unwrap(), Ordering::Relaxed);
@@ -257,16 +259,16 @@ fn panic_in_a_stolen_chunk_blames_that_chunk_and_pool_survives() {
     assert_eq!(sum, 499_500);
 }
 
-/// Nested scopes on a one-thread pool whose deque has spilled into the
-/// overflow injector: the lone worker must help-drain its own deque
-/// *and* the injector while blocked in the outer scope, or the fan-out
-/// deadlocks. Fan-out is sized well past the per-worker deque bound
-/// (256) to force the spill.
+/// Deep nested fan-out on a one-thread pool: 320 tasks, each opening a
+/// scope of its own, all queued while the lone worker is blocked in the
+/// outer scope. It must help-drain the whole queue or the fan-out
+/// deadlocks. Only the `install` came from off the pool, so it is the
+/// one job counted as overflow.
 #[test]
-fn nested_scopes_on_one_thread_drain_the_overflow_injector() {
+fn nested_fan_out_on_one_thread_drains_the_queue() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let before = pool.install(ipregel_par::current_pool_stats);
+    let before = pool.stats();
     let counter = AtomicUsize::new(0);
     pool.install(|| {
         ipregel_par::scope(|s| {
@@ -274,7 +276,7 @@ fn nested_scopes_on_one_thread_drain_the_overflow_injector() {
                 let counter = &counter;
                 s.spawn(move |_| {
                     // A nested scope from inside a task while the outer
-                    // fan-out still clogs deque + injector.
+                    // fan-out still fills the queue.
                     ipregel_par::scope(|inner| {
                         for _ in 0..2 {
                             inner.spawn(move |_| {
@@ -287,10 +289,88 @@ fn nested_scopes_on_one_thread_drain_the_overflow_injector() {
             }
         });
     });
-    let after = pool.install(ipregel_par::current_pool_stats);
+    let after = pool.stats();
     assert_eq!(counter.load(Ordering::Relaxed), 320 * 3, "every nested task completed");
-    assert!(
-        after.overflow > before.overflow,
-        "960 tasks through a 256-slot deque must spill to the injector: {after:?}"
-    );
+    assert_eq!(after.spawned - before.spawned, 1 + 320 * 3, "{after:?}");
+    assert_eq!(after.overflow - before.overflow, 1, "only the install came from off the pool");
+}
+
+// ---------------------------------------------------------------------
+// No lost wakeup: the parking protocol under many tiny rounds.
+// ---------------------------------------------------------------------
+
+/// One round: an `install` whose body opens a scope of `jobs` tiny
+/// tasks and then a `join`. Returns how many job bodies ran — the
+/// install body, the scope's tasks and both sides of the join.
+fn tiny_round(pool: &ThreadPool, jobs: usize) -> usize {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let ran = AtomicUsize::new(0);
+    let tally = || {
+        ran.fetch_add(1, Ordering::Relaxed);
+    };
+    pool.install(|| {
+        tally();
+        ipregel_par::scope(|s| {
+            for _ in 0..jobs {
+                s.spawn(move |_| tally());
+            }
+        });
+        ipregel_par::join(tally, tally);
+    });
+    ran.into_inner()
+}
+
+/// Every round parks and wakes workers: the `install` is queued from
+/// off the pool (waking an idle worker), the scope and `join` from
+/// inside it. Two submitter threads race their rounds on pools of 1, 2
+/// and 4 threads. A lost wakeup leaves a job queued with every worker
+/// parked, so its round never finishes; the watchdog turns that hang
+/// into a failure naming the round. A job run twice or not at all shows
+/// in the round's count.
+#[test]
+fn no_wakeup_is_lost_and_every_job_runs_exactly_once() {
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Arc;
+    use std::time::Duration;
+    const ROUNDS: usize = 5_000;
+    const SUBMITTERS: usize = 2;
+    const WATCHDOG: Duration = Duration::from_secs(20);
+    for threads in [1, 2, 4] {
+        let pool = Arc::new(ThreadPoolBuilder::new().num_threads(threads).build().unwrap());
+        let (done, finished) = mpsc::channel();
+        // Not scoped: if a round hangs, the watchdog below fails the test
+        // and the hung submitter is left behind instead of joined.
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|submitter| {
+                let (pool, done) = (Arc::clone(&pool), done.clone());
+                std::thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        let jobs = 2 + (round + submitter) % 2;
+                        let ran = tiny_round(&pool, jobs);
+                        done.send((submitter, round, 3 + jobs, ran)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(done);
+        for _ in 0..SUBMITTERS * ROUNDS {
+            match finished.recv_timeout(WATCHDOG) {
+                Ok((submitter, round, expected, ran)) => assert_eq!(
+                    ran, expected,
+                    "{threads}-thread pool, submitter {submitter}, round {round}: \
+                     every job must run exactly once"
+                ),
+                Err(RecvTimeoutError::Timeout) => panic!(
+                    "{threads}-thread pool: no round finished within {WATCHDOG:?} — \
+                     a job is queued with every worker parked (lost wakeup)"
+                ),
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("{threads}-thread pool: a submitter died before its last round")
+                }
+            }
+        }
+        for submitter in submitters {
+            submitter.join().expect("a submitter panicked after its last round");
+        }
+    }
 }

@@ -6,7 +6,7 @@
 //! loaded once into an `Arc<Graph>` and an arbitrary number of
 //! concurrent requests (SSSP / BFS / connected components / PageRank,
 //! each with its own parameters) run against it, sharing the global
-//! work-stealing pool. The robustness layer is the point:
+//! thread pool. The robustness layer is the point:
 //!
 //! * **Bounded admission** — a fixed-capacity queue sheds overload with
 //!   a typed [`Rejected::QueueFull`] instead of growing without bound.
@@ -237,7 +237,7 @@ pub struct ServerConfig {
     /// with [`Rejected::QueueFull`].
     pub queue_capacity: usize,
     /// Worker threads draining the queue. Each runs one request at a
-    /// time; all share the global work-stealing pool for the engine's
+    /// time; all share the global thread pool for the engine's
     /// parallel regions.
     pub workers: usize,
     /// Retry policy for transiently-failed (panicked) attempts.

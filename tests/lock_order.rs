@@ -74,56 +74,6 @@ fn same_class_nesting_panics_and_stack_recovers() {
     drop(a.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
 }
 
-/// The work-stealing pool's queue classes sit inside the hierarchy:
-/// `pool.state` (10) → `pool.deque` (12) → `pool.overflow` (14) is the
-/// declared order (a worker re-scans deques and the injector while
-/// holding the state lock on its way to sleep), so those nestings run
-/// clean, while taking a deque lock *under* the overflow lock is an
-/// inversion the detector must reject by name. The production pool is
-/// stricter still — an overflow spill drops the deque lock before
-/// touching the injector — so any detector report here means real code
-/// started nesting queue locks it never used to.
-#[test]
-fn deque_and_overflow_classes_keep_their_ranks() {
-    // The legitimate nesting runs clean end to end.
-    let state = OrderedMutex::new(&classes::POOL_STATE, ());
-    let deque = OrderedMutex::new(&classes::POOL_DEQUE, ());
-    let overflow = OrderedMutex::new(&classes::POOL_OVERFLOW, ());
-    {
-        // lock-order(pool.state)
-        let _s = state.lock().unwrap();
-        // lock-order(pool.deque)
-        let _d = deque.lock().unwrap();
-    }
-    {
-        // lock-order(pool.deque)
-        let _d = deque.lock().unwrap();
-        // lock-order(pool.overflow)
-        let _o = overflow.lock().unwrap();
-    }
-    assert_eq!(held_count(), 0, "clean nesting must unwind fully");
-
-    // The inversion — deque under overflow — panics naming both.
-    let caught = std::panic::catch_unwind(|| {
-        // lock-order(pool.overflow)
-        let _o = overflow.lock().unwrap();
-        // lock-order(pool.deque)
-        let _d = deque.lock().unwrap();
-    });
-    let payload = caught.expect_err("deque under overflow must panic");
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .expect("panic payload is a string");
-    assert!(message.contains("pool.deque"), "must name the acquired lock: {message}");
-    assert!(message.contains("pool.overflow"), "must name the held lock: {message}");
-    assert_eq!(held_count(), 0);
-    // The poisoned mutexes are still usable in the right order.
-    // lock-order(pool.deque)
-    drop(deque.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-}
-
 /// Every engine (each combiner × selection strategy) runs a real
 /// multi-threaded workload to completion with the detector armed: the
 /// production lock usage respects the declared hierarchy.

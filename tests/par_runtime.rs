@@ -119,8 +119,7 @@ fn parallel_results_match_sequential_oracle_bit_for_bit() {
             // * The pull engine (`Broadcast`) gathers each inbox in CSR
             //   in-neighbour order — one fixed association per vertex —
             //   so identical configs reproduce identical bits even
-            //   though the work-stealing pool moves chunks between
-            //   workers freely.
+            //   though any pool worker may take any chunk.
             // * The lock-based push combiners apply the user `combine`
             //   in message *arrival* order. Which worker delivers first
             //   is a lock race, so cross-chunk f64 sums re-associate

@@ -118,7 +118,7 @@ fn hub_skew_edge_balanced_bounds_chunk_imbalance() {
     // the graph itself (vertex counts and degrees), never from RNG
     // streams or measured timings, so the assertions are stable across
     // pool scheduling changes. Which worker executes which chunk *is*
-    // timing-dependent (that is the point of stealing — and on a
+    // timing-dependent (that is the point of a shared queue — and on a
     // CPU-starved CI box it is pure preemption noise), so the achieved-
     // balance assertions below only use bounds that hold for every
     // possible chunk→worker assignment or aggregate over the whole run.
@@ -136,7 +136,7 @@ fn hub_skew_edge_balanced_bounds_chunk_imbalance() {
     // Cap the run: the ring needs ~N/4 supersteps to converge, but all
     // the load-imbalance signal is in the early full-frontier supersteps.
     let run_with = |schedule| {
-        // Grain 1: this test is about the cut and the thieves, so every
+        // Grain 1: this test is about the cut and the pool, so every
         // superstep is cut as fine as the planner can, whatever its size.
         let cfg = RunConfig {
             threads: Some(THREADS),
@@ -187,9 +187,9 @@ fn hub_skew_edge_balanced_bounds_chunk_imbalance() {
     );
 
     // The hub's weight exceeds twice the ideal chunk weight, so the
-    // adaptive probe must have picked the edge-balanced cut — and, with
-    // a work-stealing pool underneath, over-partitioned it so thieves
-    // have finer chunks to rebalance with. Find the heaviest superstep
+    // adaptive probe must have picked the edge-balanced cut — and
+    // over-partitioned it, so an idle worker takes the next, finer
+    // chunk. Find the heaviest superstep
     // of each run (same frontier, by construction of the comparison).
     let heaviest = |stats: &ipregel::RunStats| {
         stats
@@ -218,28 +218,29 @@ fn hub_skew_edge_balanced_bounds_chunk_imbalance() {
         "over-partitioned plan exceeded the greedy-cut bound: {ab}"
     );
 
-    // What stealing *achieved*: group each chunk's planned weight by
+    // What the pool *achieved*: group each chunk's planned weight by
     // the worker that actually executed it. A static one-chunk-per-
     // worker handoff can never do better than its worst single chunk
     // (the hub chunk, ratio ≈ 4.57 on the over-partitioned plan), while
     // *any* dynamic chunk→worker assignment is capped at num_workers
-    // (= 4.0, one worker runs everything). Work-stealing therefore
-    // beats the static baseline on every possible schedule — that gap
+    // (= 4.0, one worker runs everything). A shared queue, where an
+    // idle worker takes the next chunk, therefore beats the static
+    // baseline on every possible schedule — that gap
     // is exactly what over-partitioning buys, and it holds even when
     // the OS serializes the workers.
     let achieved = ab_load.worker_edge_imbalance(THREADS);
     let planned = ab_load.edge_imbalance();
     assert!(
         achieved < planned,
-        "work-stealing must beat the plan's single-chunk imbalance: \
+        "the shared queue must beat the plan's single-chunk imbalance: \
          achieved={achieved} planned={planned}"
     );
     // Aggregate balance over the whole run: per-superstep assignments
-    // swing with scheduler timing (a thief that wakes late misses a
+    // swing with scheduler timing (a worker that wakes late misses a
     // short superstep entirely), but summed across all 40 supersteps
-    // the stolen schedule should spread the weight. Unlike the bounds
-    // above, this one is *schedule-dependent* — it needs the OS to
-    // actually run thief workers. On a CPU-starved runner (one core
+    // the schedule should spread the weight. Unlike the bounds above,
+    // this one is *schedule-dependent* — it needs the OS to actually
+    // run the idle workers. On a CPU-starved runner (one core
     // timeslicing all four workers) a single worker can legitimately
     // execute nearly every chunk, driving max/mean toward the
     // any-schedule ceiling of THREADS (= 4.0) — so assert only when
@@ -266,11 +267,11 @@ fn hub_skew_edge_balanced_bounds_chunk_imbalance() {
              max/mean = {aggregate}, per-worker = {per_worker:?}"
         );
     }
-    // And the pool must actually have been stealing: over the 40
-    // supersteps at least one chunk moved between workers.
+    // And chunks must actually have moved: over the 40 supersteps at
+    // least one ran on a worker other than the one that queued it.
     let stolen: u64 =
         adaptive.stats.supersteps.iter().filter_map(|s| s.load.as_ref()).map(|l| l.steals).sum();
-    assert!(stolen > 0, "over-partitioned run never exercised the steal path");
+    assert!(stolen > 0, "over-partitioned run never moved a chunk between workers");
 }
 
 #[test]
