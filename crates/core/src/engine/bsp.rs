@@ -332,6 +332,10 @@ where
             return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
         }
 
+        // The barrier's own delivery work (push's partial flush) belongs
+        // to the superstep it closes.
+        delivery.flip();
+
         let load = LoadStats {
             chunk_edges: plan.chunk_edges,
             chunk_durations,
@@ -366,8 +370,6 @@ where
             selection_duration,
             load: Some(load),
         });
-
-        delivery.flip();
 
         if program.master_compute(superstep, &values) == MasterDecision::Halt {
             break;

@@ -26,9 +26,12 @@ use ipregel_graph::VertexIndex;
 
 /// How each superstep's active list is cut into parallel chunks.
 ///
-/// All policies produce bit-identical results — scheduling only moves
-/// vertex executions between threads, never reorders combining within a
-/// mailbox — so the choice is purely a performance knob.
+/// Scheduling moves vertex executions between threads, and with them the
+/// order in which a push mailbox combines what arrives. Pull gathers in
+/// CSR order and the integer and min/max combiners are order-free, so
+/// those results are bit-identical under every policy; push `f64` sums
+/// regroup with chunk placement at two threads or more. The suites pin
+/// the latter to a relative 1e-9 of the sequential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Schedule {
     /// Equal *vertex count* per chunk — the paper's implicit policy and

@@ -44,17 +44,20 @@ pub struct RunConfig {
     /// frontier weighs less than a fork costs runs as one chunk on the
     /// orchestrating thread, anything heavier is cut as finely as
     /// `Some(1)` would cut it. `Some(1)` always cuts as fine as the
-    /// planner can; `Some(usize::MAX)` never cuts. Results never depend
-    /// on it.
+    /// planner can; `Some(usize::MAX)` never cuts. Results depend on it
+    /// only as they depend on [`RunConfig::schedule`].
     pub grain: Option<usize>,
     /// How each superstep's active list is cut into parallel chunks —
     /// the answer to the load-balancing problem the paper's conclusion
     /// leaves open. [`Schedule::VertexBalanced`] (the default) cuts equal
     /// vertex counts, [`Schedule::EdgeBalanced`] cuts equal edge weights
     /// by binary-searching the CSR offsets, [`Schedule::Adaptive`] probes
-    /// the degree distribution once per run and picks. Scheduling never
-    /// changes results, only which thread runs which vertex; per-chunk
-    /// effects are reported in [`crate::metrics::LoadStats`].
+    /// the degree distribution once per run and picks. Scheduling changes
+    /// which thread runs which vertex, so push `f64` sums may regroup at
+    /// two threads or more (the suites hold them to a relative 1e-9 of
+    /// the sequential oracle); pull, integer and min/max results are
+    /// bit-identical under every policy. Per-chunk effects are reported
+    /// in [`crate::metrics::LoadStats`].
     pub schedule: Schedule,
     /// Cooperative wall-clock budget for the whole run, checked at each
     /// superstep barrier and again at every chunk boundary inside the

@@ -16,10 +16,16 @@
 //! the pull engine, whose senders enqueue *out-neighbours*, deduplicates
 //! with [`EpochTags`].
 //!
+//! `Partials`, the push engine's per-worker sender-side combining
+//! buffers, live here too because they follow the worklist's shard
+//! protocol exactly.
+//!
 //! Synchronisation state comes from [`crate::sync`], so the shard
 //! handoff (worker-exclusive writes during a parallel region, then
 //! orchestrator-exclusive drain after the barrier) is model-checked by
 //! the loom suite in `tests/loom.rs`.
+
+use std::marker::PhantomData;
 
 use crate::sync::atomic::{AtomicU32, Ordering};
 use crate::sync::cell::UnsafeCell;
@@ -185,6 +191,131 @@ impl Worklist {
             + self.fallback.lock().expect("worklist fallback poisoned").capacity()
                 * std::mem::size_of::<VertexIndex>()
             + self.shards.len() * std::mem::size_of::<CachePadded<UnsafeCell<Vec<VertexIndex>>>>()
+    }
+}
+
+/// Sender-side combining buffers: one private partial per pool worker
+/// over the slots `0..span`, each a dense `[M]`, a presence byte per slot
+/// and the list of slots it touched.
+///
+/// A worker combines into its own partial with a plain `combine` — no
+/// lock, no atomic — and the orchestrating thread folds every partial
+/// into the mailboxes after the barrier ([`Partials::flush`]), so a slot
+/// below `span` takes one locked delivery per worker per superstep
+/// instead of one per message. Senders outside the pool get no partial.
+///
+/// # Safety model
+/// [`Worklist`]'s: a shard is touched only through a [`LocalPartial`],
+/// which exists only on the worker whose pool thread index owns the shard
+/// and cannot leave that thread; `flush` takes `&mut self`, so it runs
+/// strictly between parallel regions.
+pub(crate) struct Partials<M> {
+    shards: Box<[CachePadded<UnsafeCell<Partial<M>>>]>,
+    span: VertexIndex,
+}
+
+struct Partial<M> {
+    msgs: Box<[M]>,
+    present: Box<[bool]>,
+    /// Slots whose `present` is set, in first-touch order. Never longer
+    /// than `span`, so its capacity, reserved up front, never grows.
+    touched: Vec<VertexIndex>,
+}
+
+// SAFETY: see the safety model above — each shard has one writer during a
+// parallel region, and `flush` holds the whole structure exclusively.
+unsafe impl<M: Send> Sync for Partials<M> {}
+// SAFETY: moving the partials moves plain owned buffers.
+unsafe impl<M: Send> Send for Partials<M> {}
+
+impl<M: Copy + Default> Partials<M> {
+    /// Partials over `span` slots, one per thread of the current pool
+    /// (engines construct them inside their pool). A span of 0 allocates
+    /// nothing.
+    pub fn new(span: usize) -> Self {
+        let shards = if span == 0 { 0 } else { ipregel_par::current_num_threads().max(1) };
+        let shards = (0..shards)
+            .map(|_| {
+                CachePadded::new(UnsafeCell::new(Partial {
+                    msgs: vec![M::default(); span].into_boxed_slice(),
+                    present: vec![false; span].into_boxed_slice(),
+                    touched: Vec::with_capacity(span),
+                }))
+            })
+            .collect();
+        let span = VertexIndex::try_from(span).expect("a span covers at most u32 slots");
+        Partials { shards, span }
+    }
+}
+
+impl<M: Copy> Partials<M> {
+    /// The slots `0..span` a partial covers.
+    #[inline]
+    pub fn span(&self) -> VertexIndex {
+        self.span
+    }
+
+    /// The calling worker's partial; `None` off the pool or when the span
+    /// is empty.
+    #[inline]
+    pub fn local(&self) -> Option<LocalPartial<'_, M>> {
+        let shard = self.shards.get(ipregel_par::current_thread_index()?)?;
+        Some(LocalPartial { cell: shard, _owner_thread: PhantomData })
+    }
+
+    /// Hand every touched `(slot, combined message)` to `sink` — shard
+    /// order, then first-touch order — and clear only those entries, so a
+    /// sparse superstep pays for what it touched, not for `span`.
+    pub fn flush(&mut self, mut sink: impl FnMut(VertexIndex, M)) {
+        for shard in self.shards.iter() {
+            shard.with_mut(|p| {
+                // SAFETY: `&mut self` — no worker holds a `LocalPartial`.
+                let p = unsafe { &mut *p };
+                for &slot in &p.touched {
+                    sink(slot, p.msgs[slot as usize]);
+                    p.present[slot as usize] = false;
+                }
+                p.touched.clear();
+            });
+        }
+    }
+
+    /// Heap bytes: per shard a message and a presence byte per slot, plus
+    /// the touched list's capacity (`span` entries, reserved once).
+    pub fn bytes(&self) -> usize {
+        let per_slot = std::mem::size_of::<M>()
+            + std::mem::size_of::<bool>()
+            + std::mem::size_of::<VertexIndex>();
+        self.shards.len() * self.span as usize * per_slot
+    }
+}
+
+/// The calling worker's own partial: obtained from [`Partials::local`],
+/// bound to its thread (neither `Send` nor `Sync`).
+pub(crate) struct LocalPartial<'a, M> {
+    cell: &'a UnsafeCell<Partial<M>>,
+    _owner_thread: PhantomData<*const ()>,
+}
+
+impl<M: Copy> LocalPartial<'_, M> {
+    /// Fold `msg` into slot `slot` (below the span) of this worker's
+    /// partial: fill it on first touch, else `combine` into it.
+    #[inline]
+    pub fn combine(&self, slot: VertexIndex, msg: M, combine: fn(&mut M, M)) {
+        self.cell.with_mut(|p| {
+            // SAFETY: this handle lives on the shard's owning worker, and
+            // no other access to the shard is live while this one runs —
+            // `combine` is a plain function with no way back to `self`.
+            let p = unsafe { &mut *p };
+            let s = slot as usize;
+            if p.present[s] {
+                combine(&mut p.msgs[s], msg);
+            } else {
+                p.present[s] = true;
+                p.msgs[s] = msg;
+                p.touched.push(slot);
+            }
+        });
     }
 }
 

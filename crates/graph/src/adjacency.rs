@@ -30,6 +30,11 @@ mod sealed {
 /// names mirror the inherent ones where semantics are identical, so
 /// non-generic code reads the same as generic code.
 pub trait NeighborList: sealed::Sealed + Sync {
+    /// Whether every neighbour list yields its slots in ascending order.
+    /// The compact CSR's delta encoding needs sorted lists; the plain CSR
+    /// keeps the builder's file order.
+    const ASCENDING: bool;
+
     /// Per-vertex neighbour iterator. A borrowed slice iterator for the
     /// plain CSR, a varint decoder for the compact one — both yield
     /// internal slot indices and borrow the list, not the caller, so a
@@ -64,6 +69,7 @@ pub trait NeighborList: sealed::Sealed + Sync {
 }
 
 impl NeighborList for Csr {
+    const ASCENDING: bool = false;
     type Iter<'n> = std::iter::Copied<std::slice::Iter<'n, VertexIndex>>;
 
     #[inline]
@@ -100,6 +106,7 @@ impl NeighborList for Csr {
 }
 
 impl NeighborList for CsrCompact {
+    const ASCENDING: bool = true;
     type Iter<'n> = VarintNeighbors<'n>;
 
     #[inline]

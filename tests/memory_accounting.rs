@@ -1,8 +1,9 @@
 //! The engines' byte accounting against hand-computed expectations —
 //! the precision that lets Figure 9 use accounting instead of RSS.
 
+use ipregel::engine::push::partial_slots;
 use ipregel::{run, CombinerKind, Mailbox, MutexMailbox, RunConfig, SpinMailbox, Version};
-use ipregel_apps::{Hashmin, Sssp};
+use ipregel_apps::{Hashmin, PageRank, Sssp};
 use ipregel_graph::{GraphBuilder, NeighborMode};
 
 /// 10 vertices in a ring, ids 0..10, both directions retained.
@@ -52,6 +53,34 @@ fn push_engine_bytes_decompose_exactly() {
     assert_eq!(out.footprint.mailbox_bytes, 2 * slots * mb);
     // No worklists without the bypass.
     assert_eq!(out.footprint.worklist_bytes, 0);
+}
+
+#[test]
+fn compact_push_counts_its_partials_and_plain_push_has_none() {
+    // Ids 0..300 000 on a ring: more slots than any partial covers.
+    let mut b = GraphBuilder::new(NeighborMode::OutOnly);
+    for i in 0..300_000u32 {
+        b.add_edge(i, (i + 1) % 300_000);
+    }
+    let plain = b.build().unwrap();
+    let compact = plain.clone().compress().unwrap();
+    let version = Version { combiner: CombinerKind::Spinlock, selection_bypass: false };
+    let lock = <SpinMailbox<f64> as Mailbox<f64>>::lock_bytes();
+    let spin = std::mem::size_of::<SpinMailbox<f64>>() - lock;
+    let program = PageRank { rounds: 1, damping: 0.85 };
+    for (slots, workers) in [(10, 1), (10, 3), (300_000, 2)] {
+        let g = if slots == 10 { ring10().compress().unwrap() } else { compact.clone() };
+        let cfg = RunConfig { threads: Some(workers), ..RunConfig::default() };
+        let out = run(&g, &program, version, &cfg);
+        // Per worker and covered slot: an f64, its presence byte and a
+        // u32 of touched-list capacity.
+        let span = partial_slots::<f64>().min(slots);
+        let partials = workers * span * (std::mem::size_of::<f64>() + 1 + 4);
+        assert_eq!(out.footprint.mailbox_bytes, 2 * slots * spin + partials, "{slots} slots");
+    }
+    let cfg = RunConfig { threads: Some(2), ..RunConfig::default() };
+    let out = run(&plain, &program, version, &cfg);
+    assert_eq!(out.footprint.mailbox_bytes, 2 * 300_000 * spin, "plain CSR: no partials");
 }
 
 #[test]
