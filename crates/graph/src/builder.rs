@@ -106,6 +106,20 @@ impl GraphBuilder {
         self.weights.push(w);
     }
 
+    /// Append edges a loader parsed in bulk, in order; `weights` is empty
+    /// for unweighted edges, else one per edge.
+    pub(crate) fn extend(&mut self, edges: &[(VertexId, VertexId)], weights: &[Weight]) {
+        if edges.is_empty() {
+            return;
+        }
+        let weighted = !weights.is_empty();
+        debug_assert!(self.weighted != Some(!weighted), "mixed weighted/unweighted edges");
+        debug_assert!(!weighted || weights.len() == edges.len(), "one weight per edge");
+        self.weighted = Some(weighted);
+        self.edges.extend_from_slice(edges);
+        self.weights.extend_from_slice(weights);
+    }
+
     /// Number of edges added so far.
     pub fn num_edges(&self) -> usize {
         self.edges.len()

@@ -16,48 +16,53 @@
 
 use std::io::BufRead;
 
-use super::scan::{for_each_line, show};
+use super::scan::{head, parse_blocks, show, Line};
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
 
 /// Parse a DIMACS `.gr` stream into a weighted [`Graph`].
-pub fn load_dimacs_gr<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
-    let mut builder: Option<GraphBuilder> = None;
-    for_each_line(reader, |line| {
+pub fn load_dimacs_gr<R: BufRead>(mut reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
+    // Comments up to the `p` line, which sizes the builder.
+    let (builder, next) = head(&mut reader, |line| match line.field() {
+        None | Some([b'c', ..]) => Ok(None),
+        Some(b"p") => {
+            let kind = line.field().unwrap_or(b"");
+            if kind != b"sp" {
+                let message = format!("unsupported problem kind {}, expected \"sp\"", show(kind));
+                return Err(line.error(message));
+            }
+            let n = line.u32("vertex count")?;
+            let m = line.u32("arc count")?;
+            // The declared arc count is untrusted input: cap the up-front
+            // reservation and let growth amortise past it.
+            let b = GraphBuilder::with_capacity(mode, (m as usize).min(1 << 20));
+            Ok(Some(b.declare_id_range(1, n)))
+        }
+        Some(b"a") => Err(line.error("arc line before \"p sp\" header")),
+        Some(other) => Err(unknown(line, other)),
+    })?;
+    let mut b = builder.ok_or(GraphError::EmptyGraph)?;
+    parse_blocks(reader, next, &mut b, 1, |line, records| {
         match line.field() {
             None | Some([b'c', ..]) => {}
             Some(b"a") => {
-                let Some(b) = &mut builder else {
-                    return Err(line.error("arc line before \"p sp\" header"));
-                };
                 let src = line.u32("arc source")?;
                 let dst = line.u32("arc target")?;
-                b.add_weighted_edge(src, dst, line.u32("arc weight")?);
+                records.weighted_edge(src, dst, line.u32("arc weight")?);
             }
-            // A second header would replace the builder and silently drop
-            // every arc read so far.
-            Some(b"p") if builder.is_some() => return Err(line.error("second \"p\" line")),
-            Some(b"p") => {
-                let kind = line.field().unwrap_or(b"");
-                if kind != b"sp" {
-                    let message = format!("unsupported problem kind {}, expected \"sp\"", show(kind));
-                    return Err(line.error(message));
-                }
-                let n = line.u32("vertex count")?;
-                let m = line.u32("arc count")?;
-                // The declared arc count is untrusted input: cap the
-                // up-front reservation and let growth amortise past it.
-                let b = GraphBuilder::with_capacity(mode, (m as usize).min(1 << 20));
-                builder = Some(b.declare_id_range(1, n));
-            }
-            Some(other) => {
-                return Err(line.error(format!("unknown record type {}", show(other))))
-            }
+            // Not a fresh start: that would drop every arc read so far.
+            Some(b"p") => return Err(line.error("second \"p\" line")),
+            Some(other) => return Err(unknown(line, other)),
         }
         Ok(())
     })?;
-    builder.ok_or(GraphError::EmptyGraph)?.build()
+    b.build()
+}
+
+#[cold]
+fn unknown(line: &Line<'_>, record: &[u8]) -> GraphError {
+    line.error(format!("unknown record type {}", show(record)))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 
 use std::io::BufRead;
 
-use super::scan::for_each_line;
+use super::scan::parse_blocks;
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
@@ -14,8 +14,7 @@ use crate::error::GraphError;
 /// Parse an edge-list stream into a [`Graph`].
 pub fn load_edge_list<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(mode);
-    let mut weighted: Option<bool> = None;
-    for_each_line(reader, |line| {
+    parse_blocks(reader, 1, &mut b, 1, |line, records| {
         match line.peek() {
             None | Some(b'#' | b'%') => return Ok(()),
             Some(b'/') if line.starts_with(b"//") => return Ok(()),
@@ -24,13 +23,11 @@ pub fn load_edge_list<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph
         let src = line.u32("source id")?;
         let dst = line.u32("target id")?;
         let has_weight = line.peek().is_some();
-        if weighted.replace(has_weight).is_some_and(|was| was != has_weight) {
-            return Err(GraphError::MixedWeightedness);
-        }
+        records.shape(has_weight)?;
         if has_weight {
-            b.add_weighted_edge(src, dst, line.u32("weight")?);
+            records.weighted_edge(src, dst, line.u32("weight")?);
         } else {
-            b.add_edge(src, dst);
+            records.edge(src, dst);
         }
         Ok(())
     })?;

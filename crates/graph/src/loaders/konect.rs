@@ -7,7 +7,7 @@
 
 use std::io::BufRead;
 
-use super::scan::for_each_line;
+use super::scan::parse_blocks;
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
@@ -19,10 +19,10 @@ use crate::error::GraphError;
 /// its SSSP assumes unit weights).
 pub fn load_konect<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(mode);
-    for_each_line(reader, |line| {
+    parse_blocks(reader, 1, &mut b, 1, |line, records| {
         if !matches!(line.peek(), None | Some(b'%')) {
             let src = line.u32("source id")?;
-            b.add_edge(src, line.u32("target id")?);
+            records.edge(src, line.u32("target id")?);
         }
         Ok(())
     })?;

@@ -11,40 +11,51 @@
 
 use std::io::BufRead;
 
-use super::scan::{for_each_line, show, Line};
+use super::scan::{head, parse_blocks, show, Line};
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
 
 /// Parse a Matrix Market coordinate stream into a [`Graph`].
-pub fn load_matrix_market<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
+pub fn load_matrix_market<R: BufRead>(
+    mut reader: R,
+    mode: NeighborMode,
+) -> Result<Graph, GraphError> {
     // The first line is the header; then the size line (after % comments),
     // then entries.
     let mut shape: Option<(bool, bool)> = None;
-    let mut builder: Option<GraphBuilder> = None;
-    for_each_line(reader, |line| {
-        let Some((weighted, symmetric)) = shape else {
+    let (builder, next) = head(&mut reader, |line| {
+        if shape.is_none() {
             shape = Some(parse_header(line)?);
-            return Ok(());
-        };
+            return Ok(None);
+        }
+        if matches!(line.peek(), None | Some(b'%')) {
+            return Ok(None);
+        }
+        // The size line: rows, columns, entries.
+        let row = line.u32("row")?;
+        let col = line.u32("col")?;
+        let nnz = line.u32("nnz")?;
+        if row != col {
+            let message = format!("adjacency matrix must be square, got {row}x{col}");
+            return Err(line.error(message));
+        }
+        // The declared entry count is untrusted input: cap the up-front
+        // reservation and let growth amortise past it.
+        let b = GraphBuilder::with_capacity(mode, (nnz as usize).min(1 << 20));
+        Ok(Some(b.declare_id_range(1, row)))
+    })?;
+    let Some((weighted, symmetric)) = shape else {
+        return Err(GraphError::Parse { line: 1, message: "empty file".into() });
+    };
+    let mut b = builder.ok_or(GraphError::EmptyGraph)?;
+    let per_line = if symmetric { 2 } else { 1 };
+    parse_blocks(reader, next, &mut b, per_line, |line, records| {
         if matches!(line.peek(), None | Some(b'%')) {
             return Ok(());
         }
         let row = line.u32("row")?;
         let col = line.u32("col")?;
-        let Some(b) = &mut builder else {
-            // The size line: rows, columns, entries.
-            let nnz = line.u32("nnz")?;
-            if row != col {
-                let message = format!("adjacency matrix must be square, got {row}x{col}");
-                return Err(line.error(message));
-            }
-            // The declared entry count is untrusted input: cap the
-            // up-front reservation and let growth amortise past it.
-            let b = GraphBuilder::with_capacity(mode, (nnz as usize).min(1 << 20));
-            builder = Some(b.declare_id_range(1, row));
-            return Ok(());
-        };
         if weighted {
             let raw = line.field().ok_or_else(|| line.error("missing value"))?;
             let value = std::str::from_utf8(raw).ok().and_then(|s| s.parse::<f64>().ok());
@@ -54,22 +65,19 @@ pub fn load_matrix_market<R: BufRead>(reader: R, mode: NeighborMode) -> Result<G
                     "weight {value} is not a non-negative integer (shortest-path weights must be)"
                 )));
             }
-            b.add_weighted_edge(row, col, value as u32);
+            records.weighted_edge(row, col, value as u32);
             if symmetric && row != col {
-                b.add_weighted_edge(col, row, value as u32);
+                records.weighted_edge(col, row, value as u32);
             }
         } else {
-            b.add_edge(row, col);
+            records.edge(row, col);
             if symmetric && row != col {
-                b.add_edge(col, row);
+                records.edge(col, row);
             }
         }
         Ok(())
     })?;
-    if shape.is_none() {
-        return Err(GraphError::Parse { line: 1, message: "empty file".into() });
-    }
-    builder.ok_or(GraphError::EmptyGraph)?.build()
+    b.build()
 }
 
 /// `(weighted, symmetric)` from the `%%MatrixMarket` line.

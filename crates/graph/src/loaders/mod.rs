@@ -23,4 +23,7 @@ pub use dimacs::load_dimacs_gr;
 pub use edge_list::load_edge_list;
 pub use konect::load_konect;
 pub use matrix_market::load_matrix_market;
+// A test seam, not API: the text loaders' block size on this thread.
+#[doc(hidden)]
+pub use scan::with_block_bytes;
 pub use writers::{write_dimacs_gr, write_edge_list};

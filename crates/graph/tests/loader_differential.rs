@@ -4,7 +4,9 @@
 //! → `str::parse` implementation the byte scanner in
 //! `src/loaders/scan.rs` replaced, kept as the oracle: on every input the
 //! new loader must build the same graph or fail with the same error
-//! variant on the same line, whatever block size the reader hands out.
+//! variant on the same line, whatever block size the reader hands out and
+//! whatever blocks the loader cuts for its pool threads (down to one line
+//! per block, through the `with_block_bytes` test seam).
 //!
 //! Three behaviours differ on purpose, and [`agree`] accounts for each:
 //!
@@ -25,7 +27,9 @@
 
 use std::io::{BufRead, BufReader, Cursor, Read};
 
-use ipregel_graph::loaders::{load_dimacs_gr, load_edge_list, load_konect, load_matrix_market};
+use ipregel_graph::loaders::{
+    load_dimacs_gr, load_edge_list, load_konect, load_matrix_market, with_block_bytes,
+};
 use ipregel_graph::{Graph, GraphBuilder, GraphError, NeighborMode};
 use proptest::prelude::*;
 
@@ -277,26 +281,48 @@ fn outcome(result: &Result<Graph, GraphError>) -> String {
     }
 }
 
+/// The sizes, in bytes, of the blocks the loaders parse in parallel:
+/// `Some(1)` ends a block at every line, `Some(16)` after a line or two,
+/// and `None` keeps the default, which no generated file reaches.
+const LOADER_BLOCKS: [Option<usize>; 3] = [Some(1), Some(16), None];
+
+/// `format.load` with the loader's blocks cut after `block` bytes.
+fn load_in_blocks<R: BufRead>(
+    format: Format,
+    reader: R,
+    mode: NeighborMode,
+    block: Option<usize>,
+) -> Result<Graph, GraphError> {
+    match block {
+        Some(bytes) => with_block_bytes(bytes, || format.load(reader, mode)),
+        None => format.load(reader, mode),
+    }
+}
+
 /// The new loader equals the oracle on `bytes`, read as one block, in
-/// 7-byte blocks (every line straddles) and in `BufReader`'s default 8 KiB.
+/// 7-byte blocks (every line straddles) and in `BufReader`'s default 8 KiB,
+/// each parsed in every one of [`LOADER_BLOCKS`].
 fn agree(format: Format, bytes: &[u8], mode: NeighborMode) -> Result<(), String> {
     let text = String::from_utf8_lossy(bytes);
     if text.chars().any(|c| c.is_whitespace() && !c.is_ascii()) {
         return Ok(());
     }
     let expected = outcome(&format.oracle(&text, mode));
-    let readers: [(&str, Box<dyn BufRead + '_>); 3] = [
-        ("one block", Box::new(Cursor::new(bytes))),
-        ("7-byte blocks", Box::new(BufReader::with_capacity(7, bytes))),
-        ("8 KiB blocks", Box::new(BufReader::new(bytes))),
-    ];
-    for (name, reader) in readers {
-        let got = outcome(&format.load(reader, mode));
-        if got != expected {
-            return Err(format!(
-                "{format:?} in {name} on {:?}:\n  new:    {got}\n  oracle: {expected}",
-                String::from_utf8_lossy(bytes)
-            ));
+    for block in LOADER_BLOCKS {
+        let readers: [(&str, Box<dyn BufRead + '_>); 3] = [
+            ("one block", Box::new(Cursor::new(bytes))),
+            ("7-byte blocks", Box::new(BufReader::with_capacity(7, bytes))),
+            ("8 KiB blocks", Box::new(BufReader::new(bytes))),
+        ];
+        for (name, reader) in readers {
+            let got = outcome(&load_in_blocks(format, reader, mode, block));
+            if got != expected {
+                return Err(format!(
+                    "{format:?} in {name}, loader blocks of {block:?} bytes, on {:?}:\n  \
+                     new:    {got}\n  oracle: {expected}",
+                    String::from_utf8_lossy(bytes)
+                ));
+            }
         }
     }
     Ok(())
@@ -498,6 +524,110 @@ fn hostile_cases_load_like_the_reference() {
     ];
     for file in matrix_market {
         agree(Format::MatrixMarket, file, NeighborMode::Both).unwrap();
+    }
+}
+
+/// `format` on `file` (which must also agree with the oracle in every
+/// block size), parsed in `block`-byte loader blocks.
+fn at_seams(format: Format, file: &[u8], block: usize) -> Result<Graph, GraphError> {
+    agree(format, file, NeighborMode::Both).unwrap();
+    load_in_blocks(format, Cursor::new(file), NeighborMode::Both, Some(block))
+}
+
+/// The state that crosses a loader block seam, case by case. At the block
+/// size given the seam falls where the comment says; at size 1 (which
+/// `at_seams` also runs, through `agree`) it falls between every two lines.
+#[test]
+fn block_seams_load_like_the_reference() {
+    use Format::{Dimacs, EdgeList, MatrixMarket};
+    let parse_error_at = |result: Result<Graph, GraphError>| match result {
+        Err(GraphError::Parse { line, .. }) => line,
+        other => panic!("expected a parse error, got {other:?}"),
+    };
+
+    // Weightedness: an unweighted block then a weighted one, the other way
+    // round, and a block of comments between the two.
+    let files: [(&[u8], usize); 3] = [
+        (b"1 2\n2 3\n3 4 5\n4 5 6\n", 8),
+        (b"1 2 5\n2 3 6\n3 4\n4 5\n", 8),
+        (b"1 2\n# c\n# c\n3 4 5\n", 1),
+    ];
+    for (file, block) in files {
+        for block in [1, block] {
+            let got = at_seams(EdgeList, file, block);
+            assert!(matches!(got, Err(GraphError::MixedWeightedness)), "{file:?}: {got:?}");
+        }
+    }
+
+    // The second block's error is on its first line, the first block's on
+    // its third: parsed side by side, the earlier line in the file wins.
+    let file = b"1 2\n2 3\nx 4\ny 5\n1 2\n";
+    for block in [1, 12] {
+        assert_eq!(parse_error_at(at_seams(EdgeList, file, block)), 3, "{block}-byte blocks");
+    }
+
+    // A second `p` line, blocks after the first.
+    let mut file = b"p sp 4 8\n".to_vec();
+    for i in 0..6u32 {
+        file.extend_from_slice(format!("a {} {} 1\n", 1 + i % 4, 1 + (i + 1) % 4).as_bytes());
+    }
+    file.extend_from_slice(b"p sp 4 8\na 1 2 3\n");
+    for block in [1, 16] {
+        assert_eq!(parse_error_at(at_seams(Dimacs, &file, block)), 8, "{block}-byte blocks");
+    }
+
+    // A header that arrives in the second block, after a block of
+    // comments: the lines after it are numbered from the top of the file.
+    let file = b"c a road\nc of three\nc nodes\np sp 3 2\na 1 2 5\na 2 x 6\n";
+    for block in [1, 16] {
+        assert_eq!(parse_error_at(at_seams(Dimacs, file, block)), 6, "{block}-byte blocks");
+    }
+
+    // The Matrix Market size line after a block of comments, and a
+    // symmetric matrix whose mirrored entries straddle every seam.
+    let file: &[u8] = b"%%MatrixMarket matrix coordinate integer symmetric\n% c\n% c\n\
+        3 3 3\n1 2 7\n2 3 8\n3 3 9\n";
+    for block in [1, 8] {
+        let g = at_seams(MatrixMarket, file, block).unwrap();
+        assert_eq!(g.num_edges(), 5, "two mirrored entries and a diagonal one");
+    }
+    let mut file = file.to_vec();
+    file.extend_from_slice(b"3 1 x\n");
+    assert_eq!(parse_error_at(at_seams(MatrixMarket, &file, 8)), 8);
+}
+
+/// A load reaches the pool only when its file spans more than one block,
+/// and the graph it builds does not depend on the pool's size.
+#[test]
+fn only_a_multi_block_load_reaches_the_pool() {
+    let file: Vec<u8> =
+        (0..2000u32).flat_map(|i| format!("{} {}\n", i, (i * 7) % 2000).into_bytes()).collect();
+    let expected = outcome(&load_edge_list(Cursor::new(&file), NeighborMode::OutOnly));
+    for threads in [1, 2, 4] {
+        let pool = ipregel_par::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        // Inside `install` the load forks on `pool`, whose counter no
+        // other test moves; out-neighbours only, so that the build, which
+        // forks for two directions, adds nothing to it.
+        let load = |block| {
+            pool.install(|| {
+                let before = ipregel_par::current_pool_stats().spawned;
+                let reader = Cursor::new(&file);
+                let g = load_in_blocks(Format::EdgeList, reader, NeighborMode::OutOnly, block);
+                (outcome(&g), ipregel_par::current_pool_stats().spawned - before)
+            })
+        };
+        let (whole, spawned) = load(None);
+        assert_eq!(whole, expected, "{threads} threads, one block");
+        assert_eq!(spawned, 0, "{threads} threads: a file under one block must not reach the pool");
+        // Lines of at most ten bytes: each block is 1024 to 1033 bytes.
+        // One job per block, but the last one when it is parsed inline.
+        let (split, spawned) = load(Some(1024));
+        assert_eq!(split, expected, "{threads} threads, 1 KiB blocks");
+        let blocks = file.len().div_ceil(1024);
+        assert!(
+            (blocks - 2..=blocks).contains(&(spawned as usize)),
+            "{threads} threads: {spawned} jobs for a file of about {blocks} blocks"
+        );
     }
 }
 
