@@ -75,7 +75,9 @@
 //!                           down gracefully (default: run forever)
 //!   --queue-capacity N      serve: bounded admission queue size
 //!                           (default 64); submissions beyond it shed
-//!   --workers N             serve: request worker threads (default 2)
+//!   --workers N             serve: request worker threads (default 2),
+//!                           each with an engine pool of its own that
+//!                           gets an even share of the cores (at least 1)
 //!   --batch K               serve: fold up to K compatible queued
 //!                           requests into one K-lane engine run
 //!                           (default 1 = batching off)

@@ -592,12 +592,14 @@ mod tests {
         let (_, values, halted, inbox, history) = sample_state();
         let bytes = encode_checkpoint(3, &values, &halted, &inbox, &history);
         for i in 0..bytes.len() {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x40;
-            assert!(
-                decode_checkpoint::<u32, u32>(&mutated).is_err(),
-                "flip at byte {i} went undetected"
-            );
+            for bit in 0..8 {
+                let mut mutated = bytes.clone();
+                mutated[i] ^= 1 << bit;
+                assert!(
+                    decode_checkpoint::<u32, u32>(&mutated).is_err(),
+                    "flip of bit {bit} at byte {i} went undetected"
+                );
+            }
         }
     }
 

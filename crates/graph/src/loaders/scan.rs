@@ -173,7 +173,9 @@ impl Records {
     /// a block that is checked here, across blocks when they are merged.
     #[inline]
     pub(crate) fn shape(&mut self, weighted: bool) -> Result<(), GraphError> {
-        if self.weighted.replace(weighted).is_some_and(|was| was != weighted) {
+        // The first record's shape stays: the merge reads it as the
+        // shape of every edge the block produced before its error.
+        if *self.weighted.get_or_insert(weighted) != weighted {
             return Err(GraphError::MixedWeightedness);
         }
         Ok(())

@@ -10,7 +10,8 @@
 //!
 //! The facade surface is exactly what the workspace uses — nothing
 //! speculative: `current_num_threads`, `current_thread_index`, `join`,
-//! `scope`, `ThreadPool{Builder}` with `install`, the `prelude` with
+//! `scope`, `ThreadPool{Builder}` with `install`, `default_num_threads`
+//! (the global pool's size, read without building it), the `prelude` with
 //! `par_iter`/`into_par_iter` and the
 //! map/filter/enumerate/zip/with_min_len/for_each/collect/sum/count/reduce
 //! family.
@@ -37,8 +38,8 @@ mod pool;
 pub mod iter;
 
 pub use pool::{
-    current_num_threads, current_pool_stats, current_thread_index, join, scope, PoolStats, Scope,
-    ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
+    current_num_threads, current_pool_stats, current_thread_index, default_num_threads, join,
+    scope, PoolStats, Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
 };
 
 /// The traits that make `par_iter()` / `into_par_iter()` available —

@@ -332,7 +332,11 @@ pub fn current_pool_stats() -> PoolStats {
     }
 }
 
-fn default_num_threads() -> usize {
+/// The size the global pool is built with: `IPREGEL_PAR_THREADS` when
+/// it parses to a positive count, else `available_parallelism`. Reads
+/// the environment only — it never builds the global pool — so a caller
+/// can split the machine between pools of its own without starting it.
+pub fn default_num_threads() -> usize {
     std::env::var("IPREGEL_PAR_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

@@ -5,8 +5,12 @@
 //! the long-lived shape the ROADMAP north star needs: the graph is
 //! loaded once into an `Arc<Graph>` and an arbitrary number of
 //! concurrent requests (SSSP / BFS / connected components / PageRank,
-//! each with its own parameters) run against it, sharing the global
-//! thread pool. The robustness layer is the point:
+//! each with its own parameters) run against it. Each worker owns an
+//! engine pool of its own — the global pool's thread count split evenly
+//! between the workers — and runs its whole loop inside it, so a
+//! request's parallel regions never leave its worker's pool and
+//! concurrent requests never queue behind each other's chunks. The
+//! robustness layer is the point:
 //!
 //! * **Bounded admission** — a fixed-capacity queue sheds overload with
 //!   a typed [`Rejected::QueueFull`] instead of growing without bound.
@@ -52,6 +56,7 @@ use ipregel::{try_run, CombinerKind, LaneTracker, Lanes, RunConfig, RunError, Sc
 use ipregel_apps::{Bfs, Hashmin, MultiHashmin, MultiHops, MultiRank, PageRank, Sssp};
 use ipregel_graph::{Graph, VertexId};
 use ipregel_par::lockorder::{LockClass, OrderedCondvar, OrderedGuard, OrderedMutex};
+use ipregel_par::{ThreadPool, ThreadPoolBuilder};
 
 /// The server's lock classes. Ranks 2–8: strictly below `pool.state`
 /// (10) and everything above it, because the engine — and with it every
@@ -237,8 +242,12 @@ pub struct ServerConfig {
     /// with [`Rejected::QueueFull`].
     pub queue_capacity: usize,
     /// Worker threads draining the queue. Each runs one request at a
-    /// time; all share the global thread pool for the engine's
-    /// parallel regions.
+    /// time, inside an engine pool of its own that gets
+    /// `max(1, threads / workers)` of the threads the global pool
+    /// would have (`IPREGEL_PAR_THREADS`, else the core count). So
+    /// this also says how the cores are split: the default 2 runs two
+    /// requests side by side, one core each on a 2-core machine; 1
+    /// gives a lone request every core.
     pub workers: usize,
     /// Retry policy for transiently-failed (panicked) attempts.
     pub retry: RetryPolicy,
@@ -518,7 +527,8 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Load the shared graph and start workers plus watchdog.
+    /// Load the shared graph and start the workers, each inside its own
+    /// engine pool (see [`ServerConfig::workers`]), plus the watchdog.
     pub fn start(graph: Arc<Graph>, config: ServerConfig) -> ServerHandle {
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
@@ -539,9 +549,10 @@ impl ServerHandle {
         let workers = (0..workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
+                let pool = worker_pool(workers);
                 std::thread::Builder::new()
                     .name(format!("ipregel-server-worker-{i}"))
-                    .spawn(move || inner.worker_loop())
+                    .spawn(move || pool.install(|| inner.worker_loop()))
                     .expect("spawn server worker")
             })
             .collect();
@@ -845,7 +856,9 @@ impl Inner {
     }
 
     /// Worker: pop-or-wait on the queue, run each group to settlement.
-    /// On shutdown, drain whatever is still queued, then exit.
+    /// On shutdown, drain whatever is still queued, then exit. Runs on
+    /// a thread of the worker's own pool, so every engine run it starts
+    /// forks into that pool and nowhere else.
     fn worker_loop(self: &Arc<Self>) {
         loop {
             let batch = {
@@ -1286,17 +1299,38 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run `request` against `graph` exactly as a server worker would, but
 /// synchronously, in isolation, with no deadline, queue, or retry.
-/// The equivalence tests compare concurrent server results against
-/// this oracle bit-for-bit.
+/// The request runs in a pool of the size a worker of a default-config
+/// server owns — chunk plans, and with them the regrouping of
+/// push-combined `f64` sums, follow the pool's size. The equivalence
+/// tests compare concurrent server results against this oracle
+/// bit-for-bit.
 pub fn run_isolated(graph: &Graph, request: &Request) -> Result<RequestOutput, RunError> {
-    run_once(graph, request, None)
+    worker_pool(ServerConfig::default().workers).install(|| run_once(graph, request, None))
+}
+
+/// Threads in each worker's engine pool when `workers` workers split
+/// `threads`: an even share, at least one. With fewer threads than
+/// workers the pools oversubscribe the cores rather than leave a
+/// worker without a thread.
+fn worker_pool_threads(threads: usize, workers: usize) -> usize {
+    (threads / workers.max(1)).max(1)
+}
+
+/// The engine pool of one of `workers` workers, sized from the count
+/// the global pool would have — read without building the global pool,
+/// which the server never touches.
+fn worker_pool(workers: usize) -> ThreadPool {
+    ThreadPoolBuilder::new()
+        .num_threads(worker_pool_threads(ipregel_par::default_num_threads(), workers))
+        .build()
+        .expect("build server worker pool")
 }
 
 /// One K-lane engine attempt over `requests` (all sharing one
 /// [`BatchKey`]; lane `l` runs `requests[l]`). Returns one entry per
 /// lane: `Some(output)` with that lane's reconstructed solo stats, or
-/// `None` for a lane masked out by its own deadline mid-run. Uses the
-/// same `threads: None` shared-pool configuration as [`run_once`], so
+/// `None` for a lane masked out by its own deadline mid-run. Runs on
+/// the current pool (`threads: None`) exactly as [`run_once`] does, so
 /// every lane's values are bit-identical to its solo oracle.
 fn run_lanes(
     graph: &Graph,
@@ -1369,10 +1403,11 @@ fn collect_u32_lanes(
     })
 }
 
-/// One engine attempt. `threads: None` shares the global pool — the
-/// property that makes concurrent requests cheap *and* keeps results
-/// bit-identical (chunk-order-deterministic reductions are independent
-/// of which worker ran which chunk).
+/// One engine attempt. `threads: None` runs on the current pool: a
+/// server worker's own pool, whose thread is the orchestrator, so the
+/// attempt's chunks never leave it; results stay bit-identical to the
+/// isolated oracle's (chunk-order-deterministic reductions do not care
+/// which worker ran which chunk, only how many threads planned them).
 fn run_once(
     graph: &Graph,
     request: &Request,
@@ -1404,4 +1439,23 @@ fn run_once(
 /// A solo run's result: its values plus the run's own totals.
 fn solo_output(values: ResultValues, stats: &ipregel::RunStats) -> RequestOutput {
     RequestOutput { values, supersteps: stats.num_supersteps(), messages: stats.total_messages() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_pools_split_the_threads_evenly_and_never_go_empty() {
+        // (threads, workers) → threads per worker pool: an even share,
+        // fewer threads than workers still gives each worker one, and
+        // a remainder thread is left unowned rather than given to one.
+        for (threads, workers, want) in [(1, 2, 1), (2, 2, 1), (2, 1, 2), (3, 2, 1), (4, 2, 2)] {
+            assert_eq!(
+                worker_pool_threads(threads, workers),
+                want,
+                "{threads} threads over {workers} workers"
+            );
+        }
+    }
 }

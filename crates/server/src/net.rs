@@ -18,8 +18,14 @@ use crate::protocol::{render_protocol_error, MAX_LINE_BYTES};
 use crate::ServerHandle;
 
 /// Accept-loop poll interval (the listener is nonblocking so the loop
-/// can observe the line budget between accepts).
+/// can observe the line budget between accepts). The wait doubles from
+/// [`ACCEPT_POLL_MIN`] up to this while nobody connects and starts over
+/// after every accept, so a peer that connects just after the loop
+/// first looked is not held for a whole idle interval.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// First wait of an accept poll backoff.
+const ACCEPT_POLL_MIN: Duration = Duration::from_micros(50);
 
 /// Per-connection read timeout: how quickly a connection thread
 /// notices the stop flag when its peer has gone quiet.
@@ -38,6 +44,7 @@ pub fn serve(
     let served = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| -> io::Result<()> {
+        let mut poll = ACCEPT_POLL_MIN;
         loop {
             if let Some(max) = max_lines {
                 // ordering(Relaxed): advisory budget check; an answer
@@ -48,10 +55,14 @@ pub fn serve(
             }
             match listener.accept() {
                 Ok((stream, _peer)) => {
+                    poll = ACCEPT_POLL_MIN;
                     let (served, stop) = (&served, &stop);
                     scope.spawn(move || serve_connection(server, stream, served, stop));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    std::thread::sleep(poll);
+                    poll = (poll * 2).min(ACCEPT_POLL);
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => {
                     // ordering(Relaxed): plain stop flag; scope join is

@@ -49,3 +49,38 @@ fn a_default_socket_client_pings_in_under_five_milliseconds() {
     let median = rtts[rtts.len() / 2];
     assert!(median < Duration::from_millis(5), "median ping round trip {median:?}, all {rtts:?}");
 }
+
+#[test]
+fn a_client_connecting_just_after_serve_starts_is_not_held_a_poll_interval() {
+    // The accept loop sleeps between polls of its nonblocking listener.
+    // A peer that connects a moment after the loop's first look must be
+    // answered within about twice its own lateness (the backoff from
+    // 50 µs), not after a whole 20 ms idle interval.
+    let mut b = GraphBuilder::new(NeighborMode::Both);
+    b.add_edge(0, 1);
+    let server = ServerHandle::start(Arc::new(b.build().expect("graph")), ServerConfig::default());
+    let mut waits: Vec<Duration> = (0..9)
+        .map(|_| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            let addr = listener.local_addr().expect("local addr");
+            std::thread::scope(|s| {
+                let front = s.spawn(|| net::serve(&server, &listener, Some(1)));
+                std::thread::sleep(Duration::from_millis(1));
+                let start = Instant::now();
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                stream.write_all(b"{\"op\":\"ping\"}\n").expect("send");
+                let mut reply = String::new();
+                reader.read_line(&mut reply).expect("receive");
+                assert!(reply.contains("pong"), "reply {reply:?}");
+                let wait = start.elapsed();
+                front.join().expect("front-end thread").expect("serve");
+                wait
+            })
+        })
+        .collect();
+    server.shutdown();
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(median < Duration::from_millis(5), "median connect-to-pong {median:?}, all {waits:?}");
+}
