@@ -21,45 +21,14 @@ where
     values.par_iter().map(&map).reduce_with(&fold)
 }
 
-/// Sum of `map(value)` over all values.
-pub fn sum_by<V: Sync, M: Fn(&V) -> f64 + Sync>(values: &[V], map: M) -> f64 {
-    values.par_iter().map(&map).sum()
-}
-
-/// Number of values satisfying `pred`.
-pub fn count_by<V: Sync, P: Fn(&V) -> bool + Sync>(values: &[V], pred: P) -> u64 {
-    values.par_iter().filter(|v| pred(v)).count() as u64
-}
-
-/// Minimum of `map(value)` under `Ord`.
-pub fn min_by<V: Sync, T: Ord + Send, M: Fn(&V) -> T + Sync>(values: &[V], map: M) -> Option<T> {
-    aggregate(values, map, std::cmp::min)
-}
-
-/// Maximum of `map(value)` under `Ord`.
-pub fn max_by<V: Sync, T: Ord + Send, M: Fn(&V) -> T + Sync>(values: &[V], map: M) -> Option<T> {
-    aggregate(values, map, std::cmp::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sum_count_min_max() {
-        let vals = vec![3u32, 1, 4, 1, 5, 9, 2, 6];
-        assert_eq!(sum_by(&vals, |&v| f64::from(v)), 31.0);
-        assert_eq!(count_by(&vals, |&v| v > 3), 4);
-        assert_eq!(min_by(&vals, |&v| v), Some(1));
-        assert_eq!(max_by(&vals, |&v| v), Some(9));
-    }
-
-    #[test]
     fn empty_input_yields_none() {
         let vals: Vec<u32> = Vec::new();
-        assert_eq!(min_by(&vals, |&v| v), None);
-        assert_eq!(sum_by(&vals, |&v| f64::from(v)), 0.0);
-        assert_eq!(count_by(&vals, |_| true), 0);
+        assert_eq!(aggregate(&vals, |&v| v, std::cmp::min), None);
     }
 
     #[test]

@@ -152,21 +152,29 @@ impl std::error::Error for RunError {
     }
 }
 
-impl RunError {
-    /// The partial per-superstep stats attached to the error, when the
-    /// run got far enough to have any.
-    pub fn partial_stats(&self) -> Option<&RunStats> {
-        match self {
-            RunError::VertexPanic { stats, .. } | RunError::DeadlineExceeded { stats, .. } => {
-                Some(stats)
-            }
-            _ => None,
-        }
-    }
-}
-
 /// Result type of the fallible engine entry points (`try_run*`).
 pub type RunResult<V> = Result<RunOutput<V>, RunError>;
+
+/// Bounded retry with doubling backoff for transient failures: the
+/// first attempt runs at once, each failed attempt `k` sleeps
+/// `base_backoff × 2^(k-1)` before the next, and after `max_attempts`
+/// total attempts the error propagates. `graphd-sim` retries transient
+/// edge-stream reads under it, the server panicked engine attempts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryPolicy {
+    /// Total attempts before the error propagates (≥ 1).
+    pub max_attempts: u32,
+    /// Backoff before the first retry; doubles on each further retry.
+    pub base_backoff: Duration,
+}
+
+crate::impl_to_json!(RetryPolicy { max_attempts, base_backoff });
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy { max_attempts: 4, base_backoff: Duration::from_millis(1) }
+    }
+}
 
 /// What a chunk's `catch_unwind` caught, before it is joined with the
 /// superstep context into a [`RunError::VertexPanic`].

@@ -261,11 +261,6 @@ impl LaneTracker {
         self.enabled()
     }
 
-    /// Lane `lane`'s budget, if it was given one.
-    pub fn lane_deadline(&self, lane: usize) -> Option<Duration> {
-        self.deadlines[lane]
-    }
-
     /// Reconstructed solo message count for lane `lane`.
     pub fn lane_messages(&self, lane: usize) -> u64 {
         // ordering(Relaxed): read after the run joins.
@@ -366,7 +361,5 @@ mod tests {
         let t = LaneTracker::with_deadlines(4, deadlines);
         assert_eq!(t.expire_overdue(), 0b1101);
         assert_eq!(t.expired_mask(), 0b0010);
-        assert_eq!(t.lane_deadline(1), Some(Duration::ZERO));
-        assert_eq!(t.lane_deadline(0), None);
     }
 }

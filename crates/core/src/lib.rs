@@ -84,7 +84,7 @@ pub mod version;
 pub use engine::pull::try_run_pull;
 pub use engine::push::try_run_push;
 pub use engine::seq::{run_sequential, try_run_sequential};
-pub use engine::{RunConfig, RunError, RunOutput, RunResult, Schedule};
+pub use engine::{RetryPolicy, RunConfig, RunError, RunOutput, RunResult, Schedule};
 pub use lanes::{full_mask, LaneTracker, Lanes, MAX_LANES};
 pub use mailbox::{AtomicMailbox, Mailbox, MutexMailbox, PackMessage, SpinGuard, SpinLock, SpinMailbox};
 pub use metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};

@@ -60,17 +60,12 @@ use ipregel_par::CachePadded;
 ///   samples). Purely additive.
 /// - **4** — K-lane batching (PR 9): `server_request` gains `lane`
 ///   (position inside the batch the request ran in) and `lanes` (batch
-///   width; 1 = ran solo, 0 = shed before any lane was assigned). The
-///   decoder still reads version-3 files: both default to 0, meaning
-///   "pre-batching, unknown". Gated on the declared version — a
-///   `server_request` line missing them in a schema-4 file is
-///   malformed, not lane 0.
+///   width; 1 = ran solo, 0 = shed before any lane was assigned).
+///
+/// The decoder reads version 4 only: every writer emits it, and a header
+/// declaring any other version, 3 included, gets the typed "unsupported
+/// trace schema" error.
 pub const SCHEMA_VERSION: u32 = 4;
-
-/// Oldest schema version [`decode_line`] accepts: the current one and
-/// its predecessor. Versions 1 and 2 get the typed "unsupported trace
-/// schema" error.
-pub const MIN_SCHEMA_VERSION: u32 = 3;
 
 /// Cap on events buffered per worker shard between barriers. A chunk
 /// event is ~64 bytes and supersteps rarely plan more than a few
@@ -771,17 +766,10 @@ struct Fields<'a> {
 
 impl Fields<'_> {
     fn num(&self, key: &str) -> Result<u64, String> {
-        self.num_or(key, None)
-    }
-
-    /// A numeric field, with a default for one an older schema version
-    /// did not carry.
-    fn num_or(&self, key: &str, default: Option<u64>) -> Result<u64, String> {
-        match (self.fields.iter().find(|(k, _)| k == key), default) {
-            (Some((_, Value::Int(n))), _) => Ok(*n),
-            (Some(_), _) => Err(format!("field {key:?} is not an unsigned integer in {:?}", self.line)),
-            (None, Some(default)) => Ok(default),
-            (None, None) => Err(format!("missing field {key:?} in {:?}", self.line)),
+        match self.fields.iter().find(|(k, _)| k == key) {
+            Some((_, Value::Int(n))) => Ok(*n),
+            Some(_) => Err(format!("field {key:?} is not an unsigned integer in {:?}", self.line)),
+            None => Err(format!("missing field {key:?} in {:?}", self.line)),
         }
     }
 
@@ -796,45 +784,19 @@ impl Fields<'_> {
 
 /// Decode one trace line. `Ok(None)` means the line was a meta header
 /// (validated against [`SCHEMA_VERSION`]).
-///
-/// A standalone line carries no meta context, so it is held to the
-/// *current* schema: fields that older versions lacked are required.
-/// [`decode_trace`] instead threads each file's declared schema version
-/// into every line, which is what lets version-3 files omit them.
 pub fn decode_line(line: &str) -> Result<Option<TraceEvent>, String> {
-    match decode_line_at(line, SCHEMA_VERSION)? {
-        Decoded::Meta(_) => Ok(None),
-        Decoded::Event(e) => Ok(Some(e)),
-    }
-}
-
-/// One successfully decoded trace line.
-enum Decoded {
-    /// A meta header declaring the file's schema version (validated
-    /// against the supported range).
-    Meta(u32),
-    Event(TraceEvent),
-}
-
-/// Decode one line under the schema version `schema` declared by the
-/// file's meta header. Version-gated defaults live here: a
-/// `server_request` line may omit `lane`/`lanes` only in schema-3
-/// files — in schema 4 the fields are part of the wire format and
-/// their absence is malformed, not "lane 0".
-fn decode_line_at(line: &str, schema: u32) -> Result<Decoded, String> {
     let fields = parse_flat_object(line).map_err(|e| format!("{e} in {line:?}"))?;
     let f = Fields { line, fields };
     let ty = f.str("type")?;
     let e = match ty {
         "meta" => {
             let declared = f.num("schema")?;
-            if declared < u64::from(MIN_SCHEMA_VERSION) || declared > u64::from(SCHEMA_VERSION) {
+            if declared != u64::from(SCHEMA_VERSION) {
                 return Err(format!(
-                    "unsupported trace schema {declared} (this build reads \
-                     {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                    "unsupported trace schema {declared} (this build reads {SCHEMA_VERSION})"
                 ));
             }
-            return Ok(Decoded::Meta(u32::try_from(declared).expect("validated range fits u32")));
+            return Ok(None);
         }
         "run_begin" => TraceEvent::RunBegin {
             engine: EngineKind::parse(f.str("engine")?)
@@ -891,11 +853,8 @@ fn decode_line_at(line: &str, schema: u32) -> Result<Decoded, String> {
             queue_ns: f.num("queue_ns")?,
             run_ns: f.num("run_ns")?,
             attempts: f.num("attempts")?,
-            // Absent before batching existed (schema 3), where every
-            // request ran solo; recorded as 0 ("unknown, pre-batching").
-            // A schema-4 record without them is malformed.
-            lane: f.num_or("lane", (schema < 4).then_some(0))?,
-            lanes: f.num_or("lanes", (schema < 4).then_some(0))?,
+            lane: f.num("lane")?,
+            lanes: f.num("lanes")?,
             outcome: ServerOutcome::parse(f.str("outcome")?)
                 .ok_or_else(|| format!("unknown server outcome in {line:?}"))?,
         },
@@ -909,32 +868,24 @@ fn decode_line_at(line: &str, schema: u32) -> Result<Decoded, String> {
         },
         other => return Err(format!("unknown event type {other:?} in {line:?}")),
     };
-    Ok(Decoded::Event(e))
+    Ok(Some(e))
 }
 
 /// Decode a whole trace file. The first non-empty line must be a meta
-/// header with a supported schema version; that declared version then
-/// governs every event line, so version-gated defaults (the schema-3
-/// `lane`/`lanes` fields) apply only to files that actually declare the
-/// old version.
+/// header declaring [`SCHEMA_VERSION`].
 pub fn decode_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
-    let mut schema: Option<u32> = None;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_line_at(line, schema.unwrap_or(SCHEMA_VERSION))? {
-            Decoded::Meta(declared) => schema = Some(declared),
-            Decoded::Event(e) => {
-                if schema.is_none() {
-                    return Err("trace does not start with a meta header line".to_string());
-                }
-                events.push(e);
+    let mut meta = false;
+    for line in text.lines().filter(|line| !line.trim().is_empty()) {
+        match decode_line(line)? {
+            None => meta = true,
+            Some(_) if !meta => {
+                return Err("trace does not start with a meta header line".to_string())
             }
+            Some(e) => events.push(e),
         }
     }
-    if schema.is_none() {
+    if !meta {
         return Err("trace has no meta header line".to_string());
     }
     Ok(events)
@@ -1201,34 +1152,6 @@ mod tests {
     #[test]
     fn meta_line_is_pinned() {
         assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":4}");
-    }
-
-    #[test]
-    fn lane_defaults_are_gated_on_the_declared_schema() {
-        // The identical lane-less server_request line: legal in a file
-        // that declares schema 3 (both default to 0), malformed in one
-        // that declares schema 4 — the default must not paper over a
-        // truncated line.
-        let request = "{\"type\":\"server_request\",\"id\":7,\"queue_ns\":1,\"run_ns\":2,\
-                       \"attempts\":1,\"outcome\":\"ok\"}";
-        let v3 = format!("{{\"type\":\"meta\",\"schema\":3}}\n{request}\n");
-        assert_eq!(
-            decode_trace(&v3).expect("schema 3 must stay readable"),
-            vec![TraceEvent::ServerRequest {
-                id: 7,
-                queue_ns: 1,
-                run_ns: 2,
-                attempts: 1,
-                lane: 0,
-                lanes: 0,
-                outcome: ServerOutcome::Ok,
-            }]
-        );
-        let v4 = format!("{}\n{request}\n", encode_meta());
-        let err = decode_trace(&v4).expect_err("schema 4 requires the lane fields");
-        assert!(err.contains("lane"), "error should name the missing field: {err}");
-        // Standalone lines are held to the current schema too.
-        assert!(decode_line(request).is_err(), "decode_line is current-schema strict");
     }
 
     /// A chunk event that carries nothing but its position.

@@ -25,7 +25,6 @@
 //! queues grow with message volume where iPregel's mailboxes stay one
 //! message wide.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use ipregel::sync::lockorder::{LockClass, OrderedMutex};
@@ -263,12 +262,6 @@ impl<P: VertexProgram> Context for NaiveCtx<'_, P> {
             self.enqueue(n, f(weights.map_or(1, |ws| ws[i])));
         }
     }
-}
-
-/// Sanity helper: does a `HashMap` really cost what
-/// [`HashAddressMap::approx_bytes`] claims? Used by tests.
-pub fn hashmap_entry_overhead() -> usize {
-    std::mem::size_of::<HashMap<VertexId, VertexIndex>>()
 }
 
 #[cfg(test)]

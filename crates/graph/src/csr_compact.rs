@@ -35,13 +35,11 @@ use crate::csr::{Csr, Weight};
 use crate::error::GraphError;
 use crate::ids::VertexIndex;
 
-// format-region(varint, v1): begin — the LEB128 codec shared by the
-// in-memory compact CSR and the IPGB v3 on-disk payload. A change here
-// changes every v3 file's bytes: bump the marker version and re-bless
-// with `cargo run -p ipregel-lint -- --bless-formats`.
-
-/// Maximum encoded length of a `u32` varint (⌈32/7⌉ bytes).
-pub const MAX_VARINT32_LEN: usize = 5;
+// format-region(varint, v2): begin — the LEB128 codec of the compact
+// CSR, whose byte counts the memory model projects. A change here changes
+// every encoded neighbour list: bump the marker version and re-bless with
+// `cargo run -p ipregel-lint -- --bless-formats`. (Marker v2 only dropped
+// the `MAX_VARINT32_LEN` bound of the retired IPGB v3 reader.)
 
 /// Append `x` to `buf` as a little-endian base-128 varint: 7 payload
 /// bits per byte, least-significant group first, high bit set on every
@@ -67,8 +65,8 @@ pub fn varint_len(x: u64) -> usize {
 /// # Panics
 /// If the varint runs past `data` — internal streams are produced by
 /// [`write_varint`] and bounded by their vertex's start/end, so that
-/// would be a construction bug, not bad input. (Untrusted input — the
-/// IPGB v3 loader — uses its own fallible, length-checked decoder.)
+/// would be a construction bug, not bad input. No untrusted input is
+/// decoded as varints.
 #[inline]
 fn read_varint(data: &[u8], pos: &mut usize) -> u64 {
     let mut x = 0u64;

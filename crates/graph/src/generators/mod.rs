@@ -6,8 +6,8 @@
 //!
 //! * general-purpose generators — R-MAT ([`rmat`]), Erdős–Rényi
 //!   ([`erdos_renyi`]), a road-network-like sparse grid ([`grid`]),
-//!   small worlds ([`watts_strogatz`]), preferential attachment
-//!   ([`barabasi`]), and small classic shapes for tests ([`classic`]);
+//!   small worlds ([`watts_strogatz`]) and preferential attachment
+//!   ([`barabasi`]);
 //! * [`analogs`] — named, seeded stand-ins for each paper dataset with
 //!   the same edge/vertex ratio and degree character, scaled down by a
 //!   divisor so the whole evaluation runs on a laptop.
@@ -17,7 +17,6 @@
 
 pub mod analogs;
 pub mod barabasi;
-pub mod classic;
 pub mod erdos_renyi;
 pub mod grid;
 pub mod rmat;

@@ -52,4 +52,4 @@ pub use csr_compact::CsrCompact;
 pub use error::GraphError;
 pub use ids::{AddressMap, AddressingMode, HashAddressMap, VertexId, VertexIndex};
 pub use stats::GraphStats;
-pub use transform::{IdRemap, Relabeling};
+pub use transform::Relabeling;

@@ -43,7 +43,7 @@ pub fn load_dimacs_gr<R: BufRead>(mut reader: R, mode: NeighborMode) -> Result<G
         Some(other) => Err(unknown(line, other)),
     })?;
     let mut b = builder.ok_or(GraphError::EmptyGraph)?;
-    parse_blocks(reader, next, &mut b, 1, |line, records| {
+    parse_blocks(reader, next, &mut b, |line, records| {
         match line.field() {
             None | Some([b'c', ..]) => {}
             Some(b"a") => {

@@ -14,7 +14,7 @@ use crate::error::GraphError;
 /// Parse an edge-list stream into a [`Graph`].
 pub fn load_edge_list<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(mode);
-    parse_blocks(reader, 1, &mut b, 1, |line, records| {
+    parse_blocks(reader, 1, &mut b, |line, records| {
         match line.peek() {
             None | Some(b'#' | b'%') => return Ok(()),
             Some(b'/') if line.starts_with(b"//") => return Ok(()),

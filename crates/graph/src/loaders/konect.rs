@@ -19,7 +19,7 @@ use crate::error::GraphError;
 /// its SSSP assumes unit weights).
 pub fn load_konect<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(mode);
-    parse_blocks(reader, 1, &mut b, 1, |line, records| {
+    parse_blocks(reader, 1, &mut b, |line, records| {
         if !matches!(line.peek(), None | Some(b'%')) {
             let src = line.u32("source id")?;
             records.edge(src, line.u32("target id")?);

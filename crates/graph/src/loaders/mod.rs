@@ -8,12 +8,15 @@
 //!
 //! A compact binary format ([`binary`]) is also provided so the benchmark
 //! harness can cache generated graphs between runs.
+//!
+//! Only what the CLI accepts or the product writes is read: edge lists,
+//! KONECT, DIMACS and IPGB version 2. No Matrix Market file and no IPGB
+//! version 3 file is read.
 
 pub mod binary;
 pub mod dimacs;
 pub mod edge_list;
 pub mod konect;
-pub mod matrix_market;
 mod scan;
 pub mod wire;
 pub mod writers;
@@ -22,7 +25,6 @@ pub use binary::{read_binary, write_binary};
 pub use dimacs::load_dimacs_gr;
 pub use edge_list::load_edge_list;
 pub use konect::load_konect;
-pub use matrix_market::load_matrix_market;
 // A test seam, not API: the text loaders' block size on this thread.
 #[doc(hidden)]
 pub use scan::with_block_bytes;

@@ -1,4 +1,4 @@
-//! The byte-level scanner under all four text loaders.
+//! The byte-level scanner under the three text loaders.
 //!
 //! [`parse_blocks`] parses any `BufRead` in blocks, in parallel. The
 //! calling thread copies whole-line blocks of about [`BLOCK`] bytes out of
@@ -210,10 +210,10 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(block: usize, per_line: usize) -> Slot {
+    fn new(block: usize) -> Slot {
         let bytes = block + MAX_LINE_BYTES + 1;
         // A record line holds two fields, a blank and a terminator.
-        let records = per_line * bytes.div_ceil(4);
+        let records = bytes.div_ceil(4);
         Slot {
             bytes: Vec::with_capacity(bytes),
             overlong: false,
@@ -227,20 +227,15 @@ impl Slot {
     }
 
     /// Refill with the next lines of `reader` and make sure of room for
-    /// `per_line` records per four bytes (the buffers have it, unless the
-    /// block's last line runs past the cap). `Ok(false)` when nothing
-    /// follows: the input ended, or a line passed the cap, which ends the
-    /// load at this block.
-    fn fill<R: BufRead>(
-        &mut self,
-        reader: &mut R,
-        block: usize,
-        per_line: usize,
-    ) -> Result<bool, GraphError> {
+    /// one record per four bytes (the buffers have it, unless the block's
+    /// last line runs past the cap). `Ok(false)` when nothing follows: the
+    /// input ended, or a line passed the cap, which ends the load at this
+    /// block.
+    fn fill<R: BufRead>(&mut self, reader: &mut R, block: usize) -> Result<bool, GraphError> {
         self.bytes.clear();
         self.overlong = false;
         let more = self.read(reader, block);
-        let records = per_line * self.bytes.len().div_ceil(4);
+        let records = self.bytes.len().div_ceil(4);
         let Records { edges, weights, weighted } = &mut self.records;
         edges.clear();
         weights.clear();
@@ -340,10 +335,9 @@ fn fill_round<R: BufRead>(
     reader: &mut R,
     round: &mut [Slot],
     block: usize,
-    per_line: usize,
 ) -> (usize, Result<bool, GraphError>) {
     for (at, slot) in round.iter_mut().enumerate() {
-        let more = slot.fill(reader, block, per_line);
+        let more = slot.fill(reader, block);
         if !matches!(more, Ok(true)) {
             return (at + usize::from(!slot.bytes.is_empty()), more);
         }
@@ -385,7 +379,7 @@ impl Merge<'_> {
 
 /// Parse every line of `reader` with `parse`, numbering them from `first`,
 /// and append the records to `builder` in file order; a line adds at most
-/// `per_line` records. Returns the first error in file order.
+/// one record. Returns the first error in file order.
 ///
 /// Rounds of one block per pool thread: while a round's blocks are parsed
 /// on the pool, the calling thread appends the previous round's records
@@ -396,7 +390,6 @@ pub(crate) fn parse_blocks<R, P>(
     mut reader: R,
     first: usize,
     builder: &mut GraphBuilder,
-    per_line: usize,
     parse: P,
 ) -> Result<(), GraphError>
 where
@@ -405,10 +398,10 @@ where
 {
     let block = BLOCK_BYTES.get();
     let threads = ipregel_par::current_num_threads();
-    let round = || (0..threads).map(|_| Slot::new(block, per_line)).collect::<Vec<_>>();
+    let round = || (0..threads).map(|_| Slot::new(block)).collect::<Vec<_>>();
     let (mut current, mut previous) = (round(), round());
     let mut merge = Merge { builder, line: first, weighted: None };
-    let (mut count, mut more) = fill_round(&mut reader, &mut current, block, per_line);
+    let (mut count, mut more) = fill_round(&mut reader, &mut current, block);
     // Slots of `previous` parsed last round and not merged yet.
     let mut parsed = 0;
     loop {
@@ -428,7 +421,7 @@ where
             Ok(if last {
                 (0, more)
             } else {
-                fill_round(&mut reader, &mut previous, block, per_line)
+                fill_round(&mut reader, &mut previous, block)
             })
         })?;
         std::mem::swap(&mut current, &mut previous);
@@ -514,7 +507,7 @@ mod tests {
         let mut b = GraphBuilder::new(NeighborMode::OutOnly);
         let reader = BufReader::with_capacity(reads, text);
         with_block_bytes(block, || {
-            parse_blocks(reader, 1, &mut b, 1, |_, records| {
+            parse_blocks(reader, 1, &mut b, |_, records| {
                 records.edge(0, 0);
                 Ok(())
             })

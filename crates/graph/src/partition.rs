@@ -6,7 +6,7 @@
 //! to size per-worker memory.
 
 use crate::csr::Graph;
-use crate::ids::{VertexId, VertexIndex};
+use crate::ids::VertexIndex;
 
 /// Assignment of every vertex to one of `num_workers` workers.
 #[derive(Debug, Clone)]
@@ -63,13 +63,6 @@ impl Partitioning {
         self.owner[slot as usize]
     }
 
-    /// Worker owning the vertex with external identifier `id` under hash
-    /// partitioning semantics (no table lookup needed).
-    #[inline]
-    pub fn hash_owner_of_id(&self, id: VertexId) -> u32 {
-        ((id as usize) % self.num_workers) as u32
-    }
-
     /// Slots owned by `worker`.
     pub fn members(&self, worker: usize) -> &[VertexIndex] {
         &self.members[worker]
@@ -108,7 +101,6 @@ mod tests {
         for slot in g.address_map().live_slots() {
             let id = g.id_of(slot);
             assert_eq!(p.owner_of(slot), id % 3);
-            assert_eq!(p.hash_owner_of_id(id), id % 3);
         }
     }
 

@@ -49,23 +49,6 @@ impl GraphStats {
             sinks,
         }
     }
-
-    /// Out-degree histogram in power-of-two buckets: entry `i ≥ 1` counts
-    /// vertices with out-degree in `[2^(i−1), 2^i − 1]`; entry 0 counts
-    /// degree-0 vertices.
-    pub fn degree_histogram(g: &Graph) -> Vec<u64> {
-        let map = g.address_map();
-        let mut hist = vec![0u64; 34];
-        for v in map.live_slots() {
-            let d = g.out_degree(v);
-            let bucket = if d == 0 { 0 } else { 32 - d.leading_zeros() as usize };
-            hist[bucket.min(33)] += 1;
-        }
-        while hist.last() == Some(&0) {
-            hist.pop();
-        }
-        hist
-    }
 }
 
 impl fmt::Display for GraphStats {
@@ -129,14 +112,6 @@ mod tests {
         let s = GraphStats::compute(&g);
         assert_eq!(s.vertices, 2);
         assert_eq!(s.sinks, 1); // vertex 2 only; the desolate slot is not a sink
-    }
-
-    #[test]
-    fn histogram_buckets_powers_of_two() {
-        let h = GraphStats::degree_histogram(&star(5));
-        // one vertex of degree 4 (bucket 3: 4..=7), four of degree 0.
-        assert_eq!(h[0], 4);
-        assert_eq!(h[3], 1);
     }
 
     #[test]

@@ -1,20 +1,17 @@
 //! Whole-graph transformations.
 //!
-//! iPregel processes static graphs (Section 3.3); real datasets need
-//! cleaning *before* they become static — KONECT's undirected files list
-//! each edge once, crawls carry duplicate and self-loop edges, and
-//! analyses like k-core or Hashmin-as-connected-components want the
-//! symmetrised graph. These helpers operate on raw edge lists (the form
-//! loaders and generators produce) so a cleaned graph is built exactly
-//! once.
+//! iPregel processes static graphs (Section 3.3); some need reshaping
+//! *before* they become static — KONECT's undirected files list each edge
+//! once, and analyses like k-core or Hashmin-as-connected-components want
+//! the symmetrised graph. [`symmetrize`] operates on a raw edge list (the
+//! form loaders and generators produce) so the symmetrised graph is built
+//! exactly once.
 //!
 //! The one transform of a *built* graph is the degree relabelling
 //! ([`degree_relabeling`], [`relabel_graph`]): renaming vertices permutes
 //! the CSR it already has, so that is what it does — rows are copied to
 //! their new slots, no edge list comes back into being.
 
-use std::collections::HashMap;
-use std::ops::Index;
 
 use crate::csr::{Csr, Graph, Weight};
 use crate::error::GraphError;
@@ -28,114 +25,6 @@ pub fn symmetrize(edges: &mut Vec<(VertexId, VertexId)>) {
         let (u, v) = edges[i];
         edges.push((v, u));
     }
-}
-
-/// Weighted variant of [`symmetrize`].
-pub fn symmetrize_weighted(edges: &mut Vec<(VertexId, VertexId, Weight)>) {
-    let n = edges.len();
-    edges.reserve(n);
-    for i in 0..n {
-        let (u, v, w) = edges[i];
-        edges.push((v, u, w));
-    }
-}
-
-/// Remove self-loops in place, preserving order.
-pub fn remove_self_loops(edges: &mut Vec<(VertexId, VertexId)>) {
-    edges.retain(|&(u, v)| u != v);
-}
-
-/// Remove duplicate directed edges, keeping first occurrences in order.
-pub fn dedup_edges(edges: &mut Vec<(VertexId, VertexId)>) {
-    let mut seen = std::collections::HashSet::with_capacity(edges.len());
-    edges.retain(|&e| seen.insert(e));
-}
-
-/// Reverse every edge (transpose the graph).
-pub fn reverse_edges(edges: &mut [(VertexId, VertexId)]) {
-    for e in edges.iter_mut() {
-        *e = (e.1, e.0);
-    }
-}
-
-/// The old→new identifier mapping produced by [`compact_ids`].
-///
-/// Deterministic by construction: iteration ([`IdRemap::iter`]) walks
-/// new ids ascending, i.e. old ids in first-appearance order, no matter
-/// the hasher. (The previous version returned the `HashMap` itself,
-/// whose iteration order is randomised per process — any caller that
-/// walked it to emit a mapping file or seed a follow-up pass drifted
-/// from run to run.)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdRemap {
-    /// `old_by_new[new]` is the old id renumbered to `new` — the
-    /// deterministic, `Vec`-backed side of the mapping.
-    old_by_new: Vec<VertexId>,
-    /// Old → new lookup. Never iterated, only probed, so the hasher's
-    /// order randomisation cannot leak out.
-    new_by_old: HashMap<VertexId, VertexId>,
-}
-
-impl IdRemap {
-    /// Number of distinct identifiers mapped.
-    pub fn len(&self) -> usize {
-        self.old_by_new.len()
-    }
-
-    /// Whether no identifiers were mapped.
-    pub fn is_empty(&self) -> bool {
-        self.old_by_new.is_empty()
-    }
-
-    /// The new (dense) id assigned to `old`, if `old` appeared.
-    pub fn new_id(&self, old: VertexId) -> Option<VertexId> {
-        self.new_by_old.get(&old).copied()
-    }
-
-    /// The old id renumbered to `new`.
-    ///
-    /// # Panics
-    /// If `new >= len()`.
-    pub fn old_id(&self, new: VertexId) -> VertexId {
-        self.old_by_new[new as usize]
-    }
-
-    /// `(old, new)` pairs in ascending-new (= first-appearance) order —
-    /// deterministic across runs.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.old_by_new.iter().enumerate().map(|(new, &old)| (old, new as VertexId))
-    }
-}
-
-impl Index<&VertexId> for IdRemap {
-    type Output = VertexId;
-
-    /// `remap[&old]` — the new id for `old`, mirroring the `HashMap`
-    /// indexing this type replaced.
-    fn index(&self, old: &VertexId) -> &VertexId {
-        &self.new_by_old[old]
-    }
-}
-
-/// Renumber arbitrary (possibly sparse) identifiers to the compact range
-/// `0..k` in first-appearance order, returning the old→new mapping —
-/// how a dataset violating the paper's consecutive-ids requirement
-/// (Section 3.3) is made admissible.
-pub fn compact_ids(edges: &mut [(VertexId, VertexId)]) -> IdRemap {
-    let mut new_by_old: HashMap<VertexId, VertexId> = HashMap::new();
-    let mut old_by_new: Vec<VertexId> = Vec::new();
-    for e in edges.iter_mut() {
-        let u = *new_by_old.entry(e.0).or_insert_with(|| {
-            old_by_new.push(e.0);
-            old_by_new.len() as VertexId - 1
-        });
-        let v = *new_by_old.entry(e.1).or_insert_with(|| {
-            old_by_new.push(e.1);
-            old_by_new.len() as VertexId - 1
-        });
-        *e = (u, v);
-    }
-    IdRemap { old_by_new, new_by_old }
 }
 
 /// A bijective vertex renaming: old external ids ↔ new dense ids
@@ -371,73 +260,7 @@ fn transpose_permuted(
     Csr::from_raw_parts(offsets, targets, weights)
 }
 
-/// Keep only edges inside the largest weakly-connected component of an
-/// already-built graph, returned as a fresh edge list in external ids.
-/// (Weak connectivity = connectivity of the symmetrised graph.)
-pub fn largest_component_edges(g: &Graph) -> Vec<(VertexId, VertexId)> {
-    assert!(g.has_out_edges(), "largest_component_edges walks out-adjacency");
-    let map = g.address_map();
-    let slots = g.num_slots();
-    // Union-find over the symmetrised edge set.
-    let mut parent: Vec<u32> = (0..slots as u32).collect();
-    fn find(parent: &mut [u32], mut v: u32) -> u32 {
-        while parent[v as usize] != v {
-            parent[v as usize] = parent[parent[v as usize] as usize];
-            v = parent[v as usize];
-        }
-        v
-    }
-    for v in map.live_slots() {
-        for &u in g.out_neighbors(v) {
-            let (a, b) = (find(&mut parent, v), find(&mut parent, u));
-            if a != b {
-                parent[a as usize] = b;
-            }
-        }
-    }
-    let mut size: HashMap<u32, u64> = HashMap::new();
-    for v in map.live_slots() {
-        *size.entry(find(&mut parent, v)).or_default() += 1;
-    }
-    let Some((&biggest, _)) = size.iter().max_by_key(|(_, &s)| s) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for v in map.live_slots() {
-        if find(&mut parent, v) == biggest {
-            for &u in g.out_neighbors(v) {
-                out.push((map.id_of(v), map.id_of(u)));
-            }
-        }
-    }
-    out
-}
-
-/// Edges of the subgraph induced by the vertices satisfying `keep`
-/// (both endpoints must satisfy it), in external ids.
-pub fn induced_subgraph_edges(
-    g: &Graph,
-    keep: impl Fn(VertexId) -> bool,
-) -> Vec<(VertexId, VertexId)> {
-    assert!(g.has_out_edges(), "induced_subgraph_edges walks out-adjacency");
-    let map = g.address_map();
-    let mut out = Vec::new();
-    for v in map.live_slots() {
-        let vid = map.id_of(v);
-        if !keep(vid) {
-            continue;
-        }
-        for &u in g.out_neighbors(v) {
-            let uid = map.id_of(u);
-            if keep(uid) {
-                out.push((vid, uid));
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
+ #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{GraphBuilder, NeighborMode};
@@ -447,72 +270,6 @@ mod tests {
         let mut e = vec![(0, 1), (2, 3)];
         symmetrize(&mut e);
         assert_eq!(e, vec![(0, 1), (2, 3), (1, 0), (3, 2)]);
-    }
-
-    #[test]
-    fn symmetrize_weighted_copies_weights() {
-        let mut e = vec![(0, 1, 9)];
-        symmetrize_weighted(&mut e);
-        assert_eq!(e, vec![(0, 1, 9), (1, 0, 9)]);
-    }
-
-    #[test]
-    fn self_loops_are_removed() {
-        let mut e = vec![(0, 0), (0, 1), (1, 1), (1, 0)];
-        remove_self_loops(&mut e);
-        assert_eq!(e, vec![(0, 1), (1, 0)]);
-    }
-
-    #[test]
-    fn dedup_keeps_first_occurrence() {
-        let mut e = vec![(0, 1), (1, 2), (0, 1), (1, 2), (2, 0)];
-        dedup_edges(&mut e);
-        assert_eq!(e, vec![(0, 1), (1, 2), (2, 0)]);
-    }
-
-    #[test]
-    fn reverse_transposes() {
-        let mut e = vec![(0, 1), (2, 3)];
-        reverse_edges(&mut e);
-        assert_eq!(e, vec![(1, 0), (3, 2)]);
-    }
-
-    #[test]
-    fn compact_ids_renumbers_densely() {
-        let mut e = vec![(100, 5000), (5000, 42), (100, 42)];
-        let remap = compact_ids(&mut e);
-        assert_eq!(e, vec![(0, 1), (1, 2), (0, 2)]);
-        assert_eq!(remap[&100], 0);
-        assert_eq!(remap[&5000], 1);
-        assert_eq!(remap[&42], 2);
-    }
-
-    #[test]
-    fn compact_ids_iteration_order_is_first_appearance() {
-        // Pin: iter() must walk old ids in first-appearance order no
-        // matter how the HashMap hashes. Expectation derived from the
-        // edge list itself, not a generated fixture.
-        let original = vec![(900u32, 17u32), (17, 3), (3, 900), (55, 17)];
-        let mut e = original.clone();
-        let remap = compact_ids(&mut e);
-        let mut first_appearance = Vec::new();
-        for &(u, v) in &original {
-            for id in [u, v] {
-                if !first_appearance.contains(&id) {
-                    first_appearance.push(id);
-                }
-            }
-        }
-        let iterated: Vec<(u32, u32)> = remap.iter().collect();
-        let expected: Vec<(u32, u32)> =
-            first_appearance.iter().enumerate().map(|(n, &old)| (old, n as u32)).collect();
-        assert_eq!(iterated, expected);
-        for (old, new) in remap.iter() {
-            assert_eq!(remap.new_id(old), Some(new));
-            assert_eq!(remap.old_id(new), old);
-            assert_eq!(remap[&old], new);
-        }
-        assert_eq!(remap.len(), 4);
     }
 
     #[test]
@@ -619,58 +376,5 @@ mod tests {
             expect.sort_unstable();
             assert_eq!(back.out_neighbors(v), expect.as_slice());
         }
-    }
-
-    #[test]
-    fn largest_component_extraction() {
-        // Component {0,1,2} with 3 edges; component {3,4} with 1.
-        let mut b = GraphBuilder::new(NeighborMode::OutOnly);
-        for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 4)] {
-            b.add_edge(u, v);
-        }
-        let g = b.build().unwrap();
-        let mut kept = largest_component_edges(&g);
-        kept.sort();
-        assert_eq!(kept, vec![(0, 1), (1, 2), (2, 0)]);
-    }
-
-    #[test]
-    fn largest_component_is_weakly_connected() {
-        // 0→1←2: weakly one component despite no directed path 0→2.
-        let mut b = GraphBuilder::new(NeighborMode::OutOnly);
-        b.add_edge(0, 1);
-        b.add_edge(2, 1);
-        b.add_edge(3, 4); // smaller component
-        let g = b.build().unwrap();
-        let kept = largest_component_edges(&g);
-        assert_eq!(kept.len(), 2);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let mut b = GraphBuilder::new(NeighborMode::OutOnly);
-        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)] {
-            b.add_edge(u, v);
-        }
-        let g = b.build().unwrap();
-        // Keep {1,2,3}: edges touching vertex 0 are dropped.
-        let mut kept = induced_subgraph_edges(&g, |id| id >= 1);
-        kept.sort();
-        assert_eq!(kept, vec![(1, 2), (1, 3), (2, 3)]);
-    }
-
-    #[test]
-    fn cleaned_edges_build_into_engineable_graphs() {
-        let mut e = vec![(7u32, 7u32), (7, 9), (9, 7), (7, 9)];
-        remove_self_loops(&mut e);
-        dedup_edges(&mut e);
-        compact_ids(&mut e);
-        let mut b = GraphBuilder::new(NeighborMode::Both);
-        for (u, v) in e {
-            b.add_edge(u, v);
-        }
-        let g = b.build().unwrap();
-        assert_eq!(g.num_vertices(), 2);
-        assert_eq!(g.num_edges(), 2);
     }
 }

@@ -77,23 +77,6 @@ pub fn is_weakly_connected(g: &Graph) -> bool {
     roots.all(|r| r == first)
 }
 
-/// Fraction of edges whose reverse also exists (1.0 = symmetric,
-/// 0.0 = purely one-way). Parallel edges count once.
-pub fn reciprocity(g: &Graph) -> f64 {
-    let map = g.address_map();
-    let mut edges: HashSet<(u32, u32)> = HashSet::new();
-    for v in map.live_slots() {
-        for &u in g.out_neighbors(v) {
-            edges.insert((v, u));
-        }
-    }
-    if edges.is_empty() {
-        return 1.0;
-    }
-    let mutual = edges.iter().filter(|&&(a, b)| edges.contains(&(b, a))).count();
-    mutual as f64 / edges.len() as f64
-}
-
 /// A full structural report, for load-time logging.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidationReport {
@@ -165,16 +148,6 @@ mod tests {
         let mut b = GraphBuilder::new(NeighborMode::OutOnly).declare_id_range(0, 1);
         b.add_edge(0, 0);
         assert!(is_weakly_connected(&b.build().unwrap()));
-    }
-
-    #[test]
-    fn reciprocity_fraction() {
-        assert_eq!(reciprocity(&build(&[(0, 1), (1, 0)])), 1.0);
-        assert_eq!(reciprocity(&build(&[(0, 1), (1, 2)])), 0.0);
-        let half = reciprocity(&build(&[(0, 1), (1, 0), (1, 2), (2, 3)]));
-        assert!((half - 0.5).abs() < 1e-12);
-        // Self-loops are their own reverse.
-        assert_eq!(reciprocity(&build(&[(0, 0), (0, 1)])), 0.5);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Differential battery for the four text loaders.
+//! Differential battery for the three text loaders.
 //!
 //! `reference` below is the `reader.lines()` → `trim` → `split_whitespace`
 //! → `str::parse` implementation the byte scanner in
@@ -27,9 +27,7 @@
 
 use std::io::{BufRead, BufReader, Cursor, Read};
 
-use ipregel_graph::loaders::{
-    load_dimacs_gr, load_edge_list, load_konect, load_matrix_market, with_block_bytes,
-};
+use ipregel_graph::loaders::{load_dimacs_gr, load_edge_list, load_konect, with_block_bytes};
 use ipregel_graph::{Graph, GraphBuilder, GraphError, NeighborMode};
 use proptest::prelude::*;
 
@@ -143,93 +141,6 @@ mod reference {
         }
         builder.ok_or(GraphError::EmptyGraph)?.build()
     }
-
-    pub fn matrix_market<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
-        let mut lines = reader.lines().enumerate();
-        let (_, header) = lines
-            .next()
-            .ok_or_else(|| GraphError::Parse { line: 1, message: "empty file".into() })?;
-        let header = header?;
-        let h: Vec<&str> = header.split_whitespace().collect();
-        if h.len() < 5 || !h[0].eq_ignore_ascii_case("%%MatrixMarket") {
-            return Err(GraphError::Parse { line: 1, message: format!("bad header {header:?}") });
-        }
-        if !h[1].eq_ignore_ascii_case("matrix") || !h[2].eq_ignore_ascii_case("coordinate") {
-            return Err(GraphError::Parse {
-                line: 1,
-                message: "only `matrix coordinate` files are supported".into(),
-            });
-        }
-        let bad = |what: &str, word: &str| GraphError::Parse {
-            line: 1,
-            message: format!("unsupported {what} {word:?}"),
-        };
-        let weighted = match h[3].to_ascii_lowercase().as_str() {
-            "pattern" => false,
-            "real" | "integer" => true,
-            other => return Err(bad("field type", other)),
-        };
-        let symmetric = match h[4].to_ascii_lowercase().as_str() {
-            "general" => false,
-            "symmetric" => true,
-            other => return Err(bad("symmetry", other)),
-        };
-
-        let mut builder: Option<GraphBuilder> = None;
-        for (lineno, line) in lines {
-            let line = line?;
-            let t = line.trim();
-            if t.is_empty() || t.starts_with('%') {
-                continue;
-            }
-            let mut it = t.split_whitespace();
-            match &mut builder {
-                None => {
-                    let rows = parse_num(it.next(), lineno + 1, "rows")?;
-                    let cols = parse_num(it.next(), lineno + 1, "cols")?;
-                    let nnz = parse_num(it.next(), lineno + 1, "nnz")?;
-                    if rows != cols {
-                        return Err(GraphError::Parse {
-                            line: lineno + 1,
-                            message: format!("adjacency matrix must be square, got {rows}x{cols}"),
-                        });
-                    }
-                    let b = GraphBuilder::with_capacity(mode, (nnz as usize).min(1 << 20));
-                    builder = Some(b.declare_id_range(1, rows));
-                }
-                Some(b) => {
-                    let row = parse_num(it.next(), lineno + 1, "row")?;
-                    let col = parse_num(it.next(), lineno + 1, "col")?;
-                    if weighted {
-                        let raw = it.next().ok_or_else(|| GraphError::Parse {
-                            line: lineno + 1,
-                            message: "missing value".into(),
-                        })?;
-                        let value: f64 = raw.parse().map_err(|e| GraphError::Parse {
-                            line: lineno + 1,
-                            message: format!("bad value {raw:?}: {e}"),
-                        })?;
-                        if value < 0.0 || value.fract() != 0.0 || value > f64::from(u32::MAX) {
-                            return Err(GraphError::Parse {
-                                line: lineno + 1,
-                                message: format!("weight {value} is not a non-negative integer"),
-                            });
-                        }
-                        b.add_weighted_edge(row, col, value as u32);
-                        if symmetric && row != col {
-                            b.add_weighted_edge(col, row, value as u32);
-                        }
-                    } else {
-                        b.add_edge(row, col);
-                        if symmetric && row != col {
-                            b.add_edge(col, row);
-                        }
-                    }
-                }
-            }
-        }
-        builder.ok_or(GraphError::EmptyGraph)?.build()
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -237,11 +148,9 @@ enum Format {
     EdgeList,
     Konect,
     Dimacs,
-    MatrixMarket,
 }
 
-const FORMATS: [Format; 4] =
-    [Format::EdgeList, Format::Konect, Format::Dimacs, Format::MatrixMarket];
+const FORMATS: [Format; 3] = [Format::EdgeList, Format::Konect, Format::Dimacs];
 
 impl Format {
     fn load<R: BufRead>(self, reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
@@ -249,7 +158,6 @@ impl Format {
             Format::EdgeList => load_edge_list(reader, mode),
             Format::Konect => load_konect(reader, mode),
             Format::Dimacs => load_dimacs_gr(reader, mode),
-            Format::MatrixMarket => load_matrix_market(reader, mode),
         }
     }
 
@@ -259,7 +167,6 @@ impl Format {
             Format::EdgeList => reference::edge_list(reader, mode),
             Format::Konect => reference::konect(reader, mode),
             Format::Dimacs => reference::dimacs(reader, mode),
-            Format::MatrixMarket => reference::matrix_market(reader, mode),
         }
     }
 }
@@ -364,13 +271,6 @@ fn render(format: Format, rows: &[Row], weighted: bool, terminated: bool) -> Vec
         Format::EdgeList | Format::Konect => out.extend_from_slice(b"% a header comment\n"),
         Format::Dimacs => {
             out.extend_from_slice(format!("c road\np sp 3000 {}\n", rows.len()).as_bytes())
-        }
-        Format::MatrixMarket => {
-            let field = if weighted { "integer" } else { "pattern" };
-            let symmetry = if rows.len().is_multiple_of(2) { "general" } else { "Symmetric" };
-            let header = format!("%%MatrixMarket matrix coordinate {field} {symmetry}\n% c\n");
-            out.extend_from_slice(header.as_bytes());
-            out.extend_from_slice(format!("3000 3000 {}\n", rows.len()).as_bytes());
         }
     }
     for &(src, dst, weight, picks) in rows {
@@ -510,21 +410,6 @@ fn hostile_cases_load_like_the_reference() {
     for file in dimacs {
         agree(Format::Dimacs, file, NeighborMode::Both).unwrap();
     }
-    let matrix_market: &[&[u8]] = &[
-        b"%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 4\n3 2 5.0\n",
-        b"%%matrixmarket MATRIX Coordinate Pattern General\r\n% c\r\n\r\n2 2 1\r\n1 2\r\n",
-        b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 0.5\n",
-        b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 nan\n",
-        b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 \xff\n",
-        b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2\n",
-        b"%%MatrixMarket matrix coordinate pattern general\n3 2 1\n",
-        b"%%MatrixMarket matrix coordinate pattern\n",
-        b"\n%%MatrixMarket matrix coordinate pattern general\n",
-        b"",
-    ];
-    for file in matrix_market {
-        agree(Format::MatrixMarket, file, NeighborMode::Both).unwrap();
-    }
 }
 
 /// `format` on `file` (which must also agree with the oracle in every
@@ -539,7 +424,7 @@ fn at_seams(format: Format, file: &[u8], block: usize) -> Result<Graph, GraphErr
 /// `at_seams` also runs, through `agree`) it falls between every two lines.
 #[test]
 fn block_seams_load_like_the_reference() {
-    use Format::{Dimacs, EdgeList, MatrixMarket};
+    use Format::{Dimacs, EdgeList};
     let parse_error_at = |result: Result<Graph, GraphError>| match result {
         Err(GraphError::Parse { line, .. }) => line,
         other => panic!("expected a parse error, got {other:?}"),
@@ -582,18 +467,6 @@ fn block_seams_load_like_the_reference() {
     for block in [1, 16] {
         assert_eq!(parse_error_at(at_seams(Dimacs, file, block)), 6, "{block}-byte blocks");
     }
-
-    // The Matrix Market size line after a block of comments, and a
-    // symmetric matrix whose mirrored entries straddle every seam.
-    let file: &[u8] = b"%%MatrixMarket matrix coordinate integer symmetric\n% c\n% c\n\
-        3 3 3\n1 2 7\n2 3 8\n3 3 9\n";
-    for block in [1, 8] {
-        let g = at_seams(MatrixMarket, file, block).unwrap();
-        assert_eq!(g.num_edges(), 5, "two mirrored entries and a diagonal one");
-    }
-    let mut file = file.to_vec();
-    file.extend_from_slice(b"3 1 x\n");
-    assert_eq!(parse_error_at(at_seams(MatrixMarket, &file, 8)), 8);
 }
 
 /// A load reaches the pool only when its file spans more than one block,
@@ -673,11 +546,10 @@ impl<R: BufRead> BufRead for Metered<R> {
 #[test]
 fn a_megabyte_line_is_refused_at_the_cap() {
     let endless = vec![b'7'; 1 << 20];
-    let headers: [(Format, &[u8]); 4] = [
+    let headers: [(Format, &[u8]); 3] = [
         (Format::EdgeList, b"1 2\n"),
         (Format::Konect, b"1 2\n"),
         (Format::Dimacs, b"p sp 9 9\n"),
-        (Format::MatrixMarket, b"%%MatrixMarket matrix coordinate pattern general\n"),
     ];
     for (format, header) in headers {
         for comment in [false, true] {

@@ -10,10 +10,7 @@ use ipregel_graph::builder::AddressingChoice;
 use ipregel_graph::loaders::{
     load_edge_list, read_binary, write_binary, write_edge_list,
 };
-use ipregel_graph::transform::{
-    compact_ids, dedup_edges, degree_relabeling, relabel_graph, remove_self_loops, reverse_edges,
-    symmetrize,
-};
+use ipregel_graph::transform::{degree_relabeling, relabel_graph, symmetrize};
 use ipregel_graph::{AddressMap, AddressingMode, Csr, Graph, GraphBuilder, NeighborMode};
 use proptest::prelude::*;
 
@@ -360,51 +357,6 @@ proptest! {
         for (u, v) in edges {
             prop_assert!(set.contains(&(u, v)) && set.contains(&(v, u)));
         }
-    }
-
-    #[test]
-    fn reverse_is_an_involution(edges in arb_edges()) {
-        let mut r = edges.clone();
-        reverse_edges(&mut r);
-        reverse_edges(&mut r);
-        prop_assert_eq!(r, edges);
-    }
-
-    #[test]
-    fn dedup_is_idempotent_and_loses_no_distinct_edge(edges in arb_edges()) {
-        let mut once = edges.clone();
-        dedup_edges(&mut once);
-        let mut twice = once.clone();
-        dedup_edges(&mut twice);
-        prop_assert_eq!(&once, &twice);
-        let a: HashSet<_> = edges.iter().copied().collect();
-        let b: HashSet<_> = once.iter().copied().collect();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn compact_ids_is_dense_and_consistent(edges in arb_edges()) {
-        let mut c = edges.clone();
-        let remap = compact_ids(&mut c);
-        // Dense range.
-        let used: HashSet<u32> = c.iter().flat_map(|&(u, v)| [u, v]).collect();
-        prop_assert_eq!(used.len(), remap.len());
-        prop_assert!(used.iter().all(|&x| (x as usize) < remap.len()));
-        // Structure preserved under the map.
-        for (&(u0, v0), &(u1, v1)) in edges.iter().zip(&c) {
-            prop_assert_eq!(remap[&u0], u1);
-            prop_assert_eq!(remap[&v0], v1);
-        }
-    }
-
-    #[test]
-    fn self_loop_removal_only_removes_self_loops(edges in arb_edges()) {
-        let mut cleaned = edges.clone();
-        remove_self_loops(&mut cleaned);
-        prop_assert!(cleaned.iter().all(|&(u, v)| u != v));
-        let removed = edges.len() - cleaned.len();
-        let loops = edges.iter().filter(|&&(u, v)| u == v).count();
-        prop_assert_eq!(removed, loops);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ipregel::engine::{RunConfig, RunOutput};
+use ipregel::engine::{RetryPolicy, RunConfig, RunOutput};
 use ipregel::mailbox::{Mailbox, SpinMailbox};
 use ipregel::metrics::{FootprintReport, RunStats, SuperstepStats};
 use ipregel::program::{Context, MasterDecision, VertexProgram};
@@ -40,26 +40,6 @@ use ipregel_graph::csr::Weight;
 use ipregel_graph::{AddressMap, Graph, VertexId, VertexIndex};
 use ipregel_par::prelude::*;
 
-/// Bounded retry for transient edge-stream read failures
-/// (`Interrupted` / `WouldBlock` / `TimedOut`): each failed attempt
-/// sleeps `base_backoff × 2^(attempt-1)` before re-seeking, and after
-/// `max_attempts` total attempts the error propagates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total read attempts before the error propagates (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles on each further retry.
-    pub base_backoff: Duration,
-}
-
-ipregel::impl_to_json!(RetryPolicy { max_attempts, base_backoff });
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 4, base_backoff: Duration::from_millis(1) }
-    }
-}
-
 /// Disk performance constants used to price the observed IO pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
@@ -68,8 +48,9 @@ pub struct DiskModel {
     pub read_bandwidth: f64,
     /// Cost per non-contiguous read (seek / request overhead), seconds.
     pub seek_latency: f64,
-    /// Transient-failure retry policy for edge-stream reads. Each retry
-    /// re-seeks, so it is priced as an extra seek in the model.
+    /// Retry policy for edge-stream reads that fail transiently
+    /// (`Interrupted` / `WouldBlock` / `TimedOut`). Each retry re-seeks,
+    /// so it is priced as an extra seek in the model.
     pub retry: RetryPolicy,
 }
 

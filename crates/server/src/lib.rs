@@ -23,8 +23,8 @@
 //!   with a typed error and never poisons the pool, the queue, or
 //!   concurrent requests.
 //! * **Retry with backoff** — transient failures (panics) are retried
-//!   under [`RetryPolicy`] (graphd's shape: capped attempts, doubling
-//!   backoff) within the request's remaining budget.
+//!   under [`RetryPolicy`] (capped attempts, doubling backoff) within
+//!   the request's remaining budget.
 //! * **Graceful shutdown** — [`ServerHandle::shutdown`] rejects new
 //!   admissions, drains everything already queued, joins the workers
 //!   and watchdog, and returns a [`ServerReport`] whose trace events
@@ -50,7 +50,7 @@ use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub use graphd_sim::RetryPolicy;
+pub use ipregel::RetryPolicy;
 use ipregel::trace::{ServerOutcome, TraceEvent, Tracer};
 use ipregel::{try_run, CombinerKind, LaneTracker, Lanes, RunConfig, RunError, Schedule, Version};
 use ipregel_apps::{Bfs, Hashmin, MultiHashmin, MultiHops, MultiRank, PageRank, Sssp};

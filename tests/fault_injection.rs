@@ -30,7 +30,7 @@ use ipregel::{
 };
 use ipregel_apps::{Hashmin, PageRank, Sssp};
 use ipregel_graph::loaders::{
-    load_dimacs_gr, load_edge_list, load_konect, load_matrix_market, read_binary, write_binary,
+    load_dimacs_gr, load_edge_list, load_konect, read_binary, write_binary,
 };
 use ipregel_graph::{Graph, GraphBuilder, NeighborMode, VertexId};
 use proptest::prelude::*;
@@ -823,16 +823,12 @@ proptest! {
         let _ = load_edge_list(Cursor::new(&bytes), NeighborMode::Both);
         let _ = load_konect(Cursor::new(&bytes), NeighborMode::Both);
         let _ = load_dimacs_gr(Cursor::new(&bytes), NeighborMode::OutOnly);
-        let _ = load_matrix_market(Cursor::new(&bytes), NeighborMode::OutOnly);
 
         // And again past the header checks, so the record parsers see
         // the garbage too.
         let mut gr = b"p sp 9 9\n".to_vec();
         gr.extend_from_slice(&bytes);
         let _ = load_dimacs_gr(Cursor::new(&gr), NeighborMode::OutOnly);
-        let mut mtx = b"%%MatrixMarket matrix coordinate pattern general\n9 9 9\n".to_vec();
-        mtx.extend_from_slice(&bytes);
-        let _ = load_matrix_market(Cursor::new(&mtx), NeighborMode::OutOnly);
     }
 }
 

@@ -15,18 +15,15 @@
 //!   regenerate the fixture deliberately (there is an `#[ignore]`d
 //!   `regenerate_the_pinned_fixture` test for exactly that) instead of
 //!   silently breaking stored traces.
-//! * **Back-compat**: the decoder reads the current schema and its
-//!   predecessor. Schema-3 files (no `lane`/`lanes` on
-//!   `server_request`) still decode —
-//!   `tests/fixtures/trace_schema.v3.jsonl` stays committed and reads
-//!   with the missing fields defaulting to 0; schema-1 and schema-2
-//!   headers get the typed "unsupported trace schema" error.
+//! * **One version**: the decoder reads the current schema only; every
+//!   writer emits it. Headers of schemas 0 to 3 get the typed
+//!   "unsupported trace schema" error.
 
 use std::path::Path;
 
 use ipregel::trace::{
     decode_line, decode_trace, encode_event, encode_meta, encode_trace, EngineKind, ServerOutcome,
-    TraceEvent, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    TraceEvent, SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 
@@ -88,20 +85,6 @@ fn fixture_events() -> Vec<TraceEvent> {
     ]
 }
 
-/// What the schema-3 fixture must decode to today: the same run, with
-/// the `lane`/`lanes` fields (didn't exist) defaulting to 0.
-fn v3_fixture_events() -> Vec<TraceEvent> {
-    fixture_events()
-        .into_iter()
-        .map(|e| match e {
-            TraceEvent::ServerRequest { id, queue_ns, run_ns, attempts, outcome, .. } => {
-                TraceEvent::ServerRequest { id, queue_ns, run_ns, attempts, lane: 0, lanes: 0, outcome }
-            }
-            other => other,
-        })
-        .collect()
-}
-
 #[test]
 fn schema_version_4_encoding_is_pinned_byte_for_byte() {
     assert_eq!(SCHEMA_VERSION, 4, "fixture pins version 4; regenerate it for a new schema");
@@ -131,28 +114,20 @@ fn the_committed_fixture_decodes_to_the_pinned_events() {
 }
 
 #[test]
-fn schema_3_fixture_still_decodes_with_defaulted_lane_fields() {
-    assert_eq!(MIN_SCHEMA_VERSION, 3, "the decoder reads the current schema and one predecessor");
-    assert_eq!(decode_trace(&fixture_text("trace_schema.v3.jsonl")).unwrap(), v3_fixture_events());
-}
-
-#[test]
 fn meta_header_is_pinned() {
     assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":4}");
     assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":4}").unwrap(), None);
-    // The previous schema's header is still accepted on read.
-    assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":3}").unwrap(), None);
 }
 
 #[test]
 fn unsupported_schema_versions_are_rejected() {
     let newer = "{\"type\":\"meta\",\"schema\":999}\n";
     assert!(decode_trace(newer).unwrap_err().contains("999"));
-    // Everything before the current schema's predecessor, the two
-    // once-readable versions included.
-    for ancient in [0, 1, 2] {
+    // Everything before the current schema, the three once-readable
+    // versions included.
+    for ancient in [0, 1, 2, 3] {
         let header = format!("{{\"type\":\"meta\",\"schema\":{ancient}}}\n");
-        let err = decode_trace(&header).expect_err("predates MIN_SCHEMA_VERSION");
+        let err = decode_trace(&header).expect_err("predates SCHEMA_VERSION");
         assert!(err.contains("unsupported trace schema"), "schema {ancient}: {err}");
         assert!(decode_line(header.trim_end()).is_err(), "schema {ancient} as a standalone line");
     }
@@ -167,6 +142,8 @@ fn malformed_lines_are_rejected_with_context() {
         "{\"type\":\"rss\",\"superstep\":0,\"bytes\":\"big\"}", // string where number expected
         "{\"type\":\"run_begin\",\"engine\":\"gpu\",\"slots\":1,\"threads\":1}", // unknown engine
         "{\"type\":\"pool\",\"superstep\":0}",        // pool missing counters
+        // A server request without `lane`/`lanes`, as schema 3 wrote it.
+        "{\"type\":\"server_request\",\"id\":7,\"queue_ns\":1,\"run_ns\":2,\"attempts\":1,\"outcome\":\"ok\"}",
     ] {
         assert!(decode_line(bad).is_err(), "{bad:?} should not parse");
     }
