@@ -39,13 +39,41 @@ use crate::trace::{self, TraceEvent, Tracer};
 ///
 /// The driver owns values, halted flags, the active list and the clock;
 /// a strategy owns the message buffers and the selection state that
-/// rides on them. Pool workers share it (`&self`: [`Delivery::inbox`]
-/// and, as the [`Outbound`] of every vertex context, the sends) while a
-/// superstep runs; the orchestrating thread has it to itself at the
-/// barrier — the borrow checker keeps the two phases apart.
-pub(crate) trait Delivery<P: VertexProgram>: Outbound<P::Message> + Sync {
+/// rides on them. A superstep opens the strategy in one of two ways. A
+/// *forked* one ([`Delivery::fork`]) runs its chunks on the pool's
+/// workers, each through its own copy of a [`Lane`] that synchronises
+/// wherever two threads can meet. An *exclusive* one
+/// ([`Delivery::exclusive`]) — a plan of one chunk, or a pool of one
+/// thread — runs every chunk in order on the orchestrating thread
+/// through one lane holding the strategy alone, so nothing in it is
+/// synchronised. Either way the strategy hands the driver its inbox
+/// cells, one per slot, which the driver's partition of the active list
+/// gives to the one thread running each slot. The barrier methods take
+/// the strategy to themselves; the borrow checker keeps the phases
+/// apart.
+pub(crate) trait Delivery<P: VertexProgram> {
     /// Engine label of the run's trace.
     const ENGINE: trace::EngineKind;
+
+    /// The mail waiting for one slot, as the strategy keeps it: push's
+    /// current mailbox; nothing for pull, whose vertices gather.
+    type Inbox: Send;
+
+    /// The lane a forked superstep's chunks each copy.
+    type Forked<'s>: Lane<P, Self::Inbox> + Copy + Sync
+    where
+        Self: 's;
+
+    /// The lane of an exclusive superstep.
+    type Exclusive<'s>: Lane<P, Self::Inbox>
+    where
+        Self: 's;
+
+    /// Open a forked superstep: the inbox cells and the shared lane.
+    fn fork(&mut self) -> (&mut [Self::Inbox], Self::Forked<'_>);
+
+    /// Open an exclusive superstep: the inbox cells and the one lane.
+    fn exclusive(&mut self) -> (&mut [Self::Inbox], Self::Exclusive<'_>);
 
     /// Edge-count prefix of the CSR direction a superstep's work follows
     /// (out-edges when senders do the work, in-edges when readers do):
@@ -66,15 +94,20 @@ pub(crate) trait Delivery<P: VertexProgram>: Outbound<P::Message> + Sync {
     /// message per slot — the engine-neutral shape a checkpoint stores.
     fn snapshot_inbox(&self) -> Vec<Option<P::Message>>;
 
-    /// The combined message waiting for slot `v`, consumed.
-    fn inbox(&self, v: VertexIndex) -> Option<P::Message>;
-
     /// Barrier: what the superstep sent becomes what the next one reads.
     fn flip(&mut self);
 
     /// The next superstep's active list: ascending, duplicate-free slots
     /// (the chunk planner's prefix cut needs both).
     fn select(&self, at: &Barrier<'_>) -> Vec<VertexIndex>;
+}
+
+/// How the vertices one thread runs in a superstep read their mail and
+/// send: the [`Outbound`] of every vertex context the thread builds.
+pub(crate) trait Lane<P: VertexProgram, I>: Outbound<P::Message> {
+    /// The combined message waiting for slot `v`, consumed. `cell` is
+    /// `v`'s inbox cell, this thread's alone while `v` runs.
+    fn read(&mut self, cell: &mut I, v: VertexIndex) -> Option<P::Message>;
 }
 
 /// What a strategy's selection may look at once a superstep has settled.
@@ -138,6 +171,103 @@ struct ChunkTally {
     /// The pool worker that ran the chunk (timing-dependent: any idle
     /// worker takes the next chunk, so measured rather than planned).
     worker: u64,
+}
+
+/// What every chunk of one superstep shares: the program, the driver's
+/// per-slot views and the run's clock.
+struct Superstep<'a, P: VertexProgram> {
+    graph: &'a Graph,
+    program: &'a P,
+    superstep: usize,
+    active: &'a [VertexIndex],
+    chunk_edges: &'a [u64],
+    values: SharedSlice<'a, P::Value>,
+    halted: SharedSlice<'a, bool>,
+    started: Instant,
+    deadline: Option<Duration>,
+    tracer: Option<&'a Tracer>,
+}
+
+impl<P: VertexProgram> Superstep<'_, P> {
+    /// Run chunk `ci` through `lane`, reading its vertices' mail from
+    /// `cells`.
+    ///
+    /// Chunk-boundary deadline: each chunk re-checks the wall clock
+    /// before touching its first vertex, so a single huge superstep
+    /// overruns the deadline by at most one chunk's work (grain-sized)
+    /// instead of the whole superstep. `Ok(None)` marks a chunk that
+    /// declined to run; the barrier turns that into DeadlineExceeded.
+    fn run_chunk<I: Send, L: Lane<P, I>>(
+        &self,
+        cells: &SharedSlice<'_, I>,
+        lane: &mut L,
+        (ci, c): (usize, &Chunk),
+    ) -> ChunkOutcome {
+        let active = &self.active[c.start..c.end];
+        // A panicking `compute` is caught *inside* the chunk: sibling
+        // chunks drain normally and the pool survives; the failure is
+        // joined into a `RunError::VertexPanic` at the barrier.
+        catch_unwind(AssertUnwindSafe(|| {
+            if let Some(deadline) = self.deadline {
+                if self.started.elapsed() >= deadline {
+                    return None;
+                }
+            }
+            let c_t0 = Instant::now();
+            let cont0 = trace::contention::snapshot();
+            let (mut sent, mut ran, mut awake) = (0u64, 0u64, 0u64);
+            #[cfg(feature = "chaos")]
+            crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, self.superstep as u64);
+            for &v in active {
+                // SAFETY: the active list holds distinct slots (scan
+                // filters distinct indices; the bypass worklist dedups)
+                // and the chunks partition it, so this thread is the only
+                // one touching slot `v` of the inbox cells, the halted
+                // flags and the values this superstep.
+                let inbox = lane.read(&mut *unsafe { cells.get_mut(v as usize) }, v);
+                // SAFETY: distinct slots, as above.
+                let mut halt_flag = unsafe { self.halted.get_mut(v as usize) };
+                if *halt_flag && inbox.is_none() {
+                    // Unfruitful check — the cost §6.2 factor (1)
+                    // describes for the pull scan, which lists every
+                    // vertex. The vertex does not run.
+                    continue;
+                }
+                let mut ctx = VertexCtx::<P, _>::new(self.superstep, self.graph, v, inbox, lane);
+                // SAFETY: distinct slots, as above.
+                let mut value = unsafe { self.values.get_mut(v as usize) };
+                self.program.compute(&mut value, &mut ctx);
+                *halt_flag = ctx.halt_vote;
+                sent += ctx.sent;
+                ran += 1;
+                awake += u64::from(!ctx.halt_vote);
+            }
+            let duration = c_t0.elapsed();
+            let worker = ipregel_par::current_thread_index().unwrap_or(0) as u64;
+            // Worker-side record: lands in this worker's shard, drained
+            // in chunk order at the barrier.
+            let delta = trace::contention::snapshot().delta_since(&cont0);
+            trace::emit(self.tracer, || TraceEvent::Chunk {
+                superstep: self.superstep as u64,
+                chunk: ci as u64,
+                planned_edges: self.chunk_edges[ci],
+                duration_ns: trace::ns(duration),
+                lock_acquisitions: delta.lock_acquisitions,
+                cas_retries: delta.cas_retries,
+                spin_iterations: delta.spin_iterations,
+                worker,
+            });
+            Some(ChunkTally { sent, ran, awake, duration, worker })
+        }))
+        .map_err(|payload| ChunkPanic {
+            chunk: ci,
+            vertex_range: match (active.first(), active.last()) {
+                (Some(&first), Some(&last)) => (first, last),
+                _ => (0, 0),
+            },
+            message: panic_message(payload),
+        })
+    }
 }
 
 /// Run `program` on `graph`, messages travelling by `delivery`. The one
@@ -218,89 +348,33 @@ where
         // Scheduler counters: the delta across this superstep's parallel
         // region is what the `pool` trace event and LoadStats report.
         let pool_before = ipregel_par::current_pool_stats();
-        // Chunk-boundary deadline: each chunk re-checks the wall clock
-        // before touching its first vertex, so a single huge superstep
-        // overruns the deadline by at most one chunk's work (grain-sized)
-        // instead of the whole superstep. `Ok(None)` marks a chunk that
-        // declined to run; the barrier turns that into DeadlineExceeded.
-        let deadline_opt = config.deadline;
+        // A plan the planner left whole, or any plan on a pool of one
+        // thread, is this thread's own work: no scope, no boxed job,
+        // nobody woken — and no other thread to meet at a mailbox.
+        let exclusive = plan.chunks.len() == 1 || ipregel_par::current_num_threads() == 1;
         let per_chunk: Vec<ChunkOutcome> = {
-            let values_view = SharedSlice::new(&mut values);
-            let halted_view = SharedSlice::new(&mut halted);
-            let step: &D = &delivery;
-            let active_ref: &[VertexIndex] = &active;
-            let chunk_edges: &[u64] = &plan.chunk_edges;
-            let run_chunk = |(ci, c): (usize, &Chunk)| -> ChunkOutcome {
-                // A panicking `compute` is caught *inside* the chunk:
-                // sibling chunks drain normally and the pool
-                // survives; the failure is joined into a
-                // `RunError::VertexPanic` at the barrier.
-                catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(deadline) = deadline_opt {
-                        if started.elapsed() >= deadline {
-                            return None;
-                        }
-                    }
-                    let c_t0 = Instant::now();
-                    let cont0 = trace::contention::snapshot();
-                    let (mut sent, mut ran, mut awake) = (0u64, 0u64, 0u64);
-                    #[cfg(feature = "chaos")]
-                    crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, superstep as u64);
-                    for &v in &active_ref[c.start..c.end] {
-                        let inbox = step.inbox(v);
-                        // SAFETY: the active list holds distinct slots
-                        // (scan filters distinct indices; the bypass
-                        // worklist dedups) and the chunks partition
-                        // it, so this thread is the only one touching
-                        // slot `v` of either array this superstep.
-                        let mut halt_flag = unsafe { halted_view.get_mut(v as usize) };
-                        if *halt_flag && inbox.is_none() {
-                            // Unfruitful check — the cost §6.2 factor (1)
-                            // describes for the pull scan, which lists
-                            // every vertex. The vertex does not run.
-                            continue;
-                        }
-                        let mut ctx = VertexCtx::<P, _>::new(superstep, graph, v, inbox, step);
-                        // SAFETY: distinct slots, as above.
-                        let mut value = unsafe { values_view.get_mut(v as usize) };
-                        program.compute(&mut value, &mut ctx);
-                        *halt_flag = ctx.halt_vote;
-                        sent += ctx.sent;
-                        ran += 1;
-                        awake += u64::from(!ctx.halt_vote);
-                    }
-                    let duration = c_t0.elapsed();
-                    let worker = ipregel_par::current_thread_index().unwrap_or(0) as u64;
-                    // Worker-side record: lands in this worker's
-                    // shard, drained in chunk order at the barrier.
-                    let delta = trace::contention::snapshot().delta_since(&cont0);
-                    trace::emit(tracer, || TraceEvent::Chunk {
-                        superstep: superstep as u64,
-                        chunk: ci as u64,
-                        planned_edges: chunk_edges[ci],
-                        duration_ns: trace::ns(duration),
-                        lock_acquisitions: delta.lock_acquisitions,
-                        cas_retries: delta.cas_retries,
-                        spin_iterations: delta.spin_iterations,
-                        worker,
-                    });
-                    Some(ChunkTally { sent, ran, awake, duration, worker })
-                }))
-                .map_err(|payload| ChunkPanic {
-                    chunk: ci,
-                    vertex_range: if c.end > c.start {
-                        (active_ref[c.start], active_ref[c.end - 1])
-                    } else {
-                        (0, 0)
-                    },
-                    message: panic_message(payload),
-                })
+            let step = Superstep {
+                graph,
+                program,
+                superstep,
+                active: &active,
+                chunk_edges: &plan.chunk_edges,
+                values: SharedSlice::new(&mut values),
+                halted: SharedSlice::new(&mut halted),
+                started,
+                deadline: config.deadline,
+                tracer,
             };
-            match plan.chunks.as_slice() {
-                // A plan the planner left whole is this thread's own
-                // work: no scope, no boxed job, nobody woken.
-                [whole] => vec![run_chunk((0, whole))],
-                chunks => chunks.par_iter().enumerate().map(run_chunk).collect(),
+            if exclusive {
+                let (cells, mut lane) = delivery.exclusive();
+                let cells = SharedSlice::new(cells);
+                let chunks = plan.chunks.iter().enumerate();
+                chunks.map(|chunk| step.run_chunk(&cells, &mut lane, chunk)).collect()
+            } else {
+                let (cells, lane) = delivery.fork();
+                let cells = SharedSlice::new(cells);
+                let chunks = plan.chunks.par_iter().enumerate();
+                chunks.map(|chunk| step.run_chunk(&cells, &mut { lane }, chunk)).collect()
             }
         };
         let pool_after = ipregel_par::current_pool_stats();
@@ -328,7 +402,7 @@ where
         if declined {
             // The torn superstep's partial writes are discarded along with
             // the run state, exactly like the VertexPanic path above.
-            let deadline = deadline_opt.expect("a chunk declines only when a deadline is set");
+            let deadline = config.deadline.expect("a chunk declines only when a deadline is set");
             return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
         }
 

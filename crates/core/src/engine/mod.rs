@@ -198,13 +198,17 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Where a running vertex's sends go — the engine-specific half of a
 /// [`Context`]. `broadcast` and `send_along_out_edges` return how many
 /// messages they put in flight, for the superstep's statistics.
+///
+/// The receiver is `&mut`: each thread running vertices sends through an
+/// outbound of its own, which may hold the strategy exclusively (see
+/// [`bsp::Lane`]).
 pub(crate) trait Outbound<M> {
     /// Deliver `msg` to the vertex with identifier `to`.
-    fn send(&self, to: VertexId, msg: M);
+    fn send(&mut self, to: VertexId, msg: M);
     /// Deliver `msg` to every out-neighbour of slot `from`.
-    fn broadcast(&self, from: VertexIndex, msg: M) -> u64;
+    fn broadcast(&mut self, from: VertexIndex, msg: M) -> u64;
     /// Deliver `f(weight)` along every out-edge of slot `from`.
-    fn send_along_out_edges(&self, from: VertexIndex, f: impl FnMut(Weight) -> M) -> u64;
+    fn send_along_out_edges(&mut self, from: VertexIndex, f: impl FnMut(Weight) -> M) -> u64;
 }
 
 /// The [`Context`] every in-tree engine hands to `compute`: the running
@@ -216,7 +220,7 @@ pub(crate) struct VertexCtx<'a, P: VertexProgram, O> {
     graph: &'a Graph,
     v: VertexIndex,
     inbox: Option<P::Message>,
-    out: &'a O,
+    out: &'a mut O,
     /// Messages this execution sent.
     pub sent: u64,
     /// Whether this execution voted to halt.
@@ -229,7 +233,7 @@ impl<'a, P: VertexProgram, O> VertexCtx<'a, P, O> {
         graph: &'a Graph,
         v: VertexIndex,
         inbox: Option<P::Message>,
-        out: &'a O,
+        out: &'a mut O,
     ) -> Self {
         VertexCtx { superstep, graph, v, inbox, out, sent: 0, halt_vote: false }
     }

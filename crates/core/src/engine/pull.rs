@@ -36,7 +36,7 @@ use ipregel_graph::csr::Weight;
 use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
 use ipregel_par::CachePadded;
 
-use crate::engine::bsp::{self, Barrier, Delivery};
+use crate::engine::bsp::{self, Barrier, Delivery, Lane};
 use crate::engine::{combine_into, in_pool, Outbound, RunConfig, RunResult};
 use crate::metrics::FootprintReport;
 use crate::program::VertexProgram;
@@ -224,6 +224,18 @@ struct Pull<'g, P: VertexProgram, A> {
 }
 
 impl<P: VertexProgram, A: NeighborList> Pull<'_, P, A> {
+    /// The combined message waiting for slot `v`. A resumed superstep
+    /// takes its checkpointed inbox instead of gathering; before the first
+    /// barrier nothing was broadcast, so there is nothing to walk.
+    #[inline]
+    fn inbox(&self, v: VertexIndex) -> Option<P::Message> {
+        match &self.restored {
+            Some(restored) => restored[v as usize],
+            None if self.epoch == 1 => None,
+            None => self.gather(v),
+        }
+    }
+
     /// Gather: combine the broadcasts `v`'s in-neighbours left, in
     /// in-neighbour CSR order — the only inter-vertex interaction of the
     /// pull design, and it is a read.
@@ -253,8 +265,26 @@ impl<P: VertexProgram, A: NeighborList> Pull<'_, P, A> {
     }
 }
 
-impl<P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'_, P, A> {
+impl<'g, P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'g, P, A> {
     const ENGINE: EngineKind = EngineKind::Pull;
+
+    type Inbox = ();
+    type Forked<'s>
+        = PullLane<'s, 'g, P, A>
+    where
+        Self: 's;
+    type Exclusive<'s>
+        = PullLane<'s, 'g, P, A>
+    where
+        Self: 's;
+
+    fn fork(&mut self) -> (&mut [()], PullLane<'_, 'g, P, A>) {
+        (no_cells(self.read.msgs.len()), PullLane(self))
+    }
+
+    fn exclusive(&mut self) -> (&mut [()], PullLane<'_, 'g, P, A>) {
+        self.fork()
+    }
 
     /// Pull work is dominated by the gather over in-neighbours.
     fn offsets(&self) -> &[u64] {
@@ -295,18 +325,6 @@ impl<P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'_, P, A> {
         (0..self.read.msgs.len() as u32).map(|v| self.gather(v)).collect()
     }
 
-    /// A resumed superstep takes its checkpointed inbox instead of
-    /// gathering; before the first barrier nothing was broadcast, so
-    /// there is nothing to walk.
-    #[inline]
-    fn inbox(&self, v: VertexIndex) -> Option<P::Message> {
-        match &self.restored {
-            Some(restored) => restored[v as usize],
-            None if self.epoch == 1 => None,
-            None => self.gather(v),
-        }
-    }
-
     /// Decide how the next superstep reads, then swap read/write roles
     /// and open the next epoch. Nothing is cleared: the slots the old
     /// read buffer holds carry tags of epochs that are over.
@@ -334,38 +352,66 @@ impl<P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'_, P, A> {
     }
 }
 
-impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for Pull<'_, P, A> {
-    fn send(&self, to: VertexId, _msg: P::Message) {
+/// Pull keeps no inbox per slot — its vertices gather — so its inbox
+/// cells are zero-sized: any number of them owns no memory, and leaking
+/// them frees nothing.
+fn no_cells(slots: usize) -> &'static mut [()] {
+    Vec::leak(vec![(); slots])
+}
+
+/// Pull's lane, forked or exclusive alike: a vertex writes only its own
+/// outbox slot and tag, so no two threads ever meet at one and there is
+/// nothing to synchronise either way.
+struct PullLane<'s, 'g, P: VertexProgram, A>(&'s Pull<'g, P, A>);
+
+impl<P: VertexProgram, A> Clone for PullLane<'_, '_, P, A> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: VertexProgram, A> Copy for PullLane<'_, '_, P, A> {}
+
+impl<P: VertexProgram, A: NeighborList> Lane<P, ()> for PullLane<'_, '_, P, A> {
+    #[inline]
+    fn read(&mut self, _cell: &mut (), v: VertexIndex) -> Option<P::Message> {
+        self.0.inbox(v)
+    }
+}
+
+impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for PullLane<'_, '_, P, A> {
+    fn send(&mut self, to: VertexId, _msg: P::Message) {
         panic!(
             "pull-based combiner supports neighbour broadcasts only (Section 6.2); \
              point-to-point send to {to} requires a push version"
         );
     }
 
-    fn broadcast(&self, from: VertexIndex, msg: P::Message) -> u64 {
-        let degree = self.graph.out_degree(from);
+    fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
+        let pull = self.0;
+        let degree = pull.graph.out_degree(from);
         if degree == 0 {
             // Nobody gathers from a sink and it has nobody to wake.
             return 0;
         }
-        let (slot, write) = (from as usize, &self.write);
+        let (slot, write) = (from as usize, &pull.write);
         // SAFETY: slot `from` belongs to the running vertex; vertices run
         // at most once per superstep, so both writes are exclusive.
         let (mut outbox, mut epoch) =
             unsafe { (write.msgs.get_mut(slot), write.tags.get_mut(slot)) };
-        if *epoch == self.epoch {
+        if *epoch == pull.epoch {
             P::combine(&mut outbox, msg);
         } else {
             // First broadcast of this superstep: whatever the slot held
             // is from an epoch that is over.
             *outbox = msg;
-            *epoch = self.epoch;
-            self.wrote.bump();
+            *epoch = pull.epoch;
+            pull.wrote.bump();
         }
-        if let Some((worklist, tags)) = &self.bypass {
-            let out = self.out_adj.expect("bypass requires out-adjacency, asserted at entry");
+        if let Some((worklist, tags)) = &pull.bypass {
+            let out = pull.out_adj.expect("bypass requires out-adjacency, asserted at entry");
             for n in out.neighbors_iter(from) {
-                if tags.claim(n, self.epoch) {
+                if tags.claim(n, pull.epoch) {
                     worklist.push(n);
                 }
             }
@@ -373,7 +419,11 @@ impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for Pull<'_, P, A> 
         u64::from(degree)
     }
 
-    fn send_along_out_edges(&self, _from: VertexIndex, _f: impl FnMut(Weight) -> P::Message) -> u64 {
+    fn send_along_out_edges(
+        &mut self,
+        _from: VertexIndex,
+        _f: impl FnMut(Weight) -> P::Message,
+    ) -> u64 {
         panic!("per-edge sends are a push-engine feature; the pull combiner is broadcast-only");
     }
 }

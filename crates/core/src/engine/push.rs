@@ -6,6 +6,14 @@
 //! superstep `s` reads from the *current* array while sends land in the
 //! *next* one, swapped at the barrier.
 //!
+//! **Locks only where threads meet.** A vertex reads its current mailbox
+//! through the driver's partition of the active list, so the read takes
+//! no lock ([`Mailbox::take_mut`]). A superstep the driver runs
+//! *exclusive* — one chunk, or a pool of one thread — delivers through
+//! `Exclusive`, which holds `next` and the worklist `&mut`: plain
+//! fill-or-combine, no partials. Only a forked superstep's deliveries,
+//! through `Forked`, pay the mailbox's synchronisation.
+//!
 //! Selection is either the conventional full scan (check every vertex's
 //! active flag and inbox) or the Section 4 bypass, where the sender
 //! enqueues its recipient into the next worklist at send time and the
@@ -28,7 +36,7 @@ use ipregel_graph::csr::Weight;
 use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
 use ipregel_par::prelude::*;
 
-use crate::engine::bsp::{self, Barrier, Delivery};
+use crate::engine::bsp::{self, Barrier, Delivery, Lane};
 use crate::engine::{for_each_out_edge, in_pool, target_slot, Outbound, RunConfig, RunResult};
 use crate::mailbox::Mailbox;
 use crate::metrics::FootprintReport;
@@ -120,16 +128,20 @@ struct Push<'g, P: VertexProgram, MB, A> {
     /// edge iteration go through this, not through `graph`'s
     /// representation-agnostic (and slice-only) accessors.
     adj: &'g A,
+    /// The mail of the running superstep: each mailbox read only by the
+    /// thread that runs its slot, through the driver's partition.
     cur: Vec<MB>,
+    /// The mail the running superstep sends.
     next: Vec<MB>,
     /// Each pool worker's combined sends to the slots below the span,
     /// folded into `next` at the barrier; the span is 0 unless `A`'s
     /// neighbour lists ascend.
     partials: Partials<P::Message>,
     /// The bypass needs no per-vertex tags here: the mailbox's own
-    /// empty→occupied transition (observed under its lock) is the
-    /// exactly-once enqueue signal — Section 4's sender "knows that the
-    /// recipient vertex will have to be run".
+    /// empty→occupied transition (observed under its synchronisation, or
+    /// through an exclusive borrow) is the exactly-once enqueue signal —
+    /// Section 4's sender "knows that the recipient vertex will have to be
+    /// run".
     bypass: Option<Worklist>,
     _program: PhantomData<fn() -> P>,
 }
@@ -169,29 +181,6 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Push<'g, P,
                 .collect()
         }
     }
-
-    /// The calling worker's partial, where the representation has them.
-    #[inline]
-    fn local(&self) -> Option<LocalPartial<'_, P::Message>> {
-        if A::ASCENDING {
-            self.partials.local()
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn deliver(
-        &self,
-        local: Option<&LocalPartial<'_, P::Message>>,
-        slot: VertexIndex,
-        msg: P::Message,
-    ) {
-        match local {
-            Some(partial) if slot < self.partials.span() => partial.combine(slot, msg, P::combine),
-            _ => deliver_to_mailbox::<P, MB>(&self.next, self.bypass.as_ref(), slot, msg),
-        }
-    }
 }
 
 /// Deliver into `next[slot]` under its synchronisation; the first delivery
@@ -217,10 +206,42 @@ pub fn partial_slots<M>() -> usize {
     PARTIAL_BYTES_PER_WORKER / (std::mem::size_of::<M>() + 1)
 }
 
-impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
-    for Push<'_, P, MB, A>
+impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
+    for Push<'g, P, MB, A>
 {
     const ENGINE: EngineKind = EngineKind::Push;
+
+    type Inbox = MB;
+    type Forked<'s>
+        = Forked<'s, P, MB, A>
+    where
+        Self: 's;
+    type Exclusive<'s>
+        = Exclusive<'s, P, MB, A>
+    where
+        Self: 's;
+
+    fn fork(&mut self) -> (&mut [MB], Forked<'_, P, MB, A>) {
+        let lane = Forked {
+            graph: self.graph,
+            adj: self.adj,
+            next: &self.next,
+            partials: &self.partials,
+            bypass: self.bypass.as_ref(),
+        };
+        (&mut self.cur, lane)
+    }
+
+    fn exclusive(&mut self) -> (&mut [MB], Exclusive<'_, P, MB, A>) {
+        let lane = Exclusive {
+            graph: self.graph,
+            adj: self.adj,
+            next: &mut self.next,
+            bypass: self.bypass.as_mut(),
+            _program: PhantomData,
+        };
+        (&mut self.cur, lane)
+    }
 
     /// Push work is proportional to out-degree.
     fn offsets(&self) -> &[u64] {
@@ -240,9 +261,9 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
 
     /// The combined inbox re-delivers into the fresh mailboxes.
     fn restore(&mut self, inbox: Vec<Option<P::Message>>, halted: &[bool]) -> Vec<VertexIndex> {
-        for (mailbox, m) in self.cur.iter().zip(inbox) {
+        for (mailbox, m) in self.cur.iter_mut().zip(inbox) {
             if let Some(m) = m {
-                mailbox.deliver(m, P::combine);
+                mailbox.deliver_mut(m, P::combine);
             }
         }
         self.pending(halted)
@@ -250,11 +271,6 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
 
     fn snapshot_inbox(&self) -> Vec<Option<P::Message>> {
         self.cur.iter().map(Mailbox::snapshot).collect()
-    }
-
-    #[inline]
-    fn inbox(&self, v: VertexIndex) -> Option<P::Message> {
-        self.cur[v as usize].take()
     }
 
     /// Fold the workers' partials into `next`, after which every delivery
@@ -275,14 +291,68 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
     }
 }
 
-impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Message>
-    for Push<'_, P, MB, A>
+/// A forked superstep's lane: every chunk delivers into the shared `next`
+/// under the mailbox's synchronisation, or on the compact CSR into its
+/// worker's partial. Its inbox reads lock nothing — the cell is the
+/// running vertex's own.
+struct Forked<'s, P: VertexProgram, MB, A> {
+    graph: &'s Graph,
+    adj: &'s A,
+    next: &'s [MB],
+    partials: &'s Partials<P::Message>,
+    bypass: Option<&'s Worklist>,
+}
+
+impl<P: VertexProgram, MB, A> Clone for Forked<'_, P, MB, A> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: VertexProgram, MB, A> Copy for Forked<'_, P, MB, A> {}
+
+impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Forked<'_, P, MB, A> {
+    /// The calling worker's partial, where the representation has them.
+    #[inline]
+    fn local(&self) -> Option<LocalPartial<'_, P::Message>> {
+        if A::ASCENDING {
+            self.partials.local()
+        } else {
+            None
+        }
+    }
+
+    #[inline]
+    fn deliver(
+        &self,
+        local: Option<&LocalPartial<'_, P::Message>>,
+        slot: VertexIndex,
+        msg: P::Message,
+    ) {
+        match local {
+            Some(partial) if slot < self.partials.span() => partial.combine(slot, msg, P::combine),
+            _ => deliver_to_mailbox::<P, MB>(self.next, self.bypass, slot, msg),
+        }
+    }
+}
+
+impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Lane<P, MB>
+    for Forked<'_, P, MB, A>
 {
-    fn send(&self, to: VertexId, msg: P::Message) {
+    #[inline]
+    fn read(&mut self, cell: &mut MB, _v: VertexIndex) -> Option<P::Message> {
+        cell.take_mut()
+    }
+}
+
+impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Message>
+    for Forked<'_, P, MB, A>
+{
+    fn send(&mut self, to: VertexId, msg: P::Message) {
         self.deliver(self.local().as_ref(), target_slot(self.graph, to), msg);
     }
 
-    fn broadcast(&self, from: VertexIndex, msg: P::Message) -> u64 {
+    fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
         let local = self.local();
         let mut sent = 0;
         for n in self.adj.neighbors_iter(from) {
@@ -292,11 +362,79 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Mes
         sent
     }
 
-    fn send_along_out_edges(&self, from: VertexIndex, mut f: impl FnMut(Weight) -> P::Message) -> u64 {
+    fn send_along_out_edges(
+        &mut self,
+        from: VertexIndex,
+        mut f: impl FnMut(Weight) -> P::Message,
+    ) -> u64 {
         let local = self.local();
         let mut sent = 0;
         for_each_out_edge(self.adj, from, |n, w| {
             self.deliver(local.as_ref(), n, f(w));
+            sent += 1;
+        });
+        sent
+    }
+}
+
+/// An exclusive superstep's lane: the orchestrating thread holds the
+/// mailboxes and the worklist alone, so every delivery is a plain
+/// fill-or-combine and the bypass appends to one shard. No partials —
+/// `next` itself is as private as a partial would be.
+struct Exclusive<'s, P, MB, A> {
+    graph: &'s Graph,
+    adj: &'s A,
+    next: &'s mut [MB],
+    bypass: Option<&'s mut Worklist>,
+    _program: PhantomData<fn() -> P>,
+}
+
+impl<P: VertexProgram, MB: Mailbox<P::Message>, A> Exclusive<'_, P, MB, A> {
+    #[inline]
+    fn deliver(&mut self, slot: VertexIndex, msg: P::Message) {
+        let first = self.next[slot as usize].deliver_mut(msg, P::combine);
+        if first {
+            if let Some(worklist) = self.bypass.as_deref_mut() {
+                worklist.push_mut(slot);
+            }
+        }
+    }
+}
+
+impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Lane<P, MB>
+    for Exclusive<'_, P, MB, A>
+{
+    #[inline]
+    fn read(&mut self, cell: &mut MB, _v: VertexIndex) -> Option<P::Message> {
+        cell.take_mut()
+    }
+}
+
+impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Message>
+    for Exclusive<'_, P, MB, A>
+{
+    fn send(&mut self, to: VertexId, msg: P::Message) {
+        self.deliver(target_slot(self.graph, to), msg);
+    }
+
+    fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
+        let adj = self.adj;
+        let mut sent = 0;
+        for n in adj.neighbors_iter(from) {
+            self.deliver(n, msg);
+            sent += 1;
+        }
+        sent
+    }
+
+    fn send_along_out_edges(
+        &mut self,
+        from: VertexIndex,
+        mut f: impl FnMut(Weight) -> P::Message,
+    ) -> u64 {
+        let mut sent = 0;
+        for_each_out_edge(self.adj, from, |n, w| {
+            self.deliver(n, f(w));
             sent += 1;
         });
         sent

@@ -11,7 +11,6 @@
 //! arrival order (ascending sender slot), which makes it useful for
 //! debugging user programs whose combine is accidentally order-sensitive.
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -133,11 +132,7 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
         // as the same `VertexPanic` the parallel engines produce.
         let deadline_opt = config.deadline;
         let step = catch_unwind(AssertUnwindSafe(|| {
-            let out = SeqOut::<P, A> {
-                graph,
-                adj: out_adj,
-                next: Cell::from_mut(&mut next[..]).as_slice_of_cells(),
-            };
+            let mut out = SeqOut::<P, A> { graph, adj: out_adj, next: &mut next };
             let mut sent = 0u64;
             let mut active = 0u64;
             let mut edges = 0u64;
@@ -161,7 +156,7 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
                 }
                 active += 1;
                 edges += u64::from(graph.out_degree(v));
-                let mut ctx = VertexCtx::<P, _>::new(superstep, graph, v, inbox, &out);
+                let mut ctx = VertexCtx::<P, _>::new(superstep, graph, v, inbox, &mut out);
                 // `values[v]` and the context borrow disjoint state.
                 let mut value = values[v as usize].clone();
                 program.compute(&mut value, &mut ctx);
@@ -253,37 +248,31 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
 }
 
 /// Where the oracle's sends go: straight into the one `next` buffer, in
-/// program order. Cells because a [`VertexCtx`] holds its [`Outbound`]
-/// shared; single-threaded, so they cost nothing.
+/// program order.
 struct SeqOut<'a, P: VertexProgram, A: NeighborList> {
     graph: &'a Graph,
     /// The out-adjacency in its concrete representation.
     adj: &'a A,
-    next: &'a [Cell<Option<P::Message>>],
-}
-
-impl<P: VertexProgram, A: NeighborList> SeqOut<'_, P, A> {
-    fn deliver(&self, slot: VertexIndex, msg: P::Message) {
-        let cell = &self.next[slot as usize];
-        let mut held = cell.get();
-        combine_into::<P>(&mut held, msg);
-        cell.set(held);
-    }
+    next: &'a mut [Option<P::Message>],
 }
 
 impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for SeqOut<'_, P, A> {
-    fn send(&self, to: VertexId, msg: P::Message) {
-        self.deliver(target_slot(self.graph, to), msg);
+    fn send(&mut self, to: VertexId, msg: P::Message) {
+        combine_into::<P>(&mut self.next[target_slot(self.graph, to) as usize], msg);
     }
 
-    fn broadcast(&self, from: VertexIndex, msg: P::Message) -> u64 {
+    fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
         self.send_along_out_edges(from, |_| msg)
     }
 
-    fn send_along_out_edges(&self, from: VertexIndex, mut f: impl FnMut(Weight) -> P::Message) -> u64 {
+    fn send_along_out_edges(
+        &mut self,
+        from: VertexIndex,
+        mut f: impl FnMut(Weight) -> P::Message,
+    ) -> u64 {
         let mut sent = 0;
         for_each_out_edge(self.adj, from, |n, w| {
-            self.deliver(n, f(w));
+            combine_into::<P>(&mut self.next[n as usize], f(w));
             sent += 1;
         });
         sent

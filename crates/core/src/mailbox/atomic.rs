@@ -119,11 +119,40 @@ impl<M: PackMessage + Send + Sync> Mailbox<M> for AtomicMailbox<M> {
         }
     }
 
+    fn deliver_mut(&mut self, msg: M, combine: fn(&mut M, M)) -> bool {
+        // ordering(Relaxed): exclusive borrow, so no store can race this
+        // read-modify-write; the fork or join that hands the mailbox to
+        // its next user publishes it
+        let cur = self.state.load(Ordering::Relaxed);
+        let first = cur == EMPTY;
+        let next = if first {
+            msg.pack()
+        } else {
+            let mut old = M::unpack(cur);
+            combine(&mut old, msg);
+            old.pack()
+        };
+        // ordering(Relaxed): as for the load above
+        self.state.store(next, Ordering::Relaxed);
+        first
+    }
+
     fn take(&self) -> Option<M> {
         // ordering(Acquire): pairs with the AcqRel install in `deliver`
         // so the packed message's provenance is visible to the reader
         let bits = self.state.swap(EMPTY, Ordering::Acquire);
         (bits != EMPTY).then(|| M::unpack(bits))
+    }
+
+    fn take_mut(&mut self) -> Option<M> {
+        // ordering(Relaxed): exclusive borrow, as in `deliver_mut`
+        let bits = self.state.load(Ordering::Relaxed);
+        if bits == EMPTY {
+            return None;
+        }
+        // ordering(Relaxed): as for the load above
+        self.state.store(EMPTY, Ordering::Relaxed);
+        Some(M::unpack(bits))
     }
 
     fn has_message(&self) -> bool {
@@ -182,6 +211,21 @@ mod tests {
     #[test]
     fn concurrent_sum_loses_nothing() {
         conformance::concurrent_sum_loses_nothing::<AtomicMailbox<u32>>();
+    }
+
+    #[test]
+    fn exclusive_fill_combine_take() {
+        conformance::exclusive_fill_combine_take::<AtomicMailbox<u32>>();
+    }
+
+    #[test]
+    fn shared_and_exclusive_paths_interleave() {
+        conformance::shared_and_exclusive_paths_interleave::<AtomicMailbox<u32>>();
+    }
+
+    #[test]
+    fn exclusive_reads_what_threads_delivered() {
+        conformance::exclusive_reads_what_threads_delivered::<AtomicMailbox<u32>>();
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! The pull-based combiner (Section 6.2) needs no mailbox locking at all;
 //! it lives in the pull engine, not here.
 //!
+//! Each flavour also has an exclusive pair, [`Mailbox::deliver_mut`] and
+//! [`Mailbox::take_mut`], for a caller that holds the mailbox `&mut` and so
+//! meets no other thread there: the push engine's inbox reads, and every
+//! delivery of a superstep the orchestrating thread runs alone. The
+//! synchronisation above is paid only where two threads can meet.
+//!
 //! Engines keep **two** mailbox arrays and swap them every superstep:
 //! vertices read superstep `s` messages from the *current* array while
 //! sends for superstep `s + 1` land in the *next* array, realising BSP
@@ -44,9 +50,19 @@ pub trait Mailbox<M: Copy>: Send + Sync {
     /// (Section 4: the sender already knows, it holds the inbox).
     fn deliver(&self, msg: M, combine: fn(&mut M, M)) -> bool;
 
+    /// [`Mailbox::deliver`] through an exclusive borrow: no other thread
+    /// can reach the mailbox, so nothing is locked, no CAS can fail and no
+    /// contention is counted. Same fill-or-combine, same first-delivery
+    /// signal.
+    fn deliver_mut(&mut self, msg: M, combine: fn(&mut M, M)) -> bool;
+
     /// Remove and return the occupant. Called in the read phase, where the
     /// engine guarantees no concurrent `deliver` on the same buffer.
     fn take(&self) -> Option<M>;
+
+    /// [`Mailbox::take`] through an exclusive borrow, unsynchronised as
+    /// [`Mailbox::deliver_mut`] is.
+    fn take_mut(&mut self) -> Option<M>;
 
     /// Cheap occupancy peek used by scan selection.
     fn has_message(&self) -> bool;
@@ -59,6 +75,22 @@ pub trait Mailbox<M: Copy>: Send + Sync {
     /// Bytes of synchronisation state per mailbox (the paper's 40-byte
     /// mutex vs 4-byte spinlock comparison); 0 for lock-free mailboxes.
     fn lock_bytes() -> usize;
+}
+
+/// Fill an empty slot with `msg` or `combine` it into the occupant;
+/// whether the slot was empty.
+#[inline]
+fn fill_or_combine<M>(slot: &mut Option<M>, msg: M, combine: fn(&mut M, M)) -> bool {
+    match slot {
+        Some(old) => {
+            combine(old, msg);
+            false
+        }
+        None => {
+            *slot = Some(msg);
+            true
+        }
+    }
 }
 
 #[cfg(all(test, not(loom)))]
@@ -95,6 +127,69 @@ pub(crate) mod conformance {
         assert!(!mb.deliver(9, min32));
         assert!(!mb.deliver(2, min32));
         assert_eq!(mb.take(), Some(2));
+    }
+
+    pub fn exclusive_fill_combine_take<MB: Mailbox<u32>>() {
+        let mut mb = MB::empty();
+        assert_eq!(mb.take_mut(), None, "an empty mailbox yields nothing");
+        assert!(!mb.has_message());
+        assert!(mb.deliver_mut(5, min32), "the first delivery fills");
+        assert!(mb.has_message());
+        assert_eq!(mb.snapshot(), Some(5));
+        assert!(!mb.deliver_mut(9, min32));
+        assert!(!mb.deliver_mut(2, min32));
+        assert_eq!(mb.take_mut(), Some(2));
+        assert!(!mb.has_message());
+        assert_eq!(mb.snapshot(), None);
+        assert_eq!(mb.take_mut(), None, "take_mut empties the mailbox");
+        assert!(mb.deliver_mut(7, min32), "an emptied mailbox fills afresh");
+        assert_eq!(mb.take_mut(), Some(7));
+    }
+
+    pub fn shared_and_exclusive_paths_interleave<MB: Mailbox<u32>>() {
+        let mut mb = MB::empty();
+        // Shared fill, exclusive combine, shared take.
+        assert!(mb.deliver(8, min32));
+        assert!(!mb.deliver_mut(3, min32));
+        assert_eq!(mb.take(), Some(3));
+        // Exclusive fill, shared combine, exclusive take.
+        assert!(mb.deliver_mut(6, min32));
+        assert!(!mb.deliver(4, min32));
+        assert!(mb.has_message());
+        assert_eq!(mb.take_mut(), Some(4));
+        // Emptied by one path, each path sees the empty mailbox.
+        assert_eq!(mb.take(), None);
+        assert!(mb.deliver(1, min32));
+        assert_eq!(mb.take_mut(), Some(1));
+        assert_eq!(mb.take(), None);
+        assert!(mb.deliver_mut(2, min32));
+        assert_eq!(mb.take(), Some(2));
+        assert_eq!(mb.take_mut(), None);
+    }
+
+    pub fn exclusive_reads_what_threads_delivered<MB: Mailbox<u32>>() {
+        // A forked superstep's deliveries, then the exclusive read and
+        // exclusive deliveries of the superstep after the join.
+        fn add(old: &mut u32, new: u32) {
+            *old += new;
+        }
+        let (threads, iters) = if cfg!(miri) { (2u32, 50u32) } else { (4, 1000) };
+        let mut mb = MB::empty();
+        for round in 1..=3u32 {
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    let mb = &mb;
+                    s.spawn(move || {
+                        for _ in 0..iters {
+                            mb.deliver(round, add);
+                        }
+                    });
+                }
+            });
+            assert!(!mb.deliver_mut(round, add), "round {round}: the threads filled it");
+            assert_eq!(mb.take_mut(), Some(round * (threads * iters + 1)), "round {round}");
+            assert!(!mb.has_message());
+        }
     }
 
     pub fn concurrent_delivery_is_linearizable<MB: Mailbox<u32>>() {

@@ -10,7 +10,7 @@
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::lockorder::{classes, OrderedMutex};
 
-use super::Mailbox;
+use super::{fill_or_combine, Mailbox};
 
 /// A single-message mailbox protected by a blocking mutex (the shim's
 /// `Mutex` behind the lock-order wrapper).
@@ -37,20 +37,25 @@ impl<M: Copy + Send> Mailbox<M> for MutexMailbox<M> {
         // lock-order(mailbox.slot)
         let mut guard = self.slot.lock().expect("mailbox lock poisoned");
         crate::trace::contention::note_lock_acquisition();
-        match guard.as_mut() {
-            Some(old) => {
-                combine(old, msg);
-                false
-            }
-            None => {
-                *guard = Some(msg);
-                // ordering(Relaxed): advisory occupancy shadow; written
-                // under the slot lock, read by scan selection only after
-                // deliveries quiesce at the superstep barrier
-                self.has.store(true, Ordering::Relaxed);
-                true
-            }
+        let first = fill_or_combine(&mut guard, msg, combine);
+        if first {
+            // ordering(Relaxed): advisory occupancy shadow; written
+            // under the slot lock, read by scan selection only after
+            // deliveries quiesce at the superstep barrier
+            self.has.store(true, Ordering::Relaxed);
         }
+        first
+    }
+
+    fn deliver_mut(&mut self, msg: M, combine: fn(&mut M, M)) -> bool {
+        let first = self.slot.with_mut(|slot| fill_or_combine(slot, msg, combine));
+        if first {
+            // ordering(Relaxed): advisory occupancy shadow under an
+            // exclusive borrow; the fork or join that hands the mailbox
+            // to its next user publishes it
+            self.has.store(true, Ordering::Relaxed);
+        }
+        first
     }
 
     fn take(&self) -> Option<M> {
@@ -62,6 +67,16 @@ impl<M: Copy + Send> Mailbox<M> for MutexMailbox<M> {
         if m.is_some() {
             // ordering(Relaxed): advisory occupancy shadow, written in
             // the exclusive read phase
+            self.has.store(false, Ordering::Relaxed);
+        }
+        m
+    }
+
+    fn take_mut(&mut self) -> Option<M> {
+        let m = self.slot.with_mut(Option::take);
+        if m.is_some() {
+            // ordering(Relaxed): advisory occupancy shadow under an
+            // exclusive borrow, as in `deliver_mut`
             self.has.store(false, Ordering::Relaxed);
         }
         m
@@ -106,6 +121,21 @@ mod tests {
     #[test]
     fn concurrent_sum_loses_nothing() {
         conformance::concurrent_sum_loses_nothing::<MutexMailbox<u32>>();
+    }
+
+    #[test]
+    fn exclusive_fill_combine_take() {
+        conformance::exclusive_fill_combine_take::<MutexMailbox<u32>>();
+    }
+
+    #[test]
+    fn shared_and_exclusive_paths_interleave() {
+        conformance::shared_and_exclusive_paths_interleave::<MutexMailbox<u32>>();
+    }
+
+    #[test]
+    fn exclusive_reads_what_threads_delivered() {
+        conformance::exclusive_reads_what_threads_delivered::<MutexMailbox<u32>>();
     }
 
     #[test]

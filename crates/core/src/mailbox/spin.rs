@@ -22,7 +22,7 @@ use crate::sync::cell::UnsafeCell;
 use crate::sync::hint::spin_loop;
 use crate::sync::lockorder::{self, classes, Held, LockClass};
 
-use super::Mailbox;
+use super::{fill_or_combine, Mailbox};
 
 /// A minimal test-and-set spinlock: the busy-waiting synchronisation of
 /// Section 6.1.
@@ -196,7 +196,8 @@ pub struct SpinMailbox<M> {
     slot: UnsafeCell<Option<M>>,
 }
 
-// SAFETY: `slot` is only touched while `lock` is held; M: Send suffices.
+// SAFETY: shared access to `slot` happens only while `lock` is held
+// (exclusive access needs `&mut self`); M: Send suffices.
 unsafe impl<M: Copy + Send> Sync for SpinMailbox<M> {}
 // SAFETY: moving the mailbox moves the M by value; M: Send suffices.
 unsafe impl<M: Copy + Send> Send for SpinMailbox<M> {}
@@ -209,25 +210,27 @@ impl<M: Copy + Send> Mailbox<M> for SpinMailbox<M> {
     fn deliver(&self, msg: M, combine: fn(&mut M, M)) -> bool {
         // lock-order(mailbox.spin)
         let _guard = self.lock.lock();
-        self.slot.with_mut(|p| {
-            // SAFETY: the spinlock guard is held for the whole closure;
-            // every other slot access also runs under the lock.
-            let slot = unsafe { &mut *p };
-            match slot.as_mut() {
-                Some(old) => {
-                    combine(old, msg);
-                    false
-                }
-                None => {
-                    *slot = Some(msg);
-                    // ordering(Relaxed): advisory occupancy shadow,
-                    // written under the spinlock; scan selection reads
-                    // it only after the superstep barrier
-                    self.has.store(true, Ordering::Relaxed);
-                    true
-                }
-            }
-        })
+        // SAFETY: the spinlock guard is held for the whole closure; every
+        // other shared slot access also runs under the lock.
+        let first = self.slot.with_mut(|p| fill_or_combine(unsafe { &mut *p }, msg, combine));
+        if first {
+            // ordering(Relaxed): advisory occupancy shadow, written under
+            // the spinlock; scan selection reads it only after the
+            // superstep barrier
+            self.has.store(true, Ordering::Relaxed);
+        }
+        first
+    }
+
+    fn deliver_mut(&mut self, msg: M, combine: fn(&mut M, M)) -> bool {
+        let first = fill_or_combine(self.slot.get_mut(), msg, combine);
+        if first {
+            // ordering(Relaxed): advisory occupancy shadow under an
+            // exclusive borrow; the fork or join that hands the mailbox
+            // to its next user publishes it
+            self.has.store(true, Ordering::Relaxed);
+        }
+        first
     }
 
     fn take(&self) -> Option<M> {
@@ -243,6 +246,16 @@ impl<M: Copy + Send> Mailbox<M> for SpinMailbox<M> {
             }
             m
         })
+    }
+
+    fn take_mut(&mut self) -> Option<M> {
+        let m = self.slot.get_mut().take();
+        if m.is_some() {
+            // ordering(Relaxed): advisory occupancy shadow under an
+            // exclusive borrow, as in `deliver_mut`
+            self.has.store(false, Ordering::Relaxed);
+        }
+        m
     }
 
     fn has_message(&self) -> bool {
@@ -384,5 +397,20 @@ mod tests {
     #[test]
     fn concurrent_sum_loses_nothing() {
         conformance::concurrent_sum_loses_nothing::<SpinMailbox<u32>>();
+    }
+
+    #[test]
+    fn exclusive_fill_combine_take() {
+        conformance::exclusive_fill_combine_take::<SpinMailbox<u32>>();
+    }
+
+    #[test]
+    fn shared_and_exclusive_paths_interleave() {
+        conformance::shared_and_exclusive_paths_interleave::<SpinMailbox<u32>>();
+    }
+
+    #[test]
+    fn exclusive_reads_what_threads_delivered() {
+        conformance::exclusive_reads_what_threads_delivered::<SpinMailbox<u32>>();
     }
 }

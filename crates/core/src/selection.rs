@@ -87,15 +87,24 @@ impl Worklist {
     pub fn push(&self, v: VertexIndex) {
         match ipregel_par::current_thread_index() {
             // SAFETY: worker `i` is the only thread that ever touches
-            // shard `i` inside a parallel region (pool worker indices
-            // are unique within the pool).
-            Some(i) => unsafe { self.push_to_shard(i % self.shards.len(), v) },
+            // shard `i % shards` inside a parallel region (pool worker
+            // indices are unique within the pool, and the pool has as
+            // many threads as the worklist has shards).
+            Some(i) => unsafe { self.push_to_shard(i, v) },
             // lock-order(worklist.fallback)
             None => self.fallback.lock().expect("worklist fallback poisoned").push(v),
         }
     }
 
-    /// Append `v` to a specific shard.
+    /// Append `v` through an exclusive borrow — a superstep the
+    /// orchestrating thread runs alone: into the first shard, with no
+    /// worker-index lookup and no lock.
+    #[inline]
+    pub fn push_mut(&mut self, v: VertexIndex) {
+        self.shards[0].get_mut().push(v);
+    }
+
+    /// Append `v` to shard `shard % shards`.
     ///
     /// [`Worklist::push`] derives the shard from the pool worker index;
     /// the loom suite calls this directly (one model thread per shard)

@@ -97,6 +97,13 @@ pub mod cell {
         pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
             f(self.0.get())
         }
+
+        /// The contents, through an exclusive borrow of the cell: no
+        /// other access can be live, so none needs tracking.
+        #[inline]
+        pub fn get_mut(&mut self) -> &mut T {
+            self.0.get_mut()
+        }
     }
 
     /// Loom's checked cell behind the same API.
@@ -119,6 +126,13 @@ pub mod cell {
         /// Run `f` with a write pointer to the contents (tracked).
         pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
             self.0.with_mut(f)
+        }
+
+        /// The contents, through an exclusive borrow of the cell.
+        pub fn get_mut(&mut self) -> &mut T {
+            // SAFETY: `&mut self` rules out every other access for the
+            // returned borrow's lifetime, tracked or not.
+            self.0.with_mut(|p| unsafe { &mut *p })
         }
     }
 }
@@ -220,6 +234,26 @@ pub mod lockorder {
                     _held: held,
                     inner: poisoned.into_inner(),
                 })),
+            }
+        }
+
+        /// Run `f` on the value without locking: `&mut self` already
+        /// rules out every other holder, so there is nothing to order
+        /// against. (Loom's mutex has no `get_mut`; there an uncontended
+        /// `lock` stands in.)
+        ///
+        /// # Panics
+        /// If an earlier holder panicked, as the `lock().expect(..)` call
+        /// sites do.
+        #[inline]
+        pub fn with_mut<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
+            #[cfg(not(loom))]
+            {
+                f(self.inner.get_mut().expect("lock poisoned"))
+            }
+            #[cfg(loom)]
+            {
+                f(&mut self.inner.lock().expect("lock poisoned"))
             }
         }
 

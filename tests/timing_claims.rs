@@ -106,11 +106,14 @@ fn light_supersteps_run_whole_and_spawn_nothing() {
     );
     // A forked superstep pushes one job per chunk, and the selection
     // that built its frontier at most one region more (the dense rebuild
-    // or a long sort: threads × 8 jobs); a whole one pushes nothing.
-    let region = (ipregel_par::current_num_threads() * 8) as u64;
-    let forked = chunks.iter().filter(|&&c| c > 1);
-    let (floor, cap) =
-        forked.fold((0, 0), |(f, c), &n| (f + n as u64, c + n as u64 + region));
+    // or a long sort: threads × 8 jobs); a whole one pushes nothing. On
+    // a one-thread pool a cut superstep runs exclusive and pushes nothing
+    // either; only its selection may reach the pool.
+    let threads = ipregel_par::current_num_threads();
+    let region = (threads * 8) as u64;
+    let jobs = |n: usize| if threads > 1 { n as u64 } else { 0 };
+    let cut = chunks.iter().filter(|&&c| c > 1);
+    let (floor, cap) = cut.fold((0, 0), |(f, c), &n| (f + jobs(n), c + jobs(n) + region));
     assert!(
         (floor..=cap).contains(&spawned),
         "the pool saw {spawned} jobs; the forked supersteps account for {floor}..={cap}"
