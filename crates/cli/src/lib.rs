@@ -1266,6 +1266,30 @@ mod tests {
         }
     }
 
+    /// Any in-range source id goes through `Relabeling::new_id`, and
+    /// every id a command prints comes back through `old_id`: with
+    /// `--relabel degree`, each command that takes a source prints what
+    /// it prints without, for every source the graph has.
+    #[test]
+    fn every_source_round_trips_through_relabelling() {
+        // A hub, an odd cycle, a chain into a sink and a base offset, so
+        // the permutation moves every id and sources reach differently.
+        let mut edges = String::new();
+        for i in 11..17u32 {
+            edges.push_str(&format!("10 {i} {}\n{i} 10 {}\n", i - 10, i - 10));
+        }
+        edges.push_str("16 17 3\n17 18 2\n18 19 5\n19 17 1\n19 20 4\n20 21 2\n");
+        let f = temp_graph(&edges, "txt");
+        for cmd in ["sssp", "bfs", "ppr --rounds 5", "diameter", "bipartite", "widest"] {
+            for source in 10..=21u32 {
+                let base = format!("{cmd} --graph {} --source {source}", f.0.display());
+                let plain = run_cli(&args(&base)).unwrap();
+                let relabelled = run_cli(&args(&format!("{base} --relabel degree"))).unwrap();
+                assert_eq!(stable_tail(&relabelled), stable_tail(&plain), "{base}");
+            }
+        }
+    }
+
     #[test]
     fn diameter_maps_endpoints_back_through_relabelling() {
         // A path 10-11-12-13: pseudo-diameter 3 between the endpoints,

@@ -30,9 +30,8 @@ use crate::engine::{
 use crate::metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};
 use crate::program::{MasterDecision, VertexProgram};
 use crate::recover::{DynHooks, ResumeState};
-use crate::selection::Worklist;
 use crate::sync_cell::SharedSlice;
-use crate::trace::{self, TraceEvent, Tracer};
+use crate::trace::{self, contention::ContentionSnapshot, TraceEvent, Tracer};
 
 /// How messages travel from the superstep that sends them to the one
 /// that reads them, and which vertices that wakes.
@@ -41,14 +40,15 @@ use crate::trace::{self, TraceEvent, Tracer};
 /// a strategy owns the message buffers and the selection state that
 /// rides on them. A superstep opens the strategy in one of two ways. A
 /// *forked* one ([`Delivery::fork`]) runs its chunks on the pool's
-/// workers, each through its own copy of a [`Lane`] that synchronises
+/// workers, each through its own clone of a [`Lane`] that synchronises
 /// wherever two threads can meet. An *exclusive* one
 /// ([`Delivery::exclusive`]) — a plan of one chunk, or a pool of one
 /// thread — runs every chunk in order on the orchestrating thread
 /// through one lane holding the strategy alone, so nothing in it is
 /// synchronised. Either way the strategy hands the driver its inbox
 /// cells, one per slot, which the driver's partition of the active list
-/// gives to the one thread running each slot. The barrier methods take
+/// gives to the one thread running each slot, and each chunk hands its
+/// lane's [`ChunkOutput`] back with its tally. The barrier methods take
 /// the strategy to themselves; the borrow checker keeps the phases
 /// apart.
 pub(crate) trait Delivery<P: VertexProgram> {
@@ -59,8 +59,8 @@ pub(crate) trait Delivery<P: VertexProgram> {
     /// current mailbox; nothing for pull, whose vertices gather.
     type Inbox: Send;
 
-    /// The lane a forked superstep's chunks each copy.
-    type Forked<'s>: Lane<P, Self::Inbox> + Copy + Sync
+    /// The lane a forked superstep's chunks each clone.
+    type Forked<'s>: Lane<P, Self::Inbox> + Clone + Sync
     where
         Self: 's;
 
@@ -95,11 +95,12 @@ pub(crate) trait Delivery<P: VertexProgram> {
     fn snapshot_inbox(&self) -> Vec<Option<P::Message>>;
 
     /// Barrier: what the superstep sent becomes what the next one reads.
-    fn flip(&mut self);
+    /// `outputs` are the superstep's chunk outputs, in chunk order.
+    fn flip(&mut self, outputs: Vec<ChunkOutput>);
 
     /// The next superstep's active list: ascending, duplicate-free slots
     /// (the chunk planner's prefix cut needs both).
-    fn select(&self, at: &Barrier<'_>) -> Vec<VertexIndex>;
+    fn select(&mut self, at: &Barrier<'_>) -> Vec<VertexIndex>;
 }
 
 /// How the vertices one thread runs in a superstep read their mail and
@@ -108,6 +109,21 @@ pub(crate) trait Lane<P: VertexProgram, I>: Outbound<P::Message> {
     /// The combined message waiting for slot `v`, consumed. `cell` is
     /// `v`'s inbox cell, this thread's alone while `v` runs.
     fn read(&mut self, cell: &mut I, v: VertexIndex) -> Option<P::Message>;
+
+    /// What the lane gathered for the barrier since it was opened or last
+    /// asked: called once at the end of every chunk it runs.
+    fn take_output(&mut self) -> ChunkOutput;
+}
+
+/// What one chunk's lane hands the barrier, beside the chunk's tally.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkOutput {
+    /// Slots the chunk enqueued under the selection bypass, each once per
+    /// superstep. An exclusive lane appends to its strategy's own list
+    /// instead and hands back nothing here.
+    pub enqueued: Vec<VertexIndex>,
+    /// Pull: distinct slots with out-edges that wrote their outbox.
+    pub wrote: u64,
 }
 
 /// What a strategy's selection may look at once a superstep has settled.
@@ -125,36 +141,38 @@ pub(crate) struct Barrier<'a> {
 
 /// The next active list under the selection bypass (Section 4): every
 /// vertex halts each superstep, so next active ≡ message recipients ≡
-/// the worklist.
+/// `queued`, what the superstep enqueued. Empties `queued`, keeping its
+/// capacity for the next superstep.
 ///
 /// Dense/sparse switch (an extension in the spirit of Ligra): when most
-/// vertices are active anyway, `dense` rebuilds the ordered list in one
-/// slot-order pass, cheaper than sorting the randomly-ordered worklist;
+/// vertices are active anyway, `None` tells the strategy to rebuild the
+/// ordered list in one slot-order pass, cheaper than sorting the queue;
 /// when few are, the sorted drain avoids the O(|V|) pass entirely.
-/// Enqueue order is a race artefact: sorting restores the scan's
-/// sequential memory-access pattern and gives the chunk planner the
-/// ascending list its prefix cut needs. O(active log active) on this
-/// thread — and close to O(active) after a superstep that ran as one
-/// chunk, whose single thread queued its recipients nearly in order.
+/// Enqueue order follows chunk order, not slot order: sorting restores
+/// the scan's sequential memory-access pattern and gives the chunk
+/// planner the ascending list its prefix cut needs. O(active log active)
+/// on this thread — and close to O(active) after a superstep that ran as
+/// one chunk, whose single thread queued its recipients nearly in order.
 pub(crate) fn bypass_select(
-    worklist: &Worklist,
+    queued: &mut Vec<VertexIndex>,
     map: &AddressMap,
     at: &Barrier<'_>,
-    dense: impl FnOnce() -> Vec<VertexIndex>,
-) -> Vec<VertexIndex> {
-    let mut drained = worklist.take();
-    if drained.len() * 8 >= map.num_vertices() as usize {
-        return dense();
+) -> Option<Vec<VertexIndex>> {
+    if queued.len() * 8 >= map.num_vertices() as usize {
+        queued.clear();
+        return None;
     }
-    drained.sort_unstable();
+    queued.sort_unstable();
     // Both engines enqueue a vertex once per superstep, so what was
     // queued is the active list of the superstep about to run.
     trace::emit_sync(at.tracer, || TraceEvent::WorklistDrain {
         superstep: at.superstep as u64,
-        queued: drained.len() as u64,
-        drained: drained.len() as u64,
+        queued: queued.len() as u64,
+        drained: queued.len() as u64,
     });
-    drained
+    let next = queued.clone();
+    queued.clear();
+    Some(next)
 }
 
 /// What one chunk reports back to the barrier. `None` marks a chunk that
@@ -171,6 +189,10 @@ struct ChunkTally {
     /// The pool worker that ran the chunk (timing-dependent: any idle
     /// worker takes the next chunk, so measured rather than planned).
     worker: u64,
+    /// Mailbox contention the worker's thread-local counters saw across
+    /// the vertex loop (all zero without the `trace` feature).
+    contention: ContentionSnapshot,
+    output: ChunkOutput,
 }
 
 /// What every chunk of one superstep shares: the program, the driver's
@@ -180,17 +202,15 @@ struct Superstep<'a, P: VertexProgram> {
     program: &'a P,
     superstep: usize,
     active: &'a [VertexIndex],
-    chunk_edges: &'a [u64],
     values: SharedSlice<'a, P::Value>,
     halted: SharedSlice<'a, bool>,
     started: Instant,
     deadline: Option<Duration>,
-    tracer: Option<&'a Tracer>,
 }
 
 impl<P: VertexProgram> Superstep<'_, P> {
     /// Run chunk `ci` through `lane`, reading its vertices' mail from
-    /// `cells`.
+    /// `cells`; the tally carries what the lane gathered.
     ///
     /// Chunk-boundary deadline: each chunk re-checks the wall clock
     /// before touching its first vertex, so a single huge superstep
@@ -243,21 +263,16 @@ impl<P: VertexProgram> Superstep<'_, P> {
                 awake += u64::from(!ctx.halt_vote);
             }
             let duration = c_t0.elapsed();
-            let worker = ipregel_par::current_thread_index().unwrap_or(0) as u64;
-            // Worker-side record: lands in this worker's shard, drained
-            // in chunk order at the barrier.
-            let delta = trace::contention::snapshot().delta_since(&cont0);
-            trace::emit(self.tracer, || TraceEvent::Chunk {
-                superstep: self.superstep as u64,
-                chunk: ci as u64,
-                planned_edges: self.chunk_edges[ci],
-                duration_ns: trace::ns(duration),
-                lock_acquisitions: delta.lock_acquisitions,
-                cas_retries: delta.cas_retries,
-                spin_iterations: delta.spin_iterations,
-                worker,
-            });
-            Some(ChunkTally { sent, ran, awake, duration, worker })
+            let contention = trace::contention::snapshot().delta_since(&cont0);
+            Some(ChunkTally {
+                sent,
+                ran,
+                awake,
+                duration,
+                worker: ipregel_par::current_thread_index().unwrap_or(0) as u64,
+                contention,
+                output: lane.take_output(),
+            })
         }))
         .map_err(|payload| ChunkPanic {
             chunk: ci,
@@ -274,7 +289,7 @@ impl<P: VertexProgram> Superstep<'_, P> {
 /// hooks-taking engine call: every public parallel entry point is this
 /// with a strategy and, for the checkpointing ones, a
 /// [`crate::recover::RecoveryHooks`]. Call it (and build the strategy)
-/// inside [`in_pool`](super::in_pool): chunk counts and worklist shards
+/// inside [`in_pool`](super::in_pool): chunk counts and push's partials
 /// follow the current pool's thread count.
 pub(crate) fn drive<P, D>(
     graph: &Graph,
@@ -358,12 +373,10 @@ where
                 program,
                 superstep,
                 active: &active,
-                chunk_edges: &plan.chunk_edges,
                 values: SharedSlice::new(&mut values),
                 halted: SharedSlice::new(&mut halted),
                 started,
                 deadline: config.deadline,
-                tracer,
             };
             if exclusive {
                 let (cells, mut lane) = delivery.exclusive();
@@ -374,30 +387,47 @@ where
                 let (cells, lane) = delivery.fork();
                 let cells = SharedSlice::new(cells);
                 let chunks = plan.chunks.par_iter().enumerate();
-                chunks.map(|chunk| step.run_chunk(&cells, &mut { lane }, chunk)).collect()
+                chunks.map(|chunk| step.run_chunk(&cells, &mut lane.clone(), chunk)).collect()
             }
         };
         let pool_after = ipregel_par::current_pool_stats();
         let (mut sent, mut ran, mut awake) = (0u64, 0u64, 0u64);
         let mut chunk_durations = Vec::with_capacity(per_chunk.len());
         let mut chunk_workers = Vec::with_capacity(per_chunk.len());
-        let mut declined = false;
-        for outcome in per_chunk {
+        let mut outputs = Vec::with_capacity(per_chunk.len());
+        let (mut declined, mut failed) = (false, None);
+        for (ci, outcome) in per_chunk.into_iter().enumerate() {
             match outcome {
                 Ok(Some(t)) => {
+                    // Chunk events reach the log here, on this thread, in
+                    // chunk order — a torn superstep's included.
+                    trace::emit_sync(tracer, || TraceEvent::Chunk {
+                        superstep: superstep as u64,
+                        chunk: ci as u64,
+                        planned_edges: plan.chunk_edges[ci],
+                        duration_ns: trace::ns(t.duration),
+                        lock_acquisitions: t.contention.lock_acquisitions,
+                        cas_retries: t.contention.cas_retries,
+                        spin_iterations: t.contention.spin_iterations,
+                        worker: t.worker,
+                    });
                     sent += t.sent;
                     ran += t.ran;
                     awake += t.awake;
                     chunk_durations.push(t.duration);
                     chunk_workers.push(t.worker);
+                    outputs.push(t.output);
                 }
                 Ok(None) => declined = true,
                 // The first panicking chunk (in chunk order) wins, also
                 // over chunks that declined to run.
-                Err(ChunkPanic { chunk, vertex_range, message }) => {
-                    return Err(RunError::VertexPanic { superstep, chunk, vertex_range, message, stats })
+                Err(panic) => {
+                    failed.get_or_insert(panic);
                 }
             }
+        }
+        if let Some(ChunkPanic { chunk, vertex_range, message }) = failed {
+            return Err(RunError::VertexPanic { superstep, chunk, vertex_range, message, stats });
         }
         if declined {
             // The torn superstep's partial writes are discarded along with
@@ -408,7 +438,7 @@ where
 
         // The barrier's own delivery work (push's partial flush) belongs
         // to the superstep it closes.
-        delivery.flip();
+        delivery.flip(outputs);
 
         let load = LoadStats {
             chunk_edges: plan.chunk_edges,
@@ -418,8 +448,7 @@ where
             overflow: pool_after.overflow - pool_before.overflow,
         };
         let duration = t0.elapsed() + selection_duration;
-        // Barrier: drain the workers' chunk events into the log (in
-        // chunk order) before closing the superstep span.
+        // Barrier: the periodic RSS sample, before closing the span.
         trace::barrier(tracer, superstep);
         trace::emit_sync(tracer, || TraceEvent::Pool {
             superstep: superstep as u64,

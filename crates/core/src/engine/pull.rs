@@ -25,24 +25,22 @@
 //! the buffer being read, every slot a gather visits holds a message:
 //! the gather combines `m[first]` with the rest in CSR order and reads no
 //! tag — 8 bytes per in-edge for an `f64` — with exactly the combine
-//! sequence of the tagged gather, so results are bit-identical. Each pool
-//! worker counts the first write of each slot with out-edges on a cache
-//! line of its own; `flip` sums the lines and compares.
+//! sequence of the tagged gather, so results are bit-identical. Each lane
+//! counts the first write of each slot with out-edges in a plain field,
+//! hands the count back with its chunk, and `flip` sums and compares.
 //!
 //! With the selection bypass, a broadcasting vertex enqueues all its
 //! out-neighbours, so only potential receivers gather next superstep.
 
 use ipregel_graph::csr::Weight;
 use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
-use ipregel_par::CachePadded;
 
-use crate::engine::bsp::{self, Barrier, Delivery, Lane};
+use crate::engine::bsp::{self, Barrier, ChunkOutput, Delivery, Lane};
 use crate::engine::{combine_into, in_pool, Outbound, RunConfig, RunResult};
 use crate::metrics::FootprintReport;
 use crate::program::VertexProgram;
 use crate::recover::DynHooks;
-use crate::selection::{EpochTags, Worklist};
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::selection::EpochTags;
 use crate::sync_cell::SharedSlice;
 use crate::trace::EngineKind;
 
@@ -128,19 +126,19 @@ fn pull_over<P: VertexProgram, A: NeighborList>(
         let mut tags: [Vec<u32>; 2] = std::array::from_fn(|_| vec![0; slots]);
         let ([read_msgs, write_msgs], [read_tags, write_tags]) = (&mut msgs, &mut tags);
         let pull = Pull::<P, A> {
-            graph,
-            in_adj,
-            out_adj,
-            read: Outboxes::new(read_msgs, read_tags),
-            write: Outboxes::new(write_msgs, write_tags),
+            gather: Gather {
+                graph,
+                in_adj,
+                out_adj,
+                read: Outboxes::new(read_msgs, read_tags),
+                write: Outboxes::new(write_msgs, write_tags),
+                dense: false,
+                tags: config.selection_bypass.then(|| EpochTags::new(slots)),
+                restored: None,
+                epoch: 1,
+            },
             senders: (0..slots as u32).filter(|&v| graph.out_degree(v) > 0).count() as u64,
-            wrote: SenderCount::new(),
-            dense: false,
-            bypass: config
-                .selection_bypass
-                .then(|| (Worklist::new(slots), EpochTags::new(slots))),
-            restored: None,
-            epoch: 1,
+            queued: if config.selection_bypass { Vec::with_capacity(slots) } else { Vec::new() },
         };
         bsp::drive(graph, program, config, hooks, pull)
     })
@@ -158,44 +156,22 @@ impl<'g, M> Outboxes<'g, M> {
     }
 }
 
-/// How many distinct slots with out-edges wrote the write buffer this
-/// superstep, one cache line per pool worker: a bump is a plain load and
-/// store on the worker's own line, never a shared read-modify-write, and
-/// `take` sums the lines at the barrier. A caller outside the pool uses
-/// line 0; it bumps only in a superstep it runs whole, while the chunks
-/// of a forked one run on workers alone. Were two threads ever to share
-/// a line, a lost bump would under-count — a superstep gathered with
-/// tags, never one gathered without them wrongly.
-struct SenderCount {
-    lines: Box<[CachePadded<AtomicU64>]>,
-}
-
-impl SenderCount {
-    /// Lines for the current pool (built inside it, like the worklists).
-    fn new() -> Self {
-        let lines = ipregel_par::current_num_threads().max(1);
-        SenderCount { lines: (0..lines).map(|_| CachePadded::new(AtomicU64::new(0))).collect() }
-    }
-
-    #[inline]
-    fn bump(&self) {
-        let i = ipregel_par::current_thread_index().unwrap_or(0);
-        let line = &self.lines[i % self.lines.len()];
-        // ordering(Relaxed): one thread writes a line per superstep; the
-        // superstep barrier publishes it to `take`
-        line.store(line.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-
-    /// The count since the last `take`, reset to zero (post-barrier).
-    fn take(&self) -> u64 {
-        // ordering(Relaxed): no bump is in flight between supersteps
-        self.lines.iter().map(|l| l.swap(0, Ordering::Relaxed)).sum()
-    }
-}
-
-/// Double-buffered outboxes and the count that decides how to read them,
-/// monomorphised over the adjacency representation `A`.
+/// The pull strategy: what its lanes read, the count that decides how
+/// to read the next superstep, and the bypass queue, monomorphised over
+/// the adjacency representation `A`.
 struct Pull<'g, P: VertexProgram, A> {
+    gather: Gather<'g, P, A>,
+    /// Slots with out-edges: every in-neighbour of every vertex is one.
+    senders: u64,
+    /// Under the bypass, the slots enqueued for the next superstep (an
+    /// exclusive lane appends here, forked chunks' outputs join it at
+    /// `flip`), drained by `select` with the capacity kept.
+    queued: Vec<VertexIndex>,
+}
+
+/// Double-buffered outboxes and how to read them: everything a lane of
+/// either kind shares.
+struct Gather<'g, P: VertexProgram, A> {
     graph: &'g Graph,
     in_adj: &'g A,
     /// The out-adjacency in its concrete representation; present exactly
@@ -206,13 +182,10 @@ struct Pull<'g, P: VertexProgram, A> {
     /// Broadcasts of the running superstep, each slot and its tag written
     /// by its own vertex only.
     write: Outboxes<'g, P::Message>,
-    /// Slots with out-edges: every in-neighbour of every vertex is one.
-    senders: u64,
-    /// Distinct `senders` that wrote `write` this superstep.
-    wrote: SenderCount,
-    /// Every one of `senders` wrote `read`: gathers skip the tags.
+    /// Every slot with out-edges wrote `read`: gathers skip the tags.
     dense: bool,
-    bypass: Option<(Worklist, EpochTags)>,
+    /// The bypass's exactly-once enqueue; `Some` exactly under it.
+    tags: Option<EpochTags>,
     /// A checkpoint's combined inbox, standing in for the first resumed
     /// superstep's gather (the outboxes that fed it died with the old
     /// process); everything downstream — broadcasts, tags, the count —
@@ -223,7 +196,7 @@ struct Pull<'g, P: VertexProgram, A> {
     epoch: u32,
 }
 
-impl<P: VertexProgram, A: NeighborList> Pull<'_, P, A> {
+impl<P: VertexProgram, A: NeighborList> Gather<'_, P, A> {
     /// The combined message waiting for slot `v`. A resumed superstep
     /// takes its checkpointed inbox instead of gathering; before the first
     /// barrier nothing was broadcast, so there is nothing to walk.
@@ -270,47 +243,53 @@ impl<'g, P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'g, P, A> {
 
     type Inbox = ();
     type Forked<'s>
-        = PullLane<'s, 'g, P, A>
+        = PullLane<'s, 'g, P, A, Vec<VertexIndex>>
     where
         Self: 's;
     type Exclusive<'s>
-        = PullLane<'s, 'g, P, A>
+        = PullLane<'s, 'g, P, A, &'s mut Vec<VertexIndex>>
     where
         Self: 's;
 
-    fn fork(&mut self) -> (&mut [()], PullLane<'_, 'g, P, A>) {
-        (no_cells(self.read.msgs.len()), PullLane(self))
+    fn fork(&mut self) -> (&mut [()], Self::Forked<'_>) {
+        let lane = PullLane { gather: &self.gather, queued: Vec::new(), wrote: 0 };
+        (no_cells(self.gather.read.msgs.len()), lane)
     }
 
-    fn exclusive(&mut self) -> (&mut [()], PullLane<'_, 'g, P, A>) {
-        self.fork()
+    fn exclusive(&mut self) -> (&mut [()], Self::Exclusive<'_>) {
+        let lane = PullLane { gather: &self.gather, queued: &mut self.queued, wrote: 0 };
+        (no_cells(self.gather.read.msgs.len()), lane)
     }
 
     /// Pull work is dominated by the gather over in-neighbours.
     fn offsets(&self) -> &[u64] {
-        self.in_adj.offsets()
+        self.gather.in_adj.offsets()
     }
 
     fn footprint(&self) -> FootprintReport {
+        let g = &self.gather;
         FootprintReport {
-            mailbox_bytes: 2 * self.read.msgs.len() * (std::mem::size_of::<P::Message>() + 4),
+            mailbox_bytes: 2 * g.read.msgs.len() * (std::mem::size_of::<P::Message>() + 4),
             lock_bytes: 0, // the race-free design: no data-race protection at all
-            worklist_bytes: self.bypass.as_ref().map_or(0, |(wl, t)| wl.bytes() + t.bytes()),
+            worklist_bytes: g.tags.as_ref().map_or(0, |t| {
+                self.queued.capacity() * std::mem::size_of::<VertexIndex>() + t.bytes()
+            }),
             ..FootprintReport::default()
         }
     }
 
     fn restore(&mut self, inbox: Vec<Option<P::Message>>, _halted: &[bool]) -> Vec<VertexIndex> {
-        let active = if self.bypass.is_some() {
+        let g = &mut self.gather;
+        let active = if g.tags.is_some() {
             // The bypass enqueues exactly the out-neighbours of
             // broadcasters ≡ the slots whose gather is non-empty.
             (0..inbox.len() as u32).filter(|&v| inbox[v as usize].is_some()).collect()
         } else {
             // Scan semantics: every live vertex is checked; the
             // halted-and-empty ones skip inside the superstep.
-            self.graph.address_map().live_slots().collect()
+            g.graph.address_map().live_slots().collect()
         };
-        self.restored = Some(inbox);
+        g.restored = Some(inbox);
         active
     }
 
@@ -318,37 +297,46 @@ impl<'g, P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'g, P, A> {
     /// sequentially in the same in-neighbour CSR order the vertices
     /// would use — bit-identical by construction.
     fn snapshot_inbox(&self) -> Vec<Option<P::Message>> {
+        let g = &self.gather;
         debug_assert!(
-            self.restored.is_none(),
+            g.restored.is_none(),
             "due() never fires at the resume floor, so the restored inbox is consumed"
         );
-        (0..self.read.msgs.len() as u32).map(|v| self.gather(v)).collect()
+        (0..g.read.msgs.len() as u32).map(|v| g.gather(v)).collect()
     }
 
-    /// Decide how the next superstep reads, then swap read/write roles
-    /// and open the next epoch. Nothing is cleared: the slots the old
-    /// read buffer holds carry tags of epochs that are over.
-    fn flip(&mut self) {
-        self.restored = None;
-        self.dense = self.wrote.take() == self.senders;
-        self.epoch += 1;
-        std::mem::swap(&mut self.read, &mut self.write);
+    /// Queue what the chunks enqueued, decide how the next superstep
+    /// reads, then swap read/write roles and open the next epoch. Nothing
+    /// is cleared: the slots the old read buffer holds carry tags of
+    /// epochs that are over.
+    fn flip(&mut self, outputs: Vec<ChunkOutput>) {
+        let mut wrote = 0;
+        for mut output in outputs {
+            wrote += output.wrote;
+            self.queued.append(&mut output.enqueued);
+        }
+        let g = &mut self.gather;
+        g.restored = None;
+        g.dense = wrote == self.senders;
+        g.epoch += 1;
+        std::mem::swap(&mut g.read, &mut g.write);
     }
 
-    fn select(&self, at: &Barrier<'_>) -> Vec<VertexIndex> {
-        let map = self.graph.address_map();
-        match &self.bypass {
+    fn select(&mut self, at: &Barrier<'_>) -> Vec<VertexIndex> {
+        let map = self.gather.graph.address_map();
+        if self.gather.tags.is_some() {
             // Dense case: checking everyone in slot order; the gather
             // re-derives each vertex's inbox either way.
-            Some((worklist, _)) => {
-                bsp::bypass_select(worklist, map, at, || map.live_slots().collect())
-            }
-            // No broadcasts pending and every vertex halted → done.
-            None if at.sent == 0 && at.awake == 0 => Vec::new(),
-            // All vertices are *checked* every superstep — the pull
-            // engine's structural cost.
-            None => map.live_slots().collect(),
+            return bsp::bypass_select(&mut self.queued, map, at)
+                .unwrap_or_else(|| map.live_slots().collect());
         }
+        if at.sent == 0 && at.awake == 0 {
+            // No broadcasts pending and every vertex halted → done.
+            return Vec::new();
+        }
+        // All vertices are *checked* every superstep — the pull engine's
+        // structural cost.
+        map.live_slots().collect()
     }
 }
 
@@ -361,25 +349,55 @@ fn no_cells(slots: usize) -> &'static mut [()] {
 
 /// Pull's lane, forked or exclusive alike: a vertex writes only its own
 /// outbox slot and tag, so no two threads ever meet at one and there is
-/// nothing to synchronise either way.
-struct PullLane<'s, 'g, P: VertexProgram, A>(&'s Pull<'g, P, A>);
+/// nothing to synchronise either way. The two differ only in where the
+/// bypass enqueues, `Q`: a forked chunk's own list, handed back with its
+/// output, or an exclusive superstep's borrow of the strategy's queue.
+struct PullLane<'s, 'g, P: VertexProgram, A, Q> {
+    gather: &'s Gather<'g, P, A>,
+    queued: Q,
+    /// Distinct slots with out-edges whose outbox this lane wrote first
+    /// this superstep.
+    wrote: u64,
+}
 
-impl<P: VertexProgram, A> Clone for PullLane<'_, '_, P, A> {
+impl<P: VertexProgram, A> Clone for PullLane<'_, '_, P, A, Vec<VertexIndex>> {
     fn clone(&self) -> Self {
-        *self
+        PullLane { gather: self.gather, queued: self.queued.clone(), wrote: self.wrote }
     }
 }
 
-impl<P: VertexProgram, A> Copy for PullLane<'_, '_, P, A> {}
-
-impl<P: VertexProgram, A: NeighborList> Lane<P, ()> for PullLane<'_, '_, P, A> {
+impl<P: VertexProgram, A: NeighborList> Lane<P, ()> for PullLane<'_, '_, P, A, Vec<VertexIndex>> {
     #[inline]
     fn read(&mut self, _cell: &mut (), v: VertexIndex) -> Option<P::Message> {
-        self.0.inbox(v)
+        self.gather.inbox(v)
+    }
+
+    fn take_output(&mut self) -> ChunkOutput {
+        ChunkOutput {
+            enqueued: std::mem::take(&mut self.queued),
+            wrote: std::mem::take(&mut self.wrote),
+        }
     }
 }
 
-impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for PullLane<'_, '_, P, A> {
+impl<P: VertexProgram, A: NeighborList> Lane<P, ()>
+    for PullLane<'_, '_, P, A, &mut Vec<VertexIndex>>
+{
+    #[inline]
+    fn read(&mut self, _cell: &mut (), v: VertexIndex) -> Option<P::Message> {
+        self.gather.inbox(v)
+    }
+
+    /// The count only: the enqueued slots are already in the strategy's
+    /// queue.
+    fn take_output(&mut self) -> ChunkOutput {
+        ChunkOutput { enqueued: Vec::new(), wrote: std::mem::take(&mut self.wrote) }
+    }
+}
+
+impl<P: VertexProgram, A: NeighborList, Q: AsMut<Vec<VertexIndex>>> Outbound<P::Message>
+    for PullLane<'_, '_, P, A, Q>
+{
     fn send(&mut self, to: VertexId, _msg: P::Message) {
         panic!(
             "pull-based combiner supports neighbour broadcasts only (Section 6.2); \
@@ -388,7 +406,7 @@ impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for PullLane<'_, '_
     }
 
     fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
-        let pull = self.0;
+        let pull = self.gather;
         let degree = pull.graph.out_degree(from);
         if degree == 0 {
             // Nobody gathers from a sink and it has nobody to wake.
@@ -406,13 +424,14 @@ impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for PullLane<'_, '_
             // is from an epoch that is over.
             *outbox = msg;
             *epoch = pull.epoch;
-            pull.wrote.bump();
+            self.wrote += 1;
         }
-        if let Some((worklist, tags)) = &pull.bypass {
+        if let Some(tags) = &pull.tags {
             let out = pull.out_adj.expect("bypass requires out-adjacency, asserted at entry");
+            let queued = self.queued.as_mut();
             for n in out.neighbors_iter(from) {
                 if tags.claim(n, pull.epoch) {
-                    worklist.push(n);
+                    queued.push(n);
                 }
             }
         }

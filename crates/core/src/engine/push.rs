@@ -10,14 +10,14 @@
 //! through the driver's partition of the active list, so the read takes
 //! no lock ([`Mailbox::take_mut`]). A superstep the driver runs
 //! *exclusive* — one chunk, or a pool of one thread — delivers through
-//! `Exclusive`, which holds `next` and the worklist `&mut`: plain
+//! `Exclusive`, which holds `next` and the bypass queue `&mut`: plain
 //! fill-or-combine, no partials. Only a forked superstep's deliveries,
 //! through `Forked`, pay the mailbox's synchronisation.
 //!
 //! Selection is either the conventional full scan (check every vertex's
 //! active flag and inbox) or the Section 4 bypass, where the sender
-//! enqueues its recipient into the next worklist at send time and the
-//! scan disappears.
+//! enqueues its recipient at send time — a forked chunk into a list of
+//! its own, handed back with its tally — and the scan disappears.
 //!
 //! **Sender-side partials.** On the compact CSR, whose neighbour lists
 //! ascend, a pool worker combines what it sends to a slot below
@@ -36,13 +36,13 @@ use ipregel_graph::csr::Weight;
 use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
 use ipregel_par::prelude::*;
 
-use crate::engine::bsp::{self, Barrier, Delivery, Lane};
+use crate::engine::bsp::{self, Barrier, ChunkOutput, Delivery, Lane};
 use crate::engine::{for_each_out_edge, in_pool, target_slot, Outbound, RunConfig, RunResult};
 use crate::mailbox::Mailbox;
 use crate::metrics::FootprintReport;
 use crate::program::VertexProgram;
 use crate::recover::DynHooks;
-use crate::selection::{LocalPartial, Partials, Worklist};
+use crate::selection::{LocalPartial, Partials};
 use crate::trace::EngineKind;
 
 /// Run `program` on `graph` with mailbox flavour `MB`: vertex panics
@@ -120,7 +120,7 @@ where
 /// no longer share the L2 with the mailboxes they flush into.
 pub const PARTIAL_BYTES_PER_WORKER: usize = 9 << 16;
 
-/// Double-buffered mailboxes plus the bypass worklist, monomorphised over
+/// Double-buffered mailboxes plus the bypass queue, monomorphised over
 /// the mailbox flavour `MB` and the adjacency representation `A`.
 struct Push<'g, P: VertexProgram, MB, A> {
     graph: &'g Graph,
@@ -137,12 +137,14 @@ struct Push<'g, P: VertexProgram, MB, A> {
     /// folded into `next` at the barrier; the span is 0 unless `A`'s
     /// neighbour lists ascend.
     partials: Partials<P::Message>,
-    /// The bypass needs no per-vertex tags here: the mailbox's own
-    /// empty→occupied transition (observed under its synchronisation, or
-    /// through an exclusive borrow) is the exactly-once enqueue signal —
-    /// Section 4's sender "knows that the recipient vertex will have to be
-    /// run".
-    bypass: Option<Worklist>,
+    /// Under the bypass, the slots enqueued for the next superstep: an
+    /// exclusive superstep's deliveries, forked chunks' outputs and the
+    /// partial flush, drained by `select` with the capacity kept. No
+    /// per-vertex tags here: the mailbox's own empty→occupied transition
+    /// (observed under its synchronisation, or through an exclusive
+    /// borrow) is the exactly-once enqueue signal — Section 4's sender
+    /// "knows that the recipient vertex will have to be run".
+    queued: Option<Vec<VertexIndex>>,
     _program: PhantomData<fn() -> P>,
 }
 
@@ -159,7 +161,7 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Push<'g, P,
             } else {
                 0
             }),
-            bypass: config.selection_bypass.then(|| Worklist::new(slots)),
+            queued: config.selection_bypass.then(|| Vec::with_capacity(slots)),
             _program: PhantomData,
         }
     }
@@ -171,7 +173,7 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Push<'g, P,
         let map = *self.graph.address_map();
         let cur: &[MB] = &self.cur;
         let slots = (0..cur.len() as u32).into_par_iter();
-        if self.bypass.is_some() {
+        if self.queued.is_some() {
             slots.filter(|&v| cur[v as usize].has_message()).collect()
         } else {
             slots
@@ -188,14 +190,14 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Push<'g, P,
 #[inline]
 fn deliver_to_mailbox<P: VertexProgram, MB: Mailbox<P::Message>>(
     next: &[MB],
-    bypass: Option<&Worklist>,
+    queued: Option<&mut Vec<VertexIndex>>,
     slot: VertexIndex,
     msg: P::Message,
 ) {
     let first = next[slot as usize].deliver(msg, P::combine);
     if first {
-        if let Some(worklist) = bypass {
-            worklist.push(slot);
+        if let Some(queued) = queued {
+            queued.push(slot);
         }
     }
 }
@@ -227,7 +229,7 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
             adj: self.adj,
             next: &self.next,
             partials: &self.partials,
-            bypass: self.bypass.as_ref(),
+            queued: self.queued.as_ref().map(|_| Vec::new()),
         };
         (&mut self.cur, lane)
     }
@@ -237,7 +239,7 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
             graph: self.graph,
             adj: self.adj,
             next: &mut self.next,
-            bypass: self.bypass.as_mut(),
+            queued: self.queued.as_mut(),
             _program: PhantomData,
         };
         (&mut self.cur, lane)
@@ -254,7 +256,10 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
             mailbox_bytes: 2 * slots * (std::mem::size_of::<MB>() - MB::lock_bytes())
                 + self.partials.bytes(),
             lock_bytes: 2 * slots * MB::lock_bytes(),
-            worklist_bytes: self.bypass.as_ref().map_or(0, Worklist::bytes),
+            worklist_bytes: self
+                .queued
+                .as_ref()
+                .map_or(0, |q| q.capacity() * std::mem::size_of::<VertexIndex>()),
             ..FootprintReport::default()
         }
     }
@@ -273,48 +278,50 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
         self.cur.iter().map(Mailbox::snapshot).collect()
     }
 
-    /// Fold the workers' partials into `next`, after which every delivery
-    /// for superstep s+1 is there; make it current.
-    fn flip(&mut self) {
-        let Push { partials, next, bypass, .. } = self;
-        partials.flush(|slot, msg| deliver_to_mailbox::<P, MB>(next, bypass.as_ref(), slot, msg));
+    /// Queue what the chunks enqueued, fold the workers' partials into
+    /// `next`, after which every delivery for superstep s+1 is there; make
+    /// it current.
+    fn flip(&mut self, outputs: Vec<ChunkOutput>) {
+        let Push { partials, next, queued, .. } = self;
+        if let Some(queued) = queued {
+            for mut output in outputs {
+                queued.append(&mut output.enqueued);
+            }
+        }
+        partials.flush(|slot, msg| deliver_to_mailbox::<P, MB>(next, queued.as_mut(), slot, msg));
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 
-    fn select(&self, at: &Barrier<'_>) -> Vec<VertexIndex> {
-        match &self.bypass {
-            Some(worklist) => bsp::bypass_select(worklist, self.graph.address_map(), at, || {
-                self.pending(at.halted)
-            }),
-            None => self.pending(at.halted),
-        }
+    fn select(&mut self, at: &Barrier<'_>) -> Vec<VertexIndex> {
+        let map = self.graph.address_map();
+        let sparse = self.queued.as_mut().and_then(|q| bsp::bypass_select(q, map, at));
+        sparse.unwrap_or_else(|| self.pending(at.halted))
     }
 }
 
 /// A forked superstep's lane: every chunk delivers into the shared `next`
 /// under the mailbox's synchronisation, or on the compact CSR into its
-/// worker's partial. Its inbox reads lock nothing — the cell is the
-/// running vertex's own.
+/// worker's partial, and under the bypass enqueues into its own list.
+/// Its inbox reads lock nothing — the cell is the running vertex's own.
 struct Forked<'s, P: VertexProgram, MB, A> {
     graph: &'s Graph,
     adj: &'s A,
     next: &'s [MB],
     partials: &'s Partials<P::Message>,
-    bypass: Option<&'s Worklist>,
+    /// The chunk's own enqueued slots; `Some` exactly under the bypass.
+    queued: Option<Vec<VertexIndex>>,
 }
 
 impl<P: VertexProgram, MB, A> Clone for Forked<'_, P, MB, A> {
     fn clone(&self) -> Self {
-        *self
+        Forked { queued: self.queued.clone(), ..*self }
     }
 }
 
-impl<P: VertexProgram, MB, A> Copy for Forked<'_, P, MB, A> {}
-
-impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Forked<'_, P, MB, A> {
+impl<'s, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Forked<'s, P, MB, A> {
     /// The calling worker's partial, where the representation has them.
     #[inline]
-    fn local(&self) -> Option<LocalPartial<'_, P::Message>> {
+    fn local(&self) -> Option<LocalPartial<'s, P::Message>> {
         if A::ASCENDING {
             self.partials.local()
         } else {
@@ -324,14 +331,14 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Forked<'_, P, M
 
     #[inline]
     fn deliver(
-        &self,
+        &mut self,
         local: Option<&LocalPartial<'_, P::Message>>,
         slot: VertexIndex,
         msg: P::Message,
     ) {
         match local {
             Some(partial) if slot < self.partials.span() => partial.combine(slot, msg, P::combine),
-            _ => deliver_to_mailbox::<P, MB>(self.next, self.bypass, slot, msg),
+            _ => deliver_to_mailbox::<P, MB>(self.next, self.queued.as_mut(), slot, msg),
         }
     }
 }
@@ -343,19 +350,25 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Lane<P, MB>
     fn read(&mut self, cell: &mut MB, _v: VertexIndex) -> Option<P::Message> {
         cell.take_mut()
     }
+
+    fn take_output(&mut self) -> ChunkOutput {
+        let enqueued = self.queued.as_mut().map(std::mem::take).unwrap_or_default();
+        ChunkOutput { enqueued, wrote: 0 }
+    }
 }
 
 impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Message>
     for Forked<'_, P, MB, A>
 {
     fn send(&mut self, to: VertexId, msg: P::Message) {
-        self.deliver(self.local().as_ref(), target_slot(self.graph, to), msg);
+        let local = self.local();
+        self.deliver(local.as_ref(), target_slot(self.graph, to), msg);
     }
 
     fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
-        let local = self.local();
+        let (local, adj) = (self.local(), self.adj);
         let mut sent = 0;
-        for n in self.adj.neighbors_iter(from) {
+        for n in adj.neighbors_iter(from) {
             self.deliver(local.as_ref(), n, msg);
             sent += 1;
         }
@@ -378,14 +391,15 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Mes
 }
 
 /// An exclusive superstep's lane: the orchestrating thread holds the
-/// mailboxes and the worklist alone, so every delivery is a plain
-/// fill-or-combine and the bypass appends to one shard. No partials —
-/// `next` itself is as private as a partial would be.
+/// mailboxes and the bypass queue alone, so every delivery is a plain
+/// fill-or-combine and the bypass appends straight to the strategy's
+/// queue. No partials — `next` itself is as private as a partial would
+/// be.
 struct Exclusive<'s, P, MB, A> {
     graph: &'s Graph,
     adj: &'s A,
     next: &'s mut [MB],
-    bypass: Option<&'s mut Worklist>,
+    queued: Option<&'s mut Vec<VertexIndex>>,
     _program: PhantomData<fn() -> P>,
 }
 
@@ -394,8 +408,8 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A> Exclusive<'_, P, MB, A> {
     fn deliver(&mut self, slot: VertexIndex, msg: P::Message) {
         let first = self.next[slot as usize].deliver_mut(msg, P::combine);
         if first {
-            if let Some(worklist) = self.bypass.as_deref_mut() {
-                worklist.push_mut(slot);
+            if let Some(queued) = self.queued.as_deref_mut() {
+                queued.push(slot);
             }
         }
     }
@@ -407,6 +421,11 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Lane<P, MB>
     #[inline]
     fn read(&mut self, cell: &mut MB, _v: VertexIndex) -> Option<P::Message> {
         cell.take_mut()
+    }
+
+    /// Nothing: the enqueued slots are already in the strategy's queue.
+    fn take_output(&mut self) -> ChunkOutput {
+        ChunkOutput::default()
     }
 }
 

@@ -56,8 +56,10 @@ pub trait Mailbox<M: Copy>: Send + Sync {
     /// signal.
     fn deliver_mut(&mut self, msg: M, combine: fn(&mut M, M)) -> bool;
 
-    /// Remove and return the occupant. Called in the read phase, where the
-    /// engine guarantees no concurrent `deliver` on the same buffer.
+    /// Remove and return the occupant, under the mailbox's
+    /// synchronisation. No engine calls it: a vertex reads its own
+    /// mailbox through [`Mailbox::take_mut`]. It is the shared-path read
+    /// the mailbox probes and the conformance suite exercise.
     fn take(&self) -> Option<M>;
 
     /// [`Mailbox::take`] through an exclusive borrow, unsynchronised as

@@ -5,203 +5,31 @@
 //! When every vertex votes to halt at each superstep, "active next
 //! superstep" ≡ "received a message" — so the *sender* can record its
 //! recipient in the next superstep's worklist at send time, and the
-//! selection phase disappears. It also improves load balance: the
-//! worklist is split evenly across threads and every entry is guaranteed
-//! runnable.
+//! selection phase disappears. It also improves load balance: every entry
+//! of the next active list is guaranteed runnable.
 //!
-//! [`Worklist`] is the bypass data structure: one shard per worker thread
-//! so concurrent pushes never contend on a shared cursor. Exactly-once
-//! enqueueing comes for free in the push engines (the mailbox's
-//! empty→occupied transition is observed under its own synchronisation);
-//! the pull engine, whose senders enqueue *out-neighbours*, deduplicates
-//! with [`EpochTags`].
+//! The worklist itself is no shared structure: each chunk appends the
+//! recipients it enqueues to a list of its own and hands that list back
+//! with its tally, and the barrier concatenates the lists in chunk order
+//! (see `engine::bsp::ChunkOutput`) — the fork-join already carries every
+//! chunk's result to the orchestrating thread. Exactly-once enqueueing
+//! comes for free in the push engines (the mailbox's empty→occupied
+//! transition is observed under its own synchronisation); the pull
+//! engine, whose senders enqueue *out-neighbours*, deduplicates with
+//! [`EpochTags`].
 //!
 //! `Partials`, the push engine's per-worker sender-side combining
-//! buffers, live here too because they follow the worklist's shard
-//! protocol exactly.
-//!
-//! Synchronisation state comes from [`crate::sync`], so the shard
-//! handoff (worker-exclusive writes during a parallel region, then
-//! orchestrator-exclusive drain after the barrier) is model-checked by
-//! the loom suite in `tests/loom.rs`.
+//! buffers, live here too: 576 KiB each, they are too large to be per
+//! chunk, so they are the one structure left that is sharded by pool
+//! worker.
 
 use std::marker::PhantomData;
 
 use crate::sync::atomic::{AtomicU32, Ordering};
 use crate::sync::cell::UnsafeCell;
-use crate::sync::lockorder::{classes, OrderedMutex};
 
 use ipregel_par::CachePadded;
 use ipregel_graph::VertexIndex;
-
-/// A concurrent list of vertices to run next superstep, with one private
-/// shard per pool worker thread.
-///
-/// The hot path — `push` from inside a parallel region — is a plain
-/// `Vec::push` into the calling worker's own shard: no lock, no shared
-/// cursor, no cache-line ping-pong. This matches the C original, where
-/// each OpenMP thread appends to a thread-local list. Pushes from
-/// outside the pool (never the engines' case) fall back to a mutex.
-///
-/// # Safety model
-/// A shard is touched only by the worker whose pool
-/// thread index owns it; `len`/`drain_to_vec`/`clear`/`take` are called by
-/// the orchestrating thread strictly between parallel regions (after the
-/// superstep barrier), when no pushes are in flight.
-#[derive(Debug)]
-pub struct Worklist {
-    shards: Box<[CachePadded<UnsafeCell<Vec<VertexIndex>>>]>,
-    fallback: OrderedMutex<Vec<VertexIndex>>,
-}
-
-// SAFETY: see the safety model above — shards are disjoint per worker
-// thread during parallel regions, and exclusively owned between them.
-unsafe impl Sync for Worklist {}
-// SAFETY: moving the worklist moves plain owned Vecs; nothing is
-// thread-affine.
-unsafe impl Send for Worklist {}
-
-impl Worklist {
-    /// A worklist for a graph of `slots` vertices, sharded for the
-    /// current thread pool (engines construct it inside their pool).
-    pub fn new(slots: usize) -> Self {
-        Self::with_shards(slots, ipregel_par::current_num_threads().max(1))
-    }
-
-    /// A worklist with an explicit shard count. Exposed for tests (the
-    /// loom suite models the shard handoff without a thread pool); the
-    /// engines use [`Worklist::new`].
-    pub fn with_shards(slots: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = (slots / shards).max(16);
-        let shards = (0..shards)
-            .map(|_| CachePadded::new(UnsafeCell::new(Vec::with_capacity(per_shard))))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Worklist { shards, fallback: OrderedMutex::new(&classes::WORKLIST_FALLBACK, Vec::new()) }
-    }
-
-    /// Append `v`. Caller-side dedup (mailbox transition or epoch tags)
-    /// keeps total pushes bounded by the vertex count per superstep.
-    #[inline]
-    pub fn push(&self, v: VertexIndex) {
-        match ipregel_par::current_thread_index() {
-            // SAFETY: worker `i` is the only thread that ever touches
-            // shard `i % shards` inside a parallel region (pool worker
-            // indices are unique within the pool, and the pool has as
-            // many threads as the worklist has shards).
-            Some(i) => unsafe { self.push_to_shard(i, v) },
-            // lock-order(worklist.fallback)
-            None => self.fallback.lock().expect("worklist fallback poisoned").push(v),
-        }
-    }
-
-    /// Append `v` through an exclusive borrow — a superstep the
-    /// orchestrating thread runs alone: into the first shard, with no
-    /// worker-index lookup and no lock.
-    #[inline]
-    pub fn push_mut(&mut self, v: VertexIndex) {
-        self.shards[0].get_mut().push(v);
-    }
-
-    /// Append `v` to shard `shard % shards`.
-    ///
-    /// [`Worklist::push`] derives the shard from the pool worker index;
-    /// the loom suite calls this directly (one model thread per shard)
-    /// so the model checker can verify the handoff protocol itself.
-    ///
-    /// # Safety
-    /// During a parallel region a shard must be touched by exactly one
-    /// thread; the caller picks the shard and therefore owns that
-    /// argument. Under loom the access is tracked, so a violation fails
-    /// the model instead of being undefined behaviour.
-    #[inline]
-    pub unsafe fn push_to_shard(&self, shard: usize, v: VertexIndex) {
-        self.shards[shard % self.shards.len()].with_mut(|p| {
-            // SAFETY: the fn's contract gives this thread exclusive
-            // ownership of the shard for the current parallel region.
-            unsafe { (*p).push(v) }
-        });
-    }
-
-    /// Number of queued vertices (post-barrier).
-    pub fn len(&self) -> usize {
-        let sharded: usize = self
-            .shards
-            .iter()
-            // SAFETY: called between parallel regions; no concurrent pushes.
-            .map(|s| s.with(|p| unsafe { (*p).len() }))
-            .sum();
-        // lock-order(worklist.fallback)
-        sharded + self.fallback.lock().expect("worklist fallback poisoned").len()
-    }
-
-    /// Whether nothing is queued (post-barrier).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy out the queued vertices (post-barrier; shard order, then
-    /// fallback entries). Does not consume: pair with [`Worklist::clear`]
-    /// before the next superstep, or entries would be drained twice.
-    pub fn drain_to_vec(&self) -> Vec<VertexIndex> {
-        let mut out = Vec::with_capacity(self.len());
-        for s in self.shards.iter() {
-            // SAFETY: called between parallel regions.
-            s.with(|p| out.extend_from_slice(unsafe { &*p }));
-        }
-        // lock-order(worklist.fallback)
-        out.extend_from_slice(&self.fallback.lock().expect("worklist fallback poisoned"));
-        out
-    }
-
-    /// Move the queued vertices out (post-barrier; shard order, then
-    /// fallback entries), leaving the worklist empty with its capacity
-    /// kept: [`Worklist::drain_to_vec`] and [`Worklist::clear`] in one
-    /// pass, under one hold of the fallback lock — what the engines call
-    /// every superstep.
-    pub fn take(&self) -> Vec<VertexIndex> {
-        // lock-order(worklist.fallback)
-        let mut fallback = self.fallback.lock().expect("worklist fallback poisoned");
-        let sharded: usize = self
-            .shards
-            .iter()
-            // SAFETY: called between parallel regions; no concurrent pushes.
-            .map(|s| s.with(|p| unsafe { (*p).len() }))
-            .sum();
-        let mut out = Vec::with_capacity(sharded + fallback.len());
-        for s in self.shards.iter() {
-            // SAFETY: called between parallel regions.
-            s.with_mut(|p| out.append(unsafe { &mut *p }));
-        }
-        out.append(&mut fallback);
-        out
-    }
-
-    /// Reset to empty, keeping shard capacity for reuse (post-barrier).
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            // SAFETY: called between parallel regions.
-            s.with_mut(|p| unsafe { (*p).clear() });
-        }
-        // lock-order(worklist.fallback)
-        self.fallback.lock().expect("worklist fallback poisoned").clear();
-    }
-
-    /// Current heap bytes across shards (capacity, not length;
-    /// post-barrier).
-    pub fn bytes(&self) -> usize {
-        self.shards
-            .iter()
-            // SAFETY: called between parallel regions.
-            .map(|s| s.with(|p| unsafe { (*p).capacity() }) * std::mem::size_of::<VertexIndex>())
-            .sum::<usize>()
-            // lock-order(worklist.fallback)
-            + self.fallback.lock().expect("worklist fallback poisoned").capacity()
-                * std::mem::size_of::<VertexIndex>()
-            + self.shards.len() * std::mem::size_of::<CachePadded<UnsafeCell<Vec<VertexIndex>>>>()
-    }
-}
 
 /// Sender-side combining buffers: one private partial per pool worker
 /// over the slots `0..span`, each a dense `[M]`, a presence byte per slot
@@ -214,10 +42,13 @@ impl Worklist {
 /// instead of one per message. Senders outside the pool get no partial.
 ///
 /// # Safety model
-/// [`Worklist`]'s: a shard is touched only through a [`LocalPartial`],
-/// which exists only on the worker whose pool thread index owns the shard
-/// and cannot leave that thread; `flush` takes `&mut self`, so it runs
-/// strictly between parallel regions.
+/// There is one shard per thread of the pool the partials were built in,
+/// and a shard is touched only through a [`LocalPartial`]. That handle
+/// exists only on the worker whose pool thread index owns the shard —
+/// indices are unique within a pool, and an index past the last shard
+/// gets no partial — and it cannot leave that thread. `flush` takes
+/// `&mut self`, so it runs strictly between parallel regions, when no
+/// handle is live.
 pub(crate) struct Partials<M> {
     shards: Box<[CachePadded<UnsafeCell<Partial<M>>>]>,
     span: VertexIndex,
@@ -372,91 +203,7 @@ impl EpochTags {
 mod tests {
     use super::*;
     use ipregel_par::prelude::*;
-    use std::collections::{HashMap, HashSet};
-
-    #[test]
-    fn push_and_drain() {
-        let wl = Worklist::new(4);
-        wl.push(3);
-        wl.push(1);
-        assert_eq!(wl.len(), 2);
-        let mut v = wl.drain_to_vec();
-        v.sort();
-        assert_eq!(v, vec![1, 3]);
-        wl.clear();
-        assert!(wl.is_empty());
-    }
-
-    #[test]
-    fn concurrent_pushes_all_land() {
-        let n: u32 = if cfg!(miri) { 256 } else { 10_000 };
-        let wl = Worklist::new(n as usize);
-        (0..n).into_par_iter().for_each(|i| wl.push(i));
-        assert_eq!(wl.len(), n as usize);
-        let set: HashSet<u32> = wl.drain_to_vec().into_iter().collect();
-        assert_eq!(set.len(), n as usize);
-    }
-
-    #[test]
-    fn clear_then_reuse() {
-        let wl = Worklist::new(8);
-        wl.push(1);
-        wl.clear();
-        wl.push(2);
-        assert_eq!(wl.drain_to_vec(), vec![2]);
-    }
-
-    #[test]
-    fn fallback_pushes_merge_into_drain_exactly_once() {
-        // Regression test for the mutex fallback path: pushes from
-        // threads outside the thread pool must land in `fallback`, be
-        // counted by `len`, appear in a drain exactly once alongside the
-        // sharded entries, and be removed by `clear`.
-        let wl = Worklist::new(64);
-        // The orchestrating (test) thread is not a pool worker.
-        assert!(ipregel_par::current_thread_index().is_none());
-        wl.push(100); // fallback entry #1
-        let n_pool: u32 = if cfg!(miri) { 8 } else { 32 };
-        // Worker-shard entries from inside the pool.
-        (0..n_pool).into_par_iter().for_each(|i| wl.push(i));
-        // A plain OS thread (also not a pool worker) → fallback #2.
-        std::thread::scope(|s| {
-            s.spawn(|| wl.push(101));
-        });
-        let expected = n_pool as usize + 2;
-        assert_eq!(wl.len(), expected, "fallback entries must be counted");
-        let drained = wl.drain_to_vec();
-        assert_eq!(drained.len(), expected);
-        let mut counts: HashMap<u32, u32> = HashMap::new();
-        for v in &drained {
-            *counts.entry(*v).or_insert(0) += 1;
-        }
-        assert!(counts.values().all(|&c| c == 1), "every entry exactly once: {counts:?}");
-        assert!(counts.contains_key(&100) && counts.contains_key(&101));
-        // bytes() must see the fallback vec's storage too.
-        assert!(wl.bytes() >= expected * std::mem::size_of::<VertexIndex>());
-        // clear() empties the fallback as well: a fresh drain is empty,
-        // so nothing can ever be merged twice across supersteps.
-        wl.clear();
-        assert!(wl.is_empty());
-        assert_eq!(wl.drain_to_vec(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn take_moves_everything_out_exactly_once() {
-        let wl = Worklist::new(64);
-        let n: u32 = if cfg!(miri) { 64 } else { 4096 };
-        (0..n).into_par_iter().for_each(|i| wl.push(i ^ 0x2a));
-        wl.push(n); // from this non-pool thread: the fallback entry
-        let before = wl.bytes();
-        let mut taken = wl.take();
-        taken.sort_unstable();
-        assert_eq!(taken, (0..=n).collect::<Vec<u32>>(), "shards and fallback, each entry once");
-        // take empties: nothing can be handed out twice.
-        assert!(wl.is_empty());
-        assert_eq!(wl.take(), Vec::<u32>::new());
-        assert_eq!(wl.bytes(), before, "capacity stays for the next superstep");
-    }
+    use std::collections::HashSet;
 
     #[test]
     fn epoch_claim_is_exactly_once() {
@@ -466,6 +213,7 @@ mod tests {
         assert!(tags.claim(3, 2)); // new epoch, claimable again
         assert!(!tags.claim(3, 2));
         assert!(tags.claim(4, 2)); // different vertex independent
+        assert_eq!(tags.bytes(), 8 * 4);
     }
 
     #[test]
@@ -482,29 +230,14 @@ mod tests {
     #[test]
     fn dedup_keeps_one_entry_per_vertex() {
         let slots = if cfg!(miri) { 32 } else { 256 };
-        let wl = Worklist::new(slots);
         let tags = EpochTags::new(slots);
-        (0..slots * 16).into_par_iter().for_each(|i| {
-            let v = (i % slots) as u32;
-            if tags.claim(v, 1) {
-                wl.push(v);
-            }
-        });
-        assert_eq!(wl.len(), slots);
-        let set: HashSet<u32> = wl.drain_to_vec().into_iter().collect();
+        let queued: Vec<u32> = (0..slots * 16)
+            .into_par_iter()
+            .map(|i| (i % slots) as u32)
+            .filter(|&v| tags.claim(v, 1))
+            .collect();
+        assert_eq!(queued.len(), slots);
+        let set: HashSet<u32> = queued.into_iter().collect();
         assert_eq!(set.len(), slots);
-    }
-
-    #[test]
-    fn bytes_reflect_storage() {
-        let wl = Worklist::new(1000);
-        let before = wl.bytes();
-        assert!(before > 0);
-        for v in 0..10_000u32 {
-            wl.push(v);
-        }
-        assert!(wl.bytes() >= 10_000 * 4);
-        let tags = EpochTags::new(100);
-        assert_eq!(tags.bytes(), 400);
     }
 }

@@ -2,14 +2,14 @@
 //! `--cfg loom`.
 //!
 //! Every atomic, lock, and interior-mutability cell used by the
-//! concurrency core (the spinlock, the three mailboxes, the worklist)
-//! is imported from this module rather than from `std` directly. A
+//! concurrency core (the spinlock, the three mailboxes, the epoch tags,
+//! the push partials) is imported from this module rather than from `std` directly. A
 //! normal build re-exports the `std` types at zero cost; compiling the
 //! workspace with `RUSTFLAGS="--cfg loom"` swaps in loom's
 //! model-checked doubles, and `crates/core/tests/loom.rs` then
 //! exhaustively explores the interleavings of the key protocols
 //! (spinlock mutual exclusion, the mailbox empty→occupied transition
-//! the selection bypass relies on, worklist shard handoff).
+//! the selection bypass relies on, lock-free combining).
 //!
 //! Two deliberate deviations from a plain re-export:
 //!
@@ -170,12 +170,7 @@ pub mod lockorder {
         pub const CHAOS_TEST: LockClass = LockClass::new(33, "chaos.test");
         /// The chaos registry's active-plan slot (`chaos::ACTIVE`).
         pub const CHAOS_ACTIVE: LockClass = LockClass::new(35, "chaos.active");
-        /// The worklist's off-pool fallback vec (`Worklist::fallback`).
-        pub const WORKLIST_FALLBACK: LockClass = LockClass::new(40, "worklist.fallback");
-        /// A tracer's per-worker event shard (`Tracer::shards`).
-        pub const TRACER_SHARD: LockClass = LockClass::new(50, "tracer.shard");
-        /// A tracer's main event log (`Tracer::log`). Ranks above the
-        /// shards: `barrier`/`take_events` drain shard → log.
+        /// A tracer's event log (`Tracer::log`).
         pub const TRACER_LOG: LockClass = LockClass::new(60, "tracer.log");
         /// A `MutexMailbox` message slot (`MutexMailbox::slot`).
         pub const MAILBOX_SLOT: LockClass = LockClass::new(70, "mailbox.slot");

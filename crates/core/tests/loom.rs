@@ -16,10 +16,10 @@
 //! 2. –4. the mailbox empty→occupied transition for each implementation
 //!    — exactly one deliverer observes "was empty", which is what makes
 //!    the §4 selection bypass enqueue exactly once;
-//! 5. lock-free combining never loses a delivery (CAS retry loop);
-//! 6. –7. worklist shard handoff: worker-exclusive pushes during the
-//!    parallel region become orchestrator-exclusive reads after join
-//!    (the superstep barrier), plus the mutex fallback path.
+//! 5. lock-free combining never loses a delivery (CAS retry loop).
+//!
+//! The bypass worklist has no protocol to model: each chunk appends to a
+//! list of its own, handed back to the orchestrator by the fork-join.
 //!
 //! The pool keeps its queue and idle count under one mutex, so it has
 //! no protocol of its own left to model; its no-lost-wakeup battery is
@@ -31,7 +31,6 @@
 #![cfg(loom)]
 
 use ipregel::mailbox::{AtomicMailbox, Mailbox, MutexMailbox, SpinMailbox};
-use ipregel::selection::Worklist;
 use ipregel::sync::cell::UnsafeCell;
 use ipregel::SpinLock;
 use loom::sync::Arc;
@@ -135,58 +134,5 @@ fn atomic_mailbox_combining_loses_nothing() {
             h.join().unwrap();
         }
         assert_eq!(mb.take(), Some(2), "a CAS-combined delivery was lost");
-    });
-}
-
-/// Model 6: the superstep shard handoff. During the "parallel region"
-/// each model thread owns its shard exclusively; after join (the
-/// engines' barrier) the orchestrator drains and clears. Loom's cell
-/// tracking proves the pushes never alias and the join makes them
-/// visible to the drain.
-#[test]
-fn worklist_shard_handoff_across_barrier() {
-    loom::model(|| {
-        let wl = Arc::new(Worklist::with_shards(8, 2));
-        let h0 = {
-            let wl = Arc::clone(&wl);
-            // SAFETY: shard 0 is touched only by this model thread
-            // during the region; the join below is the barrier.
-            thread::spawn(move || unsafe { wl.push_to_shard(0, 1) })
-        };
-        let h1 = {
-            let wl = Arc::clone(&wl);
-            // SAFETY: shard 1 likewise belongs to this thread alone.
-            thread::spawn(move || unsafe { wl.push_to_shard(1, 2) })
-        };
-        h0.join().unwrap();
-        h1.join().unwrap();
-        let mut drained = wl.drain_to_vec();
-        drained.sort_unstable();
-        assert_eq!(drained, vec![1, 2], "shard pushes must survive the barrier handoff");
-        wl.clear();
-        assert!(wl.is_empty());
-    });
-}
-
-/// Model 7: the mutex fallback path (pushes from outside the worker
-/// pool). Two non-worker threads race on the fallback mutex; both
-/// entries must merge into the drain exactly once.
-#[test]
-fn worklist_fallback_merges_exactly_once() {
-    loom::model(|| {
-        let wl = Arc::new(Worklist::with_shards(4, 1));
-        let h = {
-            let wl = Arc::clone(&wl);
-            // Loom threads are not pool workers, so `push` takes the
-            // fallback mutex in both threads.
-            thread::spawn(move || wl.push(7))
-        };
-        wl.push(9);
-        h.join().unwrap();
-        let mut drained = wl.drain_to_vec();
-        drained.sort_unstable();
-        assert_eq!(drained, vec![7, 9], "fallback entries must merge exactly once");
-        wl.clear();
-        assert_eq!(wl.len(), 0);
     });
 }

@@ -1,7 +1,7 @@
 //! Property tests over the framework's concurrency primitives.
 
 use ipregel::mailbox::{AtomicMailbox, Mailbox, MutexMailbox, PackMessage, SpinMailbox};
-use ipregel::selection::{EpochTags, Worklist};
+use ipregel::selection::EpochTags;
 use proptest::prelude::*;
 use ipregel_par::prelude::*;
 
@@ -94,19 +94,6 @@ proptest! {
     fn pack_message_round_trips_pairs(a in any::<u32>(), b in any::<u32>()) {
         prop_assume!(!(a == u32::MAX && b == u32::MAX));
         prop_assert_eq!(<(u32, u32)>::unpack((a, b).pack()), (a, b));
-    }
-
-    #[test]
-    fn worklist_collects_exactly_the_pushes(items in prop::collection::vec(0u32..100_000, 0..2000)) {
-        let wl = Worklist::new(items.len().max(1));
-        items.par_iter().for_each(|&v| wl.push(v));
-        let mut got = wl.drain_to_vec();
-        let mut expect = items.clone();
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-        wl.clear();
-        prop_assert!(wl.is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 ///
 /// Rationale for the shape: pool-internal locks rank lowest (workers
 /// hold them around scheduling, and everything else happens inside a
-/// scheduled job); the tracer drains shard → log; mailbox locks rank
+/// scheduled job); mailbox locks rank
 /// highest of the engine-internal classes because a vertex program may
 /// send — locking a mailbox — from inside any engine context; the
 /// naive baseline's inbox queues sit above even those, as the most
@@ -34,8 +34,6 @@ pub const LOCK_HIERARCHY: &[(&str, u16)] = &[
     ("pool.result", 30),
     ("chaos.test", 33),
     ("chaos.active", 35),
-    ("worklist.fallback", 40),
-    ("tracer.shard", 50),
     ("tracer.log", 60),
     ("mailbox.slot", 70),
     ("mailbox.spin", 80),
@@ -84,9 +82,6 @@ pub const ATOMIC_PROTOCOLS: &[(&str, &[&str])] = &[
     ("crates/core/src/selection.rs", &["Relaxed"]),
     // Dropped-event counters, read only after runs quiesce.
     ("crates/core/src/trace.rs", &["Relaxed"]),
-    // Pull's per-worker sender count: each line written by one worker,
-    // summed after the superstep barrier.
-    ("crates/core/src/engine/pull.rs", &["Relaxed"]),
     // K-lane per-lane counters: monotone values whose
     // correctness-bearing reads happen after the engine run joins.
     ("crates/core/src/lanes.rs", &["Relaxed"]),

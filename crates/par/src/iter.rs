@@ -19,10 +19,8 @@
 //!   run on pool workers, and a one-chunk plan runs on its caller — a
 //!   worker whenever the caller is one, as the engines' are under a
 //!   pool of their own. `current_thread_index()` is therefore `Some(_)`
-//!   inside `for_each`/`map` closures and the sharded
-//!   `Worklist`/`Tracer` paths stay on their lock-free lanes, except in
-//!   a one-chunk plan started from outside any pool, where those paths
-//!   take their mutex fallback.
+//!   inside `for_each`/`map` closures, except in a one-chunk plan
+//!   started from outside any pool, where it is `None`.
 //! - **Determinism is *stronger* than rayon's.** For a fixed thread
 //!   count the chunk plan is fixed and reduction order is chunk order,
 //!   so even non-associative combines (f64 sums) are reproducible

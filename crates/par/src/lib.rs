@@ -19,13 +19,13 @@
 //!
 //! # Worker-index contract
 //!
-//! The load-bearing guarantee, relied on by the sharded `Tracer` and
-//! `Worklist`: inside any closure run by this crate (scope tasks,
-//! `install`, parallel-iterator bodies), [`current_thread_index`]
-//! returns `Some(i)` with `i < current_num_threads()`, stable for the
-//! closure's whole execution and unique per concurrent worker. Off-pool
-//! threads get `None` and must take the callers' documented fallback
-//! paths. `tests/pool_contract.rs` pins it.
+//! The load-bearing guarantee, relied on by the push engine's per-worker
+//! partials (and by the worker label of each chunk's trace event):
+//! inside any closure run by this crate (scope tasks, `install`,
+//! parallel-iterator bodies), [`current_thread_index`] returns `Some(i)`
+//! with `i < current_num_threads()`, stable for the closure's whole
+//! execution and unique per concurrent worker. Off-pool threads get
+//! `None`. `tests/pool_contract.rs` pins it.
 
 mod padded;
 pub use padded::CachePadded;

@@ -1,7 +1,6 @@
 //! Cache-line padding, replacing `crossbeam::utils::CachePadded` for
-//! the sharded structures (`Tracer`, `Worklist`, the pull engine's
-//! sender count) that use it to keep per-worker shards off each other's
-//! cache lines.
+//! the push engine's per-worker partials, which use it to keep each
+//! worker's shard off the others' cache lines.
 
 #![forbid(unsafe_code)]
 

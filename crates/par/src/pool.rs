@@ -13,9 +13,9 @@
 //! push and per pop is nowhere near contention.
 //!
 //! Workers carry a stable index `0..num_threads` published through a
-//! thread-local, which is the contract the sharded
-//! [`Tracer`](../../core/src/trace.rs) and `Worklist::with_shards`
-//! depend on: *while a closure runs on worker `i`,
+//! thread-local, which is the contract the push engine's per-worker
+//! partials (`Partials` in `crates/core/src/selection.rs`) depend on:
+//! *while a closure runs on worker `i`,
 //! [`current_thread_index`] returns `Some(i)`, indices are unique within
 //! the pool, and they never change for the lifetime of the pool.*
 //!

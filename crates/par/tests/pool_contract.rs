@@ -3,8 +3,8 @@
 //! runtime"):
 //!
 //! 1. **Worker indices** inside `install` are `Some`, dense in
-//!    `0..num_threads`, and stable for the life of the pool — the
-//!    sharded `Tracer` and `Worklist::with_shards` route on them.
+//!    `0..num_threads`, and stable for the life of the pool — the push
+//!    engine's per-worker partials route on them.
 //! 2. **Nested scopes** complete (work-helping, not thread-blocking),
 //!    even on a 1-thread pool.
 //! 3. **Panic isolation**: a panicking task propagates to the caller

@@ -332,7 +332,7 @@ pub struct ServerReport {
     /// Server trace events ([`TraceEvent::ServerRequest`] /
     /// [`TraceEvent::ServerQueueDepth`]), in settlement order.
     pub events: Vec<TraceEvent>,
-    /// Events the tracer dropped (0 unless a shard bound was hit).
+    /// Events the tracer dropped (0 unless its log lock was poisoned).
     pub dropped_events: u64,
 }
 
@@ -541,7 +541,7 @@ impl ServerHandle {
             admitted_cv: OrderedCondvar::new(),
             registry: OrderedMutex::new(&classes::SERVER_REGISTRY, Vec::new()),
             stats: OrderedMutex::new(&classes::SERVER_STATS, ServerStats::default()),
-            tracer: Tracer::with_shards(1),
+            tracer: Tracer::new(),
             next_id: AtomicU64::new(0),
             depth_seq: AtomicU64::new(0),
             watchdog_stop: AtomicBool::new(false),

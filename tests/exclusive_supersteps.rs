@@ -3,16 +3,20 @@
 //! The driver runs a superstep on the orchestrating thread alone — every
 //! chunk in order, the strategy unshared, push deliveries unlocked — when
 //! the plan has one chunk or the pool has one thread, and forks it
-//! otherwise. These runs hold every push mailbox, with the selection
-//! bypass on and off, on the plain and the compact CSR, to `seq.rs` in
-//! four shapes:
+//! otherwise. These runs hold every push mailbox and the pull engine,
+//! with the selection bypass on and off, on the plain and the compact
+//! CSR, to `seq.rs` in five shapes:
 //!
 //! * whole — `grain: Some(usize::MAX)` on a pool of two: exclusive by plan;
 //! * a pool of one with `grain: Some(1)`: exclusive by pool, many chunks;
-//! * forked at two and at four threads, `grain: Some(1)`.
+//! * forked at two and at four threads, `grain: Some(1)`;
+//! * `threads: None`, `grain: Some(1)`, called from the test thread,
+//!   which is no pool worker: supersteps fork onto the global pool or,
+//!   when the frontier fits one chunk, run on that off-pool thread.
 //!
 //! Integer results must be bit-identical, PageRank's `f64` within a
-//! relative 1e-9, and the per-superstep `(active, messages)` trajectory —
+//! relative 1e-9 (bit-identical for push in an exclusive shape), and the
+//! per-superstep `(active, messages)` trajectory —
 //! supersteps, messages and executions — equal. PageRank keeps every
 //! vertex awake, so it runs without the bypass only. With `--features
 //! trace` a count claim rides along: an exclusive superstep takes no
@@ -29,8 +33,13 @@ use ipregel_graph::generators::analogs::WIKIPEDIA;
 use ipregel_graph::transform::{degree_relabeling, relabel_graph};
 use ipregel_graph::{Graph, GraphBuilder, NeighborMode, VertexId};
 
-const PUSH: [CombinerKind; 3] =
-    [CombinerKind::Mutex, CombinerKind::Spinlock, CombinerKind::LockFree];
+/// The push mailboxes and the pull engine.
+const ENGINES: [CombinerKind; 4] = [
+    CombinerKind::Mutex,
+    CombinerKind::Spinlock,
+    CombinerKind::LockFree,
+    CombinerKind::Broadcast,
+];
 
 /// A way to cut and place a run's supersteps.
 struct Shape {
@@ -40,23 +49,25 @@ struct Shape {
     cfg: RunConfig,
 }
 
-/// The four shapes.
+/// The five shapes.
 fn shapes(bypass: bool) -> Vec<Shape> {
     let shape = |label, exclusive, threads, grain| Shape {
         label,
         exclusive,
         cfg: RunConfig {
-            threads: Some(threads),
+            threads,
             grain: Some(grain),
             selection_bypass: bypass,
             ..RunConfig::default()
         },
     };
     vec![
-        shape("whole", true, 2, usize::MAX),
-        shape("one-thread pool", true, 1, 1),
-        shape("forked at 2", false, 2, 1),
-        shape("forked at 4", false, 4, 1),
+        shape("whole", true, Some(2), usize::MAX),
+        shape("one-thread pool", true, Some(1), 1),
+        shape("forked at 2", false, Some(2), 1),
+        shape("forked at 4", false, Some(4), 1),
+        // Exclusive or forked by the global pool's size and the frontier.
+        shape("off-pool caller", false, None, 1),
     ]
 }
 
@@ -102,7 +113,7 @@ fn graphs() -> Vec<(String, Graph, VertexId)> {
     out
 }
 
-fn run_push<P>(
+fn run_engine<P>(
     g: &Graph,
     program: &P,
     combiner: CombinerKind,
@@ -116,9 +127,10 @@ where
     try_run_packed(g, program, version, cfg).unwrap_or_else(|e| panic!("{}: {e}", version.label()))
 }
 
-/// Every push mailbox in every shape, with the bypass on and off where
-/// the program allows it, held to the oracle by `same_values` (told
-/// whether the shape is exclusive).
+/// Every push mailbox and the pull engine in every shape, with the
+/// bypass on and off where the program allows it, held to the oracle by
+/// `same_values` (told whether the run combines in the oracle's order:
+/// push in an exclusive shape — pull combines in in-CSR order).
 fn assert_matches_oracle<P>(
     label: &str,
     g: &Graph,
@@ -133,14 +145,15 @@ fn assert_matches_oracle<P>(
     let oracle = try_run_sequential(g, program, &RunConfig::default()).expect("oracle runs");
     for &bypass in bypass {
         for shape in shapes(bypass) {
-            for combiner in PUSH {
+            for combiner in ENGINES {
                 let label = format!("{label} / {combiner:?} / bypass {bypass} / {}", shape.label);
-                let out = run_push(g, program, combiner, &shape.cfg);
+                let out = run_engine(g, program, combiner, &shape.cfg);
                 let (got, want) = (trajectory(&out.stats), trajectory(&oracle.stats));
                 assert_eq!(got, want, "{label}: trajectory");
+                let in_order = shape.exclusive && combiner != CombinerKind::Broadcast;
                 for (slot, (a, b)) in out.values.iter().zip(&oracle.values).enumerate() {
                     assert!(
-                        same_values(a, b, shape.exclusive),
+                        same_values(a, b, in_order),
                         "{label}: slot {slot}: {a:?} vs oracle {b:?}"
                     );
                 }
@@ -160,15 +173,15 @@ fn sssp_bfs_and_hashmin_are_bit_identical_to_the_oracle() {
     }
 }
 
-/// Within 1e-9 in every shape — and bit-identical in an exclusive one,
-/// whose one thread runs the vertices in slot order and combines each
-/// mailbox's messages in the oracle's order.
+/// Within 1e-9 in every shape — and bit-identical for push in an
+/// exclusive one, whose one thread runs the vertices in slot order and
+/// combines each mailbox's messages in the oracle's order.
 #[test]
 fn pagerank_is_within_1e9_of_the_oracle_and_exact_when_exclusive() {
     let program = PageRank { rounds: 8, damping: 0.85 };
-    let close = |a: &f64, b: &f64, exclusive: bool| {
+    let close = |a: &f64, b: &f64, in_order: bool| {
         let diff = (a - b).abs() / a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
-        if exclusive {
+        if in_order {
             a.to_bits() == b.to_bits()
         } else {
             diff < 1e-9
@@ -204,7 +217,7 @@ fn an_exclusive_superstep_takes_no_mailbox_lock() {
         let tracer = Arc::new(Tracer::new());
         let cfg = RunConfig { trace: Some(Arc::clone(&tracer)), ..cfg };
         let before = contention::snapshot();
-        let out = run_push(g, program, combiner, &cfg);
+        let out = run_engine(g, program, combiner, &cfg);
         let on_me = contention::snapshot().delta_since(&before).lock_acquisitions;
         let chunks = tracer
             .take_events()

@@ -59,18 +59,18 @@ fn injected_inversion_panics_naming_both_locks() {
 /// stack usable for subsequent acquisitions.
 #[test]
 fn same_class_nesting_panics_and_stack_recovers() {
-    let a = OrderedMutex::new(&classes::WORKLIST_FALLBACK, ());
-    let b = OrderedMutex::new(&classes::WORKLIST_FALLBACK, ());
+    let a = OrderedMutex::new(&classes::TRACER_LOG, ());
+    let b = OrderedMutex::new(&classes::TRACER_LOG, ());
     let caught = std::panic::catch_unwind(|| {
-        // lock-order(worklist.fallback)
+        // lock-order(tracer.log)
         let _g = a.lock().unwrap();
-        // lock-order(worklist.fallback)
+        // lock-order(tracer.log)
         let _h = b.lock().unwrap();
     });
     assert!(caught.is_err(), "same-rank nesting must be rejected");
     assert_eq!(held_count(), 0);
     // The detector recovered: a fresh, well-ordered acquisition works.
-    // lock-order(worklist.fallback)
+    // lock-order(tracer.log)
     drop(a.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
 }
 

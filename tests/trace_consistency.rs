@@ -17,7 +17,7 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ipregel::trace::{decode_trace, encode_trace, TraceEvent, Tracer};
+use ipregel::trace::{self, decode_trace, encode_trace, TraceEvent, Tracer};
 use ipregel::{
     run, run_packed, run_sequential, CombinerKind, RunConfig, RunStats, Schedule, Version,
     VertexProgram,
@@ -42,7 +42,7 @@ fn fixture(name: &str) -> Graph {
 }
 
 /// The two superstep shapes a fixture-sized run can take: cut as fine as
-/// the planner can (chunk events arrive through the worker shards) and
+/// the planner can (chunks forked onto the pool's workers) and
 /// the planner's own choice (small supersteps run as one chunk).
 const GRAINS: [Option<usize>; 2] = [Some(1), None];
 
@@ -85,6 +85,8 @@ fn check(stats: &RunStats, events: &[TraceEvent], label: &str) {
     let mut current: Option<u64> = None;
     let mut chunk_indices: Vec<u64> = Vec::new();
     let mut planned: Vec<u64> = Vec::new();
+    // `(duration_ns, worker)` of each chunk event.
+    let mut measured: Vec<(u64, u64)> = Vec::new();
     for e in events {
         match *e {
             TraceEvent::SuperstepBegin { superstep } => {
@@ -92,11 +94,13 @@ fn check(stats: &RunStats, events: &[TraceEvent], label: &str) {
                 current = Some(superstep);
                 chunk_indices.clear();
                 planned.clear();
+                measured.clear();
             }
-            TraceEvent::Chunk { superstep, chunk, planned_edges, .. } => {
+            TraceEvent::Chunk { superstep, chunk, planned_edges, duration_ns, worker, .. } => {
                 assert_eq!(Some(superstep), current, "{label}: chunk outside its superstep span");
                 chunk_indices.push(chunk);
                 planned.push(planned_edges);
+                measured.push((duration_ns, worker));
             }
             TraceEvent::SuperstepEnd { superstep, chunks, .. } => {
                 assert_eq!(Some(superstep), current, "{label}: unmatched superstep_end");
@@ -120,6 +124,17 @@ fn check(stats: &RunStats, events: &[TraceEvent], label: &str) {
                             planned, expect,
                             "{label}: superstep {superstep}: planned chunk weights"
                         );
+                        // Durations and workers come from the same tally.
+                        let tallied: Vec<(u64, u64)> = load
+                            .chunk_durations
+                            .iter()
+                            .zip(&load.chunk_workers)
+                            .map(|(&d, &w)| (trace::ns(d), w))
+                            .collect();
+                        assert_eq!(
+                            measured, tallied,
+                            "{label}: superstep {superstep}: chunk durations and workers"
+                        );
                     }
                 }
                 current = None;
@@ -136,7 +151,7 @@ fn reconcile_parallel<P: VertexProgram>(g: &Graph, p: &P, versions: &[Version], 
             let (cfg, tracer) = traced_cfg(schedule, grain);
             let out = run(g, p, v, &cfg);
             let events = tracer.take_events();
-            assert_eq!(tracer.dropped_events(), 0, "fixture runs fit the shard bound");
+            assert_eq!(tracer.dropped_events(), 0, "no trace event dropped");
             let label = format!("{app} / {} / {schedule} / grain {grain:?}", v.label());
             check(&out.stats, &events, &label);
         }

@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 #   int-pointer casts sneaking back in.
 export MIRIFLAGS="${MIRIFLAGS:--Zmiri-disable-isolation -Zmiri-strict-provenance}"
 
-# Core crate: unit tests (sync shim, SharedSlice, mailboxes, worklist)
+# Core crate: unit tests (sync shim, SharedSlice, mailboxes, epoch tags)
 # under both feature configurations of the borrow-tag checker, then the
 # sequential differential suite.
 cargo +nightly miri test -p ipregel --lib
