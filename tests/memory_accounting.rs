@@ -73,9 +73,11 @@ fn compact_push_counts_its_partials_and_plain_push_has_none() {
         let cfg = RunConfig { threads: Some(workers), ..RunConfig::default() };
         let out = run(&g, &program, version, &cfg);
         // Per worker and covered slot: an f64, its presence byte and a
-        // u32 of touched-list capacity.
+        // u32 of touched-list capacity. A pool of one runs every
+        // superstep exclusive, so it builds no partial at all.
         let span = partial_slots::<f64>().min(slots);
-        let partials = workers * span * (std::mem::size_of::<f64>() + 1 + 4);
+        let shards = if workers > 1 { workers } else { 0 };
+        let partials = shards * span * (std::mem::size_of::<f64>() + 1 + 4);
         assert_eq!(out.footprint.mailbox_bytes, 2 * slots * spin + partials, "{slots} slots");
     }
     let cfg = RunConfig { threads: Some(2), ..RunConfig::default() };
