@@ -19,9 +19,7 @@
 
 use std::str::FromStr;
 
-use ipregel_graph::schedule::{
-    count_balanced, edge_balanced_list, edge_balanced_range, Chunk,
-};
+use ipregel_graph::schedule::{count_balanced, edge_balanced_list, edge_balanced_range, Chunk};
 use ipregel_graph::VertexIndex;
 
 /// How each superstep's active list is cut into parallel chunks.
@@ -80,9 +78,9 @@ impl FromStr for Schedule {
             "vertex" | "vertex-balanced" => Ok(Schedule::VertexBalanced),
             "edge" | "edge-balanced" => Ok(Schedule::EdgeBalanced),
             "adaptive" => Ok(Schedule::Adaptive),
-            other => Err(format!(
-                "unknown schedule '{other}' (expected vertex, edge, or adaptive)"
-            )),
+            other => {
+                Err(format!("unknown schedule '{other}' (expected vertex, edge, or adaptive)"))
+            }
         }
     }
 }
@@ -176,11 +174,7 @@ pub(crate) fn resolve(schedule: Schedule, offsets: &[u64], max_chunks: usize) ->
         Schedule::VertexBalanced => Resolved::VERTEX_BALANCED,
         Schedule::EdgeBalanced => Resolved::EDGE_BALANCED,
         Schedule::Adaptive => {
-            let max_weight = offsets
-                .windows(2)
-                .map(|w| w[1] - w[0] + 1)
-                .max()
-                .unwrap_or(1);
+            let max_weight = offsets.windows(2).map(|w| w[1] - w[0] + 1).max().unwrap_or(1);
             let slots = offsets.len().saturating_sub(1) as u64;
             let total = offsets.last().copied().unwrap_or(0) + slots;
             let ideal = (total / max_chunks.max(1) as u64).max(1);
@@ -260,10 +254,7 @@ pub(crate) fn plan(
             .map(|c| offsets[c.end] - offsets[c.start] + (c.end - c.start) as u64)
             .collect()
     } else {
-        chunks
-            .iter()
-            .map(|c| active[c.start..c.end].iter().map(|&v| degree(v) + 1).sum())
-            .collect()
+        chunks.iter().map(|c| active[c.start..c.end].iter().map(|&v| degree(v) + 1).sum()).collect()
     };
     Plan { chunks, chunk_edges }
 }
@@ -335,7 +326,10 @@ mod tests {
             Resolved { cut: Cut::EdgeBalanced, overpartition: OVERPARTITION_FACTOR }
         );
         // The explicit policies resolve to themselves regardless of shape.
-        assert_eq!(resolve(Schedule::VertexBalanced, skewed.offsets(), 8), Resolved::VERTEX_BALANCED);
+        assert_eq!(
+            resolve(Schedule::VertexBalanced, skewed.offsets(), 8),
+            Resolved::VERTEX_BALANCED
+        );
         assert_eq!(resolve(Schedule::EdgeBalanced, flat.offsets(), 8), Resolved::EDGE_BALANCED);
     }
 
@@ -353,7 +347,12 @@ mod tests {
             csr.offsets(),
             Some(1),
         );
-        assert!(fine.chunks.len() > base.chunks.len(), "{} vs {}", fine.chunks.len(), base.chunks.len());
+        assert!(
+            fine.chunks.len() > base.chunks.len(),
+            "{} vs {}",
+            fine.chunks.len(),
+            base.chunks.len()
+        );
         let total: u64 = fine.chunk_edges.iter().sum();
         assert_eq!(total, csr.num_edges() + 512, "finer plan still covers every vertex's weight");
     }
@@ -424,7 +423,11 @@ mod tests {
                 assert!(weight < MIN_FORK_WEIGHT);
                 let whole = plan(resolved, active, 1000, csr.offsets(), None);
                 assert_eq!(whole.chunks, vec![Chunk { start: 0, end: active.len() }]);
-                assert_eq!(whole.chunk_edges, vec![weight], "the one chunk carries the plan's weight");
+                assert_eq!(
+                    whole.chunk_edges,
+                    vec![weight],
+                    "the one chunk carries the plan's weight"
+                );
                 // An explicit grain keeps its meaning whatever the weight.
                 let cut = plan(resolved, active, 1000, csr.offsets(), Some(1));
                 assert!(cut.chunks.len() > 1, "{resolved:?}: grain 1 cuts as fine as it can");
@@ -447,12 +450,18 @@ mod tests {
         let without: Vec<u32> = (0..50).collect();
         let hub = plan(Resolved::EDGE_BALANCED, &with_hub, 4000, csr.offsets(), None);
         assert!(hub.chunks.len() > 1, "{:?}", hub.chunks);
-        assert_eq!(plan(Resolved::EDGE_BALANCED, &without, 4000, csr.offsets(), None).chunks.len(), 1);
+        assert_eq!(
+            plan(Resolved::EDGE_BALANCED, &without, 4000, csr.offsets(), None).chunks.len(),
+            1
+        );
         // Exactly at the threshold forks; one unit below does not.
         let at = csr_of(&[(MIN_FORK_WEIGHT - 2) as u32, 0]);
         assert!(plan(Resolved::EDGE_BALANCED, &[0, 1], 2, at.offsets(), None).chunks.len() > 1);
         let below = csr_of(&[(MIN_FORK_WEIGHT - 3) as u32, 0]);
-        assert_eq!(plan(Resolved::EDGE_BALANCED, &[0, 1], 2, below.offsets(), None).chunks.len(), 1);
+        assert_eq!(
+            plan(Resolved::EDGE_BALANCED, &[0, 1], 2, below.offsets(), None).chunks.len(),
+            1
+        );
     }
 
     #[test]

@@ -131,10 +131,9 @@ impl std::fmt::Display for RunError {
                  {}..={}): {message}",
                 vertex_range.0, vertex_range.1
             ),
-            RunError::DeadlineExceeded { deadline, superstep, .. } => write!(
-                f,
-                "deadline of {deadline:?} exceeded before superstep {superstep}"
-            ),
+            RunError::DeadlineExceeded { deadline, superstep, .. } => {
+                write!(f, "deadline of {deadline:?} exceeded before superstep {superstep}")
+            }
             RunError::Checkpoint { superstep, source } => {
                 write!(f, "checkpoint at superstep {superstep} failed: {source}")
             }
@@ -342,7 +341,12 @@ impl<V> RunOutput<V> {
     /// Assemble a run result. Public so alternative engines (the
     /// sequential oracle, the naive `femtograph-sim` baseline, external
     /// experiments) can return the same type the built-in engines do.
-    pub fn new(values: Vec<V>, map: AddressMap, stats: RunStats, footprint: FootprintReport) -> Self {
+    pub fn new(
+        values: Vec<V>,
+        map: AddressMap,
+        stats: RunStats,
+        footprint: FootprintReport,
+    ) -> Self {
         RunOutput { values, map, stats, footprint, relabeling: None }
     }
 
