@@ -105,7 +105,7 @@ use ipregel::recover::run_with_checkpoints;
 use ipregel::trace::Tracer;
 use ipregel::{
     try_run, try_run_sequential, CheckpointConfig, CombinerKind, Persist, RunConfig, RunError,
-    RunOutput, Schedule, Version, VertexProgram,
+    RunOutput, RunStats, Schedule, Version, VertexProgram,
 };
 use ipregel_apps::{Bfs, Hashmin, PageRank, Sssp, WeightedSssp};
 use ipregel_graph::loaders::{load_dimacs_gr, load_edge_list, load_konect, read_binary};
@@ -548,7 +548,10 @@ where
         .map(|out| attach_relabeling(out, relabeling))
 }
 
-fn summary<V>(out: &RunOutput<V>, version: Version) -> String {
+/// A run's summary lines. The run's stats are also kept in `run`, whose
+/// totals `--metrics-out` writes, so the file and the printout agree.
+fn summary<V>(out: &RunOutput<V>, version: Version, run: &mut Option<RunStats>) -> String {
+    *run = Some(out.stats.clone());
     format!(
         "version: {}\nsupersteps: {}\nmessages: {}\nsuperstep time: {:.3}s\nframework bytes: {}\n",
         version.label(),
@@ -627,6 +630,10 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     if opts.compress {
         g = g.compress().map_err(|e| CliError(format!("cannot compress {}: {e}", opts.graph)))?;
     }
+    // The stats of the run whose summary is printed, for the run totals
+    // `--metrics-out` writes: only a `trace` build records the events they
+    // could be summed from. `diameter` prints no summary and leaves it.
+    let mut run: Option<RunStats> = None;
     // Arm the tracer before dispatch so every engine hook sees it. The
     // RSS sampler turns memmodel's offline Figure 9 model into a live
     // per-run series (sampled at superstep barriers).
@@ -661,7 +668,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
             let p = PageRank { rounds: opts.rounds, damping: opts.damping };
             let out = run_app_ckpt(&g, &p, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let ranked: Vec<(u32, f64)> = out.iter().map(|(id, &r)| (id, r)).collect();
             text.push_str(&format!("top {} by rank:\n", opts.top.min(ranked.len())));
             for (id, r) in top_k(ranked, opts.top, by_rank_desc) {
@@ -678,7 +685,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             } else {
                 run_app_ckpt(&g, &Sssp { source: opts.source }, version, &opts, &tracer, &relabeling)?
             };
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let reached = out.iter().filter(|(_, &d)| d != u32::MAX).count();
             text.push_str(&format!("reached: {} of {}\n", reached, g.num_vertices()));
             let far: Vec<(u32, u32)> =
@@ -691,7 +698,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         "bfs" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app_ckpt(&g, &Bfs { source: opts.source }, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let reached = out.iter().filter(|(_, &d)| d != u32::MAX).count();
             let depth = out.iter().filter(|(_, &d)| d != u32::MAX).map(|(_, &d)| d).max();
             text.push_str(&format!(
@@ -712,7 +719,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 rounds: opts.rounds,
             };
             let out = run_app_ckpt(&g, &p, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let ranked: Vec<(u32, f64)> = out.iter().map(|(id, &r)| (id, r)).collect();
             text.push_str(&format!("top {} by personalised rank:\n", opts.top.min(ranked.len())));
             for (id, r) in top_k(ranked, opts.top, by_rank_desc) {
@@ -744,7 +751,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out =
                 run_app(&g, &ipregel_apps::Bipartiteness { seed: opts.source }, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let coloured = out.iter().filter(|(_, s)| s.color.is_some()).count();
             let conflicts = out.iter().filter(|(_, s)| s.conflict).count();
             text.push_str(&format!(
@@ -758,14 +765,14 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         "maxvalue" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app_ckpt(&g, &ipregel_apps::MaxValue, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let distinct: std::collections::HashSet<u64> = out.iter().map(|(_, &v)| v).collect();
             text.push_str(&format!("distinct converged values: {}\n", distinct.len()));
         }
         "kcore" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app(&g, &ipregel_apps::KCore { k: opts.k }, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let alive = out.iter().filter(|(_, s)| s.alive).count();
             text.push_str(&format!("{}-core size: {} of {}\n", opts.k, alive, g.num_vertices()));
         }
@@ -776,7 +783,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
             let out =
                 run_app_ckpt(&g, &ipregel_apps::WidestPath { source: opts.source }, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let reached = out.iter().filter(|(_, &w)| w > 0).count();
             text.push_str(&format!("reached: {} of {}\n", reached, g.num_vertices()));
         }
@@ -883,7 +890,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         "components" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app_ckpt(&g, &Hashmin, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version));
+            text.push_str(&summary(&out, version, &mut run));
             let mut sizes: std::collections::HashMap<u32, u64> = Default::default();
             for (_, &label) in out.iter() {
                 *sizes.entry(label).or_default() += 1;
@@ -904,7 +911,8 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         }
         if let Some(path) = &opts.metrics_out {
-            std::fs::write(path, ipregel::trace::render_prometheus(&events, t.dropped_events()))
+            let metrics = ipregel::trace::render_prometheus(&events, t.dropped_events(), run.as_ref());
+            std::fs::write(path, metrics)
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         }
     }
@@ -1502,7 +1510,20 @@ mod tests {
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         let events = ipregel::trace::decode_trace(&trace).unwrap();
         let metrics = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(metrics.contains("ipregel_supersteps_total"), "{metrics}");
+        // The run totals equal the printed summary in every build.
+        let field = |text: &str, key: &str| -> f64 {
+            let line = text.lines().find(|l| l.starts_with(key)).expect(key);
+            line[key.len()..].trim().trim_end_matches('s').parse().unwrap()
+        };
+        for (printed, written) in [
+            ("supersteps:", "ipregel_supersteps_total "),
+            ("messages:", "ipregel_messages_total "),
+            ("superstep time:", "ipregel_run_seconds_total "),
+        ] {
+            let (printed, written) = (field(&out, printed), field(&metrics, written));
+            assert!((printed - written).abs() < 5e-4, "{printed} vs {written}: {metrics}");
+        }
+        assert!(field(&out, "supersteps:") > 0.0, "{out}");
         if cfg!(feature = "trace") {
             assert!(matches!(events.first(), Some(TraceEvent::RunBegin { .. })), "{events:?}");
             assert!(matches!(events.last(), Some(TraceEvent::RunEnd { .. })), "{events:?}");

@@ -35,6 +35,7 @@
 use std::time::Duration;
 
 use crate::json::{parse_flat_object, Value};
+use crate::metrics::RunStats;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::lockorder::{classes, OrderedMutex};
 
@@ -797,7 +798,10 @@ pub fn decode_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
 /// Render a Prometheus text-format snapshot of a trace: run totals as
 /// counters, the latest RSS sample as a gauge. Deterministic metric
 /// order; durations in (float) seconds per Prometheus convention.
-pub fn render_prometheus(events: &[TraceEvent], dropped: u64) -> String {
+/// `run`, when given, is the source of the superstep, message and
+/// run-time counters instead of the trace's `superstep_end` events, which
+/// only a `trace` build records.
+pub fn render_prometheus(events: &[TraceEvent], dropped: u64, run: Option<&RunStats>) -> String {
     let mut supersteps = 0u64;
     let mut messages = 0u64;
     let mut run_ns = 0u64;
@@ -874,6 +878,10 @@ pub fn render_prometheus(events: &[TraceEvent], dropped: u64) -> String {
             | TraceEvent::SuperstepBegin { .. }
             | TraceEvent::RunEnd { .. } => {}
         }
+    }
+    if let Some(run) = run {
+        (supersteps, messages) = (run.num_supersteps() as u64, run.total_messages());
+        run_ns = ns(run.total_time);
     }
     let secs = |ns: u64| ns as f64 / 1e9;
     let mut out = String::new();
@@ -1055,7 +1063,7 @@ mod tests {
 
     #[test]
     fn prometheus_snapshot_has_expected_totals() {
-        let text = render_prometheus(&one_of_each(), 3);
+        let text = render_prometheus(&one_of_each(), 3, None);
         assert!(text.contains("ipregel_supersteps_total 1\n"));
         assert!(text.contains("ipregel_messages_total 48\n"));
         assert!(text.contains("ipregel_chunks_total 1\n"));
@@ -1073,6 +1081,24 @@ mod tests {
         assert!(text.contains("ipregel_server_requests_total{outcome=\"reaped\"} 0\n"));
         assert!(text.contains("ipregel_server_attempts_total 2\n"));
         assert!(text.contains("ipregel_server_queue_depth_max 3\n"));
+        // Given the run's own stats, the three run counters come from
+        // them and every other counter still from the events.
+        let mut run = RunStats::default();
+        for (superstep, messages_sent) in [(0, 4), (1, 5)] {
+            run.push(crate::metrics::SuperstepStats {
+                superstep,
+                active: 1,
+                messages_sent,
+                duration: Duration::from_millis(750),
+                selection_duration: Duration::ZERO,
+                load: None,
+            });
+        }
+        let text = render_prometheus(&one_of_each(), 3, Some(&run));
+        assert!(text.contains("ipregel_supersteps_total 2\n"), "{text}");
+        assert!(text.contains("ipregel_messages_total 9\n"));
+        assert!(text.contains("ipregel_run_seconds_total 1.5\n"));
+        assert!(text.contains("ipregel_chunks_total 1\n"));
     }
 
     #[cfg(not(feature = "trace"))]
