@@ -8,7 +8,7 @@
 //! as a first-class measurement built from the BFS application.
 
 use ipregel::engine::RunError;
-use ipregel::{try_run, RunConfig, Version};
+use ipregel::{try_run, RunConfig, RunStats, Version};
 use ipregel_graph::{Graph, VertexId};
 
 use crate::bfs::{Bfs, UNVISITED};
@@ -41,37 +41,45 @@ pub fn pseudo_diameter(
 ) -> Option<DiameterEstimate> {
     try_pseudo_diameter(g, start, version, config)
         .unwrap_or_else(|e| panic!("pseudo_diameter: {e}"))
+        .0
 }
 
 /// Fallible [`pseudo_diameter`]: engine failures (a panicking vertex, a
 /// missed deadline — the sweep runs two BFS passes under one
-/// [`RunConfig::deadline`] budget each) surface as [`RunError`].
+/// [`RunConfig::deadline`] budget each) surface as [`RunError`]. Beside
+/// the estimate, the stats of the BFS runs it took, in order.
 pub fn try_pseudo_diameter(
     g: &Graph,
     start: VertexId,
     version: Version,
     config: &RunConfig,
-) -> Result<Option<DiameterEstimate>, RunError> {
+) -> Result<(Option<DiameterEstimate>, Vec<RunStats>), RunError> {
     let first = try_run(g, &Bfs { source: start }, version, config)?;
-    let Some((far_vertex, _)) = first
+    let far = first
         .iter()
         .filter(|(_, &l)| l != UNVISITED)
         .max_by_key(|&(id, &l)| (l, std::cmp::Reverse(id)))
-    else {
-        return Ok(None);
+        .map(|(id, _)| id);
+    let mut runs = vec![first.stats];
+    let Some(far_vertex) = far else {
+        return Ok((None, runs));
     };
     let second = try_run(g, &Bfs { source: far_vertex }, version, config)?;
-    let Some((opposite_vertex, &ecc)) = second
+    let opposite = second
         .iter()
         .filter(|(_, &l)| l != UNVISITED)
         .max_by_key(|&(id, &l)| (l, std::cmp::Reverse(id)))
-    else {
-        return Ok(None);
-    };
-    if ecc == 0 {
-        return Ok(None); // start reaches nothing beyond itself
-    }
-    Ok(Some(DiameterEstimate { pseudo_diameter: ecc, far_vertex, opposite_vertex }))
+        .map(|(id, &ecc)| (id, ecc));
+    runs.push(second.stats);
+    let estimate = opposite
+        // An eccentricity of 0: the start reaches nothing beyond itself.
+        .filter(|&(_, ecc)| ecc > 0)
+        .map(|(opposite_vertex, ecc)| DiameterEstimate {
+            pseudo_diameter: ecc,
+            far_vertex,
+            opposite_vertex,
+        });
+    Ok((estimate, runs))
 }
 
 #[cfg(test)]

@@ -61,11 +61,9 @@
 //!   --deadline SECS         abort cleanly (with partial stats) if the
 //!                           run exceeds SECS seconds
 //!   --trace-out FILE        write a structured JSONL trace of the run
-//!                           (records events only when the crate is built
-//!                           with `--features trace`; see docs/INTERNALS.md,
-//!                           "Observability")
-//!   --metrics-out FILE      write Prometheus text-format metrics derived
-//!                           from the same trace
+//!                           (see docs/INTERNALS.md, "Observability")
+//!   --metrics-out FILE      write Prometheus text-format metrics: the
+//!                           run's totals and the trace's other counters
 //!   --port N                serve: TCP port to bind on 127.0.0.1
 //!                           (default 0 = ephemeral)
 //!   --port-file FILE        serve: write the bound port here once
@@ -548,10 +546,10 @@ where
         .map(|out| attach_relabeling(out, relabeling))
 }
 
-/// A run's summary lines. The run's stats are also kept in `run`, whose
+/// A run's summary lines. The run's stats are also kept in `runs`, whose
 /// totals `--metrics-out` writes, so the file and the printout agree.
-fn summary<V>(out: &RunOutput<V>, version: Version, run: &mut Option<RunStats>) -> String {
-    *run = Some(out.stats.clone());
+fn summary<V>(out: &RunOutput<V>, version: Version, runs: &mut Vec<RunStats>) -> String {
+    runs.push(out.stats.clone());
     format!(
         "version: {}\nsupersteps: {}\nmessages: {}\nsuperstep time: {:.3}s\nframework bytes: {}\n",
         version.label(),
@@ -630,10 +628,9 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     if opts.compress {
         g = g.compress().map_err(|e| CliError(format!("cannot compress {}: {e}", opts.graph)))?;
     }
-    // The stats of the run whose summary is printed, for the run totals
-    // `--metrics-out` writes: only a `trace` build records the events they
-    // could be summed from. `diameter` prints no summary and leaves it.
-    let mut run: Option<RunStats> = None;
+    // The stats of the runs behind the printed result, whose totals
+    // `--metrics-out` writes: one run, or `diameter`'s two sweeps.
+    let mut runs: Vec<RunStats> = Vec::new();
     // Arm the tracer before dispatch so every engine hook sees it. The
     // RSS sampler turns memmodel's offline Figure 9 model into a live
     // per-run series (sampled at superstep barriers).
@@ -668,7 +665,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
             let p = PageRank { rounds: opts.rounds, damping: opts.damping };
             let out = run_app_ckpt(&g, &p, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let ranked: Vec<(u32, f64)> = out.iter().map(|(id, &r)| (id, r)).collect();
             text.push_str(&format!("top {} by rank:\n", opts.top.min(ranked.len())));
             for (id, r) in top_k(ranked, opts.top, by_rank_desc) {
@@ -685,7 +682,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             } else {
                 run_app_ckpt(&g, &Sssp { source: opts.source }, version, &opts, &tracer, &relabeling)?
             };
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let reached = out.iter().filter(|(_, &d)| d != u32::MAX).count();
             text.push_str(&format!("reached: {} of {}\n", reached, g.num_vertices()));
             let far: Vec<(u32, u32)> =
@@ -698,7 +695,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         "bfs" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app_ckpt(&g, &Bfs { source: opts.source }, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let reached = out.iter().filter(|(_, &d)| d != u32::MAX).count();
             let depth = out.iter().filter(|(_, &d)| d != u32::MAX).map(|(_, &d)| d).max();
             text.push_str(&format!(
@@ -719,7 +716,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 rounds: opts.rounds,
             };
             let out = run_app_ckpt(&g, &p, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let ranked: Vec<(u32, f64)> = out.iter().map(|(id, &r)| (id, r)).collect();
             text.push_str(&format!("top {} by personalised rank:\n", opts.top.min(ranked.len())));
             for (id, r) in top_k(ranked, opts.top, by_rank_desc) {
@@ -728,9 +725,10 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         }
         "diameter" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
-            let result =
+            let (result, sweeps) =
                 ipregel_apps::try_pseudo_diameter(&g, opts.source, version, &run_cfg(&opts, &tracer))
                     .map_err(run_error)?;
+            runs.extend(sweeps);
             match result {
                 Some(est) => {
                     // The estimate names vertices in the running graph's
@@ -751,7 +749,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out =
                 run_app(&g, &ipregel_apps::Bipartiteness { seed: opts.source }, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let coloured = out.iter().filter(|(_, s)| s.color.is_some()).count();
             let conflicts = out.iter().filter(|(_, s)| s.conflict).count();
             text.push_str(&format!(
@@ -765,14 +763,14 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         "maxvalue" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app_ckpt(&g, &ipregel_apps::MaxValue, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let distinct: std::collections::HashSet<u64> = out.iter().map(|(_, &v)| v).collect();
             text.push_str(&format!("distinct converged values: {}\n", distinct.len()));
         }
         "kcore" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app(&g, &ipregel_apps::KCore { k: opts.k }, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let alive = out.iter().filter(|(_, s)| s.alive).count();
             text.push_str(&format!("{}-core size: {} of {}\n", opts.k, alive, g.num_vertices()));
         }
@@ -783,7 +781,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
             let out =
                 run_app_ckpt(&g, &ipregel_apps::WidestPath { source: opts.source }, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let reached = out.iter().filter(|(_, &w)| w > 0).count();
             text.push_str(&format!("reached: {} of {}\n", reached, g.num_vertices()));
         }
@@ -890,7 +888,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         "components" => {
             let version = version_for(&opts, CombinerKind::Spinlock);
             let out = run_app_ckpt(&g, &Hashmin, version, &opts, &tracer, &relabeling)?;
-            text.push_str(&summary(&out, version, &mut run));
+            text.push_str(&summary(&out, version, &mut runs));
             let mut sizes: std::collections::HashMap<u32, u64> = Default::default();
             for (_, &label) in out.iter() {
                 *sizes.entry(label).or_default() += 1;
@@ -911,7 +909,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         }
         if let Some(path) = &opts.metrics_out {
-            let metrics = ipregel::trace::render_prometheus(&events, t.dropped_events(), run.as_ref());
+            let metrics = ipregel::trace::render_prometheus(&events, t.dropped_events(), &runs);
             std::fs::write(path, metrics)
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         }
@@ -1492,29 +1490,30 @@ mod tests {
         assert!(parse_args(&args("sssp --graph g --trace-out")).is_err());
     }
 
+    /// Run `command` with both sinks armed: the printout, the decoded
+    /// trace and the metrics text.
+    fn with_sinks(command: &str) -> (String, Vec<ipregel::trace::TraceEvent>, String) {
+        let (trace, metrics) = (tempfile_lite::write("", "jsonl"), tempfile_lite::write("", "prom"));
+        let (t, m) = (trace.0.display(), metrics.0.display());
+        let out = run_cli(&args(&format!("{command} --trace-out {t} --metrics-out {m}"))).unwrap();
+        let events = ipregel::trace::decode_trace(&std::fs::read_to_string(&trace.0).unwrap());
+        (out, events.unwrap(), std::fs::read_to_string(&metrics.0).unwrap())
+    }
+
+    /// The number after `key` on the first line of `text` starting with it.
+    fn field(text: &str, key: &str) -> f64 {
+        let line = text.lines().find(|l| l.starts_with(key)).expect(key);
+        line[key.len()..].trim().trim_end_matches('s').parse().unwrap()
+    }
+
     #[test]
     fn trace_and_metrics_sinks_are_written() {
         use ipregel::trace::TraceEvent;
         let f = temp_graph("0 1\n1 0\n2 3\n3 2\n", "txt");
-        let n = std::process::id();
-        let trace_path = std::env::temp_dir().join(format!("ipregel-cli-trace-{n}.jsonl"));
-        let metrics_path = std::env::temp_dir().join(format!("ipregel-cli-metrics-{n}.prom"));
-        let out = run_cli(&args(&format!(
-            "components --graph {} --threads 2 --trace-out {} --metrics-out {}",
-            f.0.display(),
-            trace_path.display(),
-            metrics_path.display(),
-        )))
-        .unwrap();
+        let command = format!("components --graph {} --threads 2", f.0.display());
+        let (out, events, metrics) = with_sinks(&command);
         assert!(out.contains("components: 2"), "{out}");
-        let trace = std::fs::read_to_string(&trace_path).unwrap();
-        let events = ipregel::trace::decode_trace(&trace).unwrap();
-        let metrics = std::fs::read_to_string(&metrics_path).unwrap();
-        // The run totals equal the printed summary in every build.
-        let field = |text: &str, key: &str| -> f64 {
-            let line = text.lines().find(|l| l.starts_with(key)).expect(key);
-            line[key.len()..].trim().trim_end_matches('s').parse().unwrap()
-        };
+        // The run totals equal the printed summary.
         for (printed, written) in [
             ("supersteps:", "ipregel_supersteps_total "),
             ("messages:", "ipregel_messages_total "),
@@ -1524,14 +1523,38 @@ mod tests {
             assert!((printed - written).abs() < 5e-4, "{printed} vs {written}: {metrics}");
         }
         assert!(field(&out, "supersteps:") > 0.0, "{out}");
-        if cfg!(feature = "trace") {
-            assert!(matches!(events.first(), Some(TraceEvent::RunBegin { .. })), "{events:?}");
-            assert!(matches!(events.last(), Some(TraceEvent::RunEnd { .. })), "{events:?}");
-            assert!(events.iter().any(|e| matches!(e, TraceEvent::Chunk { .. })), "{events:?}");
-        } else {
-            assert!(events.is_empty(), "disabled tracing must record nothing: {events:?}");
-        }
-        let _ = std::fs::remove_file(trace_path);
-        let _ = std::fs::remove_file(metrics_path);
+        assert!(matches!(events.first(), Some(TraceEvent::RunBegin { .. })), "{events:?}");
+        assert!(matches!(events.last(), Some(TraceEvent::RunEnd { .. })), "{events:?}");
+        // The chunk and lock counters are sums over the run's chunks,
+        // which the trace lists one by one.
+        let (chunks, locks) = events.iter().fold((0u64, 0u64), |(n, l), e| match *e {
+            TraceEvent::Chunk { lock_acquisitions, .. } => (n + 1, l + lock_acquisitions),
+            _ => (n, l),
+        });
+        assert!(chunks > 0, "{events:?}");
+        assert_eq!(field(&metrics, "ipregel_chunks_total "), chunks as f64, "{metrics}");
+        let written = field(&metrics, "ipregel_mailbox_lock_acquisitions_total ");
+        assert_eq!(written, locks as f64, "{metrics}");
+    }
+
+    #[test]
+    fn diameter_sinks_sum_both_sweeps() {
+        use ipregel::trace::TraceEvent;
+        let graph = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/fixture_a.txt");
+        let (out, events, metrics) = with_sinks(&format!("diameter --graph {graph} --source 1"));
+        assert!(out.contains("pseudo-diameter: 8"), "{out}");
+        // Each BFS sweep closes its trace with its own totals.
+        let ends: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::RunEnd { supersteps, messages, .. } => Some((supersteps, messages)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ends.len(), 2, "two sweeps: {events:?}");
+        let sum = |f: fn(&(u64, u64)) -> u64| ends.iter().map(f).sum::<u64>() as f64;
+        assert!(sum(|e| e.1) > 0.0, "{ends:?}");
+        assert_eq!(field(&metrics, "ipregel_supersteps_total "), sum(|e| e.0), "{metrics}");
+        assert_eq!(field(&metrics, "ipregel_messages_total "), sum(|e| e.1), "{metrics}");
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! Everything a superstep does that is *not* message delivery lives here
 //! exactly once: checkpoint restore and save, deadline checks, the chunk
-//! plan, panic isolation, chunk timing and pool deltas, the trace spans,
-//! master compute, the superstep cap and termination. What the paper's
-//! combiner modules differ in is behind [`Delivery`], with two
+//! plan, panic isolation, chunk timing and pool deltas, the superstep's
+//! stats entry (which the trace renders), master compute, the superstep
+//! cap and termination. What the paper's combiner modules differ in is
+//! behind [`Delivery`], with two
 //! implementations — [`super::push`] (senders write the recipient's
 //! mailbox) and [`super::pull`] (recipients read the senders' outboxes).
 //! The strategy is a type parameter end to end, so each version is one
@@ -13,10 +14,10 @@
 //!
 //! The barrier's bookkeeping reads neither the program nor the strategy,
 //! so it sits in plain functions at the bottom, compiled once: [`settle`]
-//! folds a superstep's chunk outcomes, [`close_superstep`] times it and
-//! files its events and stats, and [`take_resume`], [`checkpoint_if_due`]
-//! and [`finish`] are shared with the sequential oracle, which otherwise
-//! keeps a loop of its own.
+//! folds a superstep's chunk outcomes, [`close_superstep`] times it,
+//! renders its trace span and files its stats, and [`take_resume`],
+//! [`checkpoint_if_due`] and [`finish`] are shared with the sequential
+//! oracle, which otherwise keeps a loop of its own.
 
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -102,9 +103,10 @@ pub(crate) trait Delivery<P: VertexProgram> {
     /// `outputs` are the superstep's chunk outputs, in chunk order.
     fn flip(&mut self, outputs: Vec<ChunkOutput>);
 
-    /// The next superstep's active list: ascending, duplicate-free slots
-    /// (the chunk planner's prefix cut needs both).
-    fn select(&mut self, at: &Barrier<'_>) -> Vec<VertexIndex>;
+    /// Rewrite `active`, the list the superstep just ran, as the next
+    /// superstep's: ascending, duplicate-free slots (the chunk planner's
+    /// prefix cut needs both).
+    fn select(&mut self, at: &Barrier<'_>, active: &mut Vec<VertexIndex>);
 }
 
 /// How the vertices one thread runs in a superstep read their mail and
@@ -145,11 +147,12 @@ pub(crate) struct Barrier<'a> {
 
 /// The next active list under the selection bypass (Section 4): every
 /// vertex halts each superstep, so next active ≡ message recipients ≡
-/// `queued`, what the superstep enqueued. Empties `queued`, keeping its
-/// capacity for the next superstep.
+/// `queued`, what the superstep enqueued. `queued` becomes `active` by a
+/// swap and is left empty, with the old list's capacity for the next
+/// superstep.
 ///
 /// Dense/sparse switch (an extension in the spirit of Ligra): when most
-/// vertices are active anyway, `None` tells the strategy to rebuild the
+/// vertices are active anyway, `false` tells the strategy to rebuild the
 /// ordered list in one slot-order pass, cheaper than sorting the queue;
 /// when few are, the sorted drain avoids the O(|V|) pass entirely.
 /// Enqueue order follows chunk order, not slot order: sorting restores
@@ -161,10 +164,11 @@ pub(crate) fn bypass_select(
     queued: &mut Vec<VertexIndex>,
     map: &AddressMap,
     at: &Barrier<'_>,
-) -> Option<Vec<VertexIndex>> {
+    active: &mut Vec<VertexIndex>,
+) -> bool {
     if queued.len() * 8 >= map.num_vertices() as usize {
         queued.clear();
-        return None;
+        return false;
     }
     queued.sort_unstable();
     // Both engines enqueue a vertex once per superstep, so what was
@@ -174,9 +178,22 @@ pub(crate) fn bypass_select(
         queued: queued.len() as u64,
         drained: queued.len() as u64,
     });
-    let next = queued.clone();
+    std::mem::swap(queued, active);
     queued.clear();
-    Some(next)
+    true
+}
+
+/// Make `active` every live slot, ascending. A list that already is one
+/// is left as it is: being ascending and duplicate-free, it is the live
+/// range exactly when its length and both ends match.
+pub(crate) fn select_all_live(map: &AddressMap, active: &mut Vec<VertexIndex>) {
+    let ends = (map.live_slots().next(), map.live_slots().last());
+    let whole = active.len() == map.num_vertices() as usize
+        && (active.first().copied(), active.last().copied()) == ends;
+    if !whole {
+        active.clear();
+        active.extend(map.live_slots());
+    }
 }
 
 /// What one chunk reports back to the barrier. `None` marks a chunk that
@@ -194,7 +211,7 @@ struct ChunkTally {
     /// worker takes the next chunk, so measured rather than planned).
     worker: u64,
     /// Mailbox contention the worker's thread-local counters saw across
-    /// the vertex loop (all zero without the `trace` feature).
+    /// the vertex loop.
     contention: ContentionSnapshot,
     output: ChunkOutput,
 }
@@ -333,11 +350,7 @@ where
     let schedule = chunks::resolve(config.schedule, delivery.offsets(), chunks::max_chunks());
 
     let tracer = config.trace.as_deref();
-    trace::emit_sync(tracer, || TraceEvent::RunBegin {
-        engine: D::ENGINE,
-        slots: slots as u64,
-        threads: ipregel_par::current_num_threads() as u64,
-    });
+    begin_run(tracer, D::ENGINE, slots);
 
     // Restore a pending checkpoint: values, flags and superstep land
     // as-is; the combined inbox goes to the strategy.
@@ -362,7 +375,6 @@ where
             return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
         }
 
-        trace::emit_sync(tracer, || TraceEvent::SuperstepBegin { superstep: superstep as u64 });
         let t0 = Instant::now();
         let plan = chunks::plan(schedule, &active, slots, delivery.offsets(), config.grain);
         // Scheduler counters: the delta across this superstep's parallel
@@ -396,7 +408,7 @@ where
             }
         };
         let (entry, awake, outputs) =
-            settle(config, superstep, plan, outcomes, pool_before, &mut stats)?;
+            settle(config.deadline, superstep, plan, outcomes, pool_before, &mut stats)?;
         // The barrier's own delivery work (push's partial fold) belongs
         // to the superstep it closes.
         delivery.flip(outputs);
@@ -412,7 +424,7 @@ where
         }
 
         let sel_t0 = Instant::now();
-        active = delivery.select(&Barrier { halted: &halted, sent, awake, superstep, tracer });
+        delivery.select(&Barrier { halted: &halted, sent, awake, superstep, tracer }, &mut active);
         selection_duration = sel_t0.elapsed();
         if active.is_empty() {
             break;
@@ -483,12 +495,13 @@ pub(crate) fn checkpoint_if_due<V, M, I: Deref<Target = [Option<M>]>>(
     Ok(())
 }
 
-/// Fold a superstep's chunk outcomes in chunk order: each chunk's trace
-/// event, the sums, the outputs for [`Delivery::flip`]. Returns the stats
-/// entry (timed by [`close_superstep`]), the awake count and the outputs,
-/// or the run's error once a chunk panicked or declined.
+/// Fold a superstep's chunk outcomes in chunk order: the sums, each
+/// chunk's duration, worker and contention, the outputs for
+/// [`Delivery::flip`]. Returns the stats entry (timed by
+/// [`close_superstep`]), the awake count and the outputs, or the run's
+/// error once a chunk panicked or declined.
 fn settle(
-    config: &RunConfig,
+    deadline: Option<Duration>,
     superstep: usize,
     plan: chunks::Plan,
     outcomes: Vec<ChunkOutcome>,
@@ -503,24 +516,13 @@ fn settle(
     };
     let (mut sent, mut ran, mut awake, mut outputs) = (0, 0, 0, Vec::with_capacity(outcomes.len()));
     let (mut declined, mut failed) = (false, None);
-    for (ci, outcome) in outcomes.into_iter().enumerate() {
+    for outcome in outcomes {
         match outcome {
             Ok(Some(t)) => {
-                // Chunk events reach the log here, on this thread, in
-                // chunk order — a torn superstep's included.
-                trace::emit_sync(config.trace.as_deref(), || TraceEvent::Chunk {
-                    superstep: superstep as u64,
-                    chunk: ci as u64,
-                    planned_edges: plan.chunk_edges[ci],
-                    duration_ns: trace::ns(t.duration),
-                    lock_acquisitions: t.contention.lock_acquisitions,
-                    cas_retries: t.contention.cas_retries,
-                    spin_iterations: t.contention.spin_iterations,
-                    worker: t.worker,
-                });
                 (sent, ran, awake) = (sent + t.sent, ran + t.ran, awake + t.awake);
                 load.chunk_durations.push(t.duration);
                 load.chunk_workers.push(t.worker);
+                load.chunk_contention.push(t.contention);
                 outputs.push(t.output);
             }
             Ok(None) => declined = true,
@@ -536,7 +538,7 @@ fn settle(
     if declined {
         // The torn superstep's partial writes are discarded along with
         // the run state, exactly like the VertexPanic path above.
-        let deadline = config.deadline.expect("a chunk declines only when a deadline is set");
+        let deadline = deadline.expect("a chunk declines only when a deadline is set");
         let stats = std::mem::take(stats);
         return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
     }
@@ -553,8 +555,8 @@ fn settle(
 }
 
 /// Close a superstep after [`Delivery::flip`]: its duration is `selection`
-/// plus the time since `t0`; then the barrier's RSS sample, the `pool`
-/// and `superstep_end` events, and the entry joins `stats`.
+/// plus the time since `t0`; then its trace span is rendered from the
+/// entry, and the entry joins `stats`.
 fn close_superstep(
     tracer: Option<&Tracer>,
     stats: &mut RunStats,
@@ -564,25 +566,18 @@ fn close_superstep(
 ) {
     entry.duration = t0.elapsed() + selection;
     entry.selection_duration = selection;
-    let (superstep, load) = (entry.superstep as u64, entry.load.as_ref().expect("settle sets it"));
-    // Barrier: the periodic RSS sample, before closing the span.
-    trace::barrier(tracer, entry.superstep);
-    trace::emit_sync(tracer, || TraceEvent::Pool {
-        superstep,
-        steals: load.steals,
-        overflow: load.overflow,
-    });
-    trace::emit_sync(tracer, || TraceEvent::SuperstepEnd {
-        superstep,
-        // Executed vertices, not checked ones: the pull scan's
-        // unfruitful checks are time, not activity.
-        active: entry.active,
-        messages: entry.messages_sent,
-        duration_ns: trace::ns(entry.duration),
-        selection_ns: trace::ns(selection),
-        chunks: load.chunk_edges.len() as u64,
-    });
+    trace::render_superstep(tracer, &entry);
     stats.push(entry);
+}
+
+/// Open the run's trace span with `run_begin`. A plain function, like
+/// [`end_run`], so each instance of `drive` carries a call, not the event.
+fn begin_run(tracer: Option<&Tracer>, engine: trace::EngineKind, slots: usize) {
+    trace::emit_sync(tracer, || TraceEvent::RunBegin {
+        engine,
+        slots: slots as u64,
+        threads: ipregel_par::current_num_threads() as u64,
+    });
 }
 
 /// Close the run's trace span and assemble its output.
@@ -593,10 +588,15 @@ pub(crate) fn finish<V>(
     stats: RunStats,
     footprint: FootprintReport,
 ) -> RunResult<V> {
+    end_run(tracer, &stats);
+    Ok(RunOutput::new(values, map, stats, footprint))
+}
+
+/// The run's `run_end` event, with its totals.
+fn end_run(tracer: Option<&Tracer>, stats: &RunStats) {
     trace::emit_sync(tracer, || TraceEvent::RunEnd {
         supersteps: stats.num_supersteps() as u64,
         messages: stats.total_messages(),
         duration_ns: trace::ns(stats.total_time),
     });
-    Ok(RunOutput::new(values, map, stats, footprint))
 }

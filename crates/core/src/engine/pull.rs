@@ -329,21 +329,22 @@ impl<'g, P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'g, P, A> {
         std::mem::swap(&mut g.read, &mut g.write);
     }
 
-    fn select(&mut self, at: &Barrier<'_>) -> Vec<VertexIndex> {
+    fn select(&mut self, at: &Barrier<'_>, active: &mut Vec<VertexIndex>) {
         let map = self.gather.graph.address_map();
         if self.gather.tags.is_some() {
             // Dense case: checking everyone in slot order; the gather
             // re-derives each vertex's inbox either way.
-            return bsp::bypass_select(&mut self.queued, map, at)
-                .unwrap_or_else(|| map.live_slots().collect());
-        }
-        if at.sent == 0 && at.awake == 0 {
+            if !bsp::bypass_select(&mut self.queued, map, at, active) {
+                bsp::select_all_live(map, active);
+            }
+        } else if at.sent == 0 && at.awake == 0 {
             // No broadcasts pending and every vertex halted → done.
-            return Vec::new();
+            active.clear();
+        } else {
+            // All vertices are *checked* every superstep — the pull
+            // engine's structural cost.
+            bsp::select_all_live(map, active);
         }
-        // All vertices are *checked* every superstep — the pull engine's
-        // structural cost.
-        map.live_slots().collect()
     }
 }
 

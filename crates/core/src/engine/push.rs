@@ -295,22 +295,21 @@ impl<'g, P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Delivery<P>
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 
-    fn select(&mut self, at: &Barrier<'_>) -> Vec<VertexIndex> {
+    fn select(&mut self, at: &Barrier<'_>, active: &mut Vec<VertexIndex>) {
         let map = self.graph.address_map();
-        match self.queued.as_mut() {
-            Some(queued) => {
-                if let Some(sparse) = bsp::bypass_select(queued, map, at) {
-                    return sparse;
-                }
-            }
+        let selected = match self.queued.as_mut() {
+            Some(queued) => bsp::bypass_select(queued, map, at, active),
             // Every live vertex ran and is awake: `pending` would keep
             // exactly the live slots.
             None if at.awake == u64::from(map.num_vertices()) => {
-                return map.live_slots().collect();
+                bsp::select_all_live(map, active);
+                true
             }
-            None => {}
+            None => false,
+        };
+        if !selected {
+            *active = self.pending(at.halted);
         }
-        self.pending(at.halted)
     }
 }
 

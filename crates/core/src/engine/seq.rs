@@ -24,7 +24,7 @@ use crate::engine::{
 use crate::metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};
 use crate::program::{MasterDecision, VertexProgram};
 use crate::recover::DynHooks;
-use crate::trace::{self, TraceEvent};
+use crate::trace::{self, contention::ContentionSnapshot, TraceEvent};
 
 /// Run `program` on `graph` single-threaded with scan selection.
 ///
@@ -129,7 +129,6 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
             return Err(RunError::DeadlineExceeded { deadline, superstep, stats });
         }
 
-        trace::emit_sync(tracer, || TraceEvent::SuperstepBegin { superstep: superstep as u64 });
         let t0 = Instant::now();
         // One implicit chunk: catch a panicking `compute` and surface it
         // as the same `VertexPanic` the parallel engines produce.
@@ -180,7 +179,7 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
             }
         };
         let duration = t0.elapsed();
-        stats.push(SuperstepStats {
+        let entry = SuperstepStats {
             superstep,
             active,
             messages_sent: sent,
@@ -195,33 +194,16 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
             load: Some(LoadStats {
                 chunk_edges: vec![edges + active],
                 chunk_durations: vec![duration],
-                // No pool involved: the one chunk runs on the caller.
+                // No pool involved: the one chunk runs on the caller,
+                // and no mailbox has a lock.
                 chunk_workers: vec![0],
+                chunk_contention: vec![ContentionSnapshot::default()],
                 steals: 0,
                 overflow: 0,
             }),
-        });
-        // Single-threaded: the orchestrator emits the whole span itself
-        // (one implicit chunk; barrier still samples RSS on cadence).
-        trace::emit_sync(tracer, || TraceEvent::Chunk {
-            superstep: superstep as u64,
-            chunk: 0,
-            planned_edges: edges + active,
-            duration_ns: trace::ns(duration),
-            lock_acquisitions: 0,
-            cas_retries: 0,
-            spin_iterations: 0,
-            worker: 0,
-        });
-        trace::barrier(tracer, superstep);
-        trace::emit_sync(tracer, || TraceEvent::SuperstepEnd {
-            superstep: superstep as u64,
-            active,
-            messages: sent,
-            duration_ns: trace::ns(duration),
-            selection_ns: 0,
-            chunks: 1,
-        });
+        };
+        trace::render_superstep(tracer, &entry);
+        stats.push(entry);
         std::mem::swap(&mut cur, &mut next);
 
         if program.master_compute(superstep, &values) == MasterDecision::Halt {

@@ -109,8 +109,8 @@ impl SpinLock {
         // Hierarchy check happens *before* the busy-wait, so an
         // inversion panics deterministically instead of spinning forever.
         let held = self.acquire_token(true);
-        // Spin accounting exists only in `trace` builds; `cfg!` keeps a
-        // single code path while the counter increments compile away.
+        // Spins are counted on this path only, which runs under
+        // contention; an uncontended lock adds zero.
         let mut spins = 0u64;
         while self
             .locked
@@ -127,9 +127,7 @@ impl SpinLock {
             // ordering(Relaxed): advisory contention peek; the Acquire
             // CAS above is what synchronizes
             while self.locked.load(Ordering::Relaxed) {
-                if cfg!(feature = "trace") {
-                    spins += 1;
-                }
+                spins += 1;
                 spin_loop();
             }
         }

@@ -110,28 +110,27 @@ pub const ATOMIC_PROTOCOLS: &[(&str, &[&str])] = &[
 /// Tokens are matched against comment-stripped code, so a commented-out
 /// emit does not count.
 pub const TRACE_COVERAGE: &[(&str, &[&str])] = &[
-    // The one parallel driver owns the superstep span for both delivery
-    // strategies (push.rs and pull.rs emit nothing themselves).
+    // The one parallel driver owns the run for both delivery strategies
+    // (push.rs and pull.rs emit nothing themselves). Each superstep's
+    // span — begin, chunks, pool, end — is rendered from its stats entry
+    // by `trace::render_superstep`, so the call is what is pinned.
     (
         "crates/core/src/engine/bsp.rs",
         &[
             "TraceEvent::RunBegin",
-            "TraceEvent::SuperstepBegin",
-            "TraceEvent::Chunk",
-            "TraceEvent::Pool",
-            "TraceEvent::SuperstepEnd",
+            "trace::render_superstep",
             "TraceEvent::RunEnd",
             "TraceEvent::CheckpointSave",
         ],
     ),
-    // The oracle keeps its own loop; its checkpoint and run-end events
-    // come from the driver's barrier helpers.
+    // The oracle keeps its own loop and renders its spans the same way;
+    // its checkpoint and run-end events come from the driver's barrier
+    // helpers.
     (
         "crates/core/src/engine/seq.rs",
         &[
             "TraceEvent::RunBegin",
-            "TraceEvent::SuperstepBegin",
-            "TraceEvent::SuperstepEnd",
+            "trace::render_superstep",
             "bsp::checkpoint_if_due",
             "bsp::finish",
         ],

@@ -344,7 +344,7 @@ impl ServerReport {
 
     /// Prometheus text-format snapshot of the request metrics.
     pub fn prometheus(&self) -> String {
-        ipregel::trace::render_prometheus(&self.events, self.dropped_events, None)
+        ipregel::trace::render_prometheus(&self.events, self.dropped_events, &[])
     }
 
     /// Check the trace against the stats: one terminal

@@ -192,11 +192,10 @@ fn pagerank_is_within_1e9_of_the_oracle_and_exact_when_exclusive() {
     }
 }
 
-/// The count-based form of the gain: with recording armed, an exclusive
-/// superstep's chunks take no mailbox lock — neither for the inbox reads
-/// nor for the deliveries — and a forked superstep on the plain CSR,
-/// whose sends meet at shared mailboxes, does take them.
-#[cfg(feature = "trace")]
+/// The count-based form of the gain: an exclusive superstep's chunks take
+/// no mailbox lock — neither for the inbox reads nor for the deliveries —
+/// and a forked superstep on the plain CSR, whose sends meet at shared
+/// mailboxes, does take them.
 #[test]
 fn an_exclusive_superstep_takes_no_mailbox_lock() {
     use std::sync::Arc;

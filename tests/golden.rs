@@ -163,9 +163,8 @@ fn pagerank_matches_golden_within_tolerance() {
 fn tracing_does_not_perturb_golden_results() {
     // Observability must be read-only: arming a tracer through
     // `RunConfig::trace` cannot change a single bit of the computed
-    // values, whether the `trace` feature compiles the hooks to real
-    // recording or to no-ops. The sequential oracle makes the PageRank
-    // comparison exact (same f64 bits, not same-within-tolerance).
+    // values. The sequential oracle makes the PageRank comparison exact
+    // (same f64 bits, not same-within-tolerance).
     let g = fixture("fixture_a.txt");
     let program = PageRank { rounds: ROUNDS, damping: DAMPING };
     let plain = run_sequential(&g, &program, &RunConfig::default());
@@ -188,16 +187,7 @@ fn tracing_does_not_perturb_golden_results() {
         &RunConfig { trace: Some(tracer.clone()), ..cfg },
     );
     assert_eq!(plain.values, traced.values, "tracing changed Hashmin labels");
-
-    // And the no-op guarantee itself: without the feature the armed
-    // tracer must have recorded nothing at all.
-    let events = tracer.take_events();
-    if cfg!(feature = "trace") {
-        assert!(!events.is_empty(), "trace feature is on but the runs recorded nothing");
-    } else {
-        assert!(events.is_empty(), "trace-off hooks must be no-ops, got {events:?}");
-        assert_eq!(tracer.dropped_events(), 0);
-    }
+    assert!(!tracer.take_events().is_empty(), "the armed tracer recorded nothing");
 }
 
 #[test]

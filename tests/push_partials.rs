@@ -254,7 +254,6 @@ fn a_resumed_run_equals_the_uninterrupted_one() {
 /// chunk or in the fold, at any pool size, and the hub still gets its
 /// mail. The fold runs on the orchestrating thread alone, so that
 /// thread's counters hold every lock it could take.
-#[cfg(feature = "trace")]
 #[test]
 fn a_hub_mailbox_takes_no_lock_on_the_compact_csr() {
     use std::sync::Arc;

@@ -1,8 +1,9 @@
 //! The paper's *qualitative* performance claims as executable assertions.
 //!
-//! One claim is stated on counts and cannot flake
-//! (`light_supersteps_run_whole_and_spawn_nothing`); the rest compare
-//! wall-clock orderings. Those compare orderings with generous margins (≥2–3× where the real
+//! Two claims are stated on counts and cannot flake
+//! (`light_supersteps_run_whole_and_spawn_nothing`,
+//! `pull_pagerank_takes_no_mailbox_lock`); the rest compare wall-clock
+//! orderings. Those compare orderings with generous margins (≥2–3× where the real
 //! effects are 4–100×), so they hold in debug builds and under test-runner
 //! noise. A static mutex serialises them against each other; they are
 //! still not immune to a heavily oversubscribed machine, which is why
@@ -128,6 +129,33 @@ fn light_supersteps_run_whole_and_spawn_nothing() {
     let (chunks, spawned) = chunk_counts_and_spawned(&b.build().expect("path builds"), 0);
     assert_eq!(chunks, vec![1; 1000], "a path runs one vertex per superstep, each whole");
     assert_eq!(spawned, 0, "a path graph must never reach the pool");
+}
+
+/// Lock acquisitions in each chunk of every superstep, from the run's own
+/// stats (no tracer attached).
+fn chunk_locks(stats: &ipregel::RunStats) -> Vec<u64> {
+    let loads = stats.supersteps.iter().map(|s| s.load.as_ref().expect("load stats"));
+    loads.flat_map(|l| l.chunk_contention.iter().map(|c| c.lock_acquisitions)).collect()
+}
+
+#[test]
+fn pull_pagerank_takes_no_mailbox_lock() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // §6 on counts: the pull combiner's recipients read their senders'
+    // outboxes, so no chunk ever locks a mailbox; mutex push, forked
+    // onto two threads, locks the recipient's mailbox for every message.
+    let g = WIKIPEDIA.analog_graph(400, 5, NeighborMode::Both);
+    let pr = PageRank { rounds: 5, damping: 0.85 };
+    let cfg = RunConfig { threads: Some(2), grain: Some(1), ..RunConfig::default() };
+    let pull =
+        run(&g, &pr, Version { combiner: CombinerKind::Broadcast, selection_bypass: false }, &cfg);
+    let locks = chunk_locks(&pull.stats);
+    assert!(locks.len() > pull.stats.num_supersteps(), "supersteps were cut: {locks:?}");
+    assert!(locks.iter().all(|&l| l == 0), "a pull chunk locked a mailbox: {locks:?}");
+    let push =
+        run(&g, &pr, Version { combiner: CombinerKind::Mutex, selection_bypass: false }, &cfg);
+    let locked: u64 = chunk_locks(&push.stats).iter().sum();
+    assert!(locked > 0, "forked mutex push took no lock");
 }
 
 #[test]

@@ -1,26 +1,25 @@
-//! Trace/stats reconciliation (docs/INTERNALS.md, "Observability"):
-//! with tracing armed, the JSONL event stream must agree *exactly* with
-//! the `RunStats` the engine returns — same supersteps, same active
-//! counts, same message counts, same chunk counts — for the paper's
-//! three figure applications, on every version × schedule. The trace is
-//! not a second opinion computed differently; it is the same facts
-//! observed through a second channel, so any disagreement is a bug in
-//! one of them.
-//!
-//! Requires `--features trace` (the whole file is compiled out
-//! otherwise — recording is a no-op without the feature, so there would
-//! be nothing to reconcile).
-#![cfg(feature = "trace")]
+//! The engines' traces (docs/INTERNALS.md, "Observability"): every
+//! superstep's span is rendered from its `SuperstepStats` entry by one
+//! function (`ipregel::trace::render_superstep`, unit-tested in
+//! `trace.rs`), so what is left to check here is what the engines
+//! themselves decide. Each trace is framed — `run_begin`, one
+//! `superstep_begin … superstep_end` span per completed superstep, with
+//! its chunks in plan order, then `run_end` — on every version ×
+//! schedule and on the oracle. A superstep torn by a panic leaves no span.
+//! The selection bypass's drains match the activity they feed. An
+//! engine's trace survives the codec.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ipregel::trace::{self, decode_trace, encode_trace, TraceEvent, Tracer};
+use ipregel::engine::RunError;
+use ipregel::program::Context;
+use ipregel::trace::{decode_trace, encode_trace, TraceEvent, Tracer};
 use ipregel::{
-    run, run_packed, run_sequential, CombinerKind, RunConfig, RunStats, Schedule, Version,
-    VertexProgram,
+    run, run_packed, run_sequential, try_run, try_run_sequential, CombinerKind, RunConfig,
+    RunStats, Schedule, Version, VertexProgram,
 };
 use ipregel_apps::{Hashmin, PageRank, Sssp};
 use ipregel_graph::loaders::load_edge_list;
@@ -63,8 +62,37 @@ fn shapes() -> impl Iterator<Item = (Schedule, Option<usize>)> {
     Schedule::all().into_iter().flat_map(|s| GRAINS.map(|g| (s, g)))
 }
 
-/// Structural invariants every trace must satisfy, plus the exact
-/// reconciliation against `RunStats`.
+/// The superstep spans of `events`, in order: `superstep_begin`, chunk
+/// events numbered 0, 1, … up to the `superstep_end`'s count, nothing
+/// nested. Returns each span's superstep number.
+fn spans(events: &[TraceEvent], label: &str) -> Vec<u64> {
+    let mut done = Vec::new();
+    let mut open: Option<(u64, u64)> = None;
+    for e in events {
+        match *e {
+            TraceEvent::SuperstepBegin { superstep } => {
+                assert_eq!(open, None, "{label}: superstep {superstep} opens inside a span");
+                open = Some((superstep, 0));
+            }
+            TraceEvent::Chunk { superstep, chunk, .. } => {
+                let (at, next) = open.expect("chunk outside a span");
+                assert_eq!((superstep, chunk), (at, next), "{label}: chunk out of plan order");
+                open = Some((at, next + 1));
+            }
+            TraceEvent::SuperstepEnd { superstep, chunks, .. } => {
+                let (at, seen) = open.take().expect("superstep_end outside a span");
+                assert_eq!((superstep, chunks), (at, seen), "{label}: span closes unmatched");
+                done.push(superstep);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(open, None, "{label}: trace ends inside a superstep span");
+    done
+}
+
+/// A whole run's trace: opened by `run_begin`, closed by `run_end` with
+/// the run's totals, and one span per superstep the stats hold.
 fn check(stats: &RunStats, events: &[TraceEvent], label: &str) {
     assert!(
         matches!(events.first(), Some(TraceEvent::RunBegin { .. })),
@@ -78,136 +106,106 @@ fn check(stats: &RunStats, events: &[TraceEvent], label: &str) {
         }
         other => panic!("{label}: trace must close with run_end, got {other:?}"),
     }
-    stats.reconcile_trace(events).unwrap_or_else(|e| panic!("{label}: {e}"));
-
-    // Per superstep: `superstep_begin, chunk* (ascending), …,
-    // superstep_end`, with the chunk events mirroring the load plan.
-    let mut current: Option<u64> = None;
-    let mut chunk_indices: Vec<u64> = Vec::new();
-    let mut planned: Vec<u64> = Vec::new();
-    // `(duration_ns, worker)` of each chunk event.
-    let mut measured: Vec<(u64, u64)> = Vec::new();
-    for e in events {
-        match *e {
-            TraceEvent::SuperstepBegin { superstep } => {
-                assert_eq!(current, None, "{label}: nested superstep {superstep}");
-                current = Some(superstep);
-                chunk_indices.clear();
-                planned.clear();
-                measured.clear();
-            }
-            TraceEvent::Chunk { superstep, chunk, planned_edges, duration_ns, worker, .. } => {
-                assert_eq!(Some(superstep), current, "{label}: chunk outside its superstep span");
-                chunk_indices.push(chunk);
-                planned.push(planned_edges);
-                measured.push((duration_ns, worker));
-            }
-            TraceEvent::SuperstepEnd { superstep, chunks, .. } => {
-                assert_eq!(Some(superstep), current, "{label}: unmatched superstep_end");
-                assert_eq!(
-                    chunk_indices.len() as u64, chunks,
-                    "{label}: superstep {superstep}: chunk events vs chunks field"
-                );
-                assert!(
-                    chunk_indices.windows(2).all(|w| w[0] < w[1]),
-                    "{label}: superstep {superstep}: chunk events not in ascending order: {chunk_indices:?}"
-                );
-                let entry = stats
-                    .supersteps
-                    .iter()
-                    .find(|s| s.superstep as u64 == superstep)
-                    .unwrap_or_else(|| panic!("{label}: trace superstep {superstep} not in stats"));
-                if let Some(load) = &entry.load {
-                    if !chunk_indices.is_empty() {
-                        let expect: Vec<u64> = load.chunk_edges.clone();
-                        assert_eq!(
-                            planned, expect,
-                            "{label}: superstep {superstep}: planned chunk weights"
-                        );
-                        // Durations and workers come from the same tally.
-                        let tallied: Vec<(u64, u64)> = load
-                            .chunk_durations
-                            .iter()
-                            .zip(&load.chunk_workers)
-                            .map(|(&d, &w)| (trace::ns(d), w))
-                            .collect();
-                        assert_eq!(
-                            measured, tallied,
-                            "{label}: superstep {superstep}: chunk durations and workers"
-                        );
-                    }
-                }
-                current = None;
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(current, None, "{label}: trace ends inside a superstep span");
+    let expect: Vec<u64> = stats.supersteps.iter().map(|s| s.superstep as u64).collect();
+    assert_eq!(spans(events, label), expect, "{label}: one span per superstep");
 }
 
-fn reconcile_parallel<P: VertexProgram>(g: &Graph, p: &P, versions: &[Version], app: &str) {
+#[test]
+fn every_engine_frames_its_trace() {
+    let a = fixture("fixture_a.txt");
+    let b = fixture("fixture_b.txt");
+    let pagerank = PageRank { rounds: ROUNDS, damping: DAMPING };
+    let sssp = Sssp { source: SSSP_SOURCE };
     for (schedule, grain) in shapes() {
-        for &v in versions {
+        for v in Version::paper_versions() {
+            let label = format!("{} / {schedule} / grain {grain:?}", v.label());
             let (cfg, tracer) = traced_cfg(schedule, grain);
-            let out = run(g, p, v, &cfg);
-            let events = tracer.take_events();
-            assert_eq!(tracer.dropped_events(), 0, "no trace event dropped");
-            let label = format!("{app} / {} / {schedule} / grain {grain:?}", v.label());
-            check(&out.stats, &events, &label);
+            let out = run(&a, &Hashmin, v, &cfg);
+            check(&out.stats, &tracer.take_events(), &format!("hashmin / {label}"));
+            let out = run(&b, &sssp, v, &cfg);
+            check(&out.stats, &tracer.take_events(), &format!("sssp / {label}"));
+            // Bypass is unsound for PageRank (as in tests/golden.rs).
+            if !v.selection_bypass {
+                let out = run(&a, &pagerank, v, &cfg);
+                check(&out.stats, &tracer.take_events(), &format!("pagerank / {label}"));
+            }
+            assert_eq!(tracer.dropped_events(), 0, "{label}: no trace event dropped");
         }
-    }
-}
-
-#[test]
-fn hashmin_trace_reconciles_on_every_version_and_schedule() {
-    let g = fixture("fixture_a.txt");
-    reconcile_parallel(&g, &Hashmin, &Version::paper_versions(), "hashmin");
-}
-
-#[test]
-fn sssp_trace_reconciles_on_every_version_and_schedule() {
-    let g = fixture("fixture_b.txt");
-    reconcile_parallel(&g, &Sssp { source: SSSP_SOURCE }, &Version::paper_versions(), "sssp");
-}
-
-#[test]
-fn pagerank_trace_reconciles_on_scan_versions() {
-    // Bypass is unsound for PageRank; the three scan-selection
-    // combiners are the valid matrix (as in tests/golden.rs).
-    let g = fixture("fixture_a.txt");
-    let versions: Vec<Version> = [CombinerKind::Mutex, CombinerKind::Spinlock, CombinerKind::Broadcast]
-        .into_iter()
-        .map(|combiner| Version { combiner, selection_bypass: false })
-        .collect();
-    reconcile_parallel(&g, &PageRank { rounds: ROUNDS, damping: DAMPING }, &versions, "pagerank");
-}
-
-#[test]
-fn lockfree_packed_trace_reconciles() {
-    let g = fixture("fixture_b.txt");
-    let v = Version { combiner: CombinerKind::LockFree, selection_bypass: true };
-    for (schedule, grain) in shapes() {
+        let v = Version { combiner: CombinerKind::LockFree, selection_bypass: true };
         let (cfg, tracer) = traced_cfg(schedule, grain);
-        let out = run_packed(&g, &Sssp { source: SSSP_SOURCE }, v, &cfg);
-        let events = tracer.take_events();
-        check(&out.stats, &events, &format!("lock-free / {schedule} / grain {grain:?}"));
+        let out = run_packed(&b, &sssp, v, &cfg);
+        check(&out.stats, &tracer.take_events(), &format!("lock-free / {schedule} / {grain:?}"));
     }
-}
-
-#[test]
-fn sequential_trace_reconciles() {
-    let g = fixture("fixture_a.txt");
     let tracer = Arc::new(Tracer::new());
     let cfg = RunConfig { trace: Some(tracer.clone()), ..RunConfig::default() };
-    let out = run_sequential(&g, &Hashmin, &cfg);
+    let out = run_sequential(&a, &Hashmin, &cfg);
     let events = tracer.take_events();
     check(&out.stats, &events, "seq/hashmin");
     // The oracle runs one implicit chunk per superstep.
-    for e in &events {
-        if let TraceEvent::SuperstepEnd { chunks, .. } = e {
-            assert_eq!(*chunks, 1);
+    let chunks = events.iter().filter(|e| matches!(e, TraceEvent::Chunk { .. })).count();
+    assert_eq!(chunks, out.stats.num_supersteps(), "seq: one chunk per superstep");
+}
+
+/// Flood-fills minimum labels, and panics in every vertex that runs in
+/// superstep [`Self::at`].
+struct PanicsAt {
+    at: usize,
+}
+
+impl VertexProgram for PanicsAt {
+    type Value = u32;
+    type Message = u32;
+    fn initial_value(&self, id: u32) -> u32 {
+        id
+    }
+    fn compute<C: Context<Message = u32>>(&self, value: &mut u32, ctx: &mut C) {
+        assert_ne!(ctx.superstep(), self.at, "the superstep fails on purpose");
+        let mut best = *value;
+        while let Some(m) = ctx.next_message() {
+            best = best.min(m);
+        }
+        if ctx.superstep() == 0 || best < *value {
+            *value = best;
+            ctx.broadcast(best);
+        }
+        ctx.vote_to_halt();
+    }
+    fn combine(old: &mut u32, new: u32) {
+        *old = (*old).min(new);
+    }
+}
+
+/// A superstep a vertex panics in closes no stats entry, so it leaves no
+/// span: the trace holds exactly the supersteps the error's stats hold.
+#[test]
+fn a_torn_superstep_leaves_no_span() {
+    let g = fixture("fixture_a.txt");
+    let program = PanicsAt { at: 2 };
+    let torn = |result: Result<_, RunError>, events: Vec<TraceEvent>, label: &str| {
+        let Err(RunError::VertexPanic { superstep, stats, .. }) = result else {
+            panic!("{label}: the run must fail in superstep 2");
+        };
+        assert_eq!(superstep, 2, "{label}");
+        assert!(matches!(events.first(), Some(TraceEvent::RunBegin { .. })), "{label}");
+        assert_eq!(spans(&events, label), [0, 1], "{label}: spans of the completed supersteps");
+        assert_eq!(stats.num_supersteps(), 2, "{label}: the error's stats");
+        assert!(
+            !events.iter().any(|e| matches!(e, TraceEvent::RunEnd { .. })),
+            "{label}: a failed run has no run_end"
+        );
+    };
+    for (schedule, grain) in shapes() {
+        for combiner in [CombinerKind::Spinlock, CombinerKind::Broadcast] {
+            let v = Version { combiner, selection_bypass: false };
+            let (cfg, tracer) = traced_cfg(schedule, grain);
+            let result = try_run(&g, &program, v, &cfg).map(|_| ());
+            torn(result, tracer.take_events(), &format!("{} / {schedule} / {grain:?}", v.label()));
         }
     }
+    let tracer = Arc::new(Tracer::new());
+    let cfg = RunConfig { trace: Some(tracer.clone()), ..RunConfig::default() };
+    let result = try_run_sequential(&g, &program, &cfg).map(|_| ());
+    torn(result, tracer.take_events(), "seq");
 }
 
 /// The selection-bypass drain is the one sparse path where activity is
