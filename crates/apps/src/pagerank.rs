@@ -51,6 +51,7 @@ impl VertexProgram for PageRank {
         0.0
     }
 
+    #[inline]
     fn compute<C: Context<Message = f64>>(&self, value: &mut f64, ctx: &mut C) {
         let n = ctx.num_vertices() as f64;
         if ctx.is_first_superstep() {

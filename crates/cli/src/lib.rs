@@ -103,7 +103,7 @@ use ipregel::recover::run_with_checkpoints;
 use ipregel::trace::Tracer;
 use ipregel::{
     try_run, try_run_sequential, CheckpointConfig, CombinerKind, Persist, RunConfig, RunError,
-    RunOutput, RunStats, Schedule, Version, VertexProgram,
+    RunOutput, RunTotals, Schedule, Version, VertexProgram,
 };
 use ipregel_apps::{Bfs, Hashmin, PageRank, Sssp, WeightedSssp};
 use ipregel_graph::loaders::{load_dimacs_gr, load_edge_list, load_konect, read_binary};
@@ -548,8 +548,8 @@ where
 
 /// A run's summary lines. The run's stats are also kept in `runs`, whose
 /// totals `--metrics-out` writes, so the file and the printout agree.
-fn summary<V>(out: &RunOutput<V>, version: Version, runs: &mut Vec<RunStats>) -> String {
-    runs.push(out.stats.clone());
+fn summary<V>(out: &RunOutput<V>, version: Version, runs: &mut RunTotals) -> String {
+    runs.add(&out.stats);
     format!(
         "version: {}\nsupersteps: {}\nmessages: {}\nsuperstep time: {:.3}s\nframework bytes: {}\n",
         version.label(),
@@ -630,7 +630,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     }
     // The stats of the runs behind the printed result, whose totals
     // `--metrics-out` writes: one run, or `diameter`'s two sweeps.
-    let mut runs: Vec<RunStats> = Vec::new();
+    let mut runs = RunTotals::default();
     // Arm the tracer before dispatch so every engine hook sees it. The
     // RSS sampler turns memmodel's offline Figure 9 model into a live
     // per-run series (sampled at superstep barriers).
@@ -728,7 +728,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             let (result, sweeps) =
                 ipregel_apps::try_pseudo_diameter(&g, opts.source, version, &run_cfg(&opts, &tracer))
                     .map_err(run_error)?;
-            runs.extend(sweeps);
+            sweeps.iter().for_each(|sweep| runs.add(sweep));
             match result {
                 Some(est) => {
                     // The estimate names vertices in the running graph's
@@ -1478,6 +1478,69 @@ mod tests {
         assert!(text.contains("completed: 1"), "{text}");
         assert!(text.contains("rejected invalid: 1"), "{text}");
         assert!(text.contains("trace reconciles with stats"), "{text}");
+        let _ = std::fs::remove_file(&port_file);
+    }
+
+    #[test]
+    fn serve_metrics_sum_the_requests_runs() {
+        use std::io::{BufRead, BufReader, Write};
+        let f = temp_graph("0 1\n1 0\n1 2\n2 1\n2 3\n3 0\n", "txt");
+        let metrics = tempfile_lite::write("", "prom");
+        let port_file =
+            std::env::temp_dir().join(format!("ipregel-serve-metrics-{}.txt", std::process::id()));
+        let requests = [
+            r#"{"op":"sssp","source":0}"#,
+            r#"{"op":"bfs","source":2,"combiner":"mutex"}"#,
+            r#"{"op":"components","schedule":"edge"}"#,
+            r#"{"op":"pagerank","rounds":4}"#,
+            r#"{"op":"sssp","source":3,"bypass":false}"#,
+        ];
+        let argv = args(&format!(
+            "serve --graph {} --port 0 --port-file {} --requests {} --workers 2 --metrics-out {}",
+            f.0.display(),
+            port_file.display(),
+            requests.len(),
+            metrics.0.display()
+        ));
+        let server = std::thread::spawn(move || run_cli(&argv));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let port: u16 = loop {
+            if let Some(p) =
+                std::fs::read_to_string(&port_file).ok().and_then(|s| s.trim().parse().ok())
+            {
+                break p;
+            }
+            assert!(std::time::Instant::now() < deadline, "port file never appeared");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        let stream = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        // Each reply names its run's supersteps and messages.
+        let number = |reply: &str, key: &str| -> f64 {
+            let at = reply.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+            let digits: String = reply[at..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        let (mut supersteps, mut messages) = (0.0, 0.0);
+        for line in requests {
+            writer.write_all(line.as_bytes()).unwrap();
+            writer.write_all(b"\n").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert!(reply.contains("\"ok\":true"), "{line}: {reply}");
+            supersteps += number(&reply, "supersteps");
+            messages += number(&reply, "messages");
+        }
+        let text = server.join().unwrap().unwrap();
+        assert!(text.contains("completed: 5"), "{text}");
+        let written = std::fs::read_to_string(&metrics.0).unwrap();
+        assert!(supersteps > 0.0 && messages > 0.0);
+        assert_eq!(field(&written, "ipregel_supersteps_total "), supersteps, "{written}");
+        assert_eq!(field(&written, "ipregel_messages_total "), messages, "{written}");
+        // Every superstep runs at least one chunk.
+        assert!(field(&written, "ipregel_chunks_total ") >= supersteps, "{written}");
+        assert!(field(&written, "ipregel_run_seconds_total ") > 0.0, "{written}");
         let _ = std::fs::remove_file(&port_file);
     }
 

@@ -30,7 +30,7 @@ use ipregel_par::PoolStats;
 
 use crate::engine::{
     chunks, panic_message, ChunkPanic, Outbound, RunConfig, RunError, RunOutput, RunResult,
-    VertexCtx,
+    VertexCtx, VertexEnv,
 };
 use crate::metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};
 use crate::program::{MasterDecision, VertexProgram};
@@ -216,12 +216,11 @@ struct ChunkTally {
     output: ChunkOutput,
 }
 
-/// What every chunk of one superstep shares: the program, the driver's
-/// per-slot views and the run's clock.
+/// What every chunk of one superstep shares: the program, what its
+/// vertex contexts read, the driver's per-slot views and the run's clock.
 struct Superstep<'a, P: VertexProgram> {
-    graph: &'a Graph,
     program: &'a P,
-    superstep: usize,
+    env: VertexEnv<'a>,
     active: &'a [VertexIndex],
     values: SharedSlice<'a, P::Value>,
     halted: SharedSlice<'a, bool>,
@@ -254,33 +253,17 @@ impl<P: VertexProgram> Superstep<'_, P> {
             }
             let c_t0 = Instant::now();
             let cont0 = trace::contention::snapshot();
-            let (mut sent, mut ran, mut awake) = (0u64, 0u64, 0u64);
             #[cfg(feature = "chaos")]
-            crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, self.superstep as u64);
-            for &v in active {
-                // SAFETY: the active list holds distinct slots (scan
-                // filters distinct indices; the bypass worklist dedups)
-                // and the chunks partition it, so this thread is the only
-                // one touching slot `v` of the inbox cells, the halted
-                // flags and the values this superstep.
-                let inbox = lane.read(&mut *unsafe { cells.get_mut(v as usize) }, v);
-                // SAFETY: distinct slots, as above.
-                let mut halt_flag = unsafe { self.halted.get_mut(v as usize) };
-                if *halt_flag && inbox.is_none() {
-                    // Unfruitful check — the cost §6.2 factor (1)
-                    // describes for the pull scan, which lists every
-                    // vertex. The vertex does not run.
-                    continue;
-                }
-                let mut ctx = VertexCtx::<P, _>::new(self.superstep, self.graph, v, inbox, lane);
-                // SAFETY: distinct slots, as above.
-                let mut value = unsafe { self.values.get_mut(v as usize) };
-                self.program.compute(&mut value, &mut ctx);
-                *halt_flag = ctx.halt_vote;
-                sent += ctx.sent;
-                ran += 1;
-                awake += u64::from(!ctx.halt_vote);
-            }
+            crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, self.env.superstep as u64);
+            let (sent, ran, awake) = run_vertices(
+                self.program,
+                &self.env,
+                active,
+                &self.values,
+                &self.halted,
+                cells,
+                lane,
+            );
             Some(ChunkTally {
                 sent,
                 ran,
@@ -297,6 +280,51 @@ impl<P: VertexProgram> Superstep<'_, P> {
             message: panic_message(payload),
         })
     }
+}
+
+/// Run `active`'s vertices through `lane`, reading their mail from
+/// `cells`; returns the messages sent, the vertices run and those that
+/// stayed awake. The one per-vertex loop every engine version shares.
+/// `program` and `env` come in as arguments, not through a field of the
+/// superstep, so the compiler may take what they point to as unchanged
+/// by the loop's writes and keep the program's constants and the
+/// graph's views out of the loop.
+#[inline]
+fn run_vertices<P: VertexProgram, I, L: Lane<P, I>>(
+    program: &P,
+    env: &VertexEnv<'_>,
+    active: &[VertexIndex],
+    values: &SharedSlice<'_, P::Value>,
+    halted: &SharedSlice<'_, bool>,
+    cells: &SharedSlice<'_, I>,
+    lane: &mut L,
+) -> (u64, u64, u64) {
+    let (mut sent, mut ran, mut awake) = (0u64, 0u64, 0u64);
+    for &v in active {
+        // SAFETY: the active list holds distinct slots (scan filters
+        // distinct indices; the bypass worklist dedups) and the chunks
+        // partition it, so this thread is the only one touching slot `v`
+        // of the inbox cells, the halted flags and the values this
+        // superstep.
+        let inbox = lane.read(&mut *unsafe { cells.get_mut(v as usize) }, v);
+        // SAFETY: distinct slots, as above.
+        let mut halt_flag = unsafe { halted.get_mut(v as usize) };
+        if *halt_flag && inbox.is_none() {
+            // Unfruitful check — the cost §6.2 factor (1) describes for
+            // the pull scan, which lists every vertex. The vertex does
+            // not run.
+            continue;
+        }
+        let mut ctx = VertexCtx::<P, _>::new(env, v, inbox, lane);
+        // SAFETY: distinct slots, as above.
+        let mut value = unsafe { values.get_mut(v as usize) };
+        program.compute(&mut value, &mut ctx);
+        *halt_flag = ctx.halt_vote;
+        sent += ctx.sent;
+        ran += 1;
+        awake += u64::from(!ctx.halt_vote);
+    }
+    (sent, ran, awake)
 }
 
 /// Threads a superstep of the current pool can fork onto: the pool's
@@ -328,6 +356,7 @@ where
 {
     let map = *graph.address_map();
     let slots = graph.num_slots();
+    let env = VertexEnv::of(graph);
 
     let mut values: Vec<P::Value> =
         (0..slots as u32).map(|s| program.initial_value(map.id_of(s))).collect();
@@ -386,9 +415,8 @@ where
         let exclusive = plan.chunks.len() == 1 || forking_threads() == 0;
         let outcomes: Vec<ChunkOutcome> = {
             let step = Superstep {
-                graph,
                 program,
-                superstep,
+                env: VertexEnv { superstep, ..env },
                 active: &active,
                 values: SharedSlice::new(&mut values),
                 halted: SharedSlice::new(&mut halted),

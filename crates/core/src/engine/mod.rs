@@ -20,7 +20,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ipregel_graph::csr::Weight;
-use ipregel_graph::{AddressMap, Graph, NeighborList, Relabeling, VertexId, VertexIndex};
+use ipregel_graph::{
+    AddressMap, Graph, NeighborList, OutDegrees, Relabeling, VertexId, VertexIndex,
+};
 
 pub use crate::engine::chunks::Schedule;
 use crate::metrics::{FootprintReport, RunStats};
@@ -195,8 +197,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Where a running vertex's sends go — the engine-specific half of a
-/// [`Context`]. `broadcast` and `send_along_out_edges` return how many
-/// messages they put in flight, for the superstep's statistics.
+/// [`Context`]. `send_along_out_edges` returns how many messages it put
+/// in flight, for the superstep's statistics; a broadcast puts exactly
+/// `degree` in flight, which the context counts itself.
 ///
 /// The receiver is `&mut`: each thread running vertices sends through an
 /// outbound of its own, which may hold the strategy exclusively (see
@@ -204,19 +207,43 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub(crate) trait Outbound<M> {
     /// Deliver `msg` to the vertex with identifier `to`.
     fn send(&mut self, to: VertexId, msg: M);
-    /// Deliver `msg` to every out-neighbour of slot `from`.
-    fn broadcast(&mut self, from: VertexIndex, msg: M) -> u64;
+    /// Deliver `msg` to every out-neighbour of slot `from`, which has
+    /// `degree` of them.
+    fn broadcast(&mut self, from: VertexIndex, degree: u32, msg: M);
     /// Deliver `f(weight)` along every out-edge of slot `from`.
     fn send_along_out_edges(&mut self, from: VertexIndex, f: impl FnMut(Weight) -> M) -> u64;
 }
 
+/// What every vertex context of one superstep reads besides the vertex's
+/// own state, resolved from the graph once per run: its vertex count,
+/// its addressing and a flat view of its out-degrees.
+#[derive(Clone, Copy)]
+pub(crate) struct VertexEnv<'g> {
+    pub superstep: usize,
+    num_vertices: usize,
+    map: AddressMap,
+    degrees: OutDegrees<'g>,
+}
+
+impl<'g> VertexEnv<'g> {
+    /// The environment of `graph`'s superstep 0.
+    pub(crate) fn of(graph: &'g Graph) -> Self {
+        VertexEnv {
+            superstep: 0,
+            num_vertices: graph.num_vertices(),
+            map: *graph.address_map(),
+            degrees: graph.out_degrees(),
+        }
+    }
+}
+
 /// The [`Context`] every in-tree engine hands to `compute`: the running
 /// vertex's own state lives here, its sends go through the engine's
-/// [`Outbound`] — a type parameter, so `compute` inlines down to the
-/// mailbox or outbox write.
+/// [`Outbound`] — a type parameter, and every method inlines, so
+/// `compute`, its context and the outbox or mailbox write compile to
+/// one per-vertex body.
 pub(crate) struct VertexCtx<'a, P: VertexProgram, O> {
-    superstep: usize,
-    graph: &'a Graph,
+    env: &'a VertexEnv<'a>,
     v: VertexIndex,
     inbox: Option<P::Message>,
     out: &'a mut O,
@@ -227,53 +254,64 @@ pub(crate) struct VertexCtx<'a, P: VertexProgram, O> {
 }
 
 impl<'a, P: VertexProgram, O> VertexCtx<'a, P, O> {
+    #[inline]
     pub(crate) fn new(
-        superstep: usize,
-        graph: &'a Graph,
+        env: &'a VertexEnv<'a>,
         v: VertexIndex,
         inbox: Option<P::Message>,
         out: &'a mut O,
     ) -> Self {
-        VertexCtx { superstep, graph, v, inbox, out, sent: 0, halt_vote: false }
+        VertexCtx { env, v, inbox, out, sent: 0, halt_vote: false }
     }
 }
 
 impl<P: VertexProgram, O: Outbound<P::Message>> Context for VertexCtx<'_, P, O> {
     type Message = P::Message;
 
+    #[inline]
     fn superstep(&self) -> usize {
-        self.superstep
+        self.env.superstep
     }
 
+    #[inline]
     fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
+        self.env.num_vertices
     }
 
+    #[inline]
     fn id(&self) -> VertexId {
-        self.graph.id_of(self.v)
+        self.env.map.id_of(self.v)
     }
 
+    #[inline]
     fn out_degree(&self) -> u32 {
-        self.graph.out_degree(self.v)
+        self.env.degrees.get(self.v)
     }
 
+    #[inline]
     fn next_message(&mut self) -> Option<P::Message> {
         self.inbox.take()
     }
 
+    #[inline]
     fn send(&mut self, to: VertexId, msg: P::Message) {
         self.out.send(to, msg);
         self.sent += 1;
     }
 
+    #[inline]
     fn broadcast(&mut self, msg: P::Message) {
-        self.sent += self.out.broadcast(self.v, msg);
+        let degree = self.out_degree();
+        self.out.broadcast(self.v, degree, msg);
+        self.sent += u64::from(degree);
     }
 
+    #[inline]
     fn vote_to_halt(&mut self) {
         self.halt_vote = true;
     }
 
+    #[inline]
     fn send_along_out_edges(&mut self, f: impl FnMut(Weight) -> P::Message) {
         self.sent += self.out.send_along_out_edges(self.v, f);
     }

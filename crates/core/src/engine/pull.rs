@@ -29,6 +29,15 @@
 //! counts the first write of each slot with out-edges in a plain field,
 //! hands the count back with its chunk, and `flip` sums and compares.
 //!
+//! **Once per lane, not per vertex.** Which gather a superstep runs — the
+//! restored inbox, none before the first barrier, dense or tagged — is an
+//! `Inbound` a lane resolves when it opens, so the vertex loop tests
+//! none of it. A broadcast gets its sender's out-degree from the vertex
+//! context, which reads it once from the run's flat view of the graph's
+//! out-degrees ([`Graph::out_degrees`]: the out-CSR's offsets, or the
+//! degree counts of a graph loaded without out-edges); a sink has no
+//! reader, so its broadcast writes nothing.
+//!
 //! With the selection bypass, a broadcasting vertex enqueues all its
 //! out-neighbours, so only potential receivers gather next superstep.
 
@@ -41,7 +50,7 @@ use crate::metrics::FootprintReport;
 use crate::program::VertexProgram;
 use crate::recover::DynHooks;
 use crate::selection::EpochTags;
-use crate::sync_cell::SharedSlice;
+use crate::sync_cell::{SharedSlice, SliceView};
 use crate::trace::EngineKind;
 
 /// Run `program` on `graph` with the pull-based combiner: vertex panics
@@ -137,11 +146,18 @@ fn pull_over<P: VertexProgram, A: NeighborList>(
                 restored: None,
                 epoch: 1,
             },
-            senders: (0..slots as u32).filter(|&v| graph.out_degree(v) > 0).count() as u64,
+            senders: senders(graph),
             queued: if config.selection_bypass { Vec::with_capacity(slots) } else { Vec::new() },
         };
         bsp::drive(graph, program, config, hooks, pull)
     })
+}
+
+/// Slots with out-edges: every in-neighbour of every vertex is one.
+/// Not generic, so compiled once for every program and representation.
+fn senders(graph: &Graph) -> u64 {
+    let degrees = graph.out_degrees();
+    (0..graph.num_slots() as u32).filter(|&v| degrees.get(v) > 0).count() as u64
 }
 
 /// One outbox buffer: a message per slot and the epoch that wrote it.
@@ -196,45 +212,112 @@ struct Gather<'g, P: VertexProgram, A> {
     epoch: u32,
 }
 
-impl<P: VertexProgram, A: NeighborList> Gather<'_, P, A> {
-    /// The combined message waiting for slot `v`. A resumed superstep
-    /// takes its checkpointed inbox instead of gathering; before the first
-    /// barrier nothing was broadcast, so there is nothing to walk.
-    #[inline]
-    fn inbox(&self, v: VertexIndex) -> Option<P::Message> {
-        match &self.restored {
-            Some(restored) => restored[v as usize],
-            None if self.epoch == 1 => None,
-            None => self.gather(v),
-        }
-    }
+/// How the vertices of one superstep find their mail: the gather's
+/// per-superstep tests, resolved once when a lane opens so that the
+/// vertex loop makes none of them.
+#[derive(Clone, Copy)]
+enum Inbound<'s, M> {
+    /// A resumed superstep takes the checkpoint's combined inbox instead
+    /// of gathering.
+    Restored(&'s [Option<M>]),
+    /// Before the first barrier nothing was broadcast, so there is
+    /// nothing to walk.
+    Nothing,
+    /// Every slot with out-edges wrote the read buffer: combine every
+    /// in-neighbour's message, reading no tag.
+    Dense,
+    /// Combine the in-neighbours whose tag names this epoch, the one
+    /// that just ended.
+    Tagged(u32),
+}
 
-    /// Gather: combine the broadcasts `v`'s in-neighbours left, in
-    /// in-neighbour CSR order — the only inter-vertex interaction of the
-    /// pull design, and it is a read.
+/// The read side of one superstep, by value: the in-adjacency, views of
+/// the read buffer and how to read it. A lane holds one in a field of
+/// its own, so its vertex loop keeps all of it out of the loop.
+struct Reader<'s, P: VertexProgram, A> {
+    in_adj: &'s A,
+    msgs: SliceView<'s, P::Message>,
+    tags: SliceView<'s, u32>,
+    inbound: Inbound<'s, P::Message>,
+}
+
+impl<P: VertexProgram, A> Clone for Reader<'_, P, A> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: VertexProgram, A> Copy for Reader<'_, P, A> {}
+
+impl<P: VertexProgram, A: NeighborList> Reader<'_, P, A> {
+    /// The combined message waiting for slot `v`. Gathering combines the
+    /// broadcasts `v`'s in-neighbours left, in in-neighbour CSR order —
+    /// the only inter-vertex interaction of the pull design, and it is a
+    /// read.
     #[inline]
-    fn gather(&self, v: VertexIndex) -> Option<P::Message> {
-        let Outboxes { msgs, tags } = &self.read;
+    fn inbox(self, v: VertexIndex) -> Option<P::Message> {
+        let Reader { in_adj, msgs, tags, inbound } = self;
         // SAFETY: the read buffer was written last superstep; nothing
         // writes it until the next flip swaps it back.
         let msg = |u: VertexIndex| unsafe { *msgs.get(u as usize) };
-        let mut nbrs = self.in_adj.neighbors_iter(v);
-        if self.dense {
-            // Every in-neighbour wrote: the tagged loop below would
-            // combine exactly these messages, in this order.
-            let mut acc = msg(nbrs.next()?);
-            nbrs.for_each(|u| P::combine(&mut acc, msg(u)));
-            return Some(acc);
-        }
-        let last = self.epoch - 1;
-        let mut acc = None;
-        for u in nbrs {
-            // SAFETY: as for `msg`.
-            if unsafe { *tags.get(u as usize) } == last {
-                combine_into::<P>(&mut acc, msg(u));
+        match inbound {
+            Inbound::Restored(restored) => restored[v as usize],
+            Inbound::Nothing => None,
+            Inbound::Dense => {
+                // Every in-neighbour wrote: the tagged loop below would
+                // combine exactly these messages, in this order.
+                let mut nbrs = in_adj.neighbors_iter(v);
+                let mut acc = msg(nbrs.next()?);
+                nbrs.for_each(|u| P::combine(&mut acc, msg(u)));
+                Some(acc)
+            }
+            Inbound::Tagged(last) => {
+                let mut acc = None;
+                for u in in_adj.neighbors_iter(v) {
+                    // SAFETY: as for `msg`.
+                    if unsafe { *tags.get(u as usize) } == last {
+                        combine_into::<P>(&mut acc, msg(u));
+                    }
+                }
+                acc
             }
         }
-        acc
+    }
+}
+
+/// The write side of one superstep, by value: views of the write buffer
+/// and the epoch its tags claim.
+struct Writer<'s, M> {
+    msgs: SliceView<'s, M>,
+    tags: SliceView<'s, u32>,
+    epoch: u32,
+}
+
+impl<M> Clone for Writer<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Writer<'_, M> {}
+
+impl<P: VertexProgram, A: NeighborList> Gather<'_, P, A> {
+    /// How the superstep about to run reads its mail.
+    fn reader(&self) -> Reader<'_, P, A> {
+        let inbound = match &self.restored {
+            Some(restored) => Inbound::Restored(restored),
+            None if self.epoch == 1 => Inbound::Nothing,
+            None if self.dense => Inbound::Dense,
+            None => Inbound::Tagged(self.epoch - 1),
+        };
+        let Outboxes { msgs, tags } = &self.read;
+        Reader { in_adj: self.in_adj, msgs: msgs.view(), tags: tags.view(), inbound }
+    }
+
+    /// Where the superstep about to run broadcasts.
+    fn writer(&self) -> Writer<'_, P::Message> {
+        let Outboxes { msgs, tags } = &self.write;
+        Writer { msgs: msgs.view(), tags: tags.view(), epoch: self.epoch }
     }
 }
 
@@ -252,7 +335,7 @@ impl<'g, P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'g, P, A> {
         Self: 's;
 
     fn fork(&mut self) -> (&mut [()], Self::Forked<'_>) {
-        let lane = PullLane { gather: &self.gather, queued: Vec::new(), wrote: 0 };
+        let lane = PullLane::open(&self.gather, Vec::new());
         (no_cells(self.gather.read.msgs.len()), lane)
     }
 
@@ -260,8 +343,7 @@ impl<'g, P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'g, P, A> {
     /// it back with its first chunk's output.
     fn exclusive(&mut self) -> (&mut [()], Self::Exclusive<'_>) {
         let queued = std::mem::take(&mut self.queued);
-        let lane = PullLane { gather: &self.gather, queued, wrote: 0 };
-        (no_cells(self.gather.read.msgs.len()), lane)
+        (no_cells(self.gather.read.msgs.len()), PullLane::open(&self.gather, queued))
     }
 
     /// Pull work is dominated by the gather over in-neighbours.
@@ -305,7 +387,8 @@ impl<'g, P: VertexProgram, A: NeighborList> Delivery<P> for Pull<'g, P, A> {
             g.restored.is_none(),
             "due() never fires at the resume floor, so the restored inbox is consumed"
         );
-        (0..g.read.msgs.len() as u32).map(|v| g.gather(v)).collect()
+        let reader = g.reader();
+        (0..g.read.msgs.len() as u32).map(|v| reader.inbox(v)).collect()
     }
 
     /// Queue what the chunks enqueued, decide how the next superstep
@@ -361,23 +444,34 @@ fn no_cells(slots: usize) -> &'static mut [()] {
 /// list and hands it back with its chunk's output; an exclusive one
 /// starts from the strategy's queue.
 struct PullLane<'s, 'g, P: VertexProgram, A> {
+    /// The bypass's tags and out-adjacency.
     gather: &'s Gather<'g, P, A>,
+    /// How this superstep reads, resolved when the lane opened.
+    read: Reader<'s, P, A>,
+    /// Where this superstep writes.
+    write: Writer<'s, P::Message>,
     queued: Vec<VertexIndex>,
     /// Distinct slots with out-edges whose outbox this lane wrote first
     /// this superstep.
     wrote: u64,
 }
 
+impl<'s, 'g, P: VertexProgram, A: NeighborList> PullLane<'s, 'g, P, A> {
+    fn open(gather: &'s Gather<'g, P, A>, queued: Vec<VertexIndex>) -> Self {
+        PullLane { gather, read: gather.reader(), write: gather.writer(), queued, wrote: 0 }
+    }
+}
+
 impl<P: VertexProgram, A> Clone for PullLane<'_, '_, P, A> {
     fn clone(&self) -> Self {
-        PullLane { gather: self.gather, queued: self.queued.clone(), wrote: self.wrote }
+        PullLane { queued: self.queued.clone(), ..*self }
     }
 }
 
 impl<P: VertexProgram, A: NeighborList> Lane<P, ()> for PullLane<'_, '_, P, A> {
     #[inline]
     fn read(&mut self, _cell: &mut (), v: VertexIndex) -> Option<P::Message> {
-        self.gather.inbox(v)
+        self.read.inbox(v)
     }
 
     fn take_output(&mut self) -> ChunkOutput {
@@ -396,36 +490,35 @@ impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for PullLane<'_, '_
         );
     }
 
-    fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
-        let pull = self.gather;
-        let degree = pull.graph.out_degree(from);
+    #[inline]
+    fn broadcast(&mut self, from: VertexIndex, degree: u32, msg: P::Message) {
         if degree == 0 {
             // Nobody gathers from a sink and it has nobody to wake.
-            return 0;
+            return;
         }
-        let (slot, write) = (from as usize, &pull.write);
+        let (slot, write) = (from as usize, self.write);
         // SAFETY: slot `from` belongs to the running vertex; vertices run
         // at most once per superstep, so both writes are exclusive.
         let (mut outbox, mut epoch) =
             unsafe { (write.msgs.get_mut(slot), write.tags.get_mut(slot)) };
-        if *epoch == pull.epoch {
+        if *epoch == write.epoch {
             P::combine(&mut outbox, msg);
         } else {
             // First broadcast of this superstep: whatever the slot held
             // is from an epoch that is over.
             *outbox = msg;
-            *epoch = pull.epoch;
+            *epoch = write.epoch;
             self.wrote += 1;
         }
+        let pull = self.gather;
         if let Some(tags) = &pull.tags {
             let out = pull.out_adj.expect("bypass requires out-adjacency, asserted at entry");
             for n in out.neighbors_iter(from) {
-                if tags.claim(n, pull.epoch) {
+                if tags.claim(n, write.epoch) {
                     self.queued.push(n);
                 }
             }
         }
-        u64::from(degree)
     }
 
     fn send_along_out_edges(

@@ -379,14 +379,11 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Mes
         self.deliver(local.as_ref(), target_slot(self.graph, to), msg);
     }
 
-    fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
+    fn broadcast(&mut self, from: VertexIndex, _degree: u32, msg: P::Message) {
         let (local, adj) = (self.local(), self.adj);
-        let mut sent = 0;
         for n in adj.neighbors_iter(from) {
             self.deliver(local.as_ref(), n, msg);
-            sent += 1;
         }
-        sent
     }
 
     fn send_along_out_edges(
@@ -450,14 +447,11 @@ impl<P: VertexProgram, MB: Mailbox<P::Message>, A: NeighborList> Outbound<P::Mes
         self.deliver(target_slot(self.graph, to), msg);
     }
 
-    fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
+    fn broadcast(&mut self, from: VertexIndex, _degree: u32, msg: P::Message) {
         let adj = self.adj;
-        let mut sent = 0;
         for n in adj.neighbors_iter(from) {
             self.deliver(n, msg);
-            sent += 1;
         }
-        sent
     }
 
     fn send_along_out_edges(

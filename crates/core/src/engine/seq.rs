@@ -19,7 +19,7 @@ use ipregel_graph::{Adjacency, Graph, NeighborList, VertexId, VertexIndex};
 
 use crate::engine::{
     bsp, combine_into, for_each_out_edge, panic_message, target_slot, Outbound, RunConfig,
-    RunError, RunOutput, RunResult, VertexCtx,
+    RunError, RunOutput, RunResult, VertexCtx, VertexEnv,
 };
 use crate::metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};
 use crate::program::{MasterDecision, VertexProgram};
@@ -80,6 +80,7 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
 ) -> RunResult<P::Value> {
     let map = *graph.address_map();
     let slots = graph.num_slots();
+    let env = VertexEnv::of(graph);
 
     let mut values: Vec<P::Value> =
         (0..slots as u32).map(|s| program.initial_value(map.id_of(s))).collect();
@@ -134,6 +135,7 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
         // as the same `VertexPanic` the parallel engines produce.
         let step = catch_unwind(AssertUnwindSafe(|| {
             let mut out = SeqOut::<P, A> { graph, adj: out_adj, next: &mut next };
+            let env = VertexEnv { superstep, ..env };
             let (mut sent, mut active, mut edges) = (0u64, 0u64, 0u64);
             #[cfg(feature = "chaos")]
             crate::chaos::maybe_panic(crate::chaos::CHUNK_PANIC, superstep as u64);
@@ -152,7 +154,7 @@ fn run_seq_inner<P: VertexProgram, A: NeighborList>(
                 }
                 active += 1;
                 edges += u64::from(graph.out_degree(v));
-                let mut ctx = VertexCtx::<P, _>::new(superstep, graph, v, inbox, &mut out);
+                let mut ctx = VertexCtx::<P, _>::new(&env, v, inbox, &mut out);
                 // `values[v]` and the context borrow disjoint state.
                 let mut value = values[v as usize].clone();
                 program.compute(&mut value, &mut ctx);
@@ -237,8 +239,8 @@ impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for SeqOut<'_, P, A
         combine_into::<P>(&mut self.next[target_slot(self.graph, to) as usize], msg);
     }
 
-    fn broadcast(&mut self, from: VertexIndex, msg: P::Message) -> u64 {
-        self.send_along_out_edges(from, |_| msg)
+    fn broadcast(&mut self, from: VertexIndex, _degree: u32, msg: P::Message) {
+        self.send_along_out_edges(from, |_| msg);
     }
 
     fn send_along_out_edges(

@@ -87,7 +87,7 @@ pub use engine::seq::{run_sequential, try_run_sequential};
 pub use engine::{RetryPolicy, RunConfig, RunError, RunOutput, RunResult, Schedule};
 pub use lanes::{full_mask, LaneTracker, Lanes, MAX_LANES};
 pub use mailbox::{AtomicMailbox, Mailbox, MutexMailbox, PackMessage, SpinGuard, SpinLock, SpinMailbox};
-pub use metrics::{FootprintReport, LoadStats, RunStats, SuperstepStats};
+pub use metrics::{FootprintReport, LoadStats, RunStats, RunTotals, SuperstepStats};
 pub use program::{check_combiner, combiners, Context, MasterDecision, VertexProgram};
 pub use recover::{CheckpointConfig, Persist, ResumeState};
 pub use trace::{EngineKind, TraceEvent, Tracer};

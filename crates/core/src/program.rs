@@ -69,6 +69,7 @@ pub trait Context {
     fn superstep(&self) -> usize;
 
     /// Whether this is superstep 0 (`IP_is_first_superstep`).
+    #[inline]
     fn is_first_superstep(&self) -> bool {
         self.superstep() == 0
     }

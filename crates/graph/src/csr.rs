@@ -167,6 +167,28 @@ impl Csr {
     }
 }
 
+/// A graph's out-degrees as a flat view of one of its arrays (see
+/// [`Graph::out_degrees`]): no copy, and one representation match per
+/// lookup instead of [`Graph::out_degree`]'s two.
+#[derive(Debug, Clone, Copy)]
+pub enum OutDegrees<'g> {
+    /// The out-adjacency's `slots + 1` edge-count offsets.
+    Offsets(&'g [u64]),
+    /// One count per slot, kept when the out-adjacency is not.
+    Counts(&'g [u32]),
+}
+
+impl OutDegrees<'_> {
+    /// Out-degree of slot `v`.
+    #[inline]
+    pub fn get(self, v: VertexIndex) -> u32 {
+        match self {
+            OutDegrees::Offsets(o) => (o[v as usize + 1] - o[v as usize]) as u32,
+            OutDegrees::Counts(d) => d[v as usize],
+        }
+    }
+}
+
 /// An immutable, static graph: an [`AddressMap`] plus adjacency.
 ///
 /// All accessor methods take and return *internal slot indices*; translate
@@ -327,9 +349,18 @@ impl Graph {
     /// Out-degree of `v`; available in every neighbour mode.
     #[inline]
     pub fn out_degree(&self, v: VertexIndex) -> u32 {
+        self.out_degrees().get(v)
+    }
+
+    /// Every slot's out-degree, read from the array the graph already
+    /// holds them in: the out-adjacency's edge-count offsets, or an
+    /// in-only graph's degree counts. Resolve it once and look degrees up
+    /// through it in a loop; [`Graph::out_degree`] resolves it per call.
+    #[inline]
+    pub fn out_degrees(&self) -> OutDegrees<'_> {
         match (&self.out, &self.out_degrees) {
-            (Some(adj), _) => adj.degree(v),
-            (None, Some(d)) => d[v as usize],
+            (Some(adj), _) => OutDegrees::Offsets(adj.offsets()),
+            (None, Some(d)) => OutDegrees::Counts(d),
             (None, None) => unreachable!("builder always retains out-degrees"),
         }
     }

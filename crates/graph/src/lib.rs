@@ -47,7 +47,7 @@ pub mod validation;
 
 pub use adjacency::{Adjacency, NeighborList};
 pub use builder::{GraphBuilder, NeighborMode};
-pub use csr::{Csr, Graph};
+pub use csr::{Csr, Graph, OutDegrees};
 pub use csr_compact::CsrCompact;
 pub use error::GraphError;
 pub use ids::{AddressMap, AddressingMode, HashAddressMap, VertexId, VertexIndex};

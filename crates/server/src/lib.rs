@@ -52,7 +52,9 @@ use std::time::{Duration, Instant};
 
 pub use ipregel::RetryPolicy;
 use ipregel::trace::{ServerOutcome, TraceEvent, Tracer};
-use ipregel::{try_run, CombinerKind, LaneTracker, Lanes, RunConfig, RunError, Schedule, Version};
+use ipregel::{
+    try_run, CombinerKind, LaneTracker, Lanes, RunConfig, RunError, RunTotals, Schedule, Version,
+};
 use ipregel_apps::{Bfs, Hashmin, MultiHashmin, MultiHops, MultiRank, PageRank, Sssp};
 use ipregel_graph::{Graph, VertexId};
 use ipregel_par::lockorder::{LockClass, OrderedCondvar, OrderedGuard, OrderedMutex};
@@ -334,6 +336,9 @@ pub struct ServerReport {
     pub events: Vec<TraceEvent>,
     /// Events the tracer dropped (0 unless its log lock was poisoned).
     pub dropped_events: u64,
+    /// Sums over the engine runs whose results the workers settled: one
+    /// run per solo request, one per batch of K lanes.
+    pub runs: RunTotals,
 }
 
 impl ServerReport {
@@ -344,7 +349,7 @@ impl ServerReport {
 
     /// Prometheus text-format snapshot of the request metrics.
     pub fn prometheus(&self) -> String {
-        ipregel::trace::render_prometheus(&self.events, self.dropped_events, &[])
+        ipregel::trace::render_prometheus(&self.events, self.dropped_events, &self.runs)
     }
 
     /// Check the trace against the stats: one terminal
@@ -522,8 +527,12 @@ impl Ticket {
 /// [`ServerHandle::handle_line`], or over TCP via [`net::serve`].
 pub struct ServerHandle {
     inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
+    /// Each worker hands back the totals of the runs it made when it
+    /// exits.
+    workers: Vec<JoinHandle<RunTotals>>,
     watchdog: Option<JoinHandle<()>>,
+    /// The exited workers' totals.
+    runs: RunTotals,
 }
 
 impl ServerHandle {
@@ -563,7 +572,7 @@ impl ServerHandle {
                 .spawn(move || inner.watchdog_loop())
                 .expect("spawn server watchdog")
         };
-        ServerHandle { inner, workers, watchdog: Some(watchdog) }
+        ServerHandle { inner, workers, watchdog: Some(watchdog), runs: RunTotals::default() }
     }
 
     /// The resident graph.
@@ -635,6 +644,7 @@ impl ServerHandle {
             stats: relock(inner.stats.lock()).clone(),
             events: inner.tracer.take_events(),
             dropped_events: inner.tracer.dropped_events(),
+            runs: self.runs,
         }
     }
 
@@ -647,7 +657,9 @@ impl ServerHandle {
         }
         self.inner.admitted_cv.notify_all();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            if let Ok(runs) = w.join() {
+                self.runs.merge(&runs);
+            }
         }
         // ordering(Relaxed): plain stop flag; the join below is the
         // synchronisation point.
@@ -856,10 +868,12 @@ impl Inner {
     }
 
     /// Worker: pop-or-wait on the queue, run each group to settlement.
-    /// On shutdown, drain whatever is still queued, then exit. Runs on
+    /// On shutdown, drain whatever is still queued, then exit with the
+    /// totals of the runs it made, kept here and locked nowhere. Runs on
     /// a thread of the worker's own pool, so every engine run it starts
     /// forks into that pool and nowhere else.
-    fn worker_loop(self: &Arc<Self>) {
+    fn worker_loop(self: &Arc<Self>) -> RunTotals {
+        let mut runs = RunTotals::default();
         loop {
             let batch = {
                 // lock-order(server.queue)
@@ -874,8 +888,8 @@ impl Inner {
                     q = relock(q.wait_on(&self.admitted_cv));
                 }
             };
-            let Some(batch) = batch else { return };
-            self.run_group(&batch);
+            let Some(batch) = batch else { return runs };
+            self.run_group(&batch, &mut runs);
         }
     }
 
@@ -954,7 +968,7 @@ impl Inner {
     /// * **Accounting** — each member settles individually (own trace
     ///   event, lane-tagged; own stats), and the watchdog reaps stuck
     ///   members individually via the lane-tagged `Running` state.
-    fn run_group(&self, group: &[Arc<Slot>]) {
+    fn run_group(&self, group: &[Arc<Slot>], runs: &mut RunTotals) {
         let picked_up = Instant::now();
         let lanes = group.len() as u64;
         let budgets: Vec<Option<Duration>> = group
@@ -1005,6 +1019,10 @@ impl Inner {
             let (attempts, result) = self.attempt(slot.id, budgets[0], picked_up, |remaining| {
                 run_once(&self.graph, &slot.request, remaining)
             });
+            let result = result.map(|(output, run)| {
+                runs.merge(&run);
+                output
+            });
             self.settle(slot, |_, _| Some((attempts, result)));
             return;
         }
@@ -1046,7 +1064,10 @@ impl Inner {
             run_lanes(&self.graph, &live_requests, deadlines, engine_deadline)
         }));
         let per_lane = match outcome {
-            Ok(Ok(per_lane)) => per_lane,
+            Ok(Ok((per_lane, run))) => {
+                runs.merge(&run);
+                per_lane
+            }
             // The engine-level deadline is only armed when every live
             // member carries a budget; fail each on its own.
             Ok(Err(RunError::DeadlineExceeded { .. })) => vec![None; live.len()],
@@ -1057,7 +1078,7 @@ impl Inner {
                 // over as a group of one, keeping PR-8 retry/deadline
                 // semantics intact.
                 for &(i, _) in &live {
-                    self.run_group(std::slice::from_ref(&group[i]));
+                    self.run_group(std::slice::from_ref(&group[i]), runs);
                 }
                 return;
             }
@@ -1305,7 +1326,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// tests compare concurrent server results against this oracle
 /// bit-for-bit.
 pub fn run_isolated(graph: &Graph, request: &Request) -> Result<RequestOutput, RunError> {
-    worker_pool(ServerConfig::default().workers).install(|| run_once(graph, request, None))
+    let run = || run_once(graph, request, None).map(|(output, _)| output);
+    worker_pool(ServerConfig::default().workers).install(run)
 }
 
 /// Threads in each worker's engine pool when `workers` workers split
@@ -1328,8 +1350,9 @@ fn worker_pool(workers: usize) -> ThreadPool {
 
 /// One K-lane engine attempt over `requests` (all sharing one
 /// [`BatchKey`]; lane `l` runs `requests[l]`). Returns one entry per
-/// lane: `Some(output)` with that lane's reconstructed solo stats, or
-/// `None` for a lane masked out by its own deadline mid-run. Runs on
+/// lane — `Some(output)` with that lane's reconstructed solo stats, or
+/// `None` for a lane masked out by its own deadline mid-run — and the
+/// shared run's totals. Runs on
 /// the current pool (`threads: None`) exactly as [`run_once`] does, so
 /// every lane's values are bit-identical to its solo oracle.
 fn run_lanes(
@@ -1337,7 +1360,7 @@ fn run_lanes(
     requests: &[&Request],
     deadlines: [Option<Duration>; ipregel::MAX_LANES],
     engine_deadline: Option<Duration>,
-) -> Result<Vec<Option<RequestOutput>>, RunError> {
+) -> Result<(Vec<Option<RequestOutput>>, RunTotals), RunError> {
     let proto = requests[0];
     let config = RunConfig {
         threads: None,
@@ -1358,19 +1381,20 @@ fn run_lanes(
                 .collect();
             let program = MultiHops::with_deadlines(&sources, deadlines);
             let out = try_run(graph, &program, version, &config)?;
-            Ok(collect_u32_lanes(&out, program.tracker()))
+            Ok((collect_u32_lanes(&out, program.tracker()), (&out.stats).into()))
         }
         Algorithm::Components => {
             let program = MultiHashmin::with_deadlines(k, deadlines);
             let out = try_run(graph, &program, version, &config)?;
-            Ok(collect_u32_lanes(&out, program.tracker()))
+            Ok((collect_u32_lanes(&out, program.tracker()), (&out.stats).into()))
         }
         Algorithm::PageRank { rounds, damping } => {
             let program = MultiRank::with_deadlines(&vec![None; k], damping, rounds, deadlines);
             let out = try_run(graph, &program, version, &config)?;
-            Ok(collect_lanes(program.tracker(), |lane| {
+            let per_lane = collect_lanes(program.tracker(), |lane| {
                 ResultValues::F64Bits(out.iter().map(|(id, v)| (id, v.at(lane).to_bits())).collect())
-            }))
+            });
+            Ok((per_lane, (&out.stats).into()))
         }
     }
 }
@@ -1403,16 +1427,16 @@ fn collect_u32_lanes(
     })
 }
 
-/// One engine attempt. `threads: None` runs on the current pool: a
-/// server worker's own pool, whose thread is the orchestrator, so the
-/// attempt's chunks never leave it; results stay bit-identical to the
+/// One engine attempt, with its run's totals. `threads: None` runs on the
+/// current pool: a server worker's own pool, whose thread is the
+/// orchestrator, so the attempt's chunks never leave it; results stay bit-identical to the
 /// isolated oracle's (chunk-order-deterministic reductions do not care
 /// which worker ran which chunk, only how many threads planned them).
 fn run_once(
     graph: &Graph,
     request: &Request,
     deadline: Option<Duration>,
-) -> Result<RequestOutput, RunError> {
+) -> Result<(RequestOutput, RunTotals), RunError> {
     let config = RunConfig {
         threads: None,
         schedule: request.schedule,
@@ -1437,8 +1461,10 @@ fn run_once(
 }
 
 /// A solo run's result: its values plus the run's own totals.
-fn solo_output(values: ResultValues, stats: &ipregel::RunStats) -> RequestOutput {
-    RequestOutput { values, supersteps: stats.num_supersteps(), messages: stats.total_messages() }
+fn solo_output(values: ResultValues, stats: &ipregel::RunStats) -> (RequestOutput, RunTotals) {
+    let output =
+        RequestOutput { values, supersteps: stats.num_supersteps(), messages: stats.total_messages() };
+    (output, stats.into())
 }
 
 #[cfg(test)]

@@ -24,6 +24,12 @@
 //! the superstep cut as finely as possible (`grain: Some(1)`) and left to
 //! the planner (`None`, which runs these light supersteps whole on the
 //! orchestrating thread), on the plain and the compressed CSR.
+//!
+//! A graph loaded with `NeighborMode::InOnly` keeps no out-adjacency, so
+//! the engine reads its out-degrees from the graph's degree counts
+//! instead of the out-CSR's offsets. The `in_only` cases run the same
+//! programs on such graphs and hold them to the oracle's run on the
+//! `Both` twin, whose in-neighbour lists are the same.
 
 use std::fmt::Debug;
 
@@ -40,7 +46,12 @@ fn trajectory(stats: &RunStats) -> Vec<(u64, u64)> {
 /// out-edges per vertex, added in ascending source order, except that
 /// `sink` has no out-edges at all.
 fn graph(seed: u64, n: u32, base: u32, sink: VertexId) -> Graph {
-    let mut b = GraphBuilder::new(NeighborMode::Both).declare_id_range(base, n);
+    graph_in(NeighborMode::Both, seed, n, base, sink)
+}
+
+/// [`graph`], keeping the neighbour directions `mode` names.
+fn graph_in(mode: NeighborMode, seed: u64, n: u32, base: u32, sink: VertexId) -> Graph {
+    let mut b = GraphBuilder::new(mode).declare_id_range(base, n);
     let mut x = seed | 1;
     let mut next = |bound: u32| {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -74,6 +85,25 @@ fn graphs() -> Vec<(String, Graph, VertexId, VertexId)> {
     out
 }
 
+/// [`graphs`] loaded in-only, each beside its `Both` twin, which the
+/// oracle runs on (it sends along out-edges).
+fn in_only_graphs() -> Vec<(String, Graph, Graph, VertexId, VertexId)> {
+    let mut out = Vec::new();
+    for (seed, n, base) in [(7u64, 300u32, 0u32), (11, 257, 1)] {
+        let sink = base + n / 3;
+        let twin = graph(seed, n, base, sink);
+        let g = graph_in(NeighborMode::InOnly, seed, n, base, sink);
+        assert!(!g.has_out_edges());
+        for v in 0..g.num_slots() as u32 {
+            assert_eq!(g.out_degree(v), twin.out_degree(v));
+        }
+        let compact = g.clone().compress().expect("compresses");
+        out.push((format!("seed {seed} in-only plain"), g, twin.clone(), sink, base));
+        out.push((format!("seed {seed} in-only compact"), compact, twin, sink, base));
+    }
+    out
+}
+
 /// Run `program` on the pull engine at every pool size and grain and hold
 /// each run to the sequential oracle: `key` of every value, and the
 /// trajectory.
@@ -87,7 +117,23 @@ fn assert_matches_oracle<P, K>(
     P: VertexProgram,
     K: PartialEq + Debug,
 {
-    let oracle = try_run_sequential(g, program, &RunConfig::default()).expect("oracle runs");
+    assert_matches_oracle_on(label, g, g, program, bypass, key);
+}
+
+/// [`assert_matches_oracle`], with the oracle run on `oracle_graph`.
+fn assert_matches_oracle_on<P, K>(
+    label: &str,
+    g: &Graph,
+    oracle_graph: &Graph,
+    program: &P,
+    bypass: bool,
+    key: impl Fn(&P::Value) -> K,
+) where
+    P: VertexProgram,
+    K: PartialEq + Debug,
+{
+    let oracle =
+        try_run_sequential(oracle_graph, program, &RunConfig::default()).expect("oracle runs");
     let want: Vec<K> = oracle.values.iter().map(&key).collect();
     // `None` runs on the global pool from this (non-worker) thread, so a
     // whole superstep runs off-pool.
@@ -173,12 +219,17 @@ impl VertexProgram for Broadcaster {
     }
 }
 
-/// Run one plan on every graph; `plan` gets the graph's sink and its
-/// non-sink vertex.
+/// Run one plan on every graph, in-only ones too; `plan` gets the
+/// graph's sink and its non-sink vertex.
 fn assert_plan_matches(name: &str, plan: impl Fn(VertexId, VertexId) -> Broadcaster) {
     for (label, g, sink, sender) in graphs() {
         let program = plan(sink, sender);
         assert_matches_oracle(&format!("{name} / {label}"), &g, &program, false, |&v: &u64| v);
+    }
+    for (label, g, twin, sink, sender) in in_only_graphs() {
+        let program = plan(sink, sender);
+        let label = format!("{name} / {label}");
+        assert_matches_oracle_on(&label, &g, &twin, &program, false, |&v: &u64| v);
     }
 }
 
@@ -227,4 +278,22 @@ fn a_second_broadcast_combines_and_counts_once() {
         rounds: 10,
         plan: Box::new(|_, _, _| 2),
     });
+}
+
+#[test]
+fn in_only_pagerank_is_bit_identical_to_the_oracle() {
+    let program = PageRank { rounds: 12, damping: 0.85 };
+    for (label, g, twin, _, _) in in_only_graphs() {
+        let label = format!("pagerank / {label}");
+        assert_matches_oracle_on(&label, &g, &twin, &program, false, |r: &f64| r.to_bits());
+    }
+}
+
+#[test]
+fn in_only_hashmin_matches_the_oracle_as_the_frontier_thins() {
+    // The bypass enqueues out-neighbours, so it needs the out-CSR.
+    for (label, g, twin, _, _) in in_only_graphs() {
+        let label = format!("hashmin / {label}");
+        assert_matches_oracle_on(&label, &g, &twin, &Hashmin, false, |&c: &u32| c);
+    }
 }
