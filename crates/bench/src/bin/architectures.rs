@@ -4,12 +4,12 @@
 //! architectures: in-memory shared memory (iPregel — "the fastest"),
 //! in-memory distributed memory (Pregel+), and out-of-core (GraphChi,
 //! FlashGraph, GraphD). This binary runs the same applications on the
-//! workspace's engine for each architecture and prints the trade-off the
-//! paper describes: the shared-memory engine wins on time, the
-//! out-of-core engine wins on resident memory, the distributed engine
-//! buys capacity with network overhead.
+//! workspace's engine for each in-memory architecture and prints the
+//! trade-off the paper describes: the shared-memory engine wins on time,
+//! the distributed engine buys capacity with network overhead. The paper
+//! measures no out-of-core framework, and neither does this map.
 //!
-//! A fourth column is the comparison Section 7.3 could not run: a
+//! A third column is the comparison Section 7.3 could not run: a
 //! correct shared-memory engine built *without* iPregel's optimisations
 //! (FemtoGraph's shape: per-vertex inbox queues, hashmap addressing, full
 //! scans — see `femtograph-sim`). Same architecture, so the gap is the
@@ -17,7 +17,6 @@
 //! iPregel's (§6.3's single-message mailboxes against inbox queues).
 
 use femtograph_sim::run_naive;
-use graphd_sim::{run_ooc, DiskModel, OocGraph};
 use ipregel::{run, CombinerKind, RunConfig, Version, VertexProgram};
 use ipregel_apps::{Hashmin, PageRank, Sssp};
 use ipregel_bench::{human_bytes, rule, threads, PaperGraphs, PAGERANK_ROUNDS, SSSP_SOURCE};
@@ -63,20 +62,12 @@ fn row<P: VertexProgram>(
     assert!(agree(&dist.values, &shared.values), "distributed results diverged on {app}");
     let dist_bytes = dist.peak_node_bytes as f64 * 4.0;
 
-    // Out-of-core: executed + disk-modelled.
-    let spill = std::env::temp_dir().join(format!("ipregel-arch-{}-{app}.edges", std::process::id()));
-    let ooc_graph = OocGraph::from_graph(g, &spill).expect("spill");
-    let ooc = run_ooc(&ooc_graph, p, &cfg, &DiskModel::default()).expect("ooc run");
-    assert!(agree(&ooc.output.values, &shared.values), "out-of-core results diverged on {app}");
-
     println!(
-        "  {app:<9} {shared_secs:>10.3}s {:>10} {:>10.3}s {overheads:>19} {:>10.3}s {:>10} {:>10.3}s {:>10}",
+        "  {app:<9} {shared_secs:>10.3}s {:>10} {:>10.3}s {overheads:>19} {:>10.3}s {:>10}",
         human_bytes(shared_bytes),
         naive.stats.total_time.as_secs_f64(),
         dist.simulated_seconds,
         human_bytes(dist_bytes),
-        ooc.modelled_total_seconds,
-        human_bytes(ooc.output.footprint.total_bytes() as f64),
     );
 }
 
@@ -85,17 +76,16 @@ fn main() {
     println!(
         "Architecture comparison (Section 2): the same applications on the\n\
          in-memory shared-memory engine (measured), a naive shared-memory\n\
-         engine without iPregel's techniques (measured), a 4-node in-memory\n\
-         distributed cluster (simulated), and an out-of-core engine\n\
-         (executed, disk modelled at 500 MB/s). {} threads.",
+         engine without iPregel's techniques (measured), and a 4-node\n\
+         in-memory distributed cluster (simulated). {} threads.",
         threads()
     );
     for (label, g, divisor, _) in graphs.each() {
-        rule(120);
+        rule(96);
         println!("{label} graph (divisor {divisor}: |V|={}, |E|={})", g.num_vertices(), g.num_edges());
         println!(
-            "  {:<9} {:>11} {:>10} {:>11} {:>19} {:>11} {:>10} {:>11} {:>10}",
-            "app", "shared", "RAM", "naive", "ovh shared→naive", "distrib", "agg RAM", "out-of-core", "resident"
+            "  {:<9} {:>11} {:>10} {:>11} {:>19} {:>11} {:>10}",
+            "app", "shared", "RAM", "naive", "ovh shared→naive", "distrib", "agg RAM"
         );
         // Float sums reorder across engines: PageRank agreement is to
         // tolerance, integer-valued apps agree exactly.
@@ -110,13 +100,12 @@ fn main() {
         row(g, divisor, "SSSP", &Sssp { source: SSSP_SOURCE },
             Version { combiner: CombinerKind::Spinlock, selection_bypass: true }, &exact);
     }
-    rule(120);
+    rule(96);
     println!(
         "Reading: shared memory is fastest (the paper's thesis); the naive\n\
          shared-memory engine isolates the paper's techniques from the\n\
          architecture, in time and in framework overhead beyond the graph\n\
-         (§6.3); out-of-core holds the smallest resident set (edges stay on\n\
-         disk) at a disk-time tax; the distributed cluster multiplies\n\
-         aggregate RAM and pays the network."
+         (§6.3); the distributed cluster multiplies aggregate RAM and pays\n\
+         the network."
     );
 }

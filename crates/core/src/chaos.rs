@@ -16,8 +16,6 @@
 //! * [`CHECKPOINT_TRUNCATE`] — the checkpoint write at the keyed
 //!   superstep is torn in half under its final name
 //!   (`ipregel::recover`), exercising checksum fallback on resume;
-//! * [`GRAPHD_READ`] — an edge-streaming read in `graphd-sim` returns
-//!   [`std::io::ErrorKind::Interrupted`], exercising bounded retry;
 //! * [`SERVER_REQUEST_PANIC`] — the server handler for the keyed
 //!   request id panics before the engine runs, exercising per-request
 //!   containment and retry (`ipregel-server`);
@@ -46,8 +44,6 @@ use ipregel_graph::checksum::fnv1a64;
 pub const CHUNK_PANIC: &str = "engine.chunk_panic";
 /// Tear a checkpoint write in half. Key: superstep.
 pub const CHECKPOINT_TRUNCATE: &str = "recover.checkpoint_truncate";
-/// Fail a graphd edge read with `ErrorKind::Interrupted`. Key: unused (0).
-pub const GRAPHD_READ: &str = "graphd.read_transient";
 /// Panic inside a server request handler (before the engine runs).
 /// Key: server-assigned request id.
 pub const SERVER_REQUEST_PANIC: &str = "server.request_panic";
@@ -189,7 +185,7 @@ mod tests {
         let _x = exclusive();
         clear_plan();
         assert!(!fires(CHUNK_PANIC, 0));
-        assert!(!fires(GRAPHD_READ, 7));
+        assert!(!fires(CHECKPOINT_TRUNCATE, 7));
         maybe_panic(CHUNK_PANIC, 0); // must not panic
     }
 
@@ -199,7 +195,7 @@ mod tests {
         set_plan(ChaosPlan { seed: 1, triggers: vec![Trigger::at(CHUNK_PANIC, 3)] });
         assert!(!fires(CHUNK_PANIC, 0));
         assert!(!fires(CHUNK_PANIC, 2));
-        assert!(!fires(GRAPHD_READ, 3), "other points unaffected");
+        assert!(!fires(CHECKPOINT_TRUNCATE, 3), "other points unaffected");
         assert!(fires(CHUNK_PANIC, 3));
         assert!(!fires(CHUNK_PANIC, 3), "limit 1 exhausted");
         clear_plan();
@@ -208,10 +204,10 @@ mod tests {
     #[test]
     fn limited_trigger_fires_exactly_n_times() {
         let _x = exclusive();
-        set_plan(ChaosPlan { seed: 1, triggers: vec![Trigger::times(GRAPHD_READ, 2)] });
-        assert!(fires(GRAPHD_READ, 0));
-        assert!(fires(GRAPHD_READ, 0));
-        assert!(!fires(GRAPHD_READ, 0));
+        set_plan(ChaosPlan { seed: 1, triggers: vec![Trigger::times(CHECKPOINT_TRUNCATE, 2)] });
+        assert!(fires(CHECKPOINT_TRUNCATE, 0));
+        assert!(fires(CHECKPOINT_TRUNCATE, 0));
+        assert!(!fires(CHECKPOINT_TRUNCATE, 0));
         clear_plan();
     }
 

@@ -159,8 +159,8 @@ pub type RunResult<V> = Result<RunOutput<V>, RunError>;
 /// Bounded retry with doubling backoff for transient failures: the
 /// first attempt runs at once, each failed attempt `k` sleeps
 /// `base_backoff × 2^(k-1)` before the next, and after `max_attempts`
-/// total attempts the error propagates. `graphd-sim` retries transient
-/// edge-stream reads under it, the server panicked engine attempts.
+/// total attempts the error propagates. The server retries panicked
+/// engine attempts under it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts before the error propagates (≥ 1).

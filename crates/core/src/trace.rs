@@ -56,11 +56,13 @@ use contention::ContentionSnapshot;
 /// - **4** — K-lane batching (PR 9): `server_request` gains `lane`
 ///   (position inside the batch the request ran in) and `lanes` (batch
 ///   width; 1 = ran solo, 0 = shed before any lane was assigned).
+/// - **5** — the out-of-core simulator is retired: the `io` event and
+///   the `ooc` engine name are gone. Nothing else changed.
 ///
-/// The decoder reads version 4 only: every writer emits it, and a header
-/// declaring any other version, 3 included, gets the typed "unsupported
+/// The decoder reads version 5 only: every writer emits it, and a header
+/// declaring any other version, 4 included, gets the typed "unsupported
 /// trace schema" error.
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Which engine produced a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +73,6 @@ pub enum EngineKind {
     Pull,
     /// The sequential oracle.
     Seq,
-    /// The out-of-core simulation in `crates/graphd`.
-    Ooc,
 }
 
 impl EngineKind {
@@ -82,7 +82,6 @@ impl EngineKind {
             EngineKind::Push => "push",
             EngineKind::Pull => "pull",
             EngineKind::Seq => "seq",
-            EngineKind::Ooc => "ooc",
         }
     }
 
@@ -92,7 +91,6 @@ impl EngineKind {
             "push" => Some(EngineKind::Push),
             "pull" => Some(EngineKind::Pull),
             "seq" => Some(EngineKind::Seq),
-            "ooc" => Some(EngineKind::Ooc),
             _ => None,
         }
     }
@@ -156,7 +154,7 @@ pub enum TraceEvent {
         engine: EngineKind,
         /// Slot count of the graph (desolate slots included).
         slots: u64,
-        /// Worker threads in the pool (1 for seq/ooc).
+        /// Worker threads in the pool (1 for seq).
         threads: u64,
     },
     /// A superstep's parallel region is about to start.
@@ -245,17 +243,6 @@ pub enum TraceEvent {
         /// Resident set size in bytes.
         bytes: u64,
     },
-    /// Out-of-core I/O for one superstep (mirror of `graphd::IoTrace`).
-    Io {
-        /// Superstep number, 0-based.
-        superstep: u64,
-        /// Bytes read from the simulated disk.
-        bytes_read: u64,
-        /// Seeks issued.
-        seeks: u64,
-        /// Transient-failure retries.
-        retries: u64,
-    },
     /// Terminal record of one server request's lifetime (schema 3+):
     /// emitted exactly once per submission, by whichever of admission
     /// (shed), worker (completed/failed), or watchdog (reaped) settled
@@ -313,7 +300,6 @@ impl TraceEvent {
             TraceEvent::CheckpointSave { .. } => "checkpoint_save",
             TraceEvent::CheckpointRestore { .. } => "checkpoint_restore",
             TraceEvent::Rss { .. } => "rss",
-            TraceEvent::Io { .. } => "io",
             TraceEvent::ServerRequest { .. } => "server_request",
             TraceEvent::ServerQueueDepth { .. } => "server_queue_depth",
             TraceEvent::RunEnd { .. } => "run_end",
@@ -404,16 +390,6 @@ impl Tracer {
         sampler().map(|bytes| TraceEvent::Rss { superstep: superstep as u64, bytes })
     }
 
-    /// Superstep barrier hook: record the periodic RSS sample. Engines
-    /// that build their own span call this after its chunk-level events
-    /// and before [`TraceEvent::SuperstepEnd`]; [`render_superstep`]
-    /// places the sample there itself.
-    pub fn barrier(&self, superstep: usize) {
-        if let Some(sample) = self.rss_sample(superstep) {
-            self.record_sync(sample);
-        }
-    }
-
     /// Drain everything collected so far, in log order. The tracer is
     /// reusable afterwards.
     pub fn take_events(&self) -> Vec<TraceEvent> {
@@ -438,15 +414,6 @@ impl Tracer {
 pub fn emit_sync(tracer: Option<&Tracer>, make: impl FnOnce() -> TraceEvent) {
     if let Some(t) = tracer {
         t.record_sync(make());
-    }
-}
-
-/// Barrier hook mirror of [`emit_sync`]: forwards to [`Tracer::barrier`]
-/// when a tracer is attached.
-#[inline(always)]
-pub fn barrier(tracer: Option<&Tracer>, superstep: usize) {
-    if let Some(t) = tracer {
-        t.barrier(superstep);
     }
 }
 
@@ -655,12 +622,6 @@ pub fn encode_event(e: &TraceEvent) -> String {
             num(&mut s, "superstep", superstep);
             num(&mut s, "bytes", bytes);
         }
-        TraceEvent::Io { superstep, bytes_read, seeks, retries } => {
-            num(&mut s, "superstep", superstep);
-            num(&mut s, "bytes_read", bytes_read);
-            num(&mut s, "seeks", seeks);
-            num(&mut s, "retries", retries);
-        }
         TraceEvent::ServerRequest { id, queue_ns, run_ns, attempts, lane, lanes, outcome } => {
             num(&mut s, "id", id);
             num(&mut s, "queue_ns", queue_ns);
@@ -783,12 +744,6 @@ pub fn decode_line(line: &str) -> Result<Option<TraceEvent>, String> {
             duration_ns: f.num("duration_ns")?,
         },
         "rss" => TraceEvent::Rss { superstep: f.num("superstep")?, bytes: f.num("bytes")? },
-        "io" => TraceEvent::Io {
-            superstep: f.num("superstep")?,
-            bytes_read: f.num("bytes_read")?,
-            seeks: f.num("seeks")?,
-            retries: f.num("retries")?,
-        },
         "server_request" => TraceEvent::ServerRequest {
             id: f.num("id")?,
             queue_ns: f.num("queue_ns")?,
@@ -861,9 +816,6 @@ pub fn render_prometheus(events: &[TraceEvent], dropped: u64, runs: &RunTotals) 
     let mut ckpt_save_ns = 0u64;
     let mut ckpt_restores = 0u64;
     let mut ckpt_restore_ns = 0u64;
-    let mut io_bytes = 0u64;
-    let mut io_seeks = 0u64;
-    let mut io_retries = 0u64;
     let mut srv_requests = [0u64; 6];
     let mut srv_attempts = 0u64;
     let mut srv_queue_ns = 0u64;
@@ -882,11 +834,6 @@ pub fn render_prometheus(events: &[TraceEvent], dropped: u64, runs: &RunTotals) 
                 ckpt_restore_ns += duration_ns;
             }
             TraceEvent::Rss { bytes, .. } => last_rss = Some(bytes),
-            TraceEvent::Io { bytes_read, seeks, retries, .. } => {
-                io_bytes += bytes_read;
-                io_seeks += seeks;
-                io_retries += retries;
-            }
             TraceEvent::ServerRequest { queue_ns, run_ns, attempts, outcome, .. } => {
                 srv_requests[outcome as usize] += 1;
                 srv_attempts += attempts;
@@ -940,9 +887,6 @@ pub fn render_prometheus(events: &[TraceEvent], dropped: u64, runs: &RunTotals) 
                 "Checkpoint restore wall-clock.",
                 secs(ckpt_restore_ns),
             ),
-            ("ipregel_io_bytes_read_total", "Out-of-core bytes read.", n(io_bytes)),
-            ("ipregel_io_seeks_total", "Out-of-core seeks.", n(io_seeks)),
-            ("ipregel_io_retries_total", "Out-of-core transient retries.", n(io_retries)),
             (
                 "ipregel_pool_steals_total",
                 "Jobs run by a worker other than the one that queued them.",
@@ -1041,7 +985,6 @@ mod tests {
             TraceEvent::CheckpointSave { superstep: 0, duration_ns: 11 },
             TraceEvent::CheckpointRestore { superstep: 0, duration_ns: 22 },
             TraceEvent::Rss { superstep: 0, bytes: 1 << 20 },
-            TraceEvent::Io { superstep: 0, bytes_read: 4096, seeks: 2, retries: 0 },
             TraceEvent::ServerRequest {
                 id: 7,
                 queue_ns: 100,
@@ -1087,7 +1030,7 @@ mod tests {
 
     #[test]
     fn meta_line_is_pinned() {
-        assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":4}");
+        assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":5}");
     }
 
     /// A two-chunk superstep entry with every per-chunk field distinct.
@@ -1121,7 +1064,7 @@ mod tests {
         }
         render_superstep(None, &entry(5, 48));
         // Superstep 4 is off the sampler's cadence: no `rss`.
-        let expected = r#"{"type":"meta","schema":4}
+        let expected = r#"{"type":"meta","schema":5}
 {"type":"superstep_begin","superstep":3}
 {"type":"chunk","superstep":3,"chunk":0,"planned_edges":17,"duration_ns":1234,"lock_acquisitions":3,"cas_retries":1,"spin_iterations":9,"worker":1}
 {"type":"chunk","superstep":3,"chunk":1,"planned_edges":5,"duration_ns":56,"lock_acquisitions":2,"cas_retries":0,"spin_iterations":4,"worker":0}
@@ -1154,7 +1097,6 @@ mod tests {
         }
         assert!(text.contains("ipregel_worklist_drained_total 5\n"));
         assert!(text.contains("ipregel_checkpoint_saves_total 1\n"));
-        assert!(text.contains("ipregel_io_bytes_read_total 4096\n"));
         assert!(text.contains("ipregel_trace_events_dropped_total 3\n"));
         assert!(text.contains("ipregel_rss_bytes 1048576\n"));
         assert!(text.contains("ipregel_server_requests_total{outcome=\"ok\"} 1\n"));

@@ -135,16 +135,6 @@ pub const TRACE_COVERAGE: &[(&str, &[&str])] = &[
             "bsp::finish",
         ],
     ),
-    (
-        "crates/graphd/src/lib.rs",
-        &[
-            "TraceEvent::RunBegin",
-            "TraceEvent::SuperstepBegin",
-            "TraceEvent::Io",
-            "TraceEvent::SuperstepEnd",
-            "TraceEvent::RunEnd",
-        ],
-    ),
     // The resident server emits one terminal request record per
     // submission plus admission-time queue-depth samples (schema 3).
     (
@@ -179,7 +169,6 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/core/src/engine/pull.rs",
     // Baseline simulators reusing SharedSlice under the same discipline.
     "crates/femtograph/src/lib.rs",
-    "crates/graphd/src/lib.rs",
     "crates/pregelplus/src/engine.rs",
     // Test suites that exercise the unsafe contracts directly.
     "crates/core/tests/loom.rs",

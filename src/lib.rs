@@ -10,8 +10,6 @@
 //! * [`pregelplus_sim`] — the distributed-memory baseline simulator;
 //! * [`femtograph_sim`] — the naive shared-memory baseline (the
 //!   comparison the paper's Section 7.3 wanted but could not run);
-//! * [`graphd_sim`] — a GraphD-like out-of-core engine (the third
-//!   architecture of the paper's Section 2 map);
 //! * [`ipregel_mem`] — memory-footprint models and projections.
 
 // This crate needs no unsafe; keep it that way (see docs/INTERNALS.md,
@@ -19,7 +17,6 @@
 #![forbid(unsafe_code)]
 
 pub use femtograph_sim;
-pub use graphd_sim;
 pub use ipregel;
 pub use ipregel_apps;
 pub use ipregel_graph;

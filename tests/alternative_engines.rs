@@ -1,25 +1,20 @@
 //! Cross-architecture integration: the naive shared-memory baseline and
-//! the out-of-core engine agree with the optimised engines and the
+//! the distributed simulator agree with the optimised engines and the
 //! sequential references on the paper's analog graphs, and the
 //! memory-fit machinery recovers sensible coefficients from real runs.
 
 use femtograph_sim::run_naive;
-use graphd_sim::{run_ooc, DiskModel, OocGraph};
 use ipregel::{run, CombinerKind, RunConfig, Version};
 use ipregel_apps::reference;
-use ipregel_apps::{Hashmin, PageRank, Sssp};
+use ipregel_apps::{Hashmin, Sssp};
 use ipregel_graph::generators::analogs::{TWITTER_MPI, USA_ROADS, WIKIPEDIA};
 use ipregel_graph::NeighborMode;
 use ipregel_mem::{fit_affine, MeasuredPoint};
 
 const DIV: u64 = 4000;
 
-fn spill_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("ipregel-alt-{}-{tag}.edges", std::process::id()))
-}
-
 #[test]
-fn all_four_architectures_agree_on_sssp() {
+fn all_three_architectures_agree_on_sssp() {
     let g = USA_ROADS.analog_graph(DIV, 3, NeighborMode::Both);
     let expected = reference::bfs_levels(&g, 2);
     let shared = run(
@@ -33,11 +28,6 @@ fn all_four_architectures_agree_on_sssp() {
     let naive = run_naive(&g, &Sssp { source: 2 }, &RunConfig::default());
     assert_eq!(naive.values, expected);
 
-    let ooc = OocGraph::from_graph(&g, spill_path("sssp")).unwrap();
-    let ooc_out = run_ooc(&ooc, &Sssp { source: 2 }, &RunConfig::default(), &DiskModel::default())
-        .unwrap();
-    assert_eq!(ooc_out.output.values, expected);
-
     let sim = pregelplus_sim::simulate(
         &g,
         &Sssp { source: 2 },
@@ -50,33 +40,11 @@ fn all_four_architectures_agree_on_sssp() {
 }
 
 #[test]
-fn hashmin_matches_across_naive_and_ooc_on_wiki_analog() {
+fn hashmin_matches_naive_on_wiki_analog() {
     let g = WIKIPEDIA.analog_graph(DIV, 4, NeighborMode::Both);
     let expected = reference::minlabel_fixpoint(&g);
     let naive = run_naive(&g, &Hashmin, &RunConfig::default());
     assert_eq!(naive.values, expected);
-    let ooc = OocGraph::from_graph(&g, spill_path("hashmin")).unwrap();
-    let out = run_ooc(&ooc, &Hashmin, &RunConfig::default(), &DiskModel::default()).unwrap();
-    assert_eq!(out.output.values, expected);
-}
-
-#[test]
-fn ooc_disk_traffic_scales_with_supersteps_not_ram() {
-    // PageRank re-reads the whole edge file every superstep: the defining
-    // out-of-core cost.
-    let g = WIKIPEDIA.analog_graph(DIV, 4, NeighborMode::Both);
-    let ooc = OocGraph::from_graph(&g, spill_path("traffic")).unwrap();
-    let rounds = 4usize;
-    let out = run_ooc(
-        &ooc,
-        &PageRank { rounds, damping: 0.85 },
-        &RunConfig::default(),
-        &DiskModel::default(),
-    )
-    .unwrap();
-    // rounds+1 supersteps, each streaming the full file (all active).
-    assert_eq!(out.total_bytes_read(), ooc.spilled_bytes() * (rounds as u64 + 1));
-    assert!(ooc.resident_bytes() < ooc.spilled_bytes() as usize);
 }
 
 #[test]

@@ -839,7 +839,7 @@ proptest! {
 #[cfg(feature = "chaos")]
 mod chaos_suite {
     use super::*;
-    use ipregel::chaos::{self, ChaosPlan, Trigger, CHECKPOINT_TRUNCATE, CHUNK_PANIC, GRAPHD_READ};
+    use ipregel::chaos::{self, ChaosPlan, Trigger, CHECKPOINT_TRUNCATE, CHUNK_PANIC};
 
     /// Arm a plan; disarm on drop, even when the test fails.
     struct PlanGuard;
@@ -931,48 +931,5 @@ mod chaos_suite {
         assert!(resumed.stats.supersteps[0].duration.is_zero());
         assert!(!resumed.stats.supersteps[1].duration.is_zero());
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn transient_graphd_reads_retry_and_are_priced() {
-        let _held = lock();
-        let g = cycle(6);
-        let expected = try_run_sequential(&g, &Hashmin, &RunConfig::default()).expect("oracle");
-        let path = std::env::temp_dir()
-            .join(format!("ipregel-fault-{}-ooc-retry.edges", std::process::id()));
-        let ooc = graphd_sim::OocGraph::from_graph(&g, &path).expect("spill");
-        let out = {
-            let _guard = arm(vec![Trigger::times(GRAPHD_READ, 2)]);
-            graphd_sim::run_ooc(&ooc, &Hashmin, &RunConfig::default(), &graphd_sim::DiskModel::default())
-                .expect("run succeeds within the retry budget")
-        };
-        // Both injected failures hit the first read, which then
-        // succeeded on its third attempt; the disk model saw the extra
-        // seeks.
-        assert_eq!(out.io[0].retries, 2);
-        assert_eq!(out.io.iter().map(|t| t.retries).sum::<u64>(), 2);
-        assert_eq!(out.output.values, expected.values);
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn exhausted_graphd_retries_surface_the_error() {
-        let _held = lock();
-        let g = cycle(6);
-        let path = std::env::temp_dir()
-            .join(format!("ipregel-fault-{}-ooc-fail.edges", std::process::id()));
-        let ooc = graphd_sim::OocGraph::from_graph(&g, &path).expect("spill");
-        let _guard = arm(vec![Trigger::times(GRAPHD_READ, 64)]);
-        let r = graphd_sim::run_ooc(
-            &ooc,
-            &Hashmin,
-            &RunConfig::default(),
-            &graphd_sim::DiskModel::default(),
-        );
-        match r {
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::Interrupted),
-            Ok(_) => panic!("expected the read to fail after exhausting retries"),
-        }
-        let _ = fs::remove_file(&path);
     }
 }

@@ -9,15 +9,16 @@
 //!   range, so the 20-digit extremes exercise the hand-rolled integer
 //!   parser.
 //! * **Stability**: the byte-level encoding of the current schema
-//!   version (4) is pinned against
-//!   `tests/fixtures/trace_schema.v4.jsonl`. A failure here means the
+//!   version (5) is pinned against
+//!   `tests/fixtures/trace_schema.v5.jsonl`. A failure here means the
 //!   wire format changed: bump `ipregel::trace::SCHEMA_VERSION` and
 //!   regenerate the fixture deliberately (there is an `#[ignore]`d
 //!   `regenerate_the_pinned_fixture` test for exactly that) instead of
 //!   silently breaking stored traces.
 //! * **One version**: the decoder reads the current schema only; every
-//!   writer emits it. Headers of schemas 0 to 3 get the typed
-//!   "unsupported trace schema" error.
+//!   writer emits it. Headers of schemas 0 to 4 get the typed
+//!   "unsupported trace schema" error, and so do the `io` event and the
+//!   `ooc` engine that schema 5 dropped.
 
 use std::path::Path;
 
@@ -32,7 +33,7 @@ fn fixture_text(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// The event list whose encoding the committed v4 fixture pins: one of
+/// The event list whose encoding the committed v5 fixture pins: one of
 /// every variant, every engine-independent field exercised.
 fn fixture_events() -> Vec<TraceEvent> {
     vec![
@@ -61,7 +62,6 @@ fn fixture_events() -> Vec<TraceEvent> {
         TraceEvent::WorklistDrain { superstep: 1, queued: 12, drained: 9 },
         TraceEvent::CheckpointSave { superstep: 1, duration_ns: 4000 },
         TraceEvent::CheckpointRestore { superstep: 1, duration_ns: 3000 },
-        TraceEvent::Io { superstep: 1, bytes_read: 4096, seeks: 3, retries: 1 },
         TraceEvent::ServerQueueDepth { seq: 1, depth: 3 },
         TraceEvent::ServerRequest {
             id: 7,
@@ -86,21 +86,21 @@ fn fixture_events() -> Vec<TraceEvent> {
 }
 
 #[test]
-fn schema_version_4_encoding_is_pinned_byte_for_byte() {
-    assert_eq!(SCHEMA_VERSION, 4, "fixture pins version 4; regenerate it for a new schema");
+fn current_schema_encoding_is_pinned_byte_for_byte() {
+    assert_eq!(SCHEMA_VERSION, 5, "fixture pins version 5; regenerate it for a new schema");
     let encoded = encode_trace(&fixture_events());
-    let fixture = fixture_text("trace_schema.v4.jsonl");
+    let fixture = fixture_text("trace_schema.v5.jsonl");
     // Compare line by line first for a readable failure, then exactly.
     for (i, (got, want)) in encoded.lines().zip(fixture.lines()).enumerate() {
         assert_eq!(got, want, "line {i} of the trace encoding drifted from the fixture");
     }
-    assert_eq!(encoded, fixture, "trace encoding drifted from tests/fixtures/trace_schema.v4.jsonl");
+    assert_eq!(encoded, fixture, "trace encoding drifted from tests/fixtures/trace_schema.v5.jsonl");
 }
 
 /// Not a test of anything: run with `--ignored` to rewrite the pinned
 /// fixture after a deliberate schema bump.
 #[test]
-#[ignore = "writes tests/fixtures/trace_schema.v4.jsonl; run only on a deliberate schema change"]
+#[ignore = "writes tests/fixtures/trace_schema.v5.jsonl; run only on a deliberate schema change"]
 fn regenerate_the_pinned_fixture() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -110,22 +110,22 @@ fn regenerate_the_pinned_fixture() {
 
 #[test]
 fn the_committed_fixture_decodes_to_the_pinned_events() {
-    assert_eq!(decode_trace(&fixture_text("trace_schema.v4.jsonl")).unwrap(), fixture_events());
+    assert_eq!(decode_trace(&fixture_text("trace_schema.v5.jsonl")).unwrap(), fixture_events());
 }
 
 #[test]
 fn meta_header_is_pinned() {
-    assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":4}");
-    assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":4}").unwrap(), None);
+    assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":5}");
+    assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":5}").unwrap(), None);
 }
 
 #[test]
 fn unsupported_schema_versions_are_rejected() {
     let newer = "{\"type\":\"meta\",\"schema\":999}\n";
     assert!(decode_trace(newer).unwrap_err().contains("999"));
-    // Everything before the current schema, the three once-readable
+    // Everything before the current schema, the four once-readable
     // versions included.
-    for ancient in [0, 1, 2, 3] {
+    for ancient in [0, 1, 2, 3, 4] {
         let header = format!("{{\"type\":\"meta\",\"schema\":{ancient}}}\n");
         let err = decode_trace(&header).expect_err("predates SCHEMA_VERSION");
         assert!(err.contains("unsupported trace schema"), "schema {ancient}: {err}");
@@ -147,6 +147,14 @@ fn malformed_lines_are_rejected_with_context() {
     ] {
         assert!(decode_line(bad).is_err(), "{bad:?} should not parse");
     }
+    // The out-of-core event and engine, as schema 4 wrote them: the
+    // names schema 5 dropped are unknown, not half-supported.
+    let io = decode_line("{\"type\":\"io\",\"superstep\":1,\"bytes_read\":4096,\"seeks\":3,\"retries\":1}")
+        .unwrap_err();
+    assert!(io.contains("unknown event type"), "{io}");
+    let ooc = decode_line("{\"type\":\"run_begin\",\"engine\":\"ooc\",\"slots\":1,\"threads\":1}")
+        .unwrap_err();
+    assert!(ooc.contains("unknown engine"), "{ooc}");
     assert!(
         decode_trace("{\"type\":\"superstep_begin\",\"superstep\":0}\n").is_err(),
         "an event before the meta header must be rejected"
@@ -159,7 +167,6 @@ fn any_event() -> impl Strategy<Value = TraceEvent> {
         Just(EngineKind::Push),
         Just(EngineKind::Pull),
         Just(EngineKind::Seq),
-        Just(EngineKind::Ooc),
     ];
     prop_oneof![
         (engine, any::<u64>(), any::<u64>())
@@ -199,8 +206,6 @@ fn any_event() -> impl Strategy<Value = TraceEvent> {
         (any::<u64>(), any::<u64>())
             .prop_map(|(superstep, duration_ns)| TraceEvent::CheckpointRestore { superstep, duration_ns }),
         (any::<u64>(), any::<u64>()).prop_map(|(superstep, bytes)| TraceEvent::Rss { superstep, bytes }),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>())
-            .prop_map(|(superstep, bytes_read, seeks, retries)| TraceEvent::Io { superstep, bytes_read, seeks, retries }),
         (any::<u64>(), any::<u64>(), any::<u64>())
             .prop_map(|(supersteps, messages, duration_ns)| TraceEvent::RunEnd { supersteps, messages, duration_ns }),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any_outcome())
