@@ -72,10 +72,11 @@ pub struct RunConfig {
     /// preceding barrier. `None` (the default) runs to quiescence.
     pub deadline: Option<Duration>,
     /// Observability sink (see [`crate::trace`]). `None` — the default —
-    /// records nothing; so does `Some` unless the crate is built with
-    /// the `trace` cargo feature, which compiles the engines' hook
-    /// calls in. Shared as an `Arc` so the caller keeps a handle to
-    /// drain with [`crate::trace::Tracer::take_events`] after the run.
+    /// records nothing; `Some` records the run's events, in every
+    /// build: the run's frame, one span per completed superstep, and
+    /// checkpoint saves and restores. Shared as an `Arc` so the caller
+    /// keeps a handle to drain with
+    /// [`crate::trace::Tracer::take_events`] after the run.
     pub trace: Option<std::sync::Arc<crate::trace::Tracer>>,
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Senders deliver messages straight into the recipient's single-message
 //! mailbox, combining on collision under the mailbox's synchronisation
-//! (mutex, spinlock, or lock-free CAS). Mailboxes are double-buffered:
-//! superstep `s` reads from the *current* array while sends land in the
-//! *next* one, swapped at the barrier.
+//! (mutex or spinlock). Mailboxes are double-buffered: superstep `s`
+//! reads from the *current* array while sends land in the *next* one,
+//! swapped at the barrier.
 //!
 //! **Locks only where threads meet.** A vertex reads its current mailbox
 //! through the driver's partition of the active list, so the read takes
@@ -49,10 +49,12 @@ use crate::recover::DynHooks;
 use crate::selection::{LocalPartial, Partials};
 use crate::trace::EngineKind;
 
-/// Run `program` on `graph` with mailbox flavour `MB`: vertex panics
-/// surface as [`RunError::VertexPanic`], a missed [`RunConfig::deadline`]
-/// as [`RunError::DeadlineExceeded`] — in both cases the thread pool
-/// survives and the error carries the completed supersteps' stats.
+/// Run `program` on `graph` with mailbox flavour `MB`, with
+/// checkpoint/restore hooks (see [`crate::recover`]): vertex panics
+/// surface as [`RunError::VertexPanic`], a missed
+/// [`RunConfig::deadline`] as [`RunError::DeadlineExceeded`] — in both
+/// cases the thread pool survives and the error carries the completed
+/// supersteps' stats.
 ///
 /// # Panics
 /// Only on misuse: a graph built without out-edges (push routes every
@@ -60,16 +62,6 @@ use crate::trace::EngineKind;
 ///
 /// [`RunError::VertexPanic`]: crate::engine::RunError::VertexPanic
 /// [`RunError::DeadlineExceeded`]: crate::engine::RunError::DeadlineExceeded
-pub fn try_run_push<P, MB>(graph: &Graph, program: &P, config: &RunConfig) -> RunResult<P::Value>
-where
-    P: VertexProgram,
-    MB: Mailbox<P::Message>,
-{
-    run_push_with::<P, MB>(graph, program, config, None)
-}
-
-/// [`try_run_push`] with checkpoint/restore hooks (see
-/// [`crate::recover`]).
 pub(crate) fn run_push_with<P, MB>(
     graph: &Graph,
     program: &P,

@@ -260,9 +260,8 @@ impl<P: VertexProgram, A: NeighborList> Outbound<P::Message> for SeqOut<'_, P, A
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::engine::push::try_run_push;
-    use crate::mailbox::SpinMailbox;
     use crate::program::Context;
+    use crate::version::{try_run, CombinerKind, Version};
     use ipregel_graph::{GraphBuilder, NeighborMode};
 
     pub(crate) struct Flood;
@@ -299,8 +298,8 @@ pub(crate) mod tests {
         }
         let g = b.build().unwrap();
         let seq = run_sequential(&g, &Flood, &RunConfig::default());
-        let par =
-            try_run_push::<Flood, SpinMailbox<u32>>(&g, &Flood, &RunConfig::default()).unwrap();
+        let spin = Version { combiner: CombinerKind::Spinlock, selection_bypass: false };
+        let par = try_run(&g, &Flood, spin, &RunConfig::default()).unwrap();
         assert_eq!(seq.values, par.values);
         assert_eq!(seq.stats.total_messages(), par.stats.total_messages());
     }

@@ -11,9 +11,8 @@
 //!    identifiers double as array locations (direct / offset / desolate
 //!    memory), no hashmap layer.
 //! 3. **Combiners everywhere** ([`mailbox`], Section 6) — single-message
-//!    mailboxes under a block-waiting mutex, a 1-byte busy-waiting
-//!    spinlock, a race-free pull design, or (our extension) a lock-free
-//!    CAS slot.
+//!    mailboxes under a block-waiting mutex or a 1-byte busy-waiting
+//!    spinlock, or a race-free pull design.
 //!
 //! Where the C original selects module versions via compile flags, this
 //! crate monomorphises an engine per version and exposes the sweep
@@ -82,7 +81,6 @@ pub mod trace;
 pub mod version;
 
 pub use engine::pull::try_run_pull;
-pub use engine::push::try_run_push;
 pub use engine::seq::{run_sequential, try_run_sequential};
 pub use engine::{RetryPolicy, RunConfig, RunError, RunOutput, RunResult, Schedule};
 pub use lanes::{full_mask, LaneTracker, Lanes, MAX_LANES};
@@ -91,4 +89,4 @@ pub use metrics::{FootprintReport, LoadStats, RunStats, RunTotals, SuperstepStat
 pub use program::{check_combiner, combiners, Context, MasterDecision, VertexProgram};
 pub use recover::{CheckpointConfig, Persist, ResumeState};
 pub use trace::{EngineKind, TraceEvent, Tracer};
-pub use version::{run, run_packed, try_run, try_run_packed, CombinerKind, Version};
+pub use version::{run, try_run, CombinerKind, Version};

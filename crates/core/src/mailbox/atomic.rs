@@ -1,14 +1,16 @@
-//! Lock-free push combiner (ablation extension beyond the paper).
+//! Lock-free mailbox (a measurement beyond the paper, not an engine
+//! version).
 //!
 //! The paper stops at the 4-byte spinlock; for message types that pack
-//! into 64 bits we can go further and make the mailbox itself an atomic
-//! word, combining with a `compare_exchange` loop. This removes the lock
-//! *and* the `Option` discriminant — the mailbox is exactly 8 bytes — at
-//! the cost of reserving one bit pattern as the empty sentinel and of
-//! re-running the combine on CAS failure (combines must be pure).
+//! into 64 bits the mailbox itself can be an atomic word, combining with
+//! a `compare_exchange` loop. This removes the lock *and* the `Option`
+//! discriminant — the mailbox is exactly 8 bytes — at the cost of
+//! reserving one bit pattern as the empty sentinel and of re-running the
+//! combine on CAS failure (combines must be pure).
 //!
-//! The benchmark suite uses this to quantify how much of the spinlock
-//! version's remaining cost is synchronisation.
+//! No engine runs it: the benchmark's mailbox probe delivers into it
+//! beside the mutex and spinlock mailboxes, to measure how much of the
+//! spinlock's remaining cost is synchronisation.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,16 +42,6 @@ impl PackMessage for u32 {
     }
 }
 
-impl PackMessage for u64 {
-    fn pack(self) -> u64 {
-        debug_assert_ne!(self, EMPTY, "u64::MAX is the empty sentinel");
-        self
-    }
-    fn unpack(bits: u64) -> Self {
-        bits
-    }
-}
-
 impl PackMessage for f64 {
     fn pack(self) -> u64 {
         let bits = self.to_bits();
@@ -58,26 +50,6 @@ impl PackMessage for f64 {
     }
     fn unpack(bits: u64) -> Self {
         f64::from_bits(bits)
-    }
-}
-
-impl PackMessage for f32 {
-    fn pack(self) -> u64 {
-        u64::from(self.to_bits())
-    }
-    fn unpack(bits: u64) -> Self {
-        f32::from_bits(bits as u32)
-    }
-}
-
-impl PackMessage for (u32, u32) {
-    fn pack(self) -> u64 {
-        let bits = (u64::from(self.0) << 32) | u64::from(self.1);
-        debug_assert_ne!(bits, EMPTY, "(u32::MAX, u32::MAX) is the empty sentinel");
-        bits
-    }
-    fn unpack(bits: u64) -> Self {
-        ((bits >> 32) as u32, bits as u32)
     }
 }
 
@@ -181,10 +153,7 @@ mod tests {
     #[test]
     fn pack_round_trips() {
         assert_eq!(u32::unpack(7u32.pack()), 7);
-        assert_eq!(u64::unpack(123u64.pack()), 123);
         assert_eq!(f64::unpack(2.5f64.pack()), 2.5);
-        assert_eq!(f32::unpack(1.25f32.pack()), 1.25);
-        assert_eq!(<(u32, u32)>::unpack((3, 9).pack()), (3, 9));
     }
 
     #[test]

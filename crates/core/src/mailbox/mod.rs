@@ -5,14 +5,15 @@
 //! the occupant. No dynamically-resizable inbox exists anywhere, which is
 //! a large part of iPregel's memory story.
 //!
-//! Three push-combiner synchronisation strategies are provided:
+//! The push engine runs two synchronisation strategies, and a third
+//! stands beside them for measurement:
 //!
 //! * [`MutexMailbox`] — block-waiting (Section 6.1's pthread mutex);
 //! * [`SpinMailbox`] — busy-waiting on a hand-built 1-byte spinlock
 //!   (Section 6.1's GNU99 spinlock, 10× lighter than the mutex);
-//! * [`AtomicMailbox`] — a lock-free CAS loop over a packed 64-bit slot;
-//!   an ablation extension beyond the paper quantifying what the spinlock
-//!   leaves on the table.
+//! * [`AtomicMailbox`] — a lock-free CAS loop over a packed 64-bit slot,
+//!   which no engine version runs: the benchmark's mailbox probe uses it
+//!   to measure what the spinlock leaves on the table.
 //!
 //! The pull-based combiner (Section 6.2) needs no mailbox locking at all;
 //! it lives in the pull engine, not here.

@@ -57,7 +57,6 @@ use ipregel_graph::checksum::fnv1a64;
 use ipregel_graph::Graph;
 
 use crate::engine::{RunConfig, RunError, RunResult};
-use crate::mailbox::PackMessage;
 use crate::program::VertexProgram;
 use crate::version::Version;
 
@@ -471,51 +470,12 @@ fn latest_valid<V: Persist, M: Persist>(dir: &Path) -> Option<ResumeState<V, M>>
 /// non-[`Persist`] values run the fallible engines directly via
 /// [`crate::version::try_run`] — deadline and panic isolation work
 /// without persistence.
-///
-/// # Panics
-/// For [`crate::version::CombinerKind::LockFree`], whose packed-message bound cannot be
-/// expressed here — use [`run_packed_with_checkpoints`].
 pub fn run_with_checkpoints<P>(
     graph: &Graph,
     program: &P,
     version: Version,
     config: &RunConfig,
     ckpt: &CheckpointConfig,
-) -> RunResult<P::Value>
-where
-    P: VertexProgram,
-    P::Value: Persist,
-    P::Message: Persist,
-{
-    checkpointed::<P>(config, ckpt, |hooks| {
-        crate::version::run_with(graph, program, version, config, Some(hooks))
-    })
-}
-
-/// Like [`run_with_checkpoints`], additionally supporting
-/// [`crate::version::CombinerKind::LockFree`].
-pub fn run_packed_with_checkpoints<P>(
-    graph: &Graph,
-    program: &P,
-    version: Version,
-    config: &RunConfig,
-    ckpt: &CheckpointConfig,
-) -> RunResult<P::Value>
-where
-    P: VertexProgram,
-    P::Value: Persist,
-    P::Message: Persist + PackMessage,
-{
-    checkpointed::<P>(config, ckpt, |hooks| {
-        crate::version::run_packed_with(graph, program, version, config, Some(hooks))
-    })
-}
-
-/// Open the checkpoint directory per `ckpt` and hand the hooks to `run`.
-fn checkpointed<P>(
-    config: &RunConfig,
-    ckpt: &CheckpointConfig,
-    run: impl FnOnce(DynHooks<'_, P::Value, P::Message>) -> RunResult<P::Value>,
 ) -> RunResult<P::Value>
 where
     P: VertexProgram,
@@ -531,7 +491,7 @@ where
             duration_ns: crate::trace::ns(restore_t0.elapsed()),
         });
     }
-    run(&mut hooks)
+    crate::version::run_with(graph, program, version, config, Some(&mut hooks))
 }
 
 #[cfg(all(test, not(loom)))]

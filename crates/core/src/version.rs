@@ -4,14 +4,14 @@
 //! here each version is a monomorphised engine and [`Version`] is the thin
 //! runtime switch the harness uses to sweep all of them. The six paper
 //! versions are {mutex, spinlock, broadcast} × {with, without selection
-//! bypass}; [`CombinerKind::LockFree`] is our ablation extension.
+//! bypass}, and every [`Version`] is one of them.
 
 use ipregel_graph::Graph;
 
 use crate::engine::pull::run_pull_with;
 use crate::engine::push::run_push_with;
 use crate::engine::{RunConfig, RunOutput, RunResult};
-use crate::mailbox::{AtomicMailbox, MutexMailbox, PackMessage, SpinMailbox};
+use crate::mailbox::{MutexMailbox, SpinMailbox};
 use crate::program::VertexProgram;
 use crate::recover::DynHooks;
 
@@ -24,9 +24,6 @@ pub enum CombinerKind {
     Spinlock,
     /// Pull-based combiner (§6.2, "broadcast" version in Figure 7).
     Broadcast,
-    /// Lock-free CAS push combiner — extension; needs a packable message,
-    /// so it runs through [`run_packed`] only.
-    LockFree,
 }
 
 impl CombinerKind {
@@ -36,7 +33,6 @@ impl CombinerKind {
             CombinerKind::Mutex => "Mutex",
             CombinerKind::Spinlock => "Spinlock",
             CombinerKind::Broadcast => "Broadcast",
-            CombinerKind::LockFree => "Lock-free",
         }
     }
 }
@@ -89,10 +85,8 @@ impl std::fmt::Display for Version {
 /// Run `program` on `graph` under `version`.
 ///
 /// # Panics
-/// For [`CombinerKind::LockFree`], whose packed-message bound cannot be
-/// expressed here — use [`run_packed`]. Also on any [`RunError`]
-/// (the historical infallible surface); fault-tolerant callers use
-/// [`try_run`].
+/// On any [`RunError`] (the historical infallible surface);
+/// fault-tolerant callers use [`try_run`].
 ///
 /// [`RunError`]: crate::engine::RunError
 pub fn run<P: VertexProgram>(
@@ -108,10 +102,6 @@ pub fn run<P: VertexProgram>(
 /// [`RunError::VertexPanic`](crate::engine::RunError::VertexPanic), a
 /// missed deadline as
 /// [`RunError::DeadlineExceeded`](crate::engine::RunError::DeadlineExceeded).
-///
-/// # Panics
-/// For [`CombinerKind::LockFree`] — use [`try_run_packed`]. That is a
-/// caller-side type error, not a runtime fault, so it stays a panic.
 pub fn try_run<P: VertexProgram>(
     graph: &Graph,
     program: &P,
@@ -138,64 +128,6 @@ pub(crate) fn run_with<P: VertexProgram>(
             run_push_with::<P, SpinMailbox<P::Message>>(graph, program, &config, hooks)
         }
         CombinerKind::Broadcast => run_pull_with(graph, program, &config, hooks),
-        CombinerKind::LockFree => {
-            panic!("the lock-free combiner needs PackMessage; call run_packed instead")
-        }
-    }
-}
-
-/// Like [`run`], additionally supporting [`CombinerKind::LockFree`] for
-/// programs whose messages pack into 64 bits.
-///
-/// # Panics
-/// On any [`RunError`](crate::engine::RunError) — fault-tolerant callers
-/// use [`try_run_packed`].
-pub fn run_packed<P>(
-    graph: &Graph,
-    program: &P,
-    version: Version,
-    config: &RunConfig,
-) -> RunOutput<P::Value>
-where
-    P: VertexProgram,
-    P::Message: PackMessage,
-{
-    try_run_packed(graph, program, version, config).unwrap_or_else(|e| panic!("run_packed: {e}"))
-}
-
-/// Fallible [`run_packed`].
-pub fn try_run_packed<P>(
-    graph: &Graph,
-    program: &P,
-    version: Version,
-    config: &RunConfig,
-) -> RunResult<P::Value>
-where
-    P: VertexProgram,
-    P::Message: PackMessage,
-{
-    run_packed_with(graph, program, version, config, None)
-}
-
-/// [`try_run_packed`] with checkpoint/restore hooks (see
-/// [`crate::recover`]).
-pub(crate) fn run_packed_with<P>(
-    graph: &Graph,
-    program: &P,
-    version: Version,
-    config: &RunConfig,
-    hooks: Option<DynHooks<'_, P::Value, P::Message>>,
-) -> RunResult<P::Value>
-where
-    P: VertexProgram,
-    P::Message: PackMessage,
-{
-    match version.combiner {
-        CombinerKind::LockFree => {
-            let config = RunConfig { selection_bypass: version.selection_bypass, ..config.clone() };
-            run_push_with::<P, AtomicMailbox<P::Message>>(graph, program, &config, hooks)
-        }
-        _ => run_with(graph, program, version, config, hooks),
     }
 }
 
@@ -218,5 +150,27 @@ mod tests {
         assert_eq!(vs[2].label(), "Broadcast");
         assert_eq!(vs[4].label(), "Spinlock with selection bypass");
         assert_eq!(vs.iter().filter(|v| v.selection_bypass).count(), 3);
+    }
+
+    /// Every `Version` the type admits is one of the six: the list holds
+    /// no duplicate, and each `(combiner, bypass)` cell is in it. The
+    /// match has no wildcard arm, so a new combiner does not compile
+    /// until it gets a cell of its own, which the list must then fill.
+    #[test]
+    fn paper_versions_are_every_version() {
+        let vs = Version::paper_versions();
+        for (i, a) in vs.iter().enumerate() {
+            assert!(!vs[i + 1..].contains(a), "{a} is listed twice");
+        }
+        let mut listed = [[false; 2]; 3];
+        for v in vs {
+            let combiner = match v.combiner {
+                CombinerKind::Mutex => 0,
+                CombinerKind::Spinlock => 1,
+                CombinerKind::Broadcast => 2,
+            };
+            listed[combiner][usize::from(v.selection_bypass)] = true;
+        }
+        assert_eq!(listed, [[true; 2]; 3], "a (combiner, bypass) pair is not a paper version");
     }
 }

@@ -1,9 +1,7 @@
 //! Engine-semantics integration tests: BSP delivery, halting and
 //! reactivation, bypass/scan equivalence, the Figure 3 API contract.
 
-use ipregel::{
-    run, run_packed, CombinerKind, Context, MasterDecision, RunConfig, Version, VertexProgram,
-};
+use ipregel::{run, CombinerKind, Context, MasterDecision, RunConfig, Version, VertexProgram};
 use ipregel_graph::{GraphBuilder, NeighborMode, VertexId};
 
 fn graph(edges: &[(u32, u32)]) -> ipregel_graph::Graph {
@@ -202,8 +200,8 @@ fn master_compute_halts_early() {
     }
 }
 
-/// Min-plurality flood program used for cross-version equivalence and the
-/// lock-free ablation: every vertex floods its id+superstep pattern.
+/// Min-plurality flood program used for cross-version equivalence: every
+/// vertex floods its id+superstep pattern.
 struct MinFlood;
 
 impl VertexProgram for MinFlood {
@@ -231,35 +229,6 @@ impl VertexProgram for MinFlood {
             *old = new;
         }
     }
-}
-
-#[test]
-fn lock_free_mailbox_matches_locked_versions() {
-    let g = graph(&[(0, 1), (1, 2), (2, 0), (2, 3), (3, 2), (4, 3)]);
-    let reference = run(
-        &g,
-        &MinFlood,
-        Version { combiner: CombinerKind::Mutex, selection_bypass: false },
-        &RunConfig::default(),
-    );
-    for bypass in [false, true] {
-        let out = run_packed(
-            &g,
-            &MinFlood,
-            Version { combiner: CombinerKind::LockFree, selection_bypass: bypass },
-            &RunConfig::default(),
-        );
-        assert_eq!(out.values, reference.values, "bypass={bypass}");
-    }
-}
-
-#[test]
-fn run_rejects_lock_free_without_packing_entry() {
-    let g = graph(&[(0, 1)]);
-    let result = std::panic::catch_unwind(|| {
-        run(&g, &MinFlood, Version { combiner: CombinerKind::LockFree, selection_bypass: false }, &RunConfig::default())
-    });
-    assert!(result.is_err(), "run() must direct LockFree users to run_packed");
 }
 
 #[test]

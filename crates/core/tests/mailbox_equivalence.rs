@@ -1,9 +1,9 @@
-//! Differential property test: the three push-combiner mailboxes are
-//! observationally equivalent.
+//! Differential property test: the three mailboxes are observationally
+//! equivalent.
 //!
 //! The paper's §6.1 synchronisation flavours (block-waiting mutex,
-//! busy-waiting spinlock) and our lock-free CAS extension differ only in
-//! *how* they protect the single-message slot — for any sequence of
+//! busy-waiting spinlock) and the lock-free CAS mailbox the benchmark
+//! probes differ only in *how* they protect the single-message slot — for any sequence of
 //! deliveries and takes they must produce identical combined values,
 //! identical "was empty" signals (the §4 bypass enqueue bit), and
 //! identical occupancy flags. Any divergence convicts a mailbox, not the

@@ -91,12 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn pack_message_round_trips_pairs(a in any::<u32>(), b in any::<u32>()) {
-        prop_assume!(!(a == u32::MAX && b == u32::MAX));
-        prop_assert_eq!(<(u32, u32)>::unpack((a, b).pack()), (a, b));
-    }
-
-    #[test]
     fn epoch_tags_admit_one_winner_per_vertex_epoch(
         slots in 1usize..64,
         epochs in 1u32..8,

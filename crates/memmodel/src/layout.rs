@@ -93,7 +93,6 @@ impl LayoutModel {
             CombinerKind::Mutex => 40,
             CombinerKind::Spinlock => 4,
             CombinerKind::Broadcast => 0,
-            CombinerKind::LockFree => 0,
         };
         // Single-message mailbox (push) or outbox (pull) + occupancy flag.
         per_vertex += lock_per_vertex + self.message_bytes + 1;

@@ -8,11 +8,10 @@
 //! against the `LockClass::new` declarations by `ipregel-lint`, so the
 //! static table and the runtime classes cannot drift apart.
 //!
-//! The detector mirrors the `trace` feature pattern: the types in this
-//! module are always compiled (so call sites need no `cfg`), but with
-//! the `lock-order` cargo feature off every hook is an empty
-//! `#[inline(always)]` function and [`Held`] is a zero-sized token —
-//! default builds are byte-for-byte unchanged. With the feature on,
+//! The types in this module are always compiled (so call sites need no
+//! `cfg`), but with the `lock-order` cargo feature off every hook is an
+//! empty `#[inline(always)]` function and [`Held`] is a zero-sized token
+//! — default builds are byte-for-byte unchanged. With the feature on,
 //! [`acquire`] checks the calling thread's held-lock stack and panics
 //! with *both* acquisition stacks (the stack held at the violation and
 //! the acquiring class, plus captured backtraces when

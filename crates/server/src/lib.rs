@@ -111,8 +111,7 @@ pub enum Algorithm {
 pub struct Request {
     /// What to compute.
     pub algorithm: Algorithm,
-    /// Combiner version to run with ([`CombinerKind::LockFree`] is not
-    /// servable — it requires the packed entry point).
+    /// Combiner version to run with.
     pub combiner: CombinerKind,
     /// Selection bypass on/off. Rejected for PageRank, whose vertices
     /// never halt voluntarily.
@@ -854,9 +853,6 @@ impl Inner {
                 }
             }
             Algorithm::Components => {}
-        }
-        if matches!(r.combiner, CombinerKind::LockFree) {
-            return Err("the lock-free combiner is not servable (packed entry point only)".to_string());
         }
         if matches!(r.combiner, CombinerKind::Broadcast) && !self.graph.has_in_edges() {
             return Err("the broadcast combiner needs in-edges; the graph has none".to_string());

@@ -6,9 +6,7 @@
 //! paper's six versions differ only in *how* they select, address and
 //! combine; their observable semantics must be identical.
 
-use ipregel::{
-    run, run_packed, try_run_sequential, CombinerKind, RunConfig, RunStats, Schedule, Version,
-};
+use ipregel::{run, try_run_sequential, CombinerKind, RunConfig, RunStats, Schedule, Version};
 use ipregel_apps::reference;
 use ipregel_apps::{Bfs, Hashmin, MultiHops, PageRank, Sssp, WeightedSssp};
 use ipregel_graph::{Graph, GraphBuilder, NeighborMode};
@@ -33,10 +31,6 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-fn all_versions() -> Vec<Version> {
-    Version::paper_versions().to_vec()
-}
-
 /// `(active, messages_sent)` of every superstep, in order.
 fn trajectory(stats: &RunStats) -> Vec<(u64, u64)> {
     stats.supersteps.iter().map(|s| (s.active, s.messages_sent)).collect()
@@ -50,7 +44,7 @@ proptest! {
         let base = g.address_map().base();
         let source = base; // always a live vertex
         let expected = reference::bfs_levels(&g, source);
-        for v in all_versions() {
+        for v in Version::paper_versions() {
             let out = run(&g, &Sssp { source }, v, &RunConfig::default());
             for slot in g.address_map().live_slots() {
                 prop_assert_eq!(
@@ -64,7 +58,7 @@ proptest! {
     #[test]
     fn hashmin_matches_minlabel_fixpoint(g in arb_graph()) {
         let expected = reference::minlabel_fixpoint(&g);
-        for v in all_versions() {
+        for v in Version::paper_versions() {
             let out = run(&g, &Hashmin, v, &RunConfig::default());
             for slot in g.address_map().live_slots() {
                 prop_assert_eq!(
@@ -79,7 +73,7 @@ proptest! {
     fn bfs_matches_reference(g in arb_graph()) {
         let source = g.address_map().base();
         let expected = reference::bfs_levels(&g, source);
-        for v in all_versions() {
+        for v in Version::paper_versions() {
             let out = run(&g, &Bfs { source }, v, &RunConfig::default());
             for slot in g.address_map().live_slots() {
                 prop_assert_eq!(out.values[slot as usize], expected[slot as usize]);
@@ -101,24 +95,6 @@ proptest! {
             let diff = reference::max_rel_diff(&g, &out.values, &expected);
             prop_assert!(diff < 1e-9, "combiner {combiner:?} diverged by {diff}");
         }
-    }
-
-    #[test]
-    fn lock_free_mailbox_agrees_with_spinlock(g in arb_graph()) {
-        let source = g.address_map().base();
-        let spin = run(
-            &g,
-            &Sssp { source },
-            Version { combiner: CombinerKind::Spinlock, selection_bypass: true },
-            &RunConfig::default(),
-        );
-        let lockfree = run_packed(
-            &g,
-            &Sssp { source },
-            Version { combiner: CombinerKind::LockFree, selection_bypass: true },
-            &RunConfig::default(),
-        );
-        prop_assert_eq!(spin.values, lockfree.values);
     }
 
     #[test]
@@ -164,13 +140,13 @@ proptest! {
     ) {
         // Version, scheduling policy, adjacency representation and chunk
         // grain decide *how* a superstep selects, cuts and delivers,
-        // never what it computes: every paper version plus the lock-free
-        // ablation, under every schedule, on the plain and the varint
-        // CSR, must walk the same per-superstep (active, messages_sent)
-        // trajectory as the sequential oracle — not merely the same
-        // totals — and reach the same values (bit-identical for the
-        // min-combiners, whose result is order-free; within the harness's
-        // 1e-9 ceiling for PageRank's f64 sum). No combination is exempt:
+        // never what it computes: every paper version, under every
+        // schedule, on the plain and the varint CSR, must walk the same
+        // per-superstep (active, messages_sent) trajectory as the
+        // sequential oracle — not merely the same totals — and reach the
+        // same values (bit-identical for the min-combiners, whose result
+        // is order-free; within the harness's 1e-9 ceiling for PageRank's
+        // f64 sum). No combination is exempt:
         // the pull engine counts executed vertices, not checked ones, and
         // both bypass selections reduce to "message recipients", which is
         // what the oracle's fused scan runs for programs that halt every
@@ -190,26 +166,22 @@ proptest! {
         let want_hm = try_run_sequential(&g, &Hashmin, &oracle).unwrap();
         let want_pr = try_run_sequential(&g, &pagerank, &oracle).unwrap();
 
-        let mut versions = all_versions();
-        for selection_bypass in [false, true] {
-            versions.push(Version { combiner: CombinerKind::LockFree, selection_bypass });
-        }
         let shapes: Vec<(Schedule, Option<usize>)> = Schedule::all()
             .into_iter()
             .flat_map(|s| [Some(1), None, Some(usize::MAX), grain].map(|g| (s, g)))
             .collect();
-        for v in versions {
+        for v in Version::paper_versions() {
             for (repr, graph) in [("plain", &g), ("compact", &compact)] {
                 for &(schedule, grain) in &shapes {
                     let cfg = RunConfig { threads: Some(4), schedule, grain, ..RunConfig::default() };
                     let at = format!("{} under {schedule}, grain {grain:?}, on {repr}", v.label());
-                    let sssp = run_packed(graph, &Sssp { source }, v, &cfg);
+                    let sssp = run(graph, &Sssp { source }, v, &cfg);
                     prop_assert_eq!(&want_sssp.values, &sssp.values, "sssp values: {}", at);
                     prop_assert_eq!(
                         trajectory(&want_sssp.stats), trajectory(&sssp.stats),
                         "sssp trajectory: {}", at
                     );
-                    let hm = run_packed(graph, &Hashmin, v, &cfg);
+                    let hm = run(graph, &Hashmin, v, &cfg);
                     prop_assert_eq!(&want_hm.values, &hm.values, "hashmin values: {}", at);
                     prop_assert_eq!(
                         trajectory(&want_hm.stats), trajectory(&hm.stats),
@@ -218,7 +190,7 @@ proptest! {
                     if v.selection_bypass {
                         continue;
                     }
-                    let pr = run_packed(graph, &pagerank, v, &cfg);
+                    let pr = run(graph, &pagerank, v, &cfg);
                     let diff = reference::max_rel_diff(&g, &pr.values, &want_pr.values);
                     prop_assert!(diff < 1e-9, "pagerank values: {} diverged by {}", at, diff);
                     prop_assert_eq!(
@@ -286,7 +258,7 @@ proptest! {
 
     #[test]
     fn k_lane_hops_equal_k_sequential_solo_runs((g, sources) in arb_graph_and_sources()) {
-        for v in all_versions() {
+        for v in Version::paper_versions() {
             let multi = MultiHops::new(&sources);
             let out = run(&g, &multi, v, &RunConfig::default());
             for (lane, &src) in sources.iter().enumerate() {

@@ -18,15 +18,15 @@
 //! relative 1e-9 (bit-identical for push in an exclusive shape), and the
 //! per-superstep `(active, messages)` trajectory —
 //! supersteps, messages and executions — equal. PageRank keeps every
-//! vertex awake, so it runs without the bypass only. With `--features
-//! trace` a count claim rides along: an exclusive superstep takes no
-//! mailbox lock at all.
+//! vertex awake, so it runs without the bypass only. A count claim rides
+//! along, read from the contention counters every build keeps: an
+//! exclusive superstep takes no mailbox lock at all.
 
 use std::fmt::Debug;
 
 use ipregel::{
-    try_run_packed, try_run_sequential, CombinerKind, PackMessage, RunConfig, RunOutput, RunStats,
-    Version, VertexProgram,
+    try_run, try_run_sequential, CombinerKind, RunConfig, RunOutput, RunStats, Version,
+    VertexProgram,
 };
 use ipregel_apps::{Bfs, Hashmin, PageRank, Sssp};
 use ipregel_graph::generators::analogs::WIKIPEDIA;
@@ -34,12 +34,8 @@ use ipregel_graph::transform::{degree_relabeling, relabel_graph};
 use ipregel_graph::{Graph, GraphBuilder, NeighborMode, VertexId};
 
 /// The push mailboxes and the pull engine.
-const ENGINES: [CombinerKind; 4] = [
-    CombinerKind::Mutex,
-    CombinerKind::Spinlock,
-    CombinerKind::LockFree,
-    CombinerKind::Broadcast,
-];
+const ENGINES: [CombinerKind; 3] =
+    [CombinerKind::Mutex, CombinerKind::Spinlock, CombinerKind::Broadcast];
 
 /// A way to cut and place a run's supersteps.
 struct Shape {
@@ -113,18 +109,14 @@ fn graphs() -> Vec<(String, Graph, VertexId)> {
     out
 }
 
-fn run_engine<P>(
+fn run_engine<P: VertexProgram>(
     g: &Graph,
     program: &P,
     combiner: CombinerKind,
     cfg: &RunConfig,
-) -> RunOutput<P::Value>
-where
-    P: VertexProgram,
-    P::Message: PackMessage,
-{
+) -> RunOutput<P::Value> {
     let version = Version { combiner, selection_bypass: cfg.selection_bypass };
-    try_run_packed(g, program, version, cfg).unwrap_or_else(|e| panic!("{}: {e}", version.label()))
+    try_run(g, program, version, cfg).unwrap_or_else(|e| panic!("{}: {e}", version.label()))
 }
 
 /// Every push mailbox and the pull engine in every shape, with the
@@ -140,7 +132,6 @@ fn assert_matches_oracle<P>(
 ) where
     P: VertexProgram,
     P::Value: Debug,
-    P::Message: PackMessage,
 {
     let oracle = try_run_sequential(g, program, &RunConfig::default()).expect("oracle runs");
     for &bypass in bypass {
@@ -209,10 +200,7 @@ fn an_exclusive_superstep_takes_no_mailbox_lock() {
         program: &P,
         combiner: CombinerKind,
         cfg: RunConfig,
-    ) -> (RunOutput<P::Value>, Vec<u64>, u64)
-    where
-        P::Message: PackMessage,
-    {
+    ) -> (RunOutput<P::Value>, Vec<u64>, u64) {
         let tracer = Arc::new(Tracer::new());
         let cfg = RunConfig { trace: Some(Arc::clone(&tracer)), ..cfg };
         let before = contention::snapshot();

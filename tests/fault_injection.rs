@@ -23,10 +23,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use ipregel::engine::seq::try_run_sequential_recoverable;
-use ipregel::recover::{run_packed_with_checkpoints, run_with_checkpoints, DiskCheckpointer};
+use ipregel::recover::{run_with_checkpoints, DiskCheckpointer};
 use ipregel::{
-    try_run, try_run_packed, try_run_sequential, CheckpointConfig, CombinerKind, Context,
-    PackMessage, Persist, RunConfig, RunError, RunOutput, Schedule, Version, VertexProgram,
+    try_run, try_run_sequential, CheckpointConfig, CombinerKind, Context, Persist, RunConfig,
+    RunError, RunOutput, Schedule, Version, VertexProgram,
 };
 use ipregel_apps::{Hashmin, PageRank, Sssp};
 use ipregel_graph::loaders::{
@@ -94,53 +94,6 @@ fn cycle(n: u32) -> Graph {
         b.add_edge((i + 1) % n, i);
     }
     b.build().expect("cycle builds")
-}
-
-/// The six paper versions plus the lock-free extension in both
-/// selection modes: every parallel engine path there is.
-fn all_versions() -> Vec<Version> {
-    let mut vs = Version::paper_versions().to_vec();
-    vs.push(Version { combiner: CombinerKind::LockFree, selection_bypass: true });
-    vs.push(Version { combiner: CombinerKind::LockFree, selection_bypass: false });
-    vs
-}
-
-/// Fallible dispatch that also covers the lock-free (packed) versions.
-fn run_any<P>(
-    g: &Graph,
-    program: &P,
-    v: Version,
-    cfg: &RunConfig,
-) -> Result<RunOutput<P::Value>, RunError>
-where
-    P: VertexProgram,
-    P::Message: PackMessage,
-{
-    if matches!(v.combiner, CombinerKind::LockFree) {
-        try_run_packed(g, program, v, cfg)
-    } else {
-        try_run(g, program, v, cfg)
-    }
-}
-
-/// Checkpointing dispatch that also covers the lock-free versions.
-fn ckpt_run_any<P>(
-    g: &Graph,
-    program: &P,
-    v: Version,
-    cfg: &RunConfig,
-    ckpt: &CheckpointConfig,
-) -> Result<RunOutput<P::Value>, RunError>
-where
-    P: VertexProgram,
-    P::Value: Persist,
-    P::Message: Persist + PackMessage,
-{
-    if matches!(v.combiner, CombinerKind::LockFree) {
-        run_packed_with_checkpoints(g, program, v, cfg, ckpt)
-    } else {
-        run_with_checkpoints(g, program, v, cfg, ckpt)
-    }
 }
 
 /// The resume-invariant projection of a run: per-superstep active and
@@ -220,9 +173,9 @@ fn vertex_panic_is_isolated_on_every_version() {
         for schedule in Schedule::all() {
             for (grain, blamed, blamed_range) in shapes {
                 let cfg = RunConfig { threads: Some(4), schedule, grain, ..RunConfig::default() };
-                for v in all_versions() {
+                for v in Version::paper_versions() {
                     let label = format!("{} / {schedule} / grain {grain:?}", v.label());
-                    match run_any(&g, &program, v, &cfg) {
+                    match try_run(&g, &program, v, &cfg) {
                         Err(RunError::VertexPanic {
                             superstep, chunk, vertex_range, message, stats,
                         }) => {
@@ -236,7 +189,7 @@ fn vertex_panic_is_isolated_on_every_version() {
                     }
                     // The pool survived: the same config immediately runs a
                     // healthy program to completion.
-                    run_any(&g, &Hashmin, v, &cfg).unwrap_or_else(|e| {
+                    try_run(&g, &Hashmin, v, &cfg).unwrap_or_else(|e| {
                         panic!("{label}: pool did not survive the panic: {e}")
                     });
                 }
@@ -263,8 +216,8 @@ fn zero_deadline_exceeds_before_any_superstep() {
     let g = cycle(8);
     let cfg =
         RunConfig { threads: Some(2), deadline: Some(Duration::ZERO), ..RunConfig::default() };
-    for v in all_versions() {
-        match run_any(&g, &Hashmin, v, &cfg) {
+    for v in Version::paper_versions() {
+        match try_run(&g, &Hashmin, v, &cfg) {
             Err(RunError::DeadlineExceeded { superstep, stats, .. }) => {
                 assert_eq!(superstep, 0, "{}", v.label());
                 assert_eq!(stats.num_supersteps(), 0, "{}", v.label());
@@ -336,9 +289,9 @@ fn deadline_cuts_inside_a_superstep() {
         deadline: Some(stall * 4),
         ..RunConfig::default()
     };
-    for v in all_versions() {
+    for v in Version::paper_versions() {
         let program = SlowCountingHashmin { stall, executed: 0.into() };
-        match run_any(&g, &program, v, &cfg) {
+        match try_run(&g, &program, v, &cfg) {
             Err(RunError::DeadlineExceeded { superstep, stats, .. }) => {
                 assert_eq!(superstep, 0, "{}", v.label());
                 assert_eq!(stats.num_supersteps(), 0, "{}: torn superstep kept", v.label());
@@ -402,9 +355,9 @@ fn deadline_across_one_chunk_supersteps_keeps_the_completed_ones() {
     for grain in [None, Some(1)] {
         let cfg =
             RunConfig { threads: Some(2), grain, deadline: Some(deadline), ..RunConfig::default() };
-        for v in all_versions() {
+        for v in Version::paper_versions() {
             let label = format!("{} / grain {grain:?}", v.label());
-            match run_any(&g, &program, v, &cfg) {
+            match try_run(&g, &program, v, &cfg) {
                 Err(RunError::DeadlineExceeded { superstep, stats, .. }) => {
                     assert_eq!(stats.num_supersteps(), superstep, "{label}: completed supersteps");
                     let chunks: Vec<usize> = stats
@@ -424,7 +377,7 @@ fn deadline_across_one_chunk_supersteps_keeps_the_completed_ones() {
             }
             // The pool is fine: the same config, given time, converges.
             let relaxed = RunConfig { deadline: None, ..cfg.clone() };
-            run_any(&g, &Hashmin, v, &relaxed)
+            try_run(&g, &Hashmin, v, &relaxed)
                 .unwrap_or_else(|e| panic!("{label}: pool did not survive the deadline: {e}"));
         }
     }
@@ -464,14 +417,14 @@ fn assert_resume_matches<P>(g: &Graph, program: &P, tag: &str)
 where
     P: VertexProgram,
     P::Value: Persist + PartialEq + Debug,
-    P::Message: Persist + PackMessage,
+    P::Message: Persist,
 {
     for (si, schedule) in Schedule::all().into_iter().enumerate() {
-        for (vi, v) in all_versions().into_iter().enumerate() {
+        for (vi, v) in Version::paper_versions().into_iter().enumerate() {
             let cfg = RunConfig { threads: Some(4), schedule, ..RunConfig::default() };
             let label = format!("{tag} / {} / {schedule}", v.label());
             let baseline =
-                run_any(g, program, v, &cfg).unwrap_or_else(|e| panic!("{label}: baseline: {e}"));
+                try_run(g, program, v, &cfg).unwrap_or_else(|e| panic!("{label}: baseline: {e}"));
             let n = baseline.stats.num_supersteps();
             assert!(n >= 2, "{label}: fixture converges too fast to test a cut");
             // Cut somewhere in the middle; at least 2 so a checkpoint
@@ -479,9 +432,10 @@ where
             let cut = (n / 2).max(2);
             let dir = tempdir(&format!("{tag}-{si}-{vi}"));
             let cut_cfg = RunConfig { max_supersteps: Some(cut), ..cfg.clone() };
-            ckpt_run_any(g, program, v, &cut_cfg, &CheckpointConfig::new(&dir, 1))
+            run_with_checkpoints(g, program, v, &cut_cfg, &CheckpointConfig::new(&dir, 1))
                 .unwrap_or_else(|e| panic!("{label}: interrupted run: {e}"));
-            let resumed = ckpt_run_any(g, program, v, &cfg, &CheckpointConfig::new(&dir, 1).resuming())
+            let resume = CheckpointConfig::new(&dir, 1).resuming();
+            let resumed = run_with_checkpoints(g, program, v, &cfg, &resume)
                 .unwrap_or_else(|e| panic!("{label}: resume: {e}"));
             assert_eq!(resumed.values, baseline.values, "{label}: values");
             assert_eq!(history(&resumed), history(&baseline), "{label}: history");
@@ -505,8 +459,8 @@ fn hashmin_resume_matches_uninterrupted_on_every_version() {
     let dir = tempdir("hashmin-golden");
     let v = Version { combiner: CombinerKind::Mutex, selection_bypass: false };
     let cut_cfg = RunConfig { max_supersteps: Some(2), ..RunConfig::default() };
-    ckpt_run_any(&g, &Hashmin, v, &cut_cfg, &CheckpointConfig::new(&dir, 1)).expect("cut");
-    let out = ckpt_run_any(
+    run_with_checkpoints(&g, &Hashmin, v, &cut_cfg, &CheckpointConfig::new(&dir, 1)).expect("cut");
+    let out = run_with_checkpoints(
         &g,
         &Hashmin,
         v,
@@ -653,29 +607,31 @@ fn checkpoints_restore_into_any_engine_version() {
     let _held = lock();
     // The IPCK snapshot is engine-neutral: values, flags and the
     // *combined* inbox. A checkpoint written by one version must
-    // restore into any other — push into pull, locked into lock-free —
-    // because each engine rebuilds its own active set from the inbox.
+    // restore into any other — push into pull and back, mutex into
+    // spinlock and back, scan into bypass and back — because each engine
+    // rebuilds its own active set from the inbox. The pairs name every
+    // paper version as writer or reader.
     let g = fixture("fixture_a.txt");
     let scan = |c| Version { combiner: c, selection_bypass: false };
     let bypass = |c| Version { combiner: c, selection_bypass: true };
     let pairs = [
         (scan(CombinerKind::Mutex), bypass(CombinerKind::Broadcast)),
         (scan(CombinerKind::Broadcast), bypass(CombinerKind::Spinlock)),
-        (bypass(CombinerKind::Spinlock), bypass(CombinerKind::LockFree)),
-        (bypass(CombinerKind::LockFree), scan(CombinerKind::Mutex)),
+        (bypass(CombinerKind::Mutex), scan(CombinerKind::Spinlock)),
+        (bypass(CombinerKind::Spinlock), scan(CombinerKind::Mutex)),
     ];
     for (i, (writer, reader)) in pairs.into_iter().enumerate() {
         let cfg = RunConfig { threads: Some(4), ..RunConfig::default() };
         let label = format!("ckpt by {} resumed by {}", writer.label(), reader.label());
-        let baseline = run_any(&g, &Hashmin, reader, &cfg)
+        let baseline = try_run(&g, &Hashmin, reader, &cfg)
             .unwrap_or_else(|e| panic!("{label}: baseline: {e}"));
         let dir = tempdir(&format!("cross-{i}"));
         let cut_cfg = RunConfig { max_supersteps: Some(2), ..cfg.clone() };
-        ckpt_run_any(&g, &Hashmin, writer, &cut_cfg, &CheckpointConfig::new(&dir, 1))
+        run_with_checkpoints(&g, &Hashmin, writer, &cut_cfg, &CheckpointConfig::new(&dir, 1))
             .unwrap_or_else(|e| panic!("{label}: interrupted run: {e}"));
-        let resumed =
-            ckpt_run_any(&g, &Hashmin, reader, &cfg, &CheckpointConfig::new(&dir, 1).resuming())
-                .unwrap_or_else(|e| panic!("{label}: resume: {e}"));
+        let resume = CheckpointConfig::new(&dir, 1).resuming();
+        let resumed = run_with_checkpoints(&g, &Hashmin, reader, &cfg, &resume)
+            .unwrap_or_else(|e| panic!("{label}: resume: {e}"));
         assert_eq!(resumed.values, baseline.values, "{label}: values");
         assert_eq!(
             resumed.stats.num_supersteps(),

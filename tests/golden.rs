@@ -25,9 +25,7 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use ipregel::{
-    run, run_packed, run_sequential, CombinerKind, RunConfig, RunOutput, Schedule, Version,
-};
+use ipregel::{run, run_sequential, CombinerKind, RunConfig, RunOutput, Schedule, Version};
 use ipregel_apps::{Hashmin, PageRank, Sssp};
 use ipregel_graph::loaders::load_edge_list;
 use ipregel_graph::{Graph, NeighborMode};
@@ -95,9 +93,6 @@ fn hashmin_matches_golden_on_every_version_and_schedule() {
             let out = run(&g, &Hashmin, v, &cfg);
             assert_exact(&out, &want, &format!("{} / {}", v.label(), cfg.schedule));
         }
-        let lockfree = Version { combiner: CombinerKind::LockFree, selection_bypass: true };
-        let out = run_packed(&g, &Hashmin, lockfree, &cfg);
-        assert_exact(&out, &want, &format!("lock-free / {}", cfg.schedule));
     }
     let seq = run_sequential(&g, &Hashmin, &RunConfig::default());
     assert_exact(&seq, &want, "sequential");
@@ -113,9 +108,6 @@ fn sssp_matches_golden_on_every_version_and_schedule() {
             let out = run(&g, &program, v, &cfg);
             assert_exact(&out, &want, &format!("{} / {}", v.label(), cfg.schedule));
         }
-        let lockfree = Version { combiner: CombinerKind::LockFree, selection_bypass: true };
-        let out = run_packed(&g, &program, lockfree, &cfg);
-        assert_exact(&out, &want, &format!("lock-free / {}", cfg.schedule));
     }
     let seq = run_sequential(&g, &program, &RunConfig::default());
     assert_exact(&seq, &want, "sequential");

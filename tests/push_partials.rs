@@ -28,10 +28,10 @@
 use std::fmt::Debug;
 
 use ipregel::engine::push::partial_slots;
-use ipregel::recover::{run_packed_with_checkpoints, CheckpointConfig, Persist};
+use ipregel::recover::{run_with_checkpoints, CheckpointConfig, Persist};
 use ipregel::{
-    try_run_packed, try_run_sequential, CombinerKind, Context, PackMessage, RunConfig, RunOutput,
-    RunStats, Version, VertexProgram,
+    try_run, try_run_sequential, CombinerKind, Context, RunConfig, RunOutput, RunStats, Version,
+    VertexProgram,
 };
 use ipregel_apps::{Bfs, Hashmin, PageRank, Sssp};
 use ipregel_graph::generators::analogs::WIKIPEDIA;
@@ -39,8 +39,7 @@ use ipregel_graph::transform::{degree_relabeling, relabel_graph};
 use ipregel_graph::{AddressingMode, Graph, GraphBuilder, NeighborMode, VertexId};
 
 const POOLS: [usize; 3] = [1, 2, 4];
-const PUSH: [CombinerKind; 3] =
-    [CombinerKind::Spinlock, CombinerKind::Mutex, CombinerKind::LockFree];
+const PUSH: [CombinerKind; 2] = [CombinerKind::Spinlock, CombinerKind::Mutex];
 
 /// `(active, messages_sent)` of every superstep, in order.
 fn trajectory(stats: &RunStats) -> Vec<(u64, u64)> {
@@ -103,18 +102,14 @@ fn cfg(threads: usize, bypass: bool) -> RunConfig {
     }
 }
 
-fn run_push<P>(
+fn run_push<P: VertexProgram>(
     g: &Graph,
     program: &P,
     combiner: CombinerKind,
     cfg: &RunConfig,
-) -> RunOutput<P::Value>
-where
-    P: VertexProgram,
-    P::Message: PackMessage,
-{
+) -> RunOutput<P::Value> {
     let version = Version { combiner, selection_bypass: cfg.selection_bypass };
-    try_run_packed(g, program, version, cfg).unwrap_or_else(|e| panic!("{}: {e}", version.label()))
+    try_run(g, program, version, cfg).unwrap_or_else(|e| panic!("{}: {e}", version.label()))
 }
 
 /// Every push mailbox at every pool size, values and trajectory equal to
@@ -123,7 +118,6 @@ fn assert_exact<P>(label: &str, g: &Graph, program: &P, bypass: bool)
 where
     P: VertexProgram,
     P::Value: PartialEq + Debug,
-    P::Message: PackMessage,
 {
     let oracle = try_run_sequential(g, program, &RunConfig::default()).expect("oracle runs");
     for threads in POOLS {
@@ -204,7 +198,7 @@ fn assert_resume_matches<P>(label: &str, g: &Graph, program: &P, bypass: bool, t
 where
     P: VertexProgram,
     P::Value: Persist + PartialEq + Debug,
-    P::Message: Persist + PackMessage,
+    P::Message: Persist,
 {
     // One thread: the resumed run must equal the whole one bit for bit,
     // which a PageRank at several threads promises only to 1e-9.
@@ -214,16 +208,11 @@ where
     let cut = (whole.stats.num_supersteps() / 2).max(2);
     let dir = tempdir(tag);
     let cut_cfg = RunConfig { max_supersteps: Some(cut), ..cfg.clone() };
-    run_packed_with_checkpoints(g, program, version, &cut_cfg, &CheckpointConfig::new(&dir, 1))
+    run_with_checkpoints(g, program, version, &cut_cfg, &CheckpointConfig::new(&dir, 1))
         .unwrap_or_else(|e| panic!("{label}: interrupted run: {e}"));
-    let resumed = run_packed_with_checkpoints(
-        g,
-        program,
-        version,
-        &cfg,
-        &CheckpointConfig::new(&dir, 1).resuming(),
-    )
-    .unwrap_or_else(|e| panic!("{label}: resume: {e}"));
+    let resumed =
+        run_with_checkpoints(g, program, version, &cfg, &CheckpointConfig::new(&dir, 1).resuming())
+            .unwrap_or_else(|e| panic!("{label}: resume: {e}"));
     assert_eq!(resumed.values, whole.values, "{label}: values");
     assert_eq!(trajectory(&resumed.stats), trajectory(&whole.stats), "{label}: history");
     let _ = std::fs::remove_dir_all(&dir);

@@ -437,7 +437,10 @@ fn a_solo_submission_is_indistinguishable_from_a_batch_of_one() {
         vec![Request::new(Algorithm::Bfs { source: 7 })],
         vec![Request::new(Algorithm::PageRank { rounds: 4, damping: 1.5 })],
         vec![Request::new(Algorithm::Components)],
-        vec![Request { combiner: CombinerKind::LockFree, ..sssp(1) }],
+        vec![Request {
+            bypass: true,
+            ..Request::new(Algorithm::PageRank { rounds: 4, damping: 0.85 })
+        }],
         vec![Request::new(Algorithm::PageRank { rounds: 4, damping: 0.85 })],
     ];
     let config = ServerConfig { workers: 1, ..ServerConfig::default() };

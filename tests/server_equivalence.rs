@@ -168,10 +168,6 @@ fn invalid_requests_are_rejected_typed_without_a_queue_slot() {
             },
             "bypass",
         ),
-        (
-            Request { combiner: CombinerKind::LockFree, ..Request::new(Algorithm::Components) },
-            "lock-free",
-        ),
     ];
     for (request, needle) in cases {
         match server.submit(request) {
@@ -186,7 +182,7 @@ fn invalid_requests_are_rejected_typed_without_a_queue_slot() {
     }
 
     let stats = server.stats();
-    assert_eq!(stats.rejected_invalid, 6);
+    assert_eq!(stats.rejected_invalid, 5);
     assert_eq!(stats.admitted, 0, "invalid requests never consume a slot");
 
     // Invalid rejections are pre-admission: the trace must be empty,

@@ -280,8 +280,6 @@ fn sixty_four_source_reachability() {
     let sources: Vec<u32> = (0..64).map(|i| i * 15).collect();
     let q = MultiSourceReachability::new(sources.clone());
     let expected = ipregel_apps::reachability::reachability_oracle(&g, &sources);
-    // Skip the lock-free engine here: a 64-bit full mask could collide
-    // with its sentinel; every other version must agree.
     for v in Version::paper_versions() {
         let out = run(&g, &q, v, &RunConfig::default());
         assert_eq!(out.values, expected, "{}", v.label());

@@ -18,7 +18,7 @@ use ipregel::engine::RunError;
 use ipregel::program::Context;
 use ipregel::trace::{decode_trace, encode_trace, TraceEvent, Tracer};
 use ipregel::{
-    run, run_packed, run_sequential, try_run, try_run_sequential, CombinerKind, RunConfig,
+    run, run_sequential, try_run, try_run_sequential, CombinerKind, RunConfig,
     RunStats, Schedule, Version, VertexProgram,
 };
 use ipregel_apps::{Hashmin, PageRank, Sssp};
@@ -131,10 +131,6 @@ fn every_engine_frames_its_trace() {
             }
             assert_eq!(tracer.dropped_events(), 0, "{label}: no trace event dropped");
         }
-        let v = Version { combiner: CombinerKind::LockFree, selection_bypass: true };
-        let (cfg, tracer) = traced_cfg(schedule, grain);
-        let out = run_packed(&b, &sssp, v, &cfg);
-        check(&out.stats, &tracer.take_events(), &format!("lock-free / {schedule} / {grain:?}"));
     }
     let tracer = Arc::new(Tracer::new());
     let cfg = RunConfig { trace: Some(tracer.clone()), ..RunConfig::default() };

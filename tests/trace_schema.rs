@@ -1,8 +1,7 @@
 //! Schema tests for the JSONL trace codec (docs/INTERNALS.md,
 //! "Observability").
 //!
-//! Three guarantees, independent of whether the `trace` feature is on
-//! (the codec is always compiled):
+//! Three guarantees of the codec, which every build compiles:
 //!
 //! * **Round-trip**: every event type survives encode → decode exactly,
 //!   for arbitrary field values — property-tested across the full `u64`
