@@ -83,10 +83,7 @@ impl<M: PackMessage + Send + Sync> Mailbox<M> for AtomicMailbox<M> {
             // combines against the freshly observed occupant
             match self.state.compare_exchange_weak(cur, proposed, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return cur == EMPTY,
-                Err(now) => {
-                    crate::trace::contention::note_cas_retry();
-                    cur = now;
-                }
+                Err(now) => cur = now,
             }
         }
     }

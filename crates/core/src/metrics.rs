@@ -62,7 +62,7 @@ pub struct LoadStats {
     /// for the sequential engine.
     pub chunk_workers: Vec<u64>,
     /// Mailbox contention each chunk's vertex loop saw on its thread:
-    /// lock acquisitions, CAS retries and spin iterations. All zero for
+    /// lock acquisitions and spin iterations. All zero for
     /// the sequential engine, which has no locks.
     pub chunk_contention: Vec<ContentionSnapshot>,
     /// Jobs run by a worker other than the one that queued them during
@@ -174,7 +174,6 @@ impl RunTotals {
             self.chunk_ns += load.chunk_durations.iter().map(|&d| crate::trace::ns(d)).sum::<u64>();
             for c in &load.chunk_contention {
                 self.contention.lock_acquisitions += c.lock_acquisitions;
-                self.contention.cas_retries += c.cas_retries;
                 self.contention.spin_iterations += c.spin_iterations;
             }
             self.pool_steals += load.steals;
@@ -190,7 +189,6 @@ impl RunTotals {
         self.chunks += other.chunks;
         self.chunk_ns += other.chunk_ns;
         self.contention.lock_acquisitions += other.contention.lock_acquisitions;
-        self.contention.cas_retries += other.contention.cas_retries;
         self.contention.spin_iterations += other.contention.spin_iterations;
         self.pool_steals += other.pool_steals;
         self.pool_overflow += other.pool_overflow;

@@ -58,11 +58,13 @@ use contention::ContentionSnapshot;
 ///   width; 1 = ran solo, 0 = shed before any lane was assigned).
 /// - **5** — the out-of-core simulator is retired: the `io` event and
 ///   the `ooc` engine name are gone. Nothing else changed.
+/// - **6** — `chunk` loses `cas_retries`: only the lock-free mailbox
+///   counted them, and no engine version runs it. Nothing else changed.
 ///
-/// The decoder reads version 5 only: every writer emits it, and a header
-/// declaring any other version, 4 included, gets the typed "unsupported
+/// The decoder reads version 6 only: every writer emits it, and a header
+/// declaring any other version, 5 included, gets the typed "unsupported
 /// trace schema" error.
-pub const SCHEMA_VERSION: u32 = 5;
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Which engine produced a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,8 +179,6 @@ pub enum TraceEvent {
         duration_ns: u64,
         /// Mailbox lock acquisitions during the chunk (mutex + spin).
         lock_acquisitions: u64,
-        /// Lock-free mailbox CAS retries during the chunk.
-        cas_retries: u64,
         /// Spinlock busy-wait iterations during the chunk.
         spin_iterations: u64,
         /// Pool worker index the chunk body ran on. This is
@@ -438,7 +438,6 @@ pub fn render_superstep(tracer: Option<&Tracer>, entry: &SuperstepStats) {
             planned_edges,
             duration_ns: load.chunk_durations.get(ci).map_or(0, |&d| ns(d)),
             lock_acquisitions: c.lock_acquisitions,
-            cas_retries: c.cas_retries,
             spin_iterations: c.spin_iterations,
             worker: load.chunk_workers.get(ci).copied().unwrap_or(0),
         });
@@ -480,20 +479,17 @@ pub mod contention {
     pub struct ContentionSnapshot {
         /// Mailbox lock acquisitions (mutex slot locks + spinlock locks).
         pub lock_acquisitions: u64,
-        /// Lock-free mailbox CAS retries (failed `compare_exchange`).
-        pub cas_retries: u64,
         /// Spinlock busy-wait loop iterations.
         pub spin_iterations: u64,
     }
 
-    crate::impl_to_json!(ContentionSnapshot { lock_acquisitions, cas_retries, spin_iterations });
+    crate::impl_to_json!(ContentionSnapshot { lock_acquisitions, spin_iterations });
 
     impl ContentionSnapshot {
         /// Counter increments between `earlier` and `self` (wrapping).
         pub fn delta_since(&self, earlier: &ContentionSnapshot) -> ContentionSnapshot {
             ContentionSnapshot {
                 lock_acquisitions: self.lock_acquisitions.wrapping_sub(earlier.lock_acquisitions),
-                cas_retries: self.cas_retries.wrapping_sub(earlier.cas_retries),
                 spin_iterations: self.spin_iterations.wrapping_sub(earlier.spin_iterations),
             }
         }
@@ -501,7 +497,6 @@ pub mod contention {
 
     thread_local! {
         static LOCK_ACQUISITIONS: Cell<u64> = const { Cell::new(0) };
-        static CAS_RETRIES: Cell<u64> = const { Cell::new(0) };
         static SPIN_ITERATIONS: Cell<u64> = const { Cell::new(0) };
     }
 
@@ -509,12 +504,6 @@ pub mod contention {
     #[inline(always)]
     pub fn note_lock_acquisition() {
         LOCK_ACQUISITIONS.with(|c| c.set(c.get().wrapping_add(1)));
-    }
-
-    /// Count one failed CAS in the lock-free mailbox on this thread.
-    #[inline(always)]
-    pub fn note_cas_retry() {
-        CAS_RETRIES.with(|c| c.set(c.get().wrapping_add(1)));
     }
 
     /// Count `n` spinlock busy-wait iterations on this thread.
@@ -527,7 +516,6 @@ pub mod contention {
     pub fn snapshot() -> ContentionSnapshot {
         ContentionSnapshot {
             lock_acquisitions: LOCK_ACQUISITIONS.with(Cell::get),
-            cas_retries: CAS_RETRIES.with(Cell::get),
             spin_iterations: SPIN_ITERATIONS.with(Cell::get),
         }
     }
@@ -572,7 +560,6 @@ pub fn encode_event(e: &TraceEvent) -> String {
             planned_edges,
             duration_ns,
             lock_acquisitions,
-            cas_retries,
             spin_iterations,
             worker,
         } => {
@@ -581,7 +568,6 @@ pub fn encode_event(e: &TraceEvent) -> String {
             num(&mut s, "planned_edges", planned_edges);
             num(&mut s, "duration_ns", duration_ns);
             num(&mut s, "lock_acquisitions", lock_acquisitions);
-            num(&mut s, "cas_retries", cas_retries);
             num(&mut s, "spin_iterations", spin_iterations);
             num(&mut s, "worker", worker);
         }
@@ -713,7 +699,6 @@ pub fn decode_line(line: &str) -> Result<Option<TraceEvent>, String> {
             planned_edges: f.num("planned_edges")?,
             duration_ns: f.num("duration_ns")?,
             lock_acquisitions: f.num("lock_acquisitions")?,
-            cas_retries: f.num("cas_retries")?,
             spin_iterations: f.num("spin_iterations")?,
             worker: f.num("worker")?,
         },
@@ -809,8 +794,7 @@ pub fn render_prometheus(events: &[TraceEvent], dropped: u64, runs: &RunTotals) 
         pool_steals,
         pool_overflow,
     } = *runs;
-    let ContentionSnapshot { lock_acquisitions: locks, cas_retries, spin_iterations: spins } =
-        contention;
+    let ContentionSnapshot { lock_acquisitions: locks, spin_iterations: spins } = contention;
     let mut worklist_drained = 0u64;
     let mut ckpt_saves = 0u64;
     let mut ckpt_save_ns = 0u64;
@@ -868,7 +852,6 @@ pub fn render_prometheus(events: &[TraceEvent], dropped: u64, runs: &RunTotals) 
             ("ipregel_chunks_total", "Scheduled chunks executed.", n(chunks)),
             ("ipregel_chunk_seconds_total", "Chunk body wall-clock.", secs(chunk_ns)),
             ("ipregel_mailbox_lock_acquisitions_total", "Mailbox lock acquisitions.", n(locks)),
-            ("ipregel_mailbox_cas_retries_total", "Lock-free mailbox CAS retries.", n(cas_retries)),
             ("ipregel_mailbox_spin_iterations_total", "Spinlock busy-wait iterations.", n(spins)),
             (
                 "ipregel_worklist_drained_total",
@@ -968,7 +951,6 @@ mod tests {
                 planned_edges: 17,
                 duration_ns: 1234,
                 lock_acquisitions: 3,
-                cas_retries: 1,
                 spin_iterations: 9,
                 worker: 1,
             },
@@ -1030,13 +1012,14 @@ mod tests {
 
     #[test]
     fn meta_line_is_pinned() {
-        assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":5}");
+        assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":6}");
     }
 
     /// A two-chunk superstep entry with every per-chunk field distinct.
     fn entry(superstep: usize, messages_sent: u64) -> SuperstepStats {
-        let snap = |lock_acquisitions, cas_retries, spin_iterations| {
-            contention::ContentionSnapshot { lock_acquisitions, cas_retries, spin_iterations }
+        let snap = |lock_acquisitions, spin_iterations| contention::ContentionSnapshot {
+            lock_acquisitions,
+            spin_iterations,
         };
         SuperstepStats {
             superstep,
@@ -1048,7 +1031,7 @@ mod tests {
                 chunk_edges: vec![17, 5],
                 chunk_durations: vec![Duration::from_nanos(1234), Duration::from_nanos(56)],
                 chunk_workers: vec![1, 0],
-                chunk_contention: vec![snap(3, 1, 9), snap(2, 0, 4)],
+                chunk_contention: vec![snap(3, 9), snap(2, 4)],
                 steals: 2,
                 overflow: 4,
             }),
@@ -1064,16 +1047,16 @@ mod tests {
         }
         render_superstep(None, &entry(5, 48));
         // Superstep 4 is off the sampler's cadence: no `rss`.
-        let expected = r#"{"type":"meta","schema":5}
+        let expected = r#"{"type":"meta","schema":6}
 {"type":"superstep_begin","superstep":3}
-{"type":"chunk","superstep":3,"chunk":0,"planned_edges":17,"duration_ns":1234,"lock_acquisitions":3,"cas_retries":1,"spin_iterations":9,"worker":1}
-{"type":"chunk","superstep":3,"chunk":1,"planned_edges":5,"duration_ns":56,"lock_acquisitions":2,"cas_retries":0,"spin_iterations":4,"worker":0}
+{"type":"chunk","superstep":3,"chunk":0,"planned_edges":17,"duration_ns":1234,"lock_acquisitions":3,"spin_iterations":9,"worker":1}
+{"type":"chunk","superstep":3,"chunk":1,"planned_edges":5,"duration_ns":56,"lock_acquisitions":2,"spin_iterations":4,"worker":0}
 {"type":"rss","superstep":3,"bytes":1048576}
 {"type":"pool","superstep":3,"steals":2,"overflow":4}
 {"type":"superstep_end","superstep":3,"active":7,"messages":48,"duration_ns":750000000,"selection_ns":90,"chunks":2}
 {"type":"superstep_begin","superstep":4}
-{"type":"chunk","superstep":4,"chunk":0,"planned_edges":17,"duration_ns":1234,"lock_acquisitions":3,"cas_retries":1,"spin_iterations":9,"worker":1}
-{"type":"chunk","superstep":4,"chunk":1,"planned_edges":5,"duration_ns":56,"lock_acquisitions":2,"cas_retries":0,"spin_iterations":4,"worker":0}
+{"type":"chunk","superstep":4,"chunk":0,"planned_edges":17,"duration_ns":1234,"lock_acquisitions":3,"spin_iterations":9,"worker":1}
+{"type":"chunk","superstep":4,"chunk":1,"planned_edges":5,"duration_ns":56,"lock_acquisitions":2,"spin_iterations":4,"worker":0}
 {"type":"pool","superstep":4,"steals":2,"overflow":4}
 {"type":"superstep_end","superstep":4,"active":7,"messages":48,"duration_ns":750000000,"selection_ns":90,"chunks":2}
 "#;
@@ -1118,7 +1101,6 @@ mod tests {
             ("ipregel_run_seconds_total", "2.25"),
             ("ipregel_chunks_total", "6"),
             ("ipregel_mailbox_lock_acquisitions_total", "15"),
-            ("ipregel_mailbox_cas_retries_total", "3"),
             ("ipregel_mailbox_spin_iterations_total", "39"),
             ("ipregel_pool_steals_total", "6"),
             ("ipregel_pool_overflow_total", "12"),
@@ -1143,11 +1125,9 @@ mod tests {
         let before = contention::snapshot();
         contention::note_lock_acquisition();
         contention::note_lock_acquisition();
-        contention::note_cas_retry();
         contention::note_spin_iterations(5);
         let delta = contention::snapshot().delta_since(&before);
         assert_eq!(delta.lock_acquisitions, 2);
-        assert_eq!(delta.cas_retries, 1);
         assert_eq!(delta.spin_iterations, 5);
     }
 }

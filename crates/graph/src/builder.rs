@@ -40,6 +40,10 @@ pub enum AddressingChoice {
     Force(AddressingMode),
 }
 
+/// The id span, smallest and largest, of no edges: every id lowers its
+/// minimum and raises its maximum.
+pub(crate) const EMPTY_SPAN: (VertexId, VertexId) = (VertexId::MAX, 0);
+
 /// Largest desolate prefix `Auto` will accept unconditionally.
 const DESOLATE_ABS_LIMIT: u32 = 1024;
 
@@ -52,6 +56,12 @@ pub struct GraphBuilder {
     mode: NeighborMode,
     addressing: AddressingChoice,
     declared_range: Option<(VertexId, u32)>,
+    /// The smallest and the largest id of the `spanned` edges that came
+    /// through [`GraphBuilder::extend`], which carries its loader's fold.
+    /// `add_edge` and `add_weighted_edge` track neither, so the span is
+    /// the whole builder's only while `spanned` counts every edge.
+    span: (VertexId, VertexId),
+    spanned: usize,
 }
 
 impl GraphBuilder {
@@ -64,6 +74,8 @@ impl GraphBuilder {
             mode,
             addressing: AddressingChoice::Auto,
             declared_range: None,
+            span: EMPTY_SPAN,
+            spanned: 0,
         }
     }
 
@@ -107,8 +119,14 @@ impl GraphBuilder {
     }
 
     /// Append edges a loader parsed in bulk, in order; `weights` is empty
-    /// for unweighted edges, else one per edge.
-    pub(crate) fn extend(&mut self, edges: &[(VertexId, VertexId)], weights: &[Weight]) {
+    /// for unweighted edges, else one per edge, and `span` is the smallest
+    /// and the largest id in `edges`.
+    pub(crate) fn extend(
+        &mut self,
+        edges: &[(VertexId, VertexId)],
+        weights: &[Weight],
+        span: (VertexId, VertexId),
+    ) {
         if edges.is_empty() {
             return;
         }
@@ -116,6 +134,8 @@ impl GraphBuilder {
         debug_assert!(self.weighted != Some(!weighted), "mixed weighted/unweighted edges");
         debug_assert!(!weighted || weights.len() == edges.len(), "one weight per edge");
         self.weighted = Some(weighted);
+        self.span = (self.span.0.min(span.0), self.span.1.max(span.1));
+        self.spanned += edges.len();
         self.edges.extend_from_slice(edges);
         self.weights.extend_from_slice(weights);
     }
@@ -141,9 +161,10 @@ impl GraphBuilder {
             return Err(GraphError::MixedWeightedness);
         }
 
+        let span = (self.spanned == self.edges.len()).then_some(self.span);
         let (base, count) = match self.declared_range {
             Some(r) => r,
-            None => infer_range(&self.edges)?,
+            None => range_of(span.unwrap_or_else(|| id_span(&self.edges)))?,
         };
         if count == 0 {
             return Err(GraphError::EmptyGraph);
@@ -154,9 +175,12 @@ impl GraphBuilder {
             return Err(GraphError::TooManyVertices(map.slots() as u64));
         }
 
-        // Translate endpoints to internal slots, validating the range. An
-        // inferred range holds every id, and only offset mapping moves one.
-        if self.declared_range.is_some() || map.mode() == AddressingMode::Offset {
+        // Translate endpoints to internal slots, validating the range. Only
+        // offset mapping moves an id; an inferred range holds every id, and
+        // a declared one does when the loader's span lies inside it.
+        let inside = self.declared_range.is_none()
+            || span.is_some_and(|(lo, hi)| map.contains(lo) && map.contains(hi));
+        if !inside || map.mode() == AddressingMode::Offset {
             for edge in &mut self.edges {
                 for id in [edge.0, edge.1] {
                     if !map.contains(id) {
@@ -190,16 +214,15 @@ impl GraphBuilder {
     }
 }
 
-/// Infer `(base, count)` from the edge endpoints.
-fn infer_range(edges: &[(VertexId, VertexId)]) -> Result<(VertexId, u32), GraphError> {
-    if edges.is_empty() {
+/// The smallest and the largest endpoint in `edges`.
+fn id_span(edges: &[(VertexId, VertexId)]) -> (VertexId, VertexId) {
+    edges.iter().fold(EMPTY_SPAN, |(lo, hi), &(s, d)| (lo.min(s).min(d), hi.max(s).max(d)))
+}
+
+/// `(base, count)` of the ids from `min` to `max`; no edges have no range.
+fn range_of((min, max): (VertexId, VertexId)) -> Result<(VertexId, u32), GraphError> {
+    if min > max {
         return Err(GraphError::EmptyGraph);
-    }
-    let mut min = VertexId::MAX;
-    let mut max = 0;
-    for &(s, d) in edges {
-        min = min.min(s).min(d);
-        max = max.max(s).max(d);
     }
     let count = u64::from(max) - u64::from(min) + 1;
     if count > u64::from(u32::MAX) {
@@ -333,6 +356,31 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.num_vertices(), 10);
         assert_eq!(g.out_degree(9), 0);
+    }
+
+    #[test]
+    fn a_loaders_span_gives_the_range_until_an_edge_comes_by_hand() {
+        let mut b = GraphBuilder::new(NeighborMode::OutOnly);
+        b.extend(&[(3, 5), (4, 3)], &[], (3, 5));
+        b.extend(&[], &[], EMPTY_SPAN);
+        let g = b.clone().build().unwrap();
+        assert_eq!((g.address_map().base(), g.num_vertices()), (3, 3));
+        // An edge outside the loader's span, which the span cannot cover.
+        b.add_edge(9, 3);
+        assert_eq!(b.build().unwrap().num_vertices(), 7);
+    }
+
+    #[test]
+    fn a_declared_range_is_checked_unless_the_span_lies_inside() {
+        for (span, ok) in [((1, 3), true), ((1, 4), false)] {
+            let mut b = GraphBuilder::new(NeighborMode::OutOnly).declare_id_range(1, 3);
+            b.extend(&[(1, span.1), (2, 3)], &[], span);
+            match b.build() {
+                Ok(g) => assert!(ok && g.out_neighbors(1) == [3]),
+                Err(GraphError::IdOutOfRange { id: 4, .. }) => assert!(!ok),
+                Err(e) => panic!("{e}"),
+            }
+        }
     }
 
     #[test]

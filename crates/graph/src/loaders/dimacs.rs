@@ -16,7 +16,7 @@
 
 use std::io::BufRead;
 
-use super::scan::{head, parse_blocks, show, Line};
+use super::scan::{dimacs_records, head, parse_blocks, show, Line};
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
@@ -43,7 +43,7 @@ pub fn load_dimacs_gr<R: BufRead>(mut reader: R, mode: NeighborMode) -> Result<G
         Some(other) => Err(unknown(line, other)),
     })?;
     let mut b = builder.ok_or(GraphError::EmptyGraph)?;
-    parse_blocks(reader, next, &mut b, |line, records| {
+    parse_blocks(reader, next, &mut b, dimacs_records, |line, records| {
         match line.field() {
             None | Some([b'c', ..]) => {}
             Some(b"a") => {

@@ -6,7 +6,7 @@
 
 use std::io::BufRead;
 
-use super::scan::parse_blocks;
+use super::scan::{edge_list_records, parse_blocks};
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
@@ -14,7 +14,7 @@ use crate::error::GraphError;
 /// Parse an edge-list stream into a [`Graph`].
 pub fn load_edge_list<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(mode);
-    parse_blocks(reader, 1, &mut b, |line, records| {
+    parse_blocks(reader, 1, &mut b, edge_list_records, |line, records| {
         match line.peek() {
             None | Some(b'#' | b'%') => return Ok(()),
             Some(b'/') if line.starts_with(b"//") => return Ok(()),

@@ -7,7 +7,7 @@
 
 use std::io::BufRead;
 
-use super::scan::parse_blocks;
+use super::scan::{edge_list_records, parse_blocks};
 use crate::builder::{GraphBuilder, NeighborMode};
 use crate::csr::Graph;
 use crate::error::GraphError;
@@ -19,7 +19,9 @@ use crate::error::GraphError;
 /// its SSSP assumes unit weights).
 pub fn load_konect<R: BufRead>(reader: R, mode: NeighborMode) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(mode);
-    parse_blocks(reader, 1, &mut b, |line, records| {
+    // A two-column line is an edge-list record; lines with more columns go
+    // to the per-line parser, which ignores the rest.
+    parse_blocks(reader, 1, &mut b, edge_list_records, |line, records| {
         if !matches!(line.peek(), None | Some(b'%')) {
             let src = line.u32("source id")?;
             records.edge(src, line.u32("target id")?);

@@ -7,7 +7,9 @@
 //! thread appends the previous round's records to the `GraphBuilder` in
 //! file order and reads the next round. A loader supplies a per-line record
 //! parser over a [`Line`]: no `String`, no UTF-8 validation, no per-line
-//! allocation, each field parsed in the pass that finds it. The lines in
+//! allocation, each field parsed in the pass that finds it. Beside it, a
+//! record kernel takes the runs of the format's canonical lines in one
+//! tight loop and hands every other line to the per-line parser. The lines in
 //! front of a header that fixes the record shape go through [`head`],
 //! serially. Design and costs: docs/INTERNALS.md, "Loading: scanner and
 //! builder".
@@ -15,7 +17,7 @@
 use std::cell::Cell;
 use std::io::{BufRead, ErrorKind};
 
-use crate::builder::GraphBuilder;
+use crate::builder::{GraphBuilder, EMPTY_SPAN};
 use crate::csr::Weight;
 use crate::error::GraphError;
 use crate::ids::VertexId;
@@ -28,26 +30,29 @@ pub(crate) const MAX_LINE_BYTES: usize = 1 << 16;
 /// Bytes in a block, but for its last line: a block ends at the first
 /// newline that is its `BLOCK`th byte or later.
 ///
-/// Swept on the benchmark's seed-7 inputs (wiki: 2 690 374 edges, 32 MB;
-/// road: 1 823 256 arcs, 36 MB) on a 2-vCPU shared VM, global pool of two
-/// threads. Load ms: `load_edge_list` / `load_dimacs_gr` through
-/// `BufReader::new(File)`, `NeighborMode::Both`, build included, median
-/// of 10 interleaved reps. Repeated-load `VmHWM`: eight wiki loads in one
-/// process. `peak_rss_mb`: the benchmark worker on `wiki_pagerank`, three
-/// runs.
+/// Swept with the record kernels on the benchmark's seed-7 inputs (wiki:
+/// 2 690 374 edges, 32 MB; road: 1 823 256 arcs, 36 MB) on a 2-vCPU shared
+/// VM, global pool of two threads. Load ms: one `load_edge_list` /
+/// `load_dimacs_gr` through `BufReader::new(File)`, `NeighborMode::Both`,
+/// build included, each in a fresh process, median of 10 interleaved reps
+/// (q1–q3 spans 1–5 ms). Repeated-load `VmHWM`: eight wiki loads in one
+/// process. `setup_s` and `peak_rss_mb`: the benchmark worker on
+/// `wiki_pagerank` with a 10 s window, three runs.
 ///
-/// | `BLOCK` | wiki load ms | road load ms | repeated-load `VmHWM` MB | `peak_rss_mb` |
-/// |---|---|---|---|---|
-/// | serial scanner | 121.0 | 117.5 | 48.6 or 61.3 | 100.9–101.1 |
-/// | 64 KiB | 116.2 | 99.1 | 61.3 | 101.5–102.8 |
-/// | 128 KiB | 115.7 | 99.5 | 61.3 | 101.4–102.8 |
-/// | 256 KiB | 107.3 | 89.1 | 61.9 | 100.7–101.7 |
-/// | 512 KiB | 104.6 | 83.0 | 64.3 | 102.4–102.7 |
-/// | 1 MiB | 100.3 | 89.2 | 63.2 | 99.5–106.1 |
+/// | `BLOCK` | wiki load ms | road load ms | repeated-load `VmHWM` MB | `setup_s` ms | `peak_rss_mb` |
+/// |---|---|---|---|---|---|
+/// | 64 KiB | 49.7 | 40.8 | 60.0 | 44.1–45.4 | 96.0–96.4 |
+/// | 128 KiB | 46.4 | 39.6 | 60.1 | 42.0–42.3 | 96.1–96.4 |
+/// | 256 KiB | 49.6 | 39.7 | 60.4 | 41.0–42.3 | 96.2–96.3 |
+/// | 512 KiB | 50.5 | 40.0 | 62.9 | 33.6–33.9 | 96.1–96.3 |
+/// | 1 MiB | 50.2 | 40.3 | 61.8 | 33.5–56.2 | 92.6–94.1 |
 ///
-/// 256 KiB is the largest block whose buffers stay within the serial
-/// scanner's peak; past it the loads gain a few ms and the slots hold
-/// 2–3 MB more.
+/// The loads do not move with the block. The worker's `setup_s` drop past
+/// 256 KiB goes with glibc's dynamic mmap threshold, which a larger freed
+/// slot raises, not with the scanner: with the threshold pinned
+/// (`MALLOC_MMAP_THRESHOLD_=131072`) 256 and 512 KiB read 43.6 and
+/// 42.8 ms. 256 KiB stays, the largest block whose slots hold no more than
+/// the smaller ones'.
 pub(crate) const BLOCK: usize = 256 << 10;
 
 thread_local! {
@@ -131,18 +136,11 @@ impl<'a> Line<'a> {
         // bytes — every id below ten million — convert without a
         // per-digit loop, whose exit the branch predictor cannot learn.
         if let Some(chunk) = self.rest.first_chunk::<8>() {
-            let x = u64::from_le_bytes(*chunk) ^ 0x3030_3030_3030_3030; // digits become 0..=9
-            let not_digit = (((x & 0x7f7f_7f7f_7f7f_7f7f) + 0x7676_7676_7676_7676) | x)
-                & 0x8080_8080_8080_8080;
-            let n = (not_digit.trailing_zeros() / 8) as usize;
+            let x = u64::from_le_bytes(*chunk) ^ ZEROS;
+            let n = digit_run(x);
             if (1..8).contains(&n) && matches!(chunk[n], b' ' | b'\t'..=b'\r') {
-                // Drop what follows the digits, then sum pairs, fours, eight.
-                let x = x << (8 * (8 - n));
-                let x = ((x & 0x0f00_0f00_0f00_0f00) >> 8) + (x & 0x000f_000f_000f_000f) * 10;
-                let x = ((x & 0x00ff_0000_00ff_0000) >> 16) + (x & 0x0000_00ff_0000_00ff) * 100;
-                let x = ((x & 0x0000_ffff_0000_0000) >> 32) + (x & 0x0000_0000_0000_ffff) * 10_000;
                 self.rest = &self.rest[n..];
-                return Ok(x as u32);
+                return Ok(digits_value(x, n));
             }
         }
         let field = self.field().ok_or_else(|| self.error(format!("missing {what}")))?;
@@ -157,6 +155,93 @@ impl<'a> Line<'a> {
     }
 }
 
+/// XOR with this turns eight ASCII digits, read little-endian, into the
+/// byte values 0..=9.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// How many of the eight bytes of `x` (read little-endian, XORed with
+/// [`ZEROS`]) are digits before the first that is not: 8 when all are.
+#[inline(always)]
+fn digit_run(x: u64) -> usize {
+    // A byte's top bit ends up set unless it was 0..=9.
+    let not_digit =
+        (((x & 0x7f7f_7f7f_7f7f_7f7f) + 0x7676_7676_7676_7676) | x) & 0x8080_8080_8080_8080;
+    (not_digit.trailing_zeros() / 8) as usize
+}
+
+/// The value of the first `n` (1..=7) digits of `x`, as [`digit_run`]
+/// reads it.
+#[inline(always)]
+fn digits_value(x: u64, n: usize) -> u32 {
+    // Drop what follows the digits, then sum pairs, fours, eight.
+    let x = x << (8 * (8 - n));
+    let x = ((x & 0x0f00_0f00_0f00_0f00) >> 8) + (x & 0x000f_000f_000f_000f) * 10;
+    let x = ((x & 0x00ff_0000_00ff_0000) >> 16) + (x & 0x0000_00ff_0000_00ff) * 100;
+    let x = ((x & 0x0000_ffff_0000_0000) >> 32) + (x & 0x0000_0000_0000_ffff) * 10_000;
+    x as u32
+}
+
+/// A canonical field at the front of `bytes`: one to seven digits, then
+/// `end`. Its value, and its length with `end`.
+#[inline(always)]
+fn canonical_field(bytes: &[u8], end: u8) -> Option<(u32, usize)> {
+    let chunk = bytes.first_chunk::<8>()?;
+    let x = u64::from_le_bytes(*chunk) ^ ZEROS;
+    let n = digit_run(x);
+    ((1..8).contains(&n) && chunk[n] == end).then(|| (digits_value(x, n), n + 1))
+}
+
+/// Take the canonical edge-list lines, `u␠v⏎`, at the front of `bytes`
+/// into `records`, up to the first line that is not one or that starts
+/// fewer than 16 bytes before the end. Returns the bytes and the lines
+/// taken: a record kernel for [`parse_blocks`].
+pub(crate) fn edge_list_records(bytes: &[u8], records: &mut Records) -> (usize, usize) {
+    // After a weighted first record an unweighted line is an error, and
+    // errors are the per-line parser's.
+    if records.weighted == Some(true) {
+        return (0, 0);
+    }
+    let (mut at, mut lines) = (0, 0);
+    let (mut lo, mut hi) = records.span;
+    while let Some(window) = bytes[at..].first_chunk::<16>() {
+        let Some((src, a)) = canonical_field(window, b' ') else { break };
+        let Some((dst, b)) = canonical_field(&window[a..], b'\n') else { break };
+        records.edges.push((src, dst));
+        (lo, hi) = (lo.min(src).min(dst), hi.max(src).max(dst));
+        at += a + b;
+        lines += 1;
+    }
+    if lines > 0 {
+        records.weighted = Some(false);
+        records.span = (lo, hi);
+    }
+    (at, lines)
+}
+
+/// Take the canonical DIMACS arc lines, `a␠u␠v␠w⏎`, at the front of
+/// `bytes` into `records`, up to the first line that is not one or that
+/// starts fewer than 32 bytes before the end. Returns the bytes and the
+/// lines taken: a record kernel for [`parse_blocks`].
+pub(crate) fn dimacs_records(bytes: &[u8], records: &mut Records) -> (usize, usize) {
+    let (mut at, mut lines) = (0, 0);
+    let (mut lo, mut hi) = records.span;
+    while let Some(window) = bytes[at..].first_chunk::<32>() {
+        if !window.starts_with(b"a ") {
+            break;
+        }
+        let Some((src, a)) = canonical_field(&window[2..], b' ') else { break };
+        let Some((dst, b)) = canonical_field(&window[2 + a..], b' ') else { break };
+        let Some((weight, c)) = canonical_field(&window[2 + a + b..], b'\n') else { break };
+        records.edges.push((src, dst));
+        records.weights.push(weight);
+        (lo, hi) = (lo.min(src).min(dst), hi.max(src).max(dst));
+        at += 2 + a + b + c;
+        lines += 1;
+    }
+    records.span = (lo, hi);
+    (at, lines)
+}
+
 /// The records one block's lines produce, in line order.
 pub(crate) struct Records {
     edges: Vec<(VertexId, VertexId)>,
@@ -165,9 +250,21 @@ pub(crate) struct Records {
     /// Whether the block's first record is weighted, as [`Records::shape`]
     /// declared it.
     weighted: Option<bool>,
+    /// The smallest and the largest id in `edges`; [`EMPTY_SPAN`] while
+    /// there are none.
+    span: (VertexId, VertexId),
 }
 
 impl Records {
+    fn with_capacity(records: usize) -> Records {
+        Records {
+            edges: Vec::with_capacity(records),
+            weights: Vec::with_capacity(records),
+            weighted: None,
+            span: EMPTY_SPAN,
+        }
+    }
+
     /// Declare, before its weight is read, whether the record on the line
     /// being parsed is weighted. All records of a file must agree: within
     /// a block that is checked here, across blocks when they are merged.
@@ -184,11 +281,13 @@ impl Records {
     #[inline]
     pub(crate) fn edge(&mut self, src: VertexId, dst: VertexId) {
         self.edges.push((src, dst));
+        let (lo, hi) = self.span;
+        self.span = (lo.min(src).min(dst), hi.max(src).max(dst));
     }
 
     #[inline]
     pub(crate) fn weighted_edge(&mut self, src: VertexId, dst: VertexId, weight: Weight) {
-        self.edges.push((src, dst));
+        self.edge(src, dst);
         self.weights.push(weight);
     }
 }
@@ -217,11 +316,7 @@ impl Slot {
         Slot {
             bytes: Vec::with_capacity(bytes),
             overlong: false,
-            records: Records {
-                edges: Vec::with_capacity(records),
-                weights: Vec::with_capacity(records),
-                weighted: None,
-            },
+            records: Records::with_capacity(records),
             parsed: Ok(0),
         }
     }
@@ -236,10 +331,11 @@ impl Slot {
         self.overlong = false;
         let more = self.read(reader, block);
         let records = self.bytes.len().div_ceil(4);
-        let Records { edges, weights, weighted } = &mut self.records;
+        let Records { edges, weights, weighted, span } = &mut self.records;
         edges.clear();
         weights.clear();
         *weighted = None;
+        *span = EMPTY_SPAN;
         edges.reserve(records);
         weights.reserve(records);
         more
@@ -291,9 +387,10 @@ impl Slot {
         }
     }
 
-    /// Parse the block's lines with `parse` into its records.
-    fn parse<P>(&mut self, parse: &P)
+    /// Parse the block's lines with `kernel` and `parse` into its records.
+    fn parse<K, P>(&mut self, kernel: &K, parse: &P)
     where
+        K: Fn(&[u8], &mut Records) -> (usize, usize),
         P: Fn(&mut Line<'_>, &mut Records) -> Result<(), GraphError>,
     {
         let whole = if self.overlong {
@@ -301,21 +398,35 @@ impl Slot {
         } else {
             self.bytes.len()
         };
-        self.parsed = match parse_lines(&self.bytes[..whole], &mut self.records, parse) {
+        self.parsed = match parse_lines(&self.bytes[..whole], &mut self.records, kernel, parse) {
             Ok(lines) if self.overlong => Err(too_long(lines + 1)),
             parsed => parsed,
         };
     }
 }
 
-/// Hand each line of `bytes` — whole lines, the last perhaps unterminated
-/// — to `parse`, numbered from 1; returns how many there were.
-fn parse_lines<P>(mut bytes: &[u8], records: &mut Records, parse: &P) -> Result<usize, GraphError>
+/// Parse `bytes` — whole lines, the last perhaps unterminated — into
+/// `records`: each run of lines that `kernel` takes, and each line it
+/// refuses handed to `parse`, numbered from 1. Returns how many lines there
+/// were.
+fn parse_lines<K, P>(
+    mut bytes: &[u8],
+    records: &mut Records,
+    kernel: &K,
+    parse: &P,
+) -> Result<usize, GraphError>
 where
+    K: Fn(&[u8], &mut Records) -> (usize, usize),
     P: Fn(&mut Line<'_>, &mut Records) -> Result<(), GraphError>,
 {
     let mut number = 0;
-    while !bytes.is_empty() {
+    loop {
+        let (taken, lines) = kernel(bytes, records);
+        bytes = &bytes[taken..];
+        number += lines;
+        if bytes.is_empty() {
+            return Ok(number);
+        }
         number += 1;
         let mut line = Line { rest: bytes, number };
         parse(&mut line, records)?;
@@ -325,7 +436,6 @@ where
         }
         bytes = &line.rest[(unread + 1).min(line.rest.len())..];
     }
-    Ok(number)
 }
 
 /// Fill `round`'s slots in order while input lasts. Returns how many hold
@@ -364,7 +474,7 @@ impl Merge<'_> {
                     return Err(GraphError::MixedWeightedness);
                 }
             }
-            self.builder.extend(&records.edges, &records.weights);
+            self.builder.extend(&records.edges, &records.weights, records.span);
             match std::mem::replace(&mut slot.parsed, Ok(0)) {
                 Ok(lines) => self.line += lines,
                 Err(GraphError::Parse { line, message }) => {
@@ -377,23 +487,31 @@ impl Merge<'_> {
     }
 }
 
-/// Parse every line of `reader` with `parse`, numbering them from `first`,
-/// and append the records to `builder` in file order; a line adds at most
-/// one record. Returns the first error in file order.
+/// Parse every line of `reader`, numbering them from `first`, and append
+/// the records to `builder` in file order; a line adds at most one record.
+/// Returns the first error in file order.
+///
+/// `kernel` — [`edge_list_records`] or [`dimacs_records`] — takes the runs
+/// of a format's canonical record lines whole and returns the bytes and
+/// lines it took; each line it refuses goes to `parse`, and the
+/// kernel resumes after it. Either way a line makes the same record, so the
+/// kernel decides how fast a block parses, never what it holds.
 ///
 /// Rounds of one block per pool thread: while a round's blocks are parsed
 /// on the pool, the calling thread appends the previous round's records
 /// and reads the next round into the other half of `2 × threads` slots.
 /// Input that fits one block is parsed on the calling thread and spawns
 /// nothing.
-pub(crate) fn parse_blocks<R, P>(
+pub(crate) fn parse_blocks<R, K, P>(
     mut reader: R,
     first: usize,
     builder: &mut GraphBuilder,
+    kernel: K,
     parse: P,
 ) -> Result<(), GraphError>
 where
     R: BufRead,
+    K: Fn(&[u8], &mut Records) -> (usize, usize) + Sync,
     P: Fn(&mut Line<'_>, &mut Records) -> Result<(), GraphError> + Sync,
 {
     let block = BLOCK_BYTES.get();
@@ -408,14 +526,14 @@ where
         let last = !matches!(more, Ok(true));
         if last && count <= 1 {
             merge.append(&mut previous[..parsed])?;
-            current[..count].iter_mut().for_each(|slot| slot.parse(&parse));
+            current[..count].iter_mut().for_each(|slot| slot.parse(&kernel, &parse));
             merge.append(&mut current[..count])?;
             return more.map(drop);
         }
         let next = ipregel_par::scope(|s| -> Result<_, GraphError> {
             for slot in &mut current[..count] {
-                let parse = &parse;
-                s.spawn(move |_| slot.parse(parse));
+                let (kernel, parse) = (&kernel, &parse);
+                s.spawn(move |_| slot.parse(kernel, parse));
             }
             merge.append(&mut previous[..parsed])?;
             Ok(if last {
@@ -506,8 +624,9 @@ mod tests {
     fn blocks_of(reads: usize, block: usize, text: &[u8]) -> Result<usize, GraphError> {
         let mut b = GraphBuilder::new(NeighborMode::OutOnly);
         let reader = BufReader::with_capacity(reads, text);
+        let no_kernel = |_: &[u8], _: &mut Records| (0, 0);
         with_block_bytes(block, || {
-            parse_blocks(reader, 1, &mut b, |_, records| {
+            parse_blocks(reader, 1, &mut b, no_kernel, |_, records| {
                 records.edge(0, 0);
                 Ok(())
             })
@@ -561,6 +680,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A comment line long enough that every canonical line before it
+    /// starts 32 bytes or more before the block's end.
+    const TAIL: &[u8] = b"# the end of the block, past every kernel's window\n";
+
+    type Kernel = fn(&[u8], &mut Records) -> (usize, usize);
+
+    /// Each kernel takes a block of canonical lines whole: a change that
+    /// routes them to the per-line parser fails here, not only in a
+    /// benchmark.
+    #[test]
+    fn each_kernel_takes_a_block_of_canonical_lines_whole() {
+        let ids = |i: u32| (i * 7919 % 9_999_999, (i * 104_729 + 1) % 10_000_000);
+        type Render = fn(u32, u32, u32) -> String;
+        let kernels: [(Kernel, Render); 2] = [
+            (edge_list_records, |u, v, _| format!("{u} {v}\n")),
+            (dimacs_records, |u, v, w| format!("a {u} {v} {w}\n")),
+        ];
+        for (kernel, line) in kernels {
+            let mut block = Vec::new();
+            let mut expected = Vec::new();
+            for i in 0..4096 {
+                let (u, v) = ids(i);
+                block.extend(line(u, v, i).bytes());
+                expected.push((u, v));
+            }
+            let canonical = block.len();
+            block.extend(TAIL);
+            let mut records = Records::with_capacity(block.len().div_ceil(4));
+            assert_eq!(kernel(&block, &mut records), (canonical, 4096));
+            assert_eq!(records.edges, expected);
+            let weights = if records.weights.is_empty() { 0 } else { 4096 };
+            assert_eq!(records.weights, (0..weights).collect::<Vec<_>>());
+            let span = expected
+                .iter()
+                .fold(EMPTY_SPAN, |(lo, hi), &(u, v)| (lo.min(u).min(v), hi.max(u).max(v)));
+            assert_eq!(records.span, span);
+
+            // Through the block parser, the per-line parser sees the tail only.
+            let mut records = Records::with_capacity(block.len().div_ceil(4));
+            let calls = Cell::new(0);
+            let parse = |_: &mut Line<'_>, _: &mut Records| {
+                calls.set(calls.get() + 1);
+                Ok(())
+            };
+            assert_eq!(parse_lines(&block, &mut records, &kernel, &parse).unwrap(), 4097);
+            assert_eq!((records.edges.len(), calls.get()), (4096, 1));
+        }
+    }
+
+    /// Lines that neither kernel takes, and where a block's last taken
+    /// line may start.
+    #[test]
+    fn a_kernel_refuses_what_is_not_canonical() {
+        let refused: &[&[u8]] = &[
+            b"# comment\n",
+            b"+1 2\n",
+            b"01\t2\n",
+            b"1 2\r\n",
+            b"12345678 2\n",
+            b"1 12345678\n",
+            b"1 2 3\n",
+            b" 1 2\n",
+            b"1  2\n",
+            b"\n",
+            b"a 1 2\n",
+            b"a 1 2 3 4\n",
+            b"a 1 2 3\r\n",
+            b"a\t1 2 3\n",
+            b"a 12345678 2 3\n",
+            b"a 1 2 +3\n",
+        ];
+        for kernel in [edge_list_records as Kernel, dimacs_records] {
+            for line in refused {
+                let mut records = Records::with_capacity(64);
+                let block = [line, &b"a 1 2 3\n1 2\n"[..], TAIL].concat();
+                assert_eq!(kernel(&block, &mut records), (0, 0), "{}", show(line));
+                assert!(records.edges.is_empty() && records.span == EMPTY_SPAN);
+            }
+        }
+        // A line is taken if it starts 16 (edge list) or 32 (DIMACS) bytes
+        // or more before the end.
+        for (kernel, line, window) in
+            [(edge_list_records as Kernel, &b"1 2\n"[..], 16), (dimacs_records, b"a 1 2 3\n", 32)]
+        {
+            for extra in 0..=line.len() {
+                let block = [line.repeat(8), vec![b'#'; extra]].concat();
+                let starts = (0..8).filter(|j| block.len() - j * line.len() >= window).count();
+                let mut records = Records::with_capacity(64);
+                assert_eq!(kernel(&block, &mut records), (starts * line.len(), starts));
+            }
+        }
+        // A weighted first record leaves unweighted lines to the parser.
+        let mut records = Records::with_capacity(64);
+        records.shape(true).unwrap();
+        assert_eq!(edge_list_records(&[&b"1 2\n"[..], TAIL].concat(), &mut records), (0, 0));
     }
 
     #[test]

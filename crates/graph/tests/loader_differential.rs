@@ -577,3 +577,134 @@ fn a_megabyte_line_is_refused_at_the_cap() {
         }
     }
 }
+
+/// A file of `format` whose record lines around `case` are canonical —
+/// `u v` or `a u v w`, single spaces, one to eight digits — so that the
+/// record kernels take a run, hand `case`'s lines to the per-line parser
+/// and take up again after them. Ids are `base` to `base + 39`, and a
+/// DIMACS header declares 1 to 40.
+fn among_canonical(format: Format, base: u32, case: &[u8]) -> Vec<u8> {
+    let line = |i: u32| {
+        let (u, v) = (base + i % 40, base + i * 7 % 40);
+        match format {
+            Format::Dimacs => format!("a {u} {v} {}\n", i * 977),
+            _ => format!("{u} {v}\n"),
+        }
+    };
+    let mut file = match format {
+        Format::Dimacs => b"p sp 40 24\n".to_vec(),
+        _ => Vec::new(),
+    };
+    file.extend((0..12).flat_map(|i| line(i).into_bytes()));
+    file.extend_from_slice(case);
+    file.extend((12..24).flat_map(|i| line(i).into_bytes()));
+    file
+}
+
+/// Lines next to the record kernels' edges, each between runs of canonical
+/// lines: where the kernel must stop, the per-line parser must make the
+/// record or the error the oracle makes.
+#[test]
+fn record_kernel_edges_load_like_the_reference() {
+    use Format::{Dimacs, EdgeList, Konect};
+    let edge_lists: &[&[u8]] = &[
+        b"",
+        b"+1 2\n",                      // leading +
+        b"1 +2\n",
+        b"0000001 2\n",                 // leading zeros, seven digits in all
+        b"00000001 2\n",                // ... and eight
+        b"1 0000002\n",
+        b"1 2\r\n3 4\r\n",              // CRLF
+        b"1\t2\n",                      // tab
+        b"1 2 \n",                      // trailing blanks
+        b"1 2\t\n",
+        b"  \n",
+        b"1 2 3\n",                     // a weight after unweighted lines
+        b"1  2\n",
+        b"# comment\n% comment\n",
+        b"x 4\n",
+    ];
+    for &case in edge_lists {
+        agree(EdgeList, &among_canonical(EdgeList, 1, case), NeighborMode::Both).unwrap();
+        agree(Konect, &among_canonical(Konect, 1, case), NeighborMode::Both).unwrap();
+    }
+    // Ids of seven digits, the kernel's widest field, and of eight, past the
+    // eight-byte conversion, kept close together so that the arrays stay
+    // small: the run holds 9 999 990 to 10 000 029.
+    let wide: &[&[u8]] = &[
+        b"",
+        b"9999999 9999998\n",
+        b"9999999 10000000\n",
+        b"10000000 9999999\n",
+        b"10000001 10000002\n",
+        b"10000000 9999999 5\n",
+    ];
+    for &case in wide {
+        agree(EdgeList, &among_canonical(EdgeList, 9_999_990, case), NeighborMode::Both).unwrap();
+    }
+    let dimacs: &[&[u8]] = &[
+        b"",
+        b"a 1 2 9999999\n",             // seven-digit weight
+        b"a 1 2 10000000\n",            // eight-digit weight
+        b"a 1 2 00000003\n",
+        b"a 0000001 2 3\n",
+        b"a +1 2 3\n",
+        b"a 1 2 3 4\n",                 // a fourth field
+        b"a 1 2 3\r\n",
+        b"a\t1 2 3\n",
+        b"a 1 2 3 \n",
+        b"a  1 2 3\n",
+        b"c comment\n",
+        b"a 1 41 3\n",                  // outside the declared range
+        b"a 1 10000000 3\n",            // ... with an eight-digit id
+        b"a 41 1 3\n",
+        b"a 1 2\n",                     // no weight
+        b"ab 1 2 3\n",
+    ];
+    for &case in dimacs {
+        agree(Dimacs, &among_canonical(Dimacs, 1, case), NeighborMode::Both).unwrap();
+    }
+
+    // The error after a kernel run names its line in the file, in one block
+    // and in blocks that cut the run.
+    for format in [EdgeList, Konect, Dimacs] {
+        let bad: &[u8] = if matches!(format, Dimacs) { b"a 1 x 3\n" } else { b"1 x\n" };
+        let file = among_canonical(format, 1, bad);
+        let line = 13 + usize::from(matches!(format, Dimacs));
+        for block in [None, Some(1), Some(16), Some(40), Some(64)] {
+            match load_in_blocks(format, Cursor::new(&file), NeighborMode::Both, block) {
+                Err(GraphError::Parse { line: at, .. }) if at == line => {}
+                other => panic!("{format:?}, {block:?}-byte blocks: line {line}? {other:?}"),
+            }
+        }
+    }
+    // A weighted line in the block of the unweighted lines the kernel took.
+    let file = among_canonical(EdgeList, 1, b"1 2 3\n");
+    for block in [None, Some(64)] {
+        let got = load_in_blocks(EdgeList, Cursor::new(&file), NeighborMode::Both, block);
+        assert!(matches!(got, Err(GraphError::MixedWeightedness)), "{block:?}: {got:?}");
+    }
+}
+
+/// Canonical records that end 1 to 32 bytes (and more) before a block's
+/// end: a kernel stops 16 (edge list) or 32 (DIMACS) bytes short of it and
+/// leaves the last lines to the per-line parser, at every offset that a
+/// block size from 1 to 96 bytes puts the end at.
+#[test]
+fn canonical_records_near_a_block_end_load_like_the_reference() {
+    let files = [
+        (Format::EdgeList, among_canonical(Format::EdgeList, 1, b"")),
+        (Format::EdgeList, among_canonical(Format::EdgeList, 9_999_990, b"")),
+        (Format::Konect, among_canonical(Format::Konect, 1, b"")),
+        (Format::Dimacs, among_canonical(Format::Dimacs, 1, b"")),
+        (Format::Dimacs, among_canonical(Format::Dimacs, 1, b"a 1 2 3 4\n")),
+    ];
+    for (format, file) in files {
+        let expected = outcome(&format.oracle(&String::from_utf8_lossy(&file), NeighborMode::Both));
+        assert!(expected.starts_with("graph"), "{format:?}: {expected}");
+        for block in 1..=96 {
+            let got = load_in_blocks(format, Cursor::new(&file), NeighborMode::Both, Some(block));
+            assert_eq!(outcome(&got), expected, "{format:?} in {block}-byte blocks");
+        }
+    }
+}

@@ -144,7 +144,6 @@ pub const TRACE_COVERAGE: &[(&str, &[&str])] = &[
     // Mailboxes report their contention to the trace layer.
     ("crates/core/src/mailbox/spin.rs", &["note_spin_iterations", "note_lock_acquisition"]),
     ("crates/core/src/mailbox/mutex.rs", &["note_lock_acquisition"]),
-    ("crates/core/src/mailbox/atomic.rs", &["note_cas_retry"]),
 ];
 
 /// Files permitted to contain the `unsafe` token (absorbed from the

@@ -8,14 +8,14 @@
 //!   range, so the 20-digit extremes exercise the hand-rolled integer
 //!   parser.
 //! * **Stability**: the byte-level encoding of the current schema
-//!   version (5) is pinned against
-//!   `tests/fixtures/trace_schema.v5.jsonl`. A failure here means the
+//!   version (6) is pinned against
+//!   `tests/fixtures/trace_schema.v6.jsonl`. A failure here means the
 //!   wire format changed: bump `ipregel::trace::SCHEMA_VERSION` and
 //!   regenerate the fixture deliberately (there is an `#[ignore]`d
 //!   `regenerate_the_pinned_fixture` test for exactly that) instead of
 //!   silently breaking stored traces.
 //! * **One version**: the decoder reads the current schema only; every
-//!   writer emits it. Headers of schemas 0 to 4 get the typed
+//!   writer emits it. Headers of schemas 0 to 5 get the typed
 //!   "unsupported trace schema" error, and so do the `io` event and the
 //!   `ooc` engine that schema 5 dropped.
 
@@ -32,7 +32,7 @@ fn fixture_text(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// The event list whose encoding the committed v5 fixture pins: one of
+/// The event list whose encoding the committed v6 fixture pins: one of
 /// every variant, every engine-independent field exercised.
 fn fixture_events() -> Vec<TraceEvent> {
     vec![
@@ -44,7 +44,6 @@ fn fixture_events() -> Vec<TraceEvent> {
             planned_edges: 100,
             duration_ns: 2500,
             lock_acquisitions: 7,
-            cas_retries: 2,
             spin_iterations: 31,
             worker: 3,
         },
@@ -86,20 +85,20 @@ fn fixture_events() -> Vec<TraceEvent> {
 
 #[test]
 fn current_schema_encoding_is_pinned_byte_for_byte() {
-    assert_eq!(SCHEMA_VERSION, 5, "fixture pins version 5; regenerate it for a new schema");
+    assert_eq!(SCHEMA_VERSION, 6, "fixture pins version 6; regenerate it for a new schema");
     let encoded = encode_trace(&fixture_events());
-    let fixture = fixture_text("trace_schema.v5.jsonl");
+    let fixture = fixture_text("trace_schema.v6.jsonl");
     // Compare line by line first for a readable failure, then exactly.
     for (i, (got, want)) in encoded.lines().zip(fixture.lines()).enumerate() {
         assert_eq!(got, want, "line {i} of the trace encoding drifted from the fixture");
     }
-    assert_eq!(encoded, fixture, "trace encoding drifted from tests/fixtures/trace_schema.v5.jsonl");
+    assert_eq!(encoded, fixture, "trace encoding drifted from tests/fixtures/trace_schema.v6.jsonl");
 }
 
 /// Not a test of anything: run with `--ignored` to rewrite the pinned
 /// fixture after a deliberate schema bump.
 #[test]
-#[ignore = "writes tests/fixtures/trace_schema.v5.jsonl; run only on a deliberate schema change"]
+#[ignore = "writes tests/fixtures/trace_schema.v6.jsonl; run only on a deliberate schema change"]
 fn regenerate_the_pinned_fixture() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -109,22 +108,22 @@ fn regenerate_the_pinned_fixture() {
 
 #[test]
 fn the_committed_fixture_decodes_to_the_pinned_events() {
-    assert_eq!(decode_trace(&fixture_text("trace_schema.v5.jsonl")).unwrap(), fixture_events());
+    assert_eq!(decode_trace(&fixture_text("trace_schema.v6.jsonl")).unwrap(), fixture_events());
 }
 
 #[test]
 fn meta_header_is_pinned() {
-    assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":5}");
-    assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":5}").unwrap(), None);
+    assert_eq!(encode_meta(), "{\"type\":\"meta\",\"schema\":6}");
+    assert_eq!(decode_line("{\"type\":\"meta\",\"schema\":6}").unwrap(), None);
 }
 
 #[test]
 fn unsupported_schema_versions_are_rejected() {
     let newer = "{\"type\":\"meta\",\"schema\":999}\n";
     assert!(decode_trace(newer).unwrap_err().contains("999"));
-    // Everything before the current schema, the four once-readable
+    // Everything before the current schema, the five once-readable
     // versions included.
-    for ancient in [0, 1, 2, 3, 4] {
+    for ancient in [0, 1, 2, 3, 4, 5] {
         let header = format!("{{\"type\":\"meta\",\"schema\":{ancient}}}\n");
         let err = decode_trace(&header).expect_err("predates SCHEMA_VERSION");
         assert!(err.contains("unsupported trace schema"), "schema {ancient}: {err}");
@@ -173,12 +172,12 @@ fn any_event() -> impl Strategy<Value = TraceEvent> {
         any::<u64>().prop_map(|superstep| TraceEvent::SuperstepBegin { superstep }),
         (
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<u64>(), any::<u64>()),
         )
             .prop_map(
                 |(
                     (superstep, chunk, planned_edges, duration_ns),
-                    (lock_acquisitions, cas_retries, spin_iterations, worker),
+                    (lock_acquisitions, spin_iterations, worker),
                 )| {
                     TraceEvent::Chunk {
                         superstep,
@@ -186,7 +185,6 @@ fn any_event() -> impl Strategy<Value = TraceEvent> {
                         planned_edges,
                         duration_ns,
                         lock_acquisitions,
-                        cas_retries,
                         spin_iterations,
                         worker,
                     }
