@@ -57,7 +57,8 @@ pub struct GraphBuilder {
     addressing: AddressingChoice,
     declared_range: Option<(VertexId, u32)>,
     /// The smallest and the largest id of the `spanned` edges that came
-    /// through [`GraphBuilder::extend`], which carries its loader's fold.
+    /// through [`GraphBuilder::extend`] or [`GraphBuilder::decode_edges`],
+    /// which carry their loader's fold.
     /// `add_edge` and `add_weighted_edge` track neither, so the span is
     /// the whole builder's only while `spanned` counts every edge.
     span: (VertexId, VertexId),
@@ -127,17 +128,43 @@ impl GraphBuilder {
         weights: &[Weight],
         span: (VertexId, VertexId),
     ) {
-        if edges.is_empty() {
+        let weighted = !weights.is_empty();
+        debug_assert!(!weighted || weights.len() == edges.len(), "one weight per edge");
+        self.decode_edges(weighted, |out| {
+            out.extend_from_slice(edges);
+            span
+        });
+        self.weights.extend_from_slice(weights);
+    }
+
+    /// Append edges a loader decodes straight into the edge vector:
+    /// `decode` pushes them in order and returns the smallest and the
+    /// largest id among those it pushed — [`GraphBuilder::extend`]'s
+    /// span, with the count being what `decode` pushed. When `weighted`,
+    /// their weights follow, in the same order, through
+    /// [`GraphBuilder::decode_weights`].
+    pub(crate) fn decode_edges(
+        &mut self,
+        weighted: bool,
+        decode: impl FnOnce(&mut Vec<(VertexId, VertexId)>) -> (VertexId, VertexId),
+    ) {
+        let before = self.edges.len();
+        let span = decode(&mut self.edges);
+        let added = self.edges.len() - before;
+        if added == 0 {
             return;
         }
-        let weighted = !weights.is_empty();
         debug_assert!(self.weighted != Some(!weighted), "mixed weighted/unweighted edges");
-        debug_assert!(!weighted || weights.len() == edges.len(), "one weight per edge");
         self.weighted = Some(weighted);
         self.span = (self.span.0.min(span.0), self.span.1.max(span.1));
-        self.spanned += edges.len();
-        self.edges.extend_from_slice(edges);
-        self.weights.extend_from_slice(weights);
+        self.spanned += added;
+    }
+
+    /// Append the weights of edges [`GraphBuilder::decode_edges`] took as
+    /// weighted, decoded straight into the weight vector in edge order.
+    pub(crate) fn decode_weights(&mut self, decode: impl FnOnce(&mut Vec<Weight>)) {
+        decode(&mut self.weights);
+        debug_assert!(self.weights.len() <= self.edges.len(), "one weight per edge");
     }
 
     /// Number of edges added so far.

@@ -1,10 +1,12 @@
 //! FNV-1a 64-bit checksums for on-disk framing.
 //!
-//! Both durable formats in the workspace — the binary graph format
-//! (`loaders::binary`, `IPGB` v2) and the engine checkpoint format
-//! (`ipregel::recover`, `IPCK`) — trail their payload with the same
-//! checksum so a short read or flipped byte is detected as corruption
-//! instead of silently truncating a CSR or resuming from garbage.
+//! The engine checkpoint format (`ipregel::recover`, `IPCK`) trails its
+//! payload with this checksum so a short read or flipped byte is
+//! detected as corruption instead of resuming from garbage. The binary
+//! graph format (`loaders::binary`, `IPGB` v4) no longer uses it: a
+//! byte-serial chain was slower than the decode it guarded, so `IPGB`
+//! carries a 4-lane stripe hash of its own. `Fnv64` also digests files
+//! whole where speed does not matter (the benchmark's input notes).
 //!
 //! FNV-1a is not cryptographic; it defends against *accidents*
 //! (truncation, bit rot, torn writes), which is the failure model here.

@@ -10,8 +10,8 @@
 //! harness can cache generated graphs between runs.
 //!
 //! Only what the CLI accepts or the product writes is read: edge lists,
-//! KONECT, DIMACS and IPGB version 2. No Matrix Market file and no IPGB
-//! version 3 file is read.
+//! KONECT, DIMACS and IPGB version 4. No Matrix Market file and no IPGB
+//! file of versions 1–3 is read.
 
 pub mod binary;
 pub mod dimacs;
